@@ -34,7 +34,8 @@ __all__ = [
     "gauss_legendre_grid",
 ]
 
-# Sampler bisection width and the tolerance for declaring a matrix symmetric.
+# Sampler bisection width per unit of min(T, 1), and the tolerance for
+# declaring a matrix symmetric.
 _CDF_BISECTION_WIDTH = 1e-12
 _SYMMETRY_TOL = 1e-12
 _PSD_FLOOR = -1e-9
@@ -116,14 +117,20 @@ def cube_eigen_density(box: Box) -> Density:
 
         F_i(x) = x / (2 T_i) + 1/2 + sin(pi x / T_i) / (2 pi)
 
-    by bisection to width 1e-12, so samples are strictly interior.
+    by bisection to width 1e-12 * min(T_i, 1), so samples are strictly
+    interior.  Raises ValueError when pi / T_i overflows.
     """
     hw = box.half_widths
     d = box.dimension
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(np.pi / hw)):
+            raise ValueError("half_widths too small: pi / T overflows")
     half_freq = np.pi / (2.0 * hw)  # pi / (2 T_i) per axis
     log_norm = float(-np.sum(np.log(hw)))
-    # enough halvings to shrink (-T, T) below the target width on every axis
-    bisect_iters = int(np.max(np.ceil(np.log2(2.0 * hw / _CDF_BISECTION_WIDTH))))
+    # enough halvings to shrink (-T, T) below the target width on every axis;
+    # the width scales with T below 1 so tiny boxes still get resolved
+    width = _CDF_BISECTION_WIDTH * np.minimum(hw, 1.0)
+    bisect_iters = int(np.max(np.ceil(np.log2(2.0 * hw / width))))
 
     def log_density(points: ArrayLike) -> Union[float, np.ndarray]:
         x = np.asarray(points, dtype=float)
@@ -265,6 +272,12 @@ def fisher_monte_carlo(density: Density, samples: int, rng_seed: int) -> FisherM
     Samples are drawn in fixed-size chunks, each from its own substream
     SeedSequence((rng_seed, chunk_index)), so the result does not depend on
     how the chunks are scheduled.  Requires at least 1000 samples.
+
+    ``std_error`` is the textbook sample standard error of each entry.  It
+    is not a valid error bar on the diagonal: for the cube eigen-density the
+    squared score has infinite variance, so the diagonal converges at rate
+    n**(-1/3) with a heavy upper tail.  Off-diagonal products have finite
+    variance and their standard error holds.
     """
     samples = int(samples)
     if samples < 1000:
@@ -301,35 +314,6 @@ def direction_information(fisher: FisherMatrix, step: ArrayLike) -> float:
     return math.sqrt(max(quad, 0.0))
 
 
-def fisher_operator_norm(fisher: FisherMatrix, tol: float = 1e-10) -> float:
-    """Largest eigenvalue, by cyclic Jacobi rotations."""
-    return _jacobi_largest_eigenvalue(fisher.entries, tol)
-
-
-def _jacobi_largest_eigenvalue(matrix: np.ndarray, tol: float) -> float:
-    a = np.array(matrix, dtype=float, copy=True)
-    n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0])
-    scale = max(1.0, float(np.max(np.abs(a))))
-    for _ in range(60):
-        off = a - np.diag(np.diag(a))
-        if math.sqrt(float(np.sum(off * off))) <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-    else:
-        raise RuntimeError("Jacobi iteration failed to converge")
-    return float(np.max(np.diag(a)))
+def fisher_operator_norm(fisher: FisherMatrix) -> float:
+    """Largest eigenvalue of the (symmetric) Fisher matrix."""
+    return float(np.linalg.eigvalsh(fisher.entries)[-1])

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bodies import Box, FisherMatrix, dirichlet_lambda1_box, direction_information
+from .bodies import Box, FisherMatrix, dirichlet_lambda1_box
 
 __all__ = [
     "BoundReport",
@@ -31,25 +31,38 @@ class BoundReport:
 
 
 def upper_bound_general(fisher: FisherMatrix, steps) -> BoundReport:
-    """(1/2) * sum_j sqrt(v_j^T I v_j) over the step sequence."""
+    """(1/2) * sum_j sqrt(v_j^T I v_j) over the step sequence.
+
+    ``steps`` is (n, d) for one run or (m, n, d) for m trials; with a
+    trials axis the value is the mean over trials of the per-run bound.
+    """
     v = np.asarray(steps, dtype=float)
-    if v.ndim != 2 or v.shape[1] != fisher.dimension:
-        raise ValueError("steps must have shape (n, d) matching the Fisher matrix")
-    value = 0.5 * sum(direction_information(fisher, row) for row in v)
-    digest = f"n={v.shape[0]}, d={fisher.dimension}, fisher={fisher.estimator_kind}"
-    return BoundReport("general_fisher", float(value), digest)
+    if v.ndim not in (2, 3) or v.shape[-1] != fisher.dimension:
+        raise ValueError("steps must have shape (n, d) or (m, n, d) matching the Fisher matrix")
+    quad = np.einsum("...nd,df,...nf->...n", v, fisher.entries, v)
+    value = 0.5 * float(np.mean(np.sum(np.sqrt(np.maximum(quad, 0.0)), axis=-1)))
+    digest = f"n={v.shape[-2]}, d={fisher.dimension}, fisher={fisher.estimator_kind}"
+    if v.ndim == 3:
+        digest += f", mean over {v.shape[0]} trials"
+    return BoundReport("general_fisher", value, digest)
 
 
 def upper_bound_cube(half_width: float, step_l2_norms) -> BoundReport:
-    """(pi / (2 T)) * sum_j |v_j|_2 for a cube of half-width T."""
+    """(pi / (2 T)) * sum_j |v_j|_2 for a cube of half-width T.
+
+    ``step_l2_norms`` is (n,) for one run or (m, n) for m trials; with a
+    trials axis the value is the mean over trials of the per-run bound.
+    """
     t = float(half_width)
-    if not (t > 0.0):
-        raise ValueError("half_width must be positive")
+    if not (0.0 < t < math.inf):
+        raise ValueError("half_width must be positive and finite")
     norms = np.asarray(step_l2_norms, dtype=float)
-    if norms.ndim != 1 or np.any(norms < 0.0):
-        raise ValueError("step_l2_norms must be a 1-d sequence of nonnegative norms")
-    value = (math.pi / (2.0 * t)) * float(np.sum(norms))
-    digest = f"n={norms.size}, T={t}, sum_l2={float(np.sum(norms))}"
+    if norms.ndim not in (1, 2) or not np.all(norms >= 0.0):
+        raise ValueError("step_l2_norms must be (n,) or (m, n) nonnegative norms")
+    value = (math.pi / (2.0 * t)) * float(np.mean(np.sum(norms, axis=-1)))
+    digest = f"n={norms.shape[-1]}, T={t}"
+    if norms.ndim == 2:
+        digest += f", mean over {norms.shape[0]} trials"
     return BoundReport("cube_l2", value, digest)
 
 

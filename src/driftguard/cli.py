@@ -24,6 +24,9 @@ from .bounds import isotropic_bound, lower_bound_1d, upper_bound_cube, upper_bou
 from .harness import ExperimentConfig, StepGenerator, emit_report, run_experiment
 from .metropolis import ContainmentError
 from .oracle1d import (
+    _DP_LIMIT,
+    _ENUM_LIMIT,
+    _RATIONAL_STATE_LIMIT,
     dp_longest_valid,
     exact_chain_expectation,
     exact_chain_expectation_fraction,
@@ -46,9 +49,6 @@ _SIM_DEFAULTS = {
     "out": "",
     "format": "csv",
 }
-
-_ENUM_LIMIT = 14
-
 
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
@@ -107,6 +107,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         box = Box(np.asarray(settings["half_widths"], dtype=float))
     else:
         box = Box.cube(int(settings["dim"]), float(settings["half_width"]))
+    if settings["density"] != "cube_eigen":
+        raise ValueError(f"unknown density {settings['density']!r} (only cube_eigen)")
     generator = _parse_generator(
         str(settings["generator"]), box.dimension, bool(settings["rademacher"])
     )
@@ -116,13 +118,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         n_steps=int(settings["steps"]),
         n_trials=int(settings["trials"]),
         seed=int(settings["seed"]),
-        density_kind=str(settings["density"]),
-        output_path=str(settings["out"]),
     )
     stats = run_experiment(config)
     text = emit_report(stats, str(settings["format"]))
-    if config.output_path:
-        Path(config.output_path).write_text(text)
+    if settings["out"]:
+        Path(str(settings["out"])).write_text(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -175,7 +175,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             "signs": args.signs,
             "kept_indices": list(walk.indices),
             "discards": n - len(walk.indices),
-            "longest_valid": dp_longest_valid(eps, t, start) if n <= 30 else None,
+            "longest_valid": dp_longest_valid(eps, t, start) if n <= _DP_LIMIT else None,
             "lex_minimal": verify_lex_optimality(eps, t, start) if n <= _ENUM_LIMIT else None,
         }
         _emit(record)
@@ -183,18 +183,19 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.mode == "chain":
         n = int(args.n)
         start = int(args.start) if args.start is not None else "uniform"
-        value = exact_chain_expectation(t, n, start)
         record = {
             "mode": "chain",
             "T": t,
             "n": n,
-            "start": start if isinstance(start, str) else int(start),
-            "expected_discards": value,
+            "start": start,
             "lower_bound": lower_bound_1d(t, n).value,
         }
-        if 2 * t + 1 <= 65:
+        if 2 * t + 1 <= _RATIONAL_STATE_LIMIT:
             exact = exact_chain_expectation_fraction(t, n, start)
             record["exact"] = f"{exact.numerator}/{exact.denominator}"
+            record["expected_discards"] = float(exact)
+        else:
+            record["expected_discards"] = exact_chain_expectation(t, n, start)
         _emit(record)
         return 0
     if args.mode == "exhaustive":

@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 GENERATOR_KINDS = ("fixed_list", "random_unit_sphere", "coordinate_basis_cycle", "isotropic_custom")
-DENSITY_KINDS = ("cube_eigen",)
 REPORT_FORMATS = ("csv", "json")
 
 
@@ -106,16 +105,12 @@ class ExperimentConfig:
     n_steps: int
     n_trials: int
     seed: int
-    density_kind: str = "cube_eigen"
-    output_path: str = ""
 
     def __post_init__(self) -> None:
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
-        if self.density_kind not in DENSITY_KINDS:
-            raise ValueError(f"unknown density kind {self.density_kind!r}")
         if self.generator.dimension != self.body.dimension:
             raise ValueError("generator and body dimensions differ")
 
@@ -178,35 +173,20 @@ def _matching_bounds(config: ExperimentConfig, steps: np.ndarray) -> list[BoundR
     """Bounds that apply to this configuration, averaged over trials.
 
     The Fisher-based upper bounds need the closed-form cube matrix, so they
-    attach only for cubic boxes with the cube_eigen density.  The isotropic
-    bound is geometric and always attaches.  The 1-d unit-step lower bound
-    attaches only when the steps really are integer unit steps on an
-    integer-radius band.
+    attach only for cubic boxes.  The isotropic bound is geometric and
+    always attaches.  The 1-d unit-step lower bound attaches only when the
+    steps really are integer unit steps on an integer-radius band.
     """
     box = config.body
-    m, n = config.n_trials, config.n_steps
+    n = config.n_steps
+    t = float(box.half_widths[0])
     reports = []
     if box.is_cube:
-        t = float(box.half_widths[0])
-        fisher = fisher_closed_form_cube(box)
-        quad = np.einsum("mnd,df,mnf->mn", steps, fisher.entries, steps)
-        general = 0.5 * float(np.mean(np.sum(np.sqrt(np.maximum(quad, 0.0)), axis=1)))
-        reports.append(
-            BoundReport(
-                "general_fisher",
-                general,
-                f"n={n}, d={box.dimension}, fisher=closed_form, mean over {m} trials",
-            )
-        )
-        norms = np.linalg.norm(steps, axis=2)
-        cube_val = (math.pi / (2.0 * t)) * float(np.mean(np.sum(norms, axis=1)))
-        reports.append(
-            BoundReport("cube_l2", cube_val, f"n={n}, T={t}, mean over {m} trials")
-        )
+        reports.append(upper_bound_general(fisher_closed_form_cube(box), steps))
+        reports.append(upper_bound_cube(t, np.linalg.norm(steps, axis=2)))
     reports.append(isotropic_bound(box, n))
-    if box.dimension == 1:
-        t = float(box.half_widths[0])
-        if t.is_integer() and (n == 0 or bool(np.all(np.abs(steps) == 1.0))):
+    if box.dimension == 1 and t.is_integer():
+        if n == 0 or bool(np.all(np.abs(steps) == 1.0)):
             reports.append(lower_bound_1d(int(t), n))
     return reports
 

@@ -227,16 +227,21 @@ def rejection_rate_exact_1d(density: Density, step: float, grid: int = 1024) -> 
     Equals (1/2) * integral |pi(x + v) - pi(x)| dx.  The integrand is split
     at the support edges of both shifted copies and at sign changes of the
     difference (located by a ``grid``-point scan plus bisection), then each
-    smooth signed piece is integrated with 64-node Gauss-Legendre.
+    smooth signed piece is integrated with 64-node Gauss-Legendre.  When
+    |v| >= 2 T the shifted supports are disjoint and the rate is exactly 1.
     """
     if density.dimension != 1:
         raise ValueError("exact rejection rate is one-dimensional only")
     if grid < 256:
         raise ValueError("grid must be at least 256")
     v = float(step)
+    if not np.isfinite(v):
+        raise ValueError("step must be finite")
     if v == 0.0:
         return 0.0
     t = float(density.support.half_widths[0])
+    if abs(v) >= 2.0 * t:
+        return 1.0
 
     def diff(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -183,19 +183,24 @@ def reflected_kernel_matrix(half_width: int) -> list[list[Fraction]]:
 
 
 def _start_weights(start: StartDistribution, width: int, t: int) -> tuple[list[int], int]:
-    """Integer weights and their common denominator for the start law."""
+    """Integer weights and their common denominator for the start law.
+
+    A start vector must hold exact rationals (floats count at their exact
+    binary value), be nonnegative, and sum to exactly 1.
+    """
     if isinstance(start, str):
         if start != "uniform":
             raise ValueError(f"unknown start distribution {start!r}")
         return [1] * width, width
     if isinstance(start, (int, np.integer)):
-        s = int(start)
-        if abs(s) > t:
-            raise ValueError(f"start {s} outside band [-{t}, {t}]")
+        _, s = _check_band(t, start)
         weights = [0] * width
         weights[s + t] = 1
         return weights, 1
-    probs = [Fraction(p) for p in start]
+    try:
+        probs = [Fraction(p) for p in start]
+    except (TypeError, OverflowError) as exc:
+        raise ValueError("start vector entries must be finite rationals or floats") from exc
     if len(probs) != width:
         raise ValueError(f"start vector must have {width} entries")
     if any(p < 0 for p in probs) or sum(probs) != 1:
@@ -248,7 +253,11 @@ def exact_chain_expectation_fraction(
 def exact_chain_expectation(
     half_width: int, n_steps: int, start: StartDistribution = "uniform"
 ) -> float:
-    """Expected discard count; exact rationals while 2T+1 <= 65, else float64."""
+    """Expected discard count; exact rationals while 2T+1 <= 65, else float64.
+
+    Both sides parse ``start`` alike: "uniform", a point in [-T, T], or a
+    vector of 2T+1 exact nonnegative rationals or floats summing to 1.
+    """
     t, _ = _check_band(half_width, 0)
     width = 2 * t + 1
     if width <= _RATIONAL_STATE_LIMIT:
@@ -256,20 +265,9 @@ def exact_chain_expectation(
     n = int(n_steps)
     if n < 0:
         raise ValueError("n_steps must be nonnegative")
-    if isinstance(start, str):
-        if start != "uniform":
-            raise ValueError(f"unknown start distribution {start!r}")
-        probs = np.full(width, 1.0 / width)
-    elif isinstance(start, (int, np.integer)):
-        s = int(start)
-        if abs(s) > t:
-            raise ValueError(f"start {s} outside band [-{t}, {t}]")
-        probs = np.zeros(width)
-        probs[s + t] = 1.0
-    else:
-        probs = np.asarray(start, dtype=float)
-        if probs.shape != (width,) or np.any(probs < 0.0):
-            raise ValueError("start vector must be a probability distribution")
+    weights, denom = _start_weights(start, width, t)
+    # int / int is correctly rounded even when the integers exceed float range
+    probs = np.array([w / denom for w in weights])
     expected = 0.0
     for _ in range(n):
         expected += 0.5 * (probs[0] + probs[-1])

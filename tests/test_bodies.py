@@ -107,6 +107,30 @@ class TestCubeEigenDensity:
             assert np.all(box.contains_interior(pts))
             assert np.all(np.isfinite(den.log_density(pts)))
 
+    @given(st.floats(-300.0, 12.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_sampler_interior_across_scales(self, exponent, seed):
+        t = 10.0**exponent
+        box = Box.cube(2, t)
+        pts = cube_eigen_density(box).sample(np.random.default_rng(seed), 64)
+        assert np.all(box.contains_interior(pts))
+        assert np.unique(pts).size > 1
+
+    def test_tiny_half_width_scales_samples(self):
+        # bisection width follows T below 1, so a tiny cube samples the unit
+        # cube's points scaled down, and its Fisher matrix is the closed form
+        tiny, unit = Box.cube(1, 1e-13), Box.cube(1, 1.0)
+        a = cube_eigen_density(tiny).sample(np.random.default_rng(5), 1000)
+        b = cube_eigen_density(unit).sample(np.random.default_rng(5), 1000)
+        assert np.allclose(a, 1e-13 * b, rtol=1e-9, atol=0.0)
+        mc = fisher_monte_carlo(cube_eigen_density(tiny), 4000, 2)
+        ref = fisher_monte_carlo(cube_eigen_density(unit), 4000, 2)
+        assert mc.entries[0, 0] == pytest.approx(1e26 * ref.entries[0, 0], rel=1e-6)
+
+    def test_overflowing_half_width_rejected(self):
+        with pytest.raises(ValueError):
+            cube_eigen_density(Box.cube(1, 5e-324))
+
     def test_sampler_matches_cdf(self):
         den = cube_eigen_density(Box.cube(1, 2.0))
         x = np.sort(den.sample(np.random.default_rng(17), 10**5)[:, 0])

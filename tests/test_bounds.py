@@ -5,14 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftguard.bodies import Box, FisherMatrix, fisher_closed_form_cube
+from driftguard.bodies import Box, FisherMatrix, direction_information, fisher_closed_form_cube
 from driftguard.bounds import (
     isotropic_bound,
     lower_bound_1d,
     upper_bound_cube,
     upper_bound_general,
 )
-from driftguard.harness import ExperimentConfig, StepGenerator, run_experiment
+from driftguard.harness import (
+    ExperimentConfig,
+    StepGenerator,
+    _matching_bounds,
+    run_experiment,
+    trial_streams,
+)
 from driftguard.oracle1d import exact_chain_expectation
 
 
@@ -48,6 +54,68 @@ class TestUpperBoundGeneral:
         assert "n=4" in report.inputs_digest
 
 
+def random_psd_fisher(rng, d):
+    root = rng.standard_normal((d, d))
+    m = root @ root.T
+    return FisherMatrix(0.5 * (m + m.T), "quadrature")
+
+
+def row_loop_bound(fisher, steps):
+    """Reference: the per-row information lengths, summed one by one."""
+    return 0.5 * sum(direction_information(fisher, row) for row in steps)
+
+
+class TestVectorisedBounds:
+    def test_general_matches_row_loop(self):
+        rng = np.random.default_rng(8)
+        for d in (1, 2, 3, 5):
+            fisher = random_psd_fisher(rng, d)
+            steps = rng.standard_normal((4, 300, d))
+            ref = row_loop_bound(fisher, steps[0])
+            assert upper_bound_general(fisher, steps[0]).value == pytest.approx(ref, rel=1e-12)
+            mean_ref = float(np.mean([row_loop_bound(fisher, s) for s in steps]))
+            report = upper_bound_general(fisher, steps)
+            assert report.value == pytest.approx(mean_ref, rel=1e-12)
+            assert report.inputs_digest.endswith(", mean over 4 trials")
+
+    def test_cube_trials_axis_is_mean_of_runs(self):
+        norms = np.random.default_rng(9).uniform(0.0, 2.0, size=(5, 40))
+        per_run = [upper_bound_cube(3.0, row).value for row in norms]
+        report = upper_bound_cube(3.0, norms)
+        assert report.value == pytest.approx(float(np.mean(per_run)), rel=1e-12)
+        assert report.inputs_digest == "n=40, T=3.0, mean over 5 trials"
+
+    def test_rejects_bad_ranks(self):
+        fisher = FisherMatrix(np.eye(2), "closed_form")
+        with pytest.raises(ValueError):
+            upper_bound_general(fisher, np.zeros(2))
+        with pytest.raises(ValueError):
+            upper_bound_general(fisher, np.zeros((1, 1, 1, 2)))
+        with pytest.raises(ValueError):
+            upper_bound_cube(1.0, np.zeros((1, 1, 1)))
+
+    def test_matching_bounds_is_mean_of_single_runs(self):
+        box = Box.cube(3, 4.0)
+        config = ExperimentConfig(
+            body=box,
+            generator=StepGenerator("random_unit_sphere", 3),
+            n_steps=200,
+            n_trials=6,
+            seed=3,
+        )
+        steps, _ = trial_streams(config)
+        fisher = fisher_closed_form_cube(box)
+        by_kind = {b.kind: b for b in _matching_bounds(config, steps)}
+        general = [upper_bound_general(fisher, s).value for s in steps]
+        cube = [upper_bound_cube(4.0, np.linalg.norm(s, axis=1)).value for s in steps]
+        assert by_kind["general_fisher"].value == pytest.approx(np.mean(general), rel=1e-12)
+        assert by_kind["cube_l2"].value == pytest.approx(np.mean(cube), rel=1e-12)
+        assert by_kind["general_fisher"].inputs_digest == (
+            "n=200, d=3, fisher=closed_form, mean over 6 trials"
+        )
+        assert by_kind["cube_l2"].inputs_digest == "n=200, T=4.0, mean over 6 trials"
+
+
 class TestUpperBoundCube:
     def test_t16_ten_thousand_unit_norms(self):
         report = upper_bound_cube(16.0, np.ones(10**4))
@@ -67,6 +135,10 @@ class TestUpperBoundCube:
             upper_bound_cube(0.0, [1.0])
         with pytest.raises(ValueError):
             upper_bound_cube(1.0, [-1.0])
+        with pytest.raises(ValueError):
+            upper_bound_cube(math.inf, [1.0])
+        with pytest.raises(ValueError):
+            upper_bound_cube(1.0, [math.nan])
 
     @given(
         st.floats(0.1, 50.0),

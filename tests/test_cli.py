@@ -74,6 +74,15 @@ class TestSimulate:
         assert code == 2
         assert err != ""
 
+    def test_unknown_density(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"density": "cube_eigen", "steps": 5, "trials": 2}))
+        assert run_cli(capsys, "simulate", "--config", str(config))[0] == 0
+        config.write_text(json.dumps({"density": "gaussian", "steps": 5, "trials": 2}))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert code == 2
+        assert "gaussian" in err
+
     def test_pm1_generator_short_walk(self, capsys):
         code, out, _ = run_cli(
             capsys,

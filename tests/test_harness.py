@@ -114,10 +114,6 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             cfg(n_steps=-1)
 
-    def test_unknown_density(self):
-        with pytest.raises(ValueError):
-            cfg(density_kind="gaussian")
-
 
 class TestTrialStreams:
     def test_shapes(self):

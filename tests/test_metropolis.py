@@ -156,9 +156,12 @@ class TestRejectionRate:
 
     def test_matches_closed_form(self):
         den = unit_density()
-        for v in (0.05, 0.2, 0.3, 0.8, 1.5, -0.3):
+        for v in (0.05, 0.2, 0.3, 0.8, 1.5, -0.3, 2.0, -2.0, 7.5, 1e300):
             quad = rejection_rate_exact_1d(den, v, 1024)
             assert quad == pytest.approx(closed_rejection_1d(1.0, v), abs=1e-12)
+        # disjoint supports (|v| >= 2T) give exactly 1
+        assert rejection_rate_exact_1d(unit_density(8.0), 1e300) == 1.0
+        assert rejection_rate_exact_1d(unit_density(8.0), -16.0) == 1.0
 
     def test_below_fisher_direction_bound(self):
         den = unit_density()
@@ -180,6 +183,9 @@ class TestRejectionRate:
             rejection_rate_exact_1d(cube_eigen_density(Box.cube(2, 1.0)), 0.1, 512)
         with pytest.raises(ValueError):
             rejection_rate_exact_1d(unit_density(), 0.1, 100)
+        for v in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                rejection_rate_exact_1d(unit_density(), v)
 
     def test_monte_carlo_rejection_bound(self):
         # empirical rejection frequency <= half the information length + 3 SE

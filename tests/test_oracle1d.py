@@ -180,6 +180,33 @@ class TestExactChain:
         with pytest.raises(ValueError):
             exact_chain_expectation(1, 5, "gaussian")
 
+    @pytest.mark.parametrize("t", [4, 40])
+    def test_bad_start_vectors_on_both_sides_of_rational_limit(self, t):
+        # 2T+1 = 9 runs in exact rationals, 81 in floats; both apply one rule
+        width = 2 * t + 1
+        uniform = [Fraction(1, width)] * width
+        bad = [
+            [Fraction(7, width)] * width,  # sums to 7
+            [1.0 / width] * width,  # inexact floats, sum != 1
+            [float("nan")] + uniform[1:],
+            [float("inf")] + uniform[1:],
+            [Fraction(2, width), -Fraction(1, width)] + uniform[2:],
+            uniform[:-1],  # wrong length
+            uniform + [Fraction(0)],
+        ]
+        for start in bad:
+            with pytest.raises(ValueError):
+                exact_chain_expectation(t, 50, start)
+        assert exact_chain_expectation(t, 50, uniform) == exact_chain_expectation(
+            t, 50, "uniform"
+        )
+        # a subnormal entry makes the common denominator 2**1074, past float range
+        tiny = Fraction(5e-324)
+        near_point = [Fraction(0), tiny, 1 - tiny] + [Fraction(0)] * (width - 3)
+        assert exact_chain_expectation(t, 50, near_point) == pytest.approx(
+            exact_chain_expectation(t, 50, 2 - t), rel=1e-15
+        )
+
     def test_float_branch_beyond_rational_limit(self):
         # 2T+1 = 67 exceeds the rational-state limit, so this runs in floats
         with pytest.raises(ValueError):
