@@ -91,20 +91,23 @@ class Density:
 
     ``log_density`` accepts arrays of shape (..., d) and returns (...,)
     log-values, -inf outside the open support.  ``log_gradient`` is only
-    defined on interior points.  ``coordinate_cdf`` is present for
-    product-form densities and maps (axis, x) to the marginal CDF.
+    defined on interior points.  ``quantile`` maps uniforms of shape
+    (..., d) to points of the same shape, each row drawn independently;
+    ``sample`` feeds it ``rng.uniform(size=(n, d))``.  ``coordinate_cdf`` is
+    present for product-form densities and maps (axis, x) to the marginal
+    CDF.
     """
 
     dimension: int
     support: Box
     log_density: Callable[[ArrayLike], Union[float, np.ndarray]]
     log_gradient: Callable[[ArrayLike], np.ndarray]
-    sampler: Callable[[np.random.Generator, int], np.ndarray] = field(repr=False)
+    quantile: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     coordinate_cdf: Optional[Callable[[int, ArrayLike], np.ndarray]] = None
 
     def sample(self, rng: np.random.Generator, n: Optional[int] = None) -> np.ndarray:
         """Draw one point (shape (d,)) or ``n`` points (shape (n, d))."""
-        pts = self.sampler(rng, 1 if n is None else int(n))
+        pts = self.quantile(rng.uniform(size=(1 if n is None else int(n), self.dimension)))
         return pts[0] if n is None else pts
 
 
@@ -112,13 +115,14 @@ def cube_eigen_density(box: Box) -> Density:
     """Squared Dirichlet ground-state density on ``box``.
 
     pi(x) = prod_i T_i**-1 * cos(pi x_i / (2 T_i))**2, with log-gradient
-    component -(pi / T_i) * tan(pi x_i / (2 T_i)).  Sampling inverts the
-    per-coordinate CDF
+    component -(pi / T_i) * tan(pi x_i / (2 T_i)).  ``quantile`` inverts
+    the per-coordinate CDF
 
         F_i(x) = x / (2 T_i) + 1/2 + sin(pi x / T_i) / (2 pi)
 
-    by bisection to width 1e-12 * min(T_i, 1), so samples are strictly
-    interior.  Raises ValueError when pi / T_i overflows.
+    by bisection to width 1e-12 * min(T_i, 1), elementwise over any batch
+    of uniforms, so samples are strictly interior and a batch equals its
+    rows drawn one at a time.  Raises ValueError when pi / T_i overflows.
     """
     hw = box.half_widths
     d = box.dimension
@@ -134,9 +138,10 @@ def cube_eigen_density(box: Box) -> Density:
 
     def log_density(points: ArrayLike) -> Union[float, np.ndarray]:
         x = np.asarray(points, dtype=float)
+        # np.sum / np.all are these reductions plus a per-call Python wrapper
         with np.errstate(divide="ignore"):
-            vals = log_norm + 2.0 * np.sum(np.log(np.abs(np.cos(half_freq * x))), axis=-1)
-        out = np.where(np.all(np.abs(x) < hw, axis=-1), vals, -np.inf)
+            vals = log_norm + 2.0 * np.add.reduce(np.log(np.abs(np.cos(half_freq * x))), axis=-1)
+        out = np.where(np.logical_and.reduce(np.abs(x) < hw, axis=-1), vals, -np.inf)
         return float(out) if x.ndim == 1 else out
 
     def log_gradient(points: ArrayLike) -> np.ndarray:
@@ -148,10 +153,12 @@ def cube_eigen_density(box: Box) -> Density:
         x = np.clip(np.asarray(values, dtype=float), -t, t)
         return x / (2.0 * t) + 0.5 + np.sin(np.pi * x / t) / (2.0 * np.pi)
 
-    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        u = rng.uniform(size=(n, d))
-        lo = np.broadcast_to(-hw, (n, d)).copy()
-        hi = np.broadcast_to(hw, (n, d)).copy()
+    def quantile(u: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        if u.shape[-1:] != (d,):
+            raise ValueError(f"uniforms have shape {u.shape}, expected (..., {d})")
+        lo = np.broadcast_to(-hw, u.shape).copy()
+        hi = np.broadcast_to(hw, u.shape).copy()
         for _ in range(bisect_iters):
             mid = 0.5 * (lo + hi)
             f = mid / (2.0 * hw) + 0.5 + np.sin(np.pi * mid / hw) / (2.0 * np.pi)
@@ -165,7 +172,7 @@ def cube_eigen_density(box: Box) -> Density:
         support=box,
         log_density=log_density,
         log_gradient=log_gradient,
-        sampler=sampler,
+        quantile=quantile,
         coordinate_cdf=coordinate_cdf,
     )
 
@@ -218,11 +225,17 @@ class FisherMatrix:
 
 
 def fisher_closed_form_cube(box: Box) -> FisherMatrix:
-    """(pi**2 / T**2) * I for a cube of half-width T."""
+    """(pi**2 / T**2) * I for a cube of half-width T.
+
+    Raises ValueError when pi**2 / T**2 is not finite (T below ~1e-154).
+    """
     if not box.is_cube:
         raise ValueError("closed form requires a cube (equal half-widths)")
-    t = float(box.half_widths[0])
-    return FisherMatrix(np.eye(box.dimension) * (np.pi**2 / t**2), "closed_form")
+    t_sq = float(box.half_widths[0]) ** 2
+    scale = np.pi**2 / t_sq if t_sq > 0.0 else math.inf
+    if not math.isfinite(scale):
+        raise ValueError("half_width too small: pi**2 / T**2 overflows")
+    return FisherMatrix(np.eye(box.dimension) * scale, "closed_form")
 
 
 def gauss_legendre_grid(box: Box, nodes_per_axis: int) -> tuple[np.ndarray, np.ndarray]:

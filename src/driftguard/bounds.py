@@ -35,11 +35,16 @@ def upper_bound_general(fisher: FisherMatrix, steps) -> BoundReport:
 
     ``steps`` is (n, d) for one run or (m, n, d) for m trials; with a
     trials axis the value is the mean over trials of the per-run bound.
+    Raises ValueError on non-finite steps.
     """
     v = np.asarray(steps, dtype=float)
     if v.ndim not in (2, 3) or v.shape[-1] != fisher.dimension:
         raise ValueError("steps must have shape (n, d) or (m, n, d) matching the Fisher matrix")
     quad = np.einsum("...nd,df,...nf->...n", v, fisher.entries, v)
+    # a non-finite step makes its quadratic form non-finite, so the (m, n)
+    # forms screen the (m, n, d) steps; finite steps may still overflow
+    if not np.isfinite(quad).all() and not np.isfinite(v).all():
+        raise ValueError("steps have non-finite entries")
     value = 0.5 * float(np.mean(np.sum(np.sqrt(np.maximum(quad, 0.0)), axis=-1)))
     digest = f"n={v.shape[-2]}, d={fisher.dimension}, fisher={fisher.estimator_kind}"
     if v.ndim == 3:

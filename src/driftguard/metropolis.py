@@ -11,7 +11,11 @@ The acceptance ratio is computed in log space and one uniform coin is
 consumed per step whether or not the proposal can be rejected, which keeps
 the random stream independent of the data.  ``run_ensemble`` advances many
 trials in lockstep with identical arithmetic, so a vectorized ensemble and
-a loop of ``filter_run`` calls produce bit-identical trajectories.
+a loop of ``filter_run`` calls produce bit-identical trajectories.  It
+draws every trial's origin in one batched inverse-CDF pass, and checks 2K
+containment once per block of steps rather than after each step; the
+first violation it reports (step, lowest trial, accepted sum) is the one a
+per-step check would report.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ __all__ = [
 
 # slack for the 2K containment assertion, per unit of half-width
 _CONTAINMENT_TOL = 1e-9
+# float64 values of the position buffer run_ensemble checks containment on;
+# a block is as many lockstep steps as fit, and at least one
+_PATH_BUDGET = 1 << 16
 
 SeedLike = Union[int, np.random.SeedSequence]
 
@@ -179,42 +186,59 @@ def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> Ensemble
     ``steps`` has shape (m, n, d): each trial gets its own step sequence.
     Trial i draws its origin and its n coins from seeds[i] in exactly the
     order ``filter_run`` would, so results match the sequential path bit
-    for bit.  Raises ContainmentError the moment any trial's accepted sum
-    leaves the doubled support.
+    for bit.  Steps run in blocks of ``max(1, _PATH_BUDGET // (m * d))``;
+    each block's steps must be finite (ValueError otherwise, before the
+    block runs).  After a block, raises ContainmentError for its first step
+    where any trial's accepted sum left the doubled support, naming the
+    lowest such trial.
     """
     steps = np.asarray(steps, dtype=float)
     if steps.ndim != 3 or steps.shape[2] != density.dimension:
         raise ValueError("steps must have shape (m, n, d)")
-    m, n, _ = steps.shape
+    m, n, d = steps.shape
     if m < 1:
         raise ValueError("need at least one trial")
     if len(seeds) != m:
         raise ValueError("need one seed per trial")
     gens = [np.random.default_rng(s) for s in seeds]
-    origins = np.stack([density.sample(g) for g in gens])
-    coins = np.stack([g.uniform(size=n) for g in gens]) if n else np.zeros((m, 0))
+    origins = density.quantile(np.concatenate([g.uniform(size=(1, d)) for g in gens]))
+    coins = np.stack([g.uniform(size=n) for g in gens], axis=1)  # (n, m), step-major
     hw = density.support.half_widths
     limit = 2.0 * hw + _CONTAINMENT_TOL * hw
     current = origins.copy()
     log_current = np.asarray(density.log_density(current), dtype=float)
     accepted = np.zeros((m, n), dtype=bool)
     max_abs = np.zeros(m)
-    for k in range(n):
-        proposal = current + steps[:, k, :]
-        log_new = density.log_density(proposal)
-        accept_prob = np.exp(np.minimum(0.0, log_new - log_current))
-        acc = coins[:, k] < accept_prob
-        accepted[:, k] = acc
-        current = np.where(acc[:, None], proposal, current)
-        log_current = np.where(acc, log_new, log_current)
-        abs_sums = np.abs(current - origins)
-        np.maximum(max_abs, abs_sums.max(axis=-1), out=max_abs)
-        outside = abs_sums > limit
-        if np.any(outside):
-            trial = int(np.argmax(np.any(outside, axis=-1)))
+    block = max(1, _PATH_BUDGET // (m * d))
+    path = np.empty((min(block, n), m, d))
+    proposal = np.empty((m, d))
+    prob = np.empty(m)
+    acc = np.empty(m, dtype=bool)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        if not np.isfinite(steps[:, start:stop]).all():
+            raise ValueError("steps have non-finite entries")
+        for k in range(start, stop):
+            np.add(current, steps[:, k], out=proposal)
+            log_new = density.log_density(proposal)
+            np.subtract(log_new, log_current, out=prob)
+            np.minimum(prob, 0.0, out=prob)
+            np.exp(prob, out=prob)
+            np.less(coins[k], prob, out=acc)
+            accepted[:, k] = acc
+            np.copyto(current, proposal, where=acc[:, None])
+            np.copyto(log_current, log_new, where=acc)
+            path[k - start] = current
+        sums = path[: stop - start]
+        np.subtract(sums, origins, out=sums)
+        dist = np.abs(sums)
+        block_max = dist.max(axis=0)  # (m, d)
+        np.maximum(max_abs, block_max.max(axis=-1), out=max_abs)
+        if (block_max > limit).any():
+            # argwhere is row-major: the first step, then its lowest trial
+            j, trial = (int(i) for i in np.argwhere((dist > limit).any(axis=-1))[0])
             raise ContainmentError(
-                f"trial {trial} accepted sum {current[trial] - origins[trial]} "
-                f"left 2K at step {k}"
+                f"trial {trial} accepted sum {sums[j, trial]} left 2K at step {start + j}"
             )
     return EnsembleResult(
         origins=origins, finals=current, accepted=accepted, max_abs_sums=max_abs
@@ -290,6 +314,8 @@ def rejection_rate_monte_carlo(
     v = np.asarray(step, dtype=float)
     if v.shape != (density.dimension,):
         raise ValueError("step dimension mismatch")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("step has non-finite entries")
     n = int(n_steps)
     if n < 1:
         raise ValueError("n_steps must be positive")

@@ -149,6 +149,28 @@ class TestCubeEigenDensity:
         batch = den.sample(np.random.default_rng(9), 1)
         assert np.array_equal(one, batch[0])
 
+    def test_sample_is_quantile_of_uniforms(self):
+        den = cube_eigen_density(Box(np.array([0.5, 3.0])))
+        u = np.random.default_rng(4).uniform(size=(50, 2))
+        assert np.array_equal(den.sample(np.random.default_rng(4), 50), den.quantile(u))
+
+    @pytest.mark.parametrize("hw", [[16.0, 16.0, 16.0], [0.3], [0.25, 8.0, 1.0, 2.0, 40.0]])
+    def test_quantile_batch_equals_rows(self, hw):
+        # the run_ensemble origins contract: sin on a large batch (SIMD main
+        # loop) and on one row (remainder path) must agree bit for bit
+        den = cube_eigen_density(Box(np.array(hw)))
+        u = np.random.default_rng(21).uniform(size=(2000, len(hw)))
+        batch = den.quantile(u)
+        rows = np.concatenate([den.quantile(u[i : i + 1]) for i in range(u.shape[0])])
+        assert np.array_equal(batch, rows)
+        assert np.array_equal(den.quantile(u.reshape(40, 50, len(hw))), batch.reshape(40, 50, -1))
+
+    def test_quantile_shape_guard(self):
+        den = cube_eigen_density(Box.cube(2, 1.0))
+        for bad in (np.zeros((3, 1)), np.zeros((3, 3)), np.float64(0.5)):
+            with pytest.raises(ValueError):
+                den.quantile(bad)
+
 
 class TestDirichletLambda1:
     def test_cube_d3(self):
@@ -196,6 +218,15 @@ class TestFisherClosedForm:
         with pytest.raises(ValueError):
             fisher_closed_form_cube(Box(np.array([1.0, 2.0])))
 
+    def test_tiny_half_width_rejected(self):
+        # T**2 underflows to 0 (1e-200) or to a subnormal (1e-160); either
+        # way pi**2 / T**2 is not finite
+        for t in (1e-200, 1e-160, 5e-324):
+            with pytest.raises(ValueError):
+                fisher_closed_form_cube(Box.cube(2, t))
+        small = fisher_closed_form_cube(Box.cube(1, 1e-150))
+        assert small.entries[0, 0] == pytest.approx(math.pi**2 * 1e300, rel=1e-15)
+
     def test_matches_quadrature_t2(self):
         quad = fisher_quadrature(cube_eigen_density(Box.cube(1, 2.0)), 256)
         assert quad.entries[0, 0] == pytest.approx(math.pi**2 / 4.0, abs=1e-6)
@@ -226,7 +257,7 @@ class TestFisherQuadrature:
             support=base.support,
             log_density=base.log_density,
             log_gradient=lambda x: np.full_like(np.asarray(x, dtype=float), np.inf),
-            sampler=base.sampler,
+            quantile=base.quantile,
         )
         with pytest.raises(ValueError):
             fisher_quadrature(bad, 32)

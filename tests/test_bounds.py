@@ -94,6 +94,19 @@ class TestVectorisedBounds:
         with pytest.raises(ValueError):
             upper_bound_cube(1.0, np.zeros((1, 1, 1)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_general_rejects_non_finite_steps(self, bad):
+        # a zero matrix turns an infinite step into NaN forms, not inf ones
+        for entries in (np.eye(2), np.zeros((2, 2))):
+            fisher = FisherMatrix(entries, "closed_form")
+            one_run = np.ones((5, 2))
+            one_run[3, 1] = bad
+            trials = np.ones((3, 5, 2))
+            trials[2, 4, 0] = bad
+            for steps in (one_run, trials):
+                with pytest.raises(ValueError, match="non-finite"):
+                    upper_bound_general(fisher, steps)
+
     def test_matching_bounds_is_mean_of_single_runs(self):
         box = Box.cube(3, 4.0)
         config = ExperimentConfig(

@@ -248,6 +248,14 @@ class TestFisher:
         assert payload["trace"] == pytest.approx(payload["four_lambda1"], abs=1e-12)
         assert payload["operator_norm"] == pytest.approx(np.pi**2 / 4, abs=1e-10)
 
+    def test_closed_tiny_half_width_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "fisher", "--dim", "1", "--half-width", "1e-200", "--method", "closed",
+        )
+        assert code == 2
+        assert out == ""
+        assert "too small" in err
+
     def test_quadrature(self, capsys):
         code, out, _ = run_cli(
             capsys,

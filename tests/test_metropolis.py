@@ -1,11 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from driftguard import metropolis
 from driftguard.bodies import (
     Box,
     Density,
@@ -27,6 +29,22 @@ from helpers import closed_rejection_1d
 
 def unit_density(t=1.0):
     return cube_eigen_density(Box.cube(1, t))
+
+
+def liar_density(t=0.5):
+    """A "density" that starts at 0 and accepts everything, so sums escape 2K."""
+    return Density(
+        dimension=1,
+        support=Box.cube(1, t),
+        log_density=lambda x: 0.0 if np.ndim(x) == 1 else np.zeros(np.shape(x)[:-1]),
+        log_gradient=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        quantile=lambda u: np.zeros_like(u),
+    )
+
+
+def block_budget(n_values):
+    """Shrink run_ensemble's position buffer so small runs span many blocks."""
+    return mock.patch.object(metropolis, "_PATH_BUDGET", n_values)
 
 
 class TestFilterInit:
@@ -138,16 +156,8 @@ class TestFilterRun:
     def test_containment_tripwire_fires_on_dishonest_density(self):
         # a "density" that accepts everything lets the sum escape 2K and
         # must trip the per-step assertion
-        box = Box.cube(1, 0.5)
-        liar = Density(
-            dimension=1,
-            support=box,
-            log_density=lambda x: 0.0 if np.ndim(x) == 1 else np.zeros(np.shape(x)[:-1]),
-            log_gradient=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            sampler=lambda rng, n: np.zeros((n, 1)),
-        )
         with pytest.raises(ContainmentError):
-            filter_run(liar, np.ones((5, 1)), 0)
+            filter_run(liar_density(), np.ones((5, 1)), 0)
 
 
 class TestRejectionRate:
@@ -186,6 +196,10 @@ class TestRejectionRate:
         for v in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 rejection_rate_exact_1d(unit_density(), v)
+            with pytest.raises(ValueError, match="non-finite"):
+                rejection_rate_monte_carlo(unit_density(), [v], 100, 0)
+            with pytest.raises(ValueError, match="non-finite"):
+                rejection_rate_monte_carlo(cube_eigen_density(Box.cube(2, 1.0)), [0.1, v], 100, 0)
 
     def test_monte_carlo_rejection_bound(self):
         # empirical rejection frequency <= half the information length + 3 SE
@@ -232,6 +246,108 @@ class TestEnsembleEquivalence:
             run_ensemble(den, np.zeros((2, 5, 2)), [1, 2])
         with pytest.raises(ValueError):
             run_ensemble(den, np.zeros((2, 5, 1)), [1])
+
+
+def assert_matches_filter_run(den, steps, seeds):
+    """Each ensemble trial equals filter_run on its own steps, bit for bit."""
+    ens = run_ensemble(den, steps, seeds)
+    for i, seed in enumerate(seeds):
+        traj = filter_run(den, steps[i], seed)
+        assert np.array_equal([o.accepted for o in traj.outcomes], ens.accepted[i])
+        # the current point is the last accepted proposal, else the origin
+        moves = [o.proposed for o in traj.outcomes if o.accepted]
+        final = moves[-1] if moves else filter_init(den, seed).origin
+        assert np.array_equal(final, ens.finals[i])
+        assert np.max(np.abs(traj.accepted_sums), initial=0.0) == ens.max_abs_sums[i]
+
+
+def first_violation_per_step(den, steps, seeds):
+    """The report of a check after every step: earliest step, lowest trial.
+
+    Each trial runs through filter_run, whose own per-step check names the
+    step; the ensemble message is filter_run's prefixed with the trial.
+    """
+    hits = []
+    for i, seed in enumerate(seeds):
+        try:
+            filter_run(den, steps[i], seed)
+        except ContainmentError as exc:
+            hits.append((int(str(exc).rsplit(" ", 1)[1]), i, str(exc)))
+    _, trial, message = min(hits)
+    return f"trial {trial} {message}"
+
+
+class TestEnsembleKernel:
+    @pytest.mark.parametrize(
+        "hw", [[2.0], [16.0, 16.0, 16.0], [1.0] * 5, [0.5, 3.0, 40.0], [0.01, 0.2]]
+    )
+    def test_batched_origins_equal_per_trial_draws(self, hw):
+        den = cube_eigen_density(Box(np.array(hw)))
+        seeds = [np.random.SeedSequence((7, i)) for i in range(300)]
+        ens = run_ensemble(den, np.zeros((300, 4, len(hw))), seeds)
+        one_by_one = np.stack([den.sample(np.random.default_rng(s)) for s in seeds])
+        assert np.array_equal(ens.origins, one_by_one)
+
+    @given(
+        m=st.integers(1, 5),
+        n=st.integers(0, 30),
+        d=st.integers(1, 3),
+        budget=st.integers(1, 16),
+        t=st.floats(0.3, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=4, n=12, d=3, budget=5, t=0.5, seed=1)  # m * d above: one-step blocks
+    @example(m=2, n=10, d=1, budget=6, t=0.5, seed=2)  # below: blocks of 3, one partial
+    @settings(max_examples=40, deadline=None)
+    def test_matches_filter_run_across_block_sizes(self, m, n, d, budget, t, seed):
+        den = cube_eigen_density(Box.cube(d, t))
+        steps = np.random.default_rng(seed).normal(size=(m, n, d)) * t
+        seeds = [np.random.SeedSequence((seed, i)) for i in range(m)]
+        with block_budget(budget):
+            assert_matches_filter_run(den, steps, seeds)
+
+    @pytest.mark.parametrize("budget", [12, metropolis._PATH_BUDGET])
+    @pytest.mark.parametrize("escape", [3, 4, 9])
+    def test_block_check_names_first_violation(self, budget, escape):
+        # with budget 12, m = 3 and d = 1 the blocks are [0, 4), [4, 8) and
+        # [8, 10): step 3 ends a block, 4 opens one, 9 ends the partial one
+        liar = liar_density()
+        steps = np.zeros((3, 10, 1))
+        steps[0, 0] = 0.9  # inside 2K = [-1, 1]
+        steps[2, escape] = 2.0
+        steps[1, escape] = -2.0  # escapes with trial 2 and is the one named
+        steps[0, min(escape + 1, 9)] += 1.5  # later in the block, or at 9 too
+        with block_budget(budget), pytest.raises(ContainmentError) as exc:
+            run_ensemble(liar, steps, [5, 6, 7])
+        assert str(exc.value) == first_violation_per_step(liar, steps, [5, 6, 7])
+        if escape == 9:  # trial 0 reaches 0.9 + 1.5 at step 9 with the others
+            assert str(exc.value) == "trial 0 accepted sum [2.4] left 2K at step 9"
+        else:
+            assert str(exc.value) == f"trial 1 accepted sum [-2.] left 2K at step {escape}"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 6])
+    def test_rejects_non_finite_steps(self, bad, at):
+        steps = np.full((3, 10, 1), 0.1)
+        steps[1, at, 0] = bad
+        with block_budget(12), pytest.raises(ValueError, match="non-finite"):
+            run_ensemble(unit_density(), steps, [1, 2, 3])
+        with pytest.raises(ValueError, match="non-finite"):
+            run_ensemble(unit_density(), steps, [1, 2, 3])
+        with pytest.raises(ValueError, match="non-finite"):
+            run_ensemble(unit_density(), [[[bad]]], [0])
+
+    def test_non_finite_block_checked_before_it_runs(self):
+        # an escape at step 5 and a NaN at step 6 share the block [4, 8)
+        steps = np.zeros((3, 10, 1))
+        steps[2, 5] = 2.0
+        steps[0, 6] = math.nan
+        with block_budget(12), pytest.raises(ValueError, match="non-finite"):
+            run_ensemble(liar_density(), steps, [1, 2, 3])
+        steps[0, 6] = 0.0
+        steps[0, 9] = math.nan  # now the escape's block finishes first
+        with block_budget(12), pytest.raises(ContainmentError, match="at step 5"):
+            run_ensemble(liar_density(), steps, [1, 2, 3])
 
 
 class TestStationarity:
