@@ -34,10 +34,14 @@ __all__ = [
     "gauss_legendre_grid",
 ]
 
-# Sampler bisection width per unit of min(T, 1), and the tolerance for
-# declaring a matrix symmetric.
-_CDF_BISECTION_WIDTH = 1e-12
-_SYMMETRY_TOL = 1e-12
+# Newton steps of the cube quantile, and the phi below which phi - sin(phi)
+# cancels and is summed as phi**3 * sum_k (-1)**k phi**(2k) / (2k+3)! instead
+# (coefficients highest power first, for np.polyval; truncated at 1e-19).
+_KEPLER_STEPS = 5
+_KEPLER_SERIES_CUTOFF = 1.0
+_KEPLER_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in reversed(range(9)))
+_QUANTILE_SLAB = 1 << 16  # float64 uniforms the quantile solves at a time
+_SYMMETRY_TOL = 1e-12  # tolerance for declaring a matrix symmetric
 _PSD_FLOOR = -1e-9
 
 ArrayLike = Union[Sequence[float], np.ndarray]
@@ -92,7 +96,7 @@ class Density:
     ``log_density`` accepts arrays of shape (..., d) and returns (...,)
     log-values, -inf outside the open support.  ``log_gradient`` is only
     defined on interior points.  ``quantile`` maps uniforms of shape
-    (..., d) to points of the same shape, each row drawn independently;
+    (..., d) to points of the same shape, each row alike alone or in a batch;
     ``sample`` feeds it ``rng.uniform(size=(n, d))``.  ``coordinate_cdf`` is
     present for product-form densities and maps (axis, x) to the marginal
     CDF.
@@ -120,9 +124,12 @@ def cube_eigen_density(box: Box) -> Density:
 
         F_i(x) = x / (2 T_i) + 1/2 + sin(pi x / T_i) / (2 pi)
 
-    by bisection to width 1e-12 * min(T_i, 1), elementwise over any batch
-    of uniforms, so samples are strictly interior and a batch equals its
-    rows drawn one at a time.  Raises ValueError when pi / T_i overflows.
+    as Kepler's equation phi - sin(phi) = 2 pi v at eccentricity 1, with
+    v = min(u, 1 - u) and x = T_i (phi / pi - 1) mirrored for u > 1/2: five
+    Newton steps from the edge asymptote (12 pi v)**(1/3) reach ~2 ulp(T_i).
+    It is elementwise, so a batch equals its rows mapped one at a time, and
+    clips samples (u = 0 included) strictly inside the box.  Raises
+    ValueError when pi / T_i overflows.
     """
     hw = box.half_widths
     d = box.dimension
@@ -131,10 +138,7 @@ def cube_eigen_density(box: Box) -> Density:
             raise ValueError("half_widths too small: pi / T overflows")
     half_freq = np.pi / (2.0 * hw)  # pi / (2 T_i) per axis
     log_norm = float(-np.sum(np.log(hw)))
-    # enough halvings to shrink (-T, T) below the target width on every axis;
-    # the width scales with T below 1 so tiny boxes still get resolved
-    width = _CDF_BISECTION_WIDTH * np.minimum(hw, 1.0)
-    bisect_iters = int(np.max(np.ceil(np.log2(2.0 * hw / width))))
+    inner_lo, inner_hi = np.nextafter(-hw, 0.0), np.nextafter(hw, 0.0)
 
     def log_density(points: ArrayLike) -> Union[float, np.ndarray]:
         x = np.asarray(points, dtype=float)
@@ -157,15 +161,25 @@ def cube_eigen_density(box: Box) -> Density:
         u = np.asarray(u, dtype=float)
         if u.shape[-1:] != (d,):
             raise ValueError(f"uniforms have shape {u.shape}, expected (..., {d})")
-        lo = np.broadcast_to(-hw, u.shape).copy()
-        hi = np.broadcast_to(hw, u.shape).copy()
-        for _ in range(bisect_iters):
-            mid = 0.5 * (lo + hi)
-            f = mid / (2.0 * hw) + 0.5 + np.sin(np.pi * mid / hw) / (2.0 * np.pi)
-            below = f < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+        # slabs keep the Newton temporaries to ~_QUANTILE_SLAB values each
+        flat = u.reshape(-1, d)
+        x = np.empty_like(flat)
+        rows = max(1, _QUANTILE_SLAB // d)
+        for i in range(0, len(flat), rows):
+            v = flat[i : i + rows]
+            mean_anomaly = 2.0 * np.pi * np.minimum(v, 1.0 - v)
+            phi = np.cbrt(6.0 * mean_anomaly)  # below the root: phi - sin(phi) <= phi**3 / 6
+            for _ in range(_KEPLER_STEPS):
+                phi_sq = phi * phi
+                series = phi * phi_sq * np.polyval(_KEPLER_SERIES, phi_sq)
+                direct = phi - np.sin(phi)
+                resid = np.where(phi < _KEPLER_SERIES_CUTOFF, series, direct) - mean_anomaly
+                # 1 - cos(phi) without cancellation; 0 only at phi = 0, the root for u = 0, 1
+                slope = 2.0 * np.sin(0.5 * phi) ** 2
+                step = np.divide(resid, slope, out=np.zeros_like(resid), where=slope > 0.0)
+                phi = np.clip(phi - step, 0.0, np.pi)
+            x[i : i + rows] = hw * np.copysign(1.0 - phi / np.pi, v - 0.5)
+        return np.clip(x, inner_lo, inner_hi, out=x).reshape(u.shape)
 
     return Density(
         dimension=d,

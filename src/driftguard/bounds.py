@@ -57,13 +57,14 @@ def upper_bound_cube(half_width: float, step_l2_norms) -> BoundReport:
 
     ``step_l2_norms`` is (n,) for one run or (m, n) for m trials; with a
     trials axis the value is the mean over trials of the per-run bound.
+    Raises ValueError on negative or non-finite norms.
     """
     t = float(half_width)
     if not (0.0 < t < math.inf):
         raise ValueError("half_width must be positive and finite")
     norms = np.asarray(step_l2_norms, dtype=float)
-    if norms.ndim not in (1, 2) or not np.all(norms >= 0.0):
-        raise ValueError("step_l2_norms must be (n,) or (m, n) nonnegative norms")
+    if norms.ndim not in (1, 2) or not np.all((norms >= 0.0) & (norms < math.inf)):
+        raise ValueError("step_l2_norms must be (n,) or (m, n) finite nonnegative norms")
     value = (math.pi / (2.0 * t)) * float(np.mean(np.sum(norms, axis=-1)))
     digest = f"n={norms.shape[-1]}, T={t}"
     if norms.ndim == 2:

@@ -39,6 +39,7 @@ __all__ = [
 
 GENERATOR_KINDS = ("fixed_list", "random_unit_sphere", "coordinate_basis_cycle", "isotropic_custom")
 REPORT_FORMATS = ("csv", "json")
+_NORM_SLAB = 1 << 16  # float64 values per slab of the step-norm temporaries
 
 
 @dataclass(frozen=True)
@@ -183,12 +184,22 @@ def _matching_bounds(config: ExperimentConfig, steps: np.ndarray) -> list[BoundR
     reports = []
     if box.is_cube:
         reports.append(upper_bound_general(fisher_closed_form_cube(box), steps))
-        reports.append(upper_bound_cube(t, np.linalg.norm(steps, axis=2)))
+        reports.append(upper_bound_cube(t, _l2_norms(steps)))
     reports.append(isotropic_bound(box, n))
     if box.dimension == 1 and t.is_integer():
         if n == 0 or bool(np.all(np.abs(steps) == 1.0)):
             reports.append(lower_bound_1d(int(t), n))
     return reports
+
+
+def _l2_norms(steps: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(steps, axis=2)``, over slabs of ~_NORM_SLAB values."""
+    m, n, d = steps.shape
+    norms = np.empty((m, n))
+    rows = max(1, _NORM_SLAB // max(n * d, 1))
+    for i in range(0, m, rows):
+        norms[i : i + rows] = np.linalg.norm(steps[i : i + rows], axis=2)
+    return norms
 
 
 def emit_report(stats: RunStats, report_format: str = "csv") -> str:

@@ -5,7 +5,7 @@ keeps exactly the steps it can take without leaving [-T, T].  Its kept index
 set is the longest valid subsequence, and the lexicographically smallest
 one at that.  Both claims are checked here by brute force on small inputs,
 and the walk's discard count is computed in closed form via its Markov chain
-(exact rational arithmetic while the state space is small).
+(exact rationals while the state space is small, its eigenmodes beyond).
 """
 
 from __future__ import annotations
@@ -257,6 +257,8 @@ def exact_chain_expectation(
 
     Both sides parse ``start`` alike: "uniform", a point in [-T, T], or a
     vector of 2T+1 exact nonnegative rationals or floats summing to 1.
+    Beyond 65 states it is ``_spectral_expectation``, whose cost does not
+    grow with n_steps.
     """
     t, _ = _check_band(half_width, 0)
     width = 2 * t + 1
@@ -267,14 +269,29 @@ def exact_chain_expectation(
         raise ValueError("n_steps must be nonnegative")
     weights, denom = _start_weights(start, width, t)
     # int / int is correctly rounded even when the integers exceed float range
-    probs = np.array([w / denom for w in weights])
-    expected = 0.0
-    for _ in range(n):
-        expected += 0.5 * (probs[0] + probs[-1])
-        nxt = np.zeros(width)
-        nxt[:-1] += 0.5 * probs[1:]
-        nxt[1:] += 0.5 * probs[:-1]
-        nxt[0] += 0.5 * probs[0]
-        nxt[-1] += 0.5 * probs[-1]
-        probs = nxt
-    return float(expected)
+    return _spectral_expectation(np.array([w / denom for w in weights]), n)
+
+
+def _spectral_expectation(probs: np.ndarray, n: int) -> float:
+    """Expected discards over n steps from the law ``probs`` on N states.
+
+    The kernel's eigenvectors are cos(theta_j (i + 1/2)), theta_j = pi j / N,
+    with eigenvalues cos(theta_j); the edges each discard half their mass per
+    step, and only even modes reach both alike.  So with c_j the law's
+    projection on mode j (one FFT of length 2N gives them all) and
+    G_j = sum_{k<n} cos(theta_j)**k,
+    E = n / N + (2 / N) sum_{even j > 0} c_j cos(theta_j / 2) G_j.
+    The modes cancel, so the error is absolute (~1e-15 at N = 2001): an E far
+    below that, like a centre start's over n << T**2 steps, is lost.
+    """
+    width = probs.size
+    j = np.arange(2, width, 2)
+    theta = np.pi * j / width
+    gap = 2.0 * np.sin(0.5 * theta) ** 2  # 1 - cos(theta), without cancellation
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # 1 - cos(theta)**n; expm1/log1p keep its digits near theta = 0
+        power = -np.expm1(n * np.log1p(-gap))
+    decay = np.where(gap < 1.0, power, 1.0 - np.cos(theta) ** float(n))
+    # sum_i p_i cos(theta_j (i + 1/2)) = Re(exp(-i theta_j / 2) sum_i p_i exp(-i theta_j i))
+    coef = (np.exp(-0.5j * theta) * np.fft.rfft(probs, 2 * width)[j]).real
+    return n / width + 2.0 / width * float(np.sum(coef * np.cos(0.5 * theta) * decay / gap))

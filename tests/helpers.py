@@ -3,11 +3,14 @@
 Everything here is deliberately written against the definitions, not against
 the library code paths it checks: subset enumeration for longest valid
 subsequences, a closed-form 1-d rejection rate, direct Gauss-Legendre
-integration, and a plain Monte Carlo reflected walk.
+integration, a plain Monte Carlo reflected walk, the reflected chain stepped
+one transition at a time, and a 40-digit decimal quantile of the cube
+eigen-density.
 """
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 
@@ -123,3 +126,60 @@ def finite_difference_score(log_density, points, step):
         lo[:, j] -= step
         out[:, j] = (np.asarray(log_density(hi)) - np.asarray(log_density(lo))) / (2.0 * step)
     return out
+
+
+def chain_expectation_loop(probs, n):
+    """Expected discards of the reflected walk, by stepping the law n times.
+
+    ``probs`` is the start law on the 2T+1 states.  Each step adds the half
+    of the edge mass that is pushed out, then moves half of every state's
+    mass to each neighbour, the blocked half staying in place.
+    """
+    probs = np.asarray(probs, dtype=float)
+    width = probs.size
+    expected = 0.0
+    for _ in range(int(n)):
+        expected += 0.5 * (probs[0] + probs[-1])
+        nxt = np.zeros(width)
+        nxt[:-1] += 0.5 * probs[1:]
+        nxt[1:] += 0.5 * probs[:-1]
+        nxt[0] += 0.5 * probs[0]
+        nxt[-1] += 0.5 * probs[-1]
+        probs = nxt
+    return float(expected)
+
+
+_PI_40 = decimal.Decimal("3.141592653589793238462643383279502884197169399")
+
+
+def _decimal_sin(x):
+    """sin(x) for |x| <= pi by its Taylor series, in the current context."""
+    term = total = x
+    k = 1
+    while True:
+        term = -term * x * x / ((2 * k) * (2 * k + 1))
+        if total + term == total:
+            return total
+        total += term
+        k += 1
+
+
+def reference_quantile(u, t):
+    """Quantile of F(x) = x / (2T) + 1/2 + sin(pi x / T) / (2 pi) on (-T, T).
+
+    Bisects in 40-digit decimal arithmetic until the bracket is far below
+    one float64 ulp of T, and returns the midpoint as a Decimal.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        u, t = decimal.Decimal(float(u)), decimal.Decimal(float(t))
+        lo, hi = -t, t
+        half = decimal.Decimal("0.5")
+        for _ in range(110):
+            mid = (lo + hi) / 2
+            cdf = mid / (2 * t) + half + _decimal_sin(_PI_40 * mid / t) / (2 * _PI_40)
+            if cdf < u:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftguard import bodies
 from driftguard.bodies import (
     Box,
     Density,
@@ -18,7 +20,7 @@ from driftguard.bodies import (
     fisher_quadrature,
     gauss_legendre_grid,
 )
-from helpers import finite_difference_score, leggauss_integrate
+from helpers import finite_difference_score, leggauss_integrate, reference_quantile
 
 
 class TestBox:
@@ -117,8 +119,8 @@ class TestCubeEigenDensity:
         assert np.unique(pts).size > 1
 
     def test_tiny_half_width_scales_samples(self):
-        # bisection width follows T below 1, so a tiny cube samples the unit
-        # cube's points scaled down, and its Fisher matrix is the closed form
+        # the quantile is T times a function of u, so a tiny cube samples the
+        # unit cube's points scaled down, and its Fisher matrix is the closed form
         tiny, unit = Box.cube(1, 1e-13), Box.cube(1, 1.0)
         a = cube_eigen_density(tiny).sample(np.random.default_rng(5), 1000)
         b = cube_eigen_density(unit).sample(np.random.default_rng(5), 1000)
@@ -164,6 +166,38 @@ class TestCubeEigenDensity:
         rows = np.concatenate([den.quantile(u[i : i + 1]) for i in range(u.shape[0])])
         assert np.array_equal(batch, rows)
         assert np.array_equal(den.quantile(u.reshape(40, 50, len(hw))), batch.reshape(40, 50, -1))
+
+    @pytest.mark.parametrize(
+        "hw",
+        [[1e-13], [1.0], [16.0], [1e12], [0.3, 5.0, 1e3]],
+        ids=["1e-13", "1", "16", "1e12", "box"],
+    )
+    def test_quantile_within_two_ulp_of_decimal_reference(self, hw):
+        den = cube_eigen_density(Box(np.array(hw)))
+        fixed = [2.0**-53, 1e-12, 0.25, 0.5, 1.0 - 2.0**-53]
+        u = np.concatenate([fixed, np.random.default_rng(len(hw)).uniform(size=100)])
+        u = np.repeat(u[:, None], len(hw), axis=1)
+        x = den.quantile(u)
+        for axis, t in enumerate(hw):
+            for ui, xi in zip(u[:, axis], x[:, axis]):
+                err = abs(decimal.Decimal(float(xi)) - reference_quantile(ui, t))
+                assert err <= 2 * decimal.Decimal(float(np.spacing(t))), (t, ui, xi)
+
+    def test_quantile_edges_strictly_inside(self):
+        box = Box(np.array([1e-13, 1.0, 16.0, 1e12]))
+        den = cube_eigen_density(box)
+        for u in (0.0, 1.0 - 2.0**-53, 1.0):
+            x = den.quantile(np.full((1, 4), u))
+            assert np.all(box.contains_interior(x)), (u, x)
+            assert np.all(np.isfinite(den.log_density(x)))
+
+    def test_quantile_slabs_equal_one_pass(self, monkeypatch):
+        # 7 values per slab: two rows of d = 3, the last slab a partial one
+        den = cube_eigen_density(Box(np.array([0.5, 3.0, 16.0])))
+        u = np.random.default_rng(8).uniform(size=(2, 25, 3))
+        whole = den.quantile(u)
+        monkeypatch.setattr(bodies, "_QUANTILE_SLAB", 7)
+        assert np.array_equal(den.quantile(u), whole)
 
     def test_quantile_shape_guard(self):
         den = cube_eigen_density(Box.cube(2, 1.0))

@@ -153,6 +153,14 @@ class TestUpperBoundCube:
         with pytest.raises(ValueError):
             upper_bound_cube(1.0, [math.nan])
 
+    def test_rejects_infinite_norms(self):
+        one_run = [math.inf, 1.0]
+        trials = np.ones((3, 4))
+        trials[1, 2] = math.inf
+        for norms in (one_run, trials):
+            with pytest.raises(ValueError, match="finite"):
+                upper_bound_cube(1.0, norms)
+
     @given(
         st.floats(0.1, 50.0),
         st.lists(st.floats(0.0, 10.0), min_size=0, max_size=40),

@@ -5,6 +5,7 @@ import pytest
 
 from driftguard.cli import main
 from driftguard.oracle1d import exact_chain_expectation_fraction
+from helpers import chain_expectation_loop
 
 
 def run_cli(capsys, *argv):
@@ -217,6 +218,14 @@ class TestOracle:
         payload = json.loads(out)
         assert "exact" not in payload
         assert payload["expected_discards"] > 0.0
+
+    def test_chain_mode_large_width_point_start_matches_step_loop(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "oracle", "--mode", "chain", "--T", "40", "--n", "1000", "--start", "0",
+        )
+        assert code == 0
+        expected = chain_expectation_loop(np.eye(81)[40], 1000)
+        assert json.loads(out)["expected_discards"] == pytest.approx(expected, rel=1e-12)
 
     def test_exhaustive_mode(self, capsys):
         code, out, _ = run_cli(

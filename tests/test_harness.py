@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from driftguard import harness
 from driftguard.bodies import Box, dirichlet_lambda1_box
 from driftguard.bounds import lower_bound_1d, upper_bound_cube
 from driftguard.harness import (
@@ -208,6 +209,18 @@ class TestBoundAttachment:
         iso = next(r for r in stats.bound_reports if r.kind == "isotropic")
         lam = dirichlet_lambda1_box(Box.cube(1, 4.0))
         assert iso.value == pytest.approx(np.sqrt(lam) * 50, rel=1e-13)
+
+
+class TestStepNorms:
+    @pytest.mark.parametrize("d", [1, 3, 8, 12])
+    @pytest.mark.parametrize("slab", [1, 100, 1 << 16])
+    def test_slab_norms_equal_linalg_norm(self, monkeypatch, d, slab):
+        # slabs of 1 trial, of a few trials with a partial last one, and one slab
+        monkeypatch.setattr(harness, "_NORM_SLAB", slab)
+        scales = 10.0 ** np.arange(-3, 4)[:, None]  # one per step
+        steps = np.random.default_rng(d).normal(size=(23, 7, d)) * scales
+        assert np.array_equal(harness._l2_norms(steps), np.linalg.norm(steps, axis=2))
+        assert harness._l2_norms(steps[:, :0]).shape == (23, 0)
 
 
 class TestReports:

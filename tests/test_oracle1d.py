@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftguard.oracle1d import (
+    _spectral_expectation,
     dp_longest_valid,
     exact_chain_expectation,
     exact_chain_expectation_fraction,
@@ -15,7 +16,7 @@ from driftguard.oracle1d import (
     verify_lex_optimality,
     verify_start_shift,
 )
-from helpers import enumerate_longest, mc_reflected_discards
+from helpers import chain_expectation_loop, enumerate_longest, mc_reflected_discards
 
 sign_lists = st.lists(st.sampled_from([-1, 1]), min_size=0, max_size=12)
 
@@ -218,6 +219,45 @@ class TestExactChain:
         for t, n in [(4, 500), (8, 200)]:
             exact = float(exact_chain_expectation_fraction(t, n, 0))
             assert exact_chain_expectation(t, n, 0) == pytest.approx(exact, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [33, 40, 100])
+    def test_spectral_sum_matches_step_loop(self, t):
+        # beyond 65 states the public path is the spectral sum; the loop
+        # steps the same float law n times
+        width = 2 * t + 1
+        weights = np.random.default_rng(t).integers(0, 1000, size=width)
+        rational = [Fraction(int(w), int(weights.sum())) for w in weights]
+        tiny = Fraction(5e-324)
+        subnormal = [Fraction(0), tiny, 1 - tiny] + [Fraction(0)] * (width - 3)
+        starts = {
+            "edge": (-t, np.eye(width)[0]),
+            "centre": (0, np.eye(width)[t]),
+            "uniform": ("uniform", np.full(width, 1.0 / width)),
+            "rational": (rational, [float(p) for p in rational]),
+            "subnormal": (subnormal, [float(p) for p in subnormal]),
+        }
+        for name, (start, probs) in starts.items():
+            for n in (0, 1, 7, 1000):
+                loop = chain_expectation_loop(probs, n)
+                value = exact_chain_expectation(t, n, start)
+                # exact zeros (the centre start before it can reach an edge)
+                # come back as sums of modes cancelling to ~1e-17
+                assert value == pytest.approx(loop, rel=1e-12, abs=1e-15), (name, n)
+
+    @pytest.mark.parametrize("t", [0, 1, 2, 5, 16, 22, 29, 32])
+    def test_spectral_sum_matches_fraction(self, t):
+        # the modes cancel, so while E < 1 the error is absolute, ~1e-15, and
+        # it is relative only once E >= 1
+        width = 2 * t + 1
+        for start in ("uniform", -t, 0, t // 2):
+            probs = np.full(width, 1.0 / width) if start == "uniform" else np.eye(width)[start + t]
+            for n in (0, 1, 7, 100, 1000):
+                exact = float(exact_chain_expectation_fraction(t, n, start))
+                value = _spectral_expectation(probs, n)
+                assert abs(value - exact) <= 1e-15 * max(exact, 1.0), (start, n)
+
+    def test_spectral_sum_uniform_is_n_over_width(self):
+        assert exact_chain_expectation(40, 10_000, "uniform") == 10_000 / 81
 
     @given(st.integers(0, 4), st.integers(0, 60))
     @settings(max_examples=60, deadline=None)
