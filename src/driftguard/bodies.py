@@ -129,7 +129,8 @@ def cube_eigen_density(box: Box) -> Density:
     Newton steps from the edge asymptote (12 pi v)**(1/3) reach ~2 ulp(T_i).
     It is elementwise, so a batch equals its rows mapped one at a time, and
     clips samples (u = 0 included) strictly inside the box.  Raises
-    ValueError when pi / T_i overflows.
+    ValueError when pi / T_i overflows, and ``quantile`` raises it on a
+    uniform outside [0, 1] (NaN included).
     """
     hw = box.half_widths
     d = box.dimension
@@ -167,6 +168,8 @@ def cube_eigen_density(box: Box) -> Density:
         rows = max(1, _QUANTILE_SLAB // d)
         for i in range(0, len(flat), rows):
             v = flat[i : i + rows]
+            if not ((v >= 0.0) & (v <= 1.0)).all():
+                raise ValueError("uniforms must lie in [0, 1]")
             mean_anomaly = 2.0 * np.pi * np.minimum(v, 1.0 - v)
             phi = np.cbrt(6.0 * mean_anomaly)  # below the root: phi - sin(phi) <= phi**3 / 6
             for _ in range(_KEPLER_STEPS):
@@ -319,9 +322,10 @@ def fisher_monte_carlo(density: Density, samples: int, rng_seed: int) -> FisherM
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((rng_seed, chunk_index))))
         pts = density.sample(rng, m)
         scores = np.asarray(density.log_gradient(pts), dtype=float)
-        outer = scores[:, :, None] * scores[:, None, :]
-        total += outer.sum(axis=0)
-        total_sq += np.square(outer).sum(axis=0)
+        # no (chunk, d, d) outer products; einsum, not `@`, whose BLAS sums vary with threads
+        total += np.einsum("ki,kj->ij", scores, scores)
+        squares = scores * scores
+        total_sq += np.einsum("ki,kj->ij", squares, squares)
         done += m
         chunk_index += 1
     mean = total / samples

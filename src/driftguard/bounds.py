@@ -45,7 +45,9 @@ def upper_bound_general(fisher: FisherMatrix, steps) -> BoundReport:
     # forms screen the (m, n, d) steps; finite steps may still overflow
     if not np.isfinite(quad).all() and not np.isfinite(v).all():
         raise ValueError("steps have non-finite entries")
-    value = 0.5 * float(np.mean(np.sum(np.sqrt(np.maximum(quad, 0.0)), axis=-1)))
+    np.maximum(quad, 0.0, out=quad)
+    np.sqrt(quad, out=quad)  # in place: the (m, n) forms are the only big array
+    value = 0.5 * float(np.mean(np.sum(quad, axis=-1)))
     digest = f"n={v.shape[-2]}, d={fisher.dimension}, fisher={fisher.estimator_kind}"
     if v.ndim == 3:
         digest += f", mean over {v.shape[0]} trials"

@@ -47,6 +47,9 @@ _CONTAINMENT_TOL = 1e-9
 # a block is as many lockstep steps as fit, and at least one
 _PATH_BUDGET = 1 << 16
 
+# Gauss-Legendre rule for the 1-d rejection rate, built once: leggauss is ~1.5 ms
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
 SeedLike = Union[int, np.random.SeedSequence]
 
 
@@ -245,62 +248,29 @@ def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> Ensemble
     )
 
 
-def rejection_rate_exact_1d(density: Density, step: float, grid: int = 1024) -> float:
-    """Stationary one-step discard probability in d = 1, by quadrature.
+def rejection_rate_exact_1d(density: Density, step: float) -> float:
+    """Stationary one-step discard probability in d = 1.
 
-    Equals (1/2) * integral |pi(x + v) - pi(x)| dx.  The integrand is split
-    at the support edges of both shifted copies and at sign changes of the
-    difference (located by a ``grid``-point scan plus bisection), then each
-    smooth signed piece is integrated with 64-node Gauss-Legendre.  When
-    |v| >= 2 T the shifted supports are disjoint and the rate is exactly 1.
+    Equals TV(pi, pi shifted by v) = (1/2) * integral |pi(x + v) - pi(x)| dx.
+    Precondition: pi is even, non-increasing in |x| and smooth on (0, T), as
+    ``cube_eigen_density`` is.  Then pi(x + v) - pi(x) changes sign only at
+    x = -v/2, and the distance is the central mass 2 * integral_0^{|v|/2} pi,
+    here a 64-node Gauss-Legendre sum over ``log_density`` (for the cube
+    eigen-density, |v| / (2T) + sin(pi |v| / (2T)) / pi).  A density that
+    breaks the precondition gets its central mass all the same.  Exactly 0
+    at v = 0, and exactly 1 when |v| >= 2 T (disjoint shifted supports).
     """
     if density.dimension != 1:
         raise ValueError("exact rejection rate is one-dimensional only")
-    if grid < 256:
-        raise ValueError("grid must be at least 256")
-    v = float(step)
+    v = abs(float(step))
     if not np.isfinite(v):
         raise ValueError("step must be finite")
-    if v == 0.0:
-        return 0.0
-    t = float(density.support.half_widths[0])
-    if abs(v) >= 2.0 * t:
+    if v >= 2.0 * float(density.support.half_widths[0]):
         return 1.0
-
-    def diff(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        lp_shift = density.log_density((x + v)[..., None])
-        lp = density.log_density(x[..., None])
-        return np.exp(lp_shift) - np.exp(lp)
-
-    lo = min(-t, -t - v)
-    hi = max(t, t - v)
-    span = hi - lo
-    cuts = {lo, hi, -t, t, -t - v, t - v}
-    xs = np.linspace(lo, hi, int(grid) + 1)
-    gs = diff(xs)
-    for i in np.nonzero(gs == 0.0)[0]:
-        cuts.add(float(xs[i]))
-    for i in np.nonzero(gs[:-1] * gs[1:] < 0.0)[0]:
-        a, b = float(xs[i]), float(xs[i + 1])
-        fa = float(gs[i])
-        while b - a > 1e-14 * span:
-            mid = 0.5 * (a + b)
-            fm = float(diff(np.array([mid]))[0])
-            if fa * fm <= 0.0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        cuts.add(0.5 * (a + b))
-    edges = sorted(c for c in cuts if lo <= c <= hi)
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a <= 1e-13 * span:
-            continue
-        x = 0.5 * (a + b) + 0.5 * (b - a) * nodes
-        total += 0.5 * (b - a) * float(np.sum(weights * np.abs(diff(x))))
-    return min(max(0.5 * total, 0.0), 1.0)
+    # v * mean of pi on (0, v/2): the halved weights sum to 1, so no overflow
+    x = (0.25 * v) * (1.0 + _GL_NODES)
+    mean_pi = float(np.sum((0.5 * _GL_WEIGHTS) * np.exp(density.log_density(x[:, None]))))
+    return min(v * mean_pi, 1.0)
 
 
 def rejection_rate_monte_carlo(

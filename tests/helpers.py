@@ -2,10 +2,11 @@
 
 Everything here is deliberately written against the definitions, not against
 the library code paths it checks: subset enumeration for longest valid
-subsequences, a closed-form 1-d rejection rate, direct Gauss-Legendre
-integration, a plain Monte Carlo reflected walk, the reflected chain stepped
-one transition at a time, and a 40-digit decimal quantile of the cube
-eigen-density.
+subsequences, a closed-form 1-d rejection rate (also in 40-digit decimal),
+direct Gauss-Legendre integration, a Monte Carlo Fisher matrix from explicit
+outer products, a plain Monte Carlo reflected walk, the reflected chain
+stepped one transition at a time, and a 40-digit decimal quantile of the
+cube eigen-density.
 """
 
 from __future__ import annotations
@@ -87,6 +88,27 @@ def closed_rejection_1d(t, v):
     return v / (2.0 * t) + math.sin(math.pi * v / (2.0 * t)) / math.pi
 
 
+def fisher_outer_mean(density, samples, seed, chunk):
+    """Monte Carlo Fisher (mean, std_error) from explicit score outer products.
+
+    Draws chunk k of ``chunk`` points from SeedSequence((seed, k)), the
+    substreams fisher_monte_carlo uses, and sums the (chunk, d, d) outer
+    products and their squares.
+    """
+    d = density.dimension
+    total = np.zeros((d, d))
+    total_sq = np.zeros((d, d))
+    for k, start in enumerate(range(0, samples, chunk)):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, k))))
+        scores = density.log_gradient(density.sample(rng, min(chunk, samples - start)))
+        outer = scores[:, :, None] * scores[:, None, :]
+        total += outer.sum(axis=0)
+        total_sq += np.square(outer).sum(axis=0)
+    mean = total / samples
+    var = np.maximum(total_sq - samples * np.square(mean), 0.0) / (samples - 1)
+    return mean, np.sqrt(var / samples)
+
+
 def leggauss_integrate(fn, half_widths, nodes):
     """Tensor Gauss-Legendre integral of fn over the box, built from scratch."""
     half_widths = np.asarray(half_widths, dtype=float)
@@ -162,6 +184,16 @@ def _decimal_sin(x):
             return total
         total += term
         k += 1
+
+
+def reference_rejection_1d(t, v):
+    """closed_rejection_1d in 40-digit decimal arithmetic, as a float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        t, w = decimal.Decimal(float(t)), abs(decimal.Decimal(float(v)))
+        if w >= 2 * t:
+            return 1.0
+        return float(w / (2 * t) + _decimal_sin(_PI_40 * w / (2 * t)) / _PI_40)
 
 
 def reference_quantile(u, t):

@@ -148,7 +148,7 @@ def test_criterion_03_rejection_identity_quad_vs_mc():
         density = cube_eigen_density(Box.cube(1, 1.0))
         worst_z = 0.0
         for i, v in enumerate((0.05, 0.1, 0.2, 0.4)):
-            quad = rejection_rate_exact_1d(density, v, grid=2048)
+            quad = rejection_rate_exact_1d(density, v)
             freq, se = rejection_rate_monte_carlo(
                 density, [v], 1_000_000, rng_seed=7000 + i
             )

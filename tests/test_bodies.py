@@ -20,7 +20,12 @@ from driftguard.bodies import (
     fisher_quadrature,
     gauss_legendre_grid,
 )
-from helpers import finite_difference_score, leggauss_integrate, reference_quantile
+from helpers import (
+    finite_difference_score,
+    fisher_outer_mean,
+    leggauss_integrate,
+    reference_quantile,
+)
 
 
 class TestBox:
@@ -199,6 +204,14 @@ class TestCubeEigenDensity:
         monkeypatch.setattr(bodies, "_QUANTILE_SLAB", 7)
         assert np.array_equal(den.quantile(u), whole)
 
+    def test_quantile_rejects_uniforms_outside_unit_interval(self):
+        den = cube_eigen_density(Box.cube(1, 2.0))
+        for bad in (1.5, -0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                den.quantile(np.array([[bad]]))
+        with pytest.raises(ValueError):
+            den.quantile(np.array([[0.25], [1.5], [0.75]]))
+
     def test_quantile_shape_guard(self):
         den = cube_eigen_density(Box.cube(2, 1.0))
         for bad in (np.zeros((3, 1)), np.zeros((3, 3)), np.float64(0.5)):
@@ -333,6 +346,16 @@ class TestFisherMonteCarlo:
         b = fisher_monte_carlo(den, 2000, 7)
         assert np.array_equal(a.entries, b.entries)
         assert np.array_equal(a.std_error, b.std_error)
+
+    def test_matches_outer_product_mean(self):
+        # two chunks, the second partial, from the same substreams
+        den = cube_eigen_density(Box(np.array([1.0, 3.0])))
+        samples = bodies._MC_CHUNK + 5000
+        mc = fisher_monte_carlo(den, samples, 21)
+        mean, se = fisher_outer_mean(den, samples, 21, bodies._MC_CHUNK)
+        scale = float(np.max(np.abs(mean)))
+        np.testing.assert_allclose(mc.entries, mean, rtol=1e-14, atol=1e-14 * scale)
+        np.testing.assert_allclose(mc.std_error, se, rtol=1e-12)
 
     def test_estimator_kind_and_se_shape(self):
         mc = fisher_monte_carlo(cube_eigen_density(Box.cube(2, 1.0)), 2000, 1)

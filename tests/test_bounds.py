@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,18 @@ class TestUpperBoundGeneral:
         fisher = FisherMatrix(np.eye(2), "closed_form")
         with pytest.raises(ValueError):
             upper_bound_general(fisher, np.zeros((3, 3)))
+
+    def test_peak_memory_is_the_forms(self):
+        # the (m, n) quadratic forms are reduced in place, with no copies
+        fisher = fisher_closed_form_cube(Box.cube(3, 16.0))
+        steps = np.random.default_rng(2).normal(size=(200, 1000, 3))
+        tracemalloc.start()
+        try:
+            upper_bound_general(fisher, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 200 * 1000 * 8
 
     def test_kind_and_digest(self):
         fisher = FisherMatrix(np.eye(1), "closed_form")

@@ -24,7 +24,7 @@ from driftguard.metropolis import (
     rejection_rate_monte_carlo,
     run_ensemble,
 )
-from helpers import closed_rejection_1d
+from helpers import closed_rejection_1d, reference_rejection_1d
 
 
 def unit_density(t=1.0):
@@ -39,6 +39,29 @@ def liar_density(t=0.5):
         log_density=lambda x: 0.0 if np.ndim(x) == 1 else np.zeros(np.shape(x)[:-1]),
         log_gradient=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         quantile=lambda u: np.zeros_like(u),
+    )
+
+
+def triangle_density(t):
+    """pi(x) = (T - |x|) / T**2 on (-T, T): even and non-increasing in |x|."""
+
+    def log_density(x):
+        x = np.asarray(x, dtype=float)[..., 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(np.abs(x) < t, np.log((t - np.abs(x)) / t**2), -np.inf)
+        return float(out) if out.ndim == 0 else out
+
+    def quantile(u):
+        # inverts F(x) = (T + x)**2 / (2 T**2) below 0, mirrored above
+        u = np.asarray(u, dtype=float)
+        return np.copysign(t - t * np.sqrt(2.0 * np.minimum(u, 1.0 - u)), u - 0.5)
+
+    return Density(
+        dimension=1,
+        support=Box.cube(1, t),
+        log_density=log_density,
+        log_gradient=lambda x: -np.sign(x) / (t - np.abs(x)),
+        quantile=quantile,
     )
 
 
@@ -162,37 +185,57 @@ class TestFilterRun:
 
 class TestRejectionRate:
     def test_zero_step_is_zero(self):
-        assert rejection_rate_exact_1d(unit_density(), 0.0, 512) == 0.0
+        assert rejection_rate_exact_1d(unit_density(), 0.0) == 0.0
 
     def test_matches_closed_form(self):
         den = unit_density()
         for v in (0.05, 0.2, 0.3, 0.8, 1.5, -0.3, 2.0, -2.0, 7.5, 1e300):
-            quad = rejection_rate_exact_1d(den, v, 1024)
+            quad = rejection_rate_exact_1d(den, v)
             assert quad == pytest.approx(closed_rejection_1d(1.0, v), abs=1e-12)
         # disjoint supports (|v| >= 2T) give exactly 1
         assert rejection_rate_exact_1d(unit_density(8.0), 1e300) == 1.0
         assert rejection_rate_exact_1d(unit_density(8.0), -16.0) == 1.0
+
+    @pytest.mark.parametrize("t", [1e-13, 1e-3, 1.0, 8.0, 1e6, 1e12])
+    def test_central_mass_across_scales(self, t):
+        # tiny steps included: the rate is ~|v| / T there, not 0
+        den = unit_density(t)
+        rng = np.random.default_rng(13)
+        fixed = [t * 1e-200, t * 1e-12, t * 1e-3, 1.999999 * t, -1.5 * t]
+        for v in fixed + list(rng.uniform(-2.2 * t, 2.2 * t, 200)):
+            value = rejection_rate_exact_1d(den, v)
+            assert value == pytest.approx(closed_rejection_1d(t, v), rel=1e-14, abs=0.0), v
+            assert value == pytest.approx(reference_rejection_1d(t, v), rel=1e-14, abs=0.0), v
+
+    def test_triangle_density(self):
+        # central mass of (T - |x|) / T**2 is 1 - (1 - a)**2 = a (2 - a), a = |v| / (2T)
+        t = 3.0
+        den = triangle_density(t)
+        for i, v in enumerate((0.0, 0.01, 0.9, -3.0, 5.1, 6.0)):
+            a = min(abs(v), 2.0 * t) / (2.0 * t)
+            exact = a * (2.0 - a)
+            assert rejection_rate_exact_1d(den, v) == pytest.approx(exact, rel=1e-14, abs=0.0)
+            freq, se = rejection_rate_monte_carlo(den, [v], 2 * 10**5, 300 + i)
+            assert abs(freq - exact) <= 3.0 * se + 1e-12
 
     def test_below_fisher_direction_bound(self):
         den = unit_density()
         fisher = fisher_closed_form_cube(Box.cube(1, 1.0))
         v = 0.3
         bound = 0.5 * direction_information(fisher, [v])
-        value = rejection_rate_exact_1d(den, v, 1024)
+        value = rejection_rate_exact_1d(den, v)
         assert value <= bound
         assert bound == pytest.approx(0.15 * math.pi, rel=1e-15)
 
     def test_matches_monte_carlo(self):
         den = unit_density()
-        quad = rejection_rate_exact_1d(den, 0.2, 1024)
+        quad = rejection_rate_exact_1d(den, 0.2)
         freq, se = rejection_rate_monte_carlo(den, [0.2], 10**6, 2024)
         assert abs(freq - quad) <= 3.0 * se
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            rejection_rate_exact_1d(cube_eigen_density(Box.cube(2, 1.0)), 0.1, 512)
-        with pytest.raises(ValueError):
-            rejection_rate_exact_1d(unit_density(), 0.1, 100)
+            rejection_rate_exact_1d(cube_eigen_density(Box.cube(2, 1.0)), 0.1)
         for v in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 rejection_rate_exact_1d(unit_density(), v)
@@ -213,7 +256,7 @@ class TestRejectionRate:
     @settings(max_examples=20, deadline=None)
     def test_value_in_unit_interval(self, v, t):
         den = cube_eigen_density(Box.cube(1, t))
-        value = rejection_rate_exact_1d(den, v, 256)
+        value = rejection_rate_exact_1d(den, v)
         assert 0.0 <= value <= 1.0
 
 
