@@ -7,7 +7,6 @@ from .bodies import (
     Density,
     FisherMatrix,
     cube_eigen_density,
-    direction_information,
     dirichlet_lambda1_box,
     fisher_closed_form_cube,
     fisher_monte_carlo,
@@ -32,12 +31,8 @@ from .harness import (
 )
 from .metropolis import (
     ContainmentError,
-    FilterState,
-    StepOutcome,
     Trajectory,
-    filter_init,
     filter_run,
-    filter_step,
     rejection_rate_exact_1d,
     rejection_rate_monte_carlo,
     run_ensemble,
@@ -47,7 +42,6 @@ from .oracle1d import (
     dp_longest_valid,
     exact_chain_expectation,
     exact_chain_expectation_fraction,
-    reflected_kernel_matrix,
     reflected_walk,
     signs_from_string,
     verify_lex_optimality,
@@ -65,14 +59,9 @@ __all__ = [
     "fisher_closed_form_cube",
     "fisher_quadrature",
     "fisher_monte_carlo",
-    "direction_information",
     "fisher_operator_norm",
     "ContainmentError",
-    "FilterState",
-    "StepOutcome",
     "Trajectory",
-    "filter_init",
-    "filter_step",
     "filter_run",
     "run_ensemble",
     "rejection_rate_exact_1d",
@@ -88,7 +77,6 @@ __all__ = [
     "dp_longest_valid",
     "verify_lex_optimality",
     "verify_start_shift",
-    "reflected_kernel_matrix",
     "exact_chain_expectation",
     "exact_chain_expectation_fraction",
     "StepGenerator",

@@ -29,7 +29,6 @@ __all__ = [
     "fisher_closed_form_cube",
     "fisher_quadrature",
     "fisher_monte_carlo",
-    "direction_information",
     "fisher_operator_norm",
     "gauss_legendre_grid",
 ]
@@ -77,17 +76,6 @@ class Box:
     def is_cube(self) -> bool:
         return bool(np.all(self.half_widths == self.half_widths[0]))
 
-    def contains_interior(self, points: ArrayLike) -> np.ndarray:
-        """Strict interior test, vectorized over leading axes of ``points``."""
-        x = np.asarray(points, dtype=float)
-        return np.all(np.abs(x) < self.half_widths, axis=-1)
-
-    def contains_scaled(self, points: ArrayLike, scale: float, tol: float = 0.0) -> np.ndarray:
-        """Non-strict membership in the scaled box, slack ``tol`` per axis unit."""
-        x = np.asarray(points, dtype=float)
-        limit = scale * self.half_widths + tol * self.half_widths
-        return np.all(np.abs(x) <= limit, axis=-1)
-
 
 @dataclass(frozen=True)
 class Density:
@@ -97,9 +85,7 @@ class Density:
     log-values, -inf outside the open support.  ``log_gradient`` is only
     defined on interior points.  ``quantile`` maps uniforms of shape
     (..., d) to points of the same shape, each row alike alone or in a batch;
-    ``sample`` feeds it ``rng.uniform(size=(n, d))``.  ``coordinate_cdf`` is
-    present for product-form densities and maps (axis, x) to the marginal
-    CDF.
+    ``sample`` feeds it ``rng.uniform(size=(n, d))``.
     """
 
     dimension: int
@@ -107,7 +93,6 @@ class Density:
     log_density: Callable[[ArrayLike], Union[float, np.ndarray]]
     log_gradient: Callable[[ArrayLike], np.ndarray]
     quantile: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    coordinate_cdf: Optional[Callable[[int, ArrayLike], np.ndarray]] = None
 
     def sample(self, rng: np.random.Generator, n: Optional[int] = None) -> np.ndarray:
         """Draw one point (shape (d,)) or ``n`` points (shape (n, d))."""
@@ -153,11 +138,6 @@ def cube_eigen_density(box: Box) -> Density:
         x = np.asarray(points, dtype=float)
         return -(np.pi / hw) * np.tan(half_freq * x)
 
-    def coordinate_cdf(axis: int, values: ArrayLike) -> np.ndarray:
-        t = hw[axis]
-        x = np.clip(np.asarray(values, dtype=float), -t, t)
-        return x / (2.0 * t) + 0.5 + np.sin(np.pi * x / t) / (2.0 * np.pi)
-
     def quantile(u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if u.shape[-1:] != (d,):
@@ -190,7 +170,6 @@ def cube_eigen_density(box: Box) -> Density:
         log_density=log_density,
         log_gradient=log_gradient,
         quantile=quantile,
-        coordinate_cdf=coordinate_cdf,
     )
 
 
@@ -332,17 +311,6 @@ def fisher_monte_carlo(density: Density, samples: int, rng_seed: int) -> FisherM
     var = np.maximum(total_sq - samples * np.square(mean), 0.0) / (samples - 1)
     se = np.sqrt(var / samples)
     return FisherMatrix(mean, "monte_carlo", std_error=se)
-
-
-def direction_information(fisher: FisherMatrix, step: ArrayLike) -> float:
-    """sqrt(v^T I v): the information length of a step direction."""
-    v = np.asarray(step, dtype=float)
-    if v.shape != (fisher.dimension,):
-        raise ValueError(
-            f"step has shape {v.shape}, expected ({fisher.dimension},)"
-        )
-    quad = float(v @ fisher.entries @ v)
-    return math.sqrt(max(quad, 0.0))
 
 
 def fisher_operator_norm(fisher: FisherMatrix) -> float:

@@ -21,7 +21,13 @@ from .bodies import (
     fisher_quadrature,
 )
 from .bounds import isotropic_bound, lower_bound_1d, upper_bound_cube, upper_bound_general
-from .harness import ExperimentConfig, StepGenerator, emit_report, run_experiment
+from .harness import (
+    REPORT_FORMATS,
+    ExperimentConfig,
+    StepGenerator,
+    emit_report,
+    run_experiment,
+)
 from .metropolis import ContainmentError
 from .oracle1d import (
     _DP_LIMIT,
@@ -85,6 +91,14 @@ def _parse_generator(choice: str, dim: int, rademacher: bool) -> StepGenerator:
     raise ValueError(f"unknown generator {choice!r} (use unit|isotropic|pm1|file:<path>)")
 
 
+def _integer_setting(key: str, value) -> int:
+    """A config integer: JSON bools and non-integral numbers are errors."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{key} must be an integer, not {value!r}")
+    return int(value)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     settings = dict(_SIM_DEFAULTS)
     if args.config:
@@ -97,6 +111,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         value = getattr(args, key)
         if value is not None:
             settings[key] = value
+    for key in ("dim", "steps", "trials", "seed"):
+        settings[key] = _integer_setting(key, settings[key])
+    if not isinstance(settings["rademacher"], bool):
+        raise ValueError(f"rademacher must be true or false, not {settings['rademacher']!r}")
+    if settings["format"] not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {settings['format']!r} (use csv|json)")
     if args.half_width is not None:
         settings["half_width"] = args.half_width
         settings["half_widths"] = None
@@ -106,21 +126,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if settings["half_widths"] is not None:
         box = Box(np.asarray(settings["half_widths"], dtype=float))
     else:
-        box = Box.cube(int(settings["dim"]), float(settings["half_width"]))
+        box = Box.cube(settings["dim"], float(settings["half_width"]))
     if settings["density"] != "cube_eigen":
         raise ValueError(f"unknown density {settings['density']!r} (only cube_eigen)")
-    generator = _parse_generator(
-        str(settings["generator"]), box.dimension, bool(settings["rademacher"])
-    )
+    generator = _parse_generator(str(settings["generator"]), box.dimension, settings["rademacher"])
     config = ExperimentConfig(
         body=box,
         generator=generator,
-        n_steps=int(settings["steps"]),
-        n_trials=int(settings["trials"]),
-        seed=int(settings["seed"]),
+        n_steps=settings["steps"],
+        n_trials=settings["trials"],
+        seed=settings["seed"],
     )
     stats = run_experiment(config)
-    text = emit_report(stats, str(settings["format"]))
+    text = emit_report(stats, settings["format"])
     if settings["out"]:
         Path(str(settings["out"])).write_text(text)
     else:
@@ -307,6 +325,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

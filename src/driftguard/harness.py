@@ -3,7 +3,8 @@
 Each trial gets its own random streams derived from (seed, trial_index) via
 SeedSequence, one stream for step generation and one for the filter, so the
 results cannot depend on scheduling.  Trials advance in lockstep through
-``run_ensemble``, which is bit-identical to running ``filter_run`` per trial.
+``run_ensemble``; a trial's walk depends only on its own streams, so
+``filter_run`` on one trial's steps and seed gives the same walk.
 """
 
 from __future__ import annotations
@@ -162,9 +163,10 @@ def run_experiment_ensemble(config: ExperimentConfig) -> tuple[RunStats, Ensembl
 def run_experiment(config: ExperimentConfig) -> RunStats:
     """Run n_trials seeded trials and aggregate discard counts and bounds.
 
-    Containment is checked after every step of every trial; a violation
-    raises ContainmentError rather than being counted, so a returned
-    RunStats always has containment_violations = 0.
+    Containment is checked once per block of lockstep steps, and a
+    violation raises ContainmentError naming the first step and lowest
+    trial that left the doubled box, rather than being counted; so a
+    returned RunStats always has containment_violations = 0.
     """
     stats, _ = run_experiment_ensemble(config)
     return stats

@@ -9,9 +9,9 @@ support, so their difference cannot leave 2K.
 
 The acceptance ratio is computed in log space and one uniform coin is
 consumed per step whether or not the proposal can be rejected, which keeps
-the random stream independent of the data.  ``run_ensemble`` advances many
-trials in lockstep with identical arithmetic, so a vectorized ensemble and
-a loop of ``filter_run`` calls produce bit-identical trajectories.  It
+the random stream independent of the data.  There is one kernel:
+``run_ensemble`` advances many trials in lockstep, no trial's arithmetic
+depending on another's, and ``filter_run`` is its one-trial case.  It
 draws every trial's origin in one batched inverse-CDF pass, and checks 2K
 containment once per block of steps rather than after each step; the
 first violation it reports (step, lowest trial, accepted sum) is the one a
@@ -20,8 +20,8 @@ per-step check would report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -29,12 +29,8 @@ from .bodies import Density
 
 __all__ = [
     "ContainmentError",
-    "FilterState",
-    "StepOutcome",
     "Trajectory",
     "EnsembleResult",
-    "filter_init",
-    "filter_step",
     "filter_run",
     "run_ensemble",
     "rejection_rate_exact_1d",
@@ -55,110 +51,6 @@ SeedLike = Union[int, np.random.SeedSequence]
 
 class ContainmentError(RuntimeError):
     """An accepted partial sum left the doubled support box."""
-
-
-@dataclass
-class FilterState:
-    """Mutable state of one filtered walk."""
-
-    density: Density
-    origin: np.ndarray
-    current: np.ndarray
-    steps_seen: int
-    steps_discarded: int
-    rng: np.random.Generator
-    log_current: float = field(repr=False, default=0.0)
-
-    @property
-    def accepted_sum(self) -> np.ndarray:
-        return self.current - self.origin
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    accepted: bool
-    acceptance_probability: float
-    proposed: np.ndarray
-    resulting_sum: np.ndarray
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    outcomes: tuple[StepOutcome, ...]
-    accepted_sums: np.ndarray  # (n, d) running sums after each step
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def n_discarded(self) -> int:
-        return sum(1 for o in self.outcomes if not o.accepted)
-
-
-def filter_init(density: Density, rng_seed: SeedLike) -> FilterState:
-    """Fresh filter state with a pi-distributed starting point."""
-    rng = np.random.default_rng(rng_seed)
-    origin = density.sample(rng)
-    return FilterState(
-        density=density,
-        origin=origin,
-        current=origin.copy(),
-        steps_seen=0,
-        steps_discarded=0,
-        rng=rng,
-        log_current=float(density.log_density(origin)),
-    )
-
-
-def filter_step(state: FilterState, signed_step) -> StepOutcome:
-    """Feed one signed step through the filter, consuming one coin."""
-    step = np.asarray(signed_step, dtype=float)
-    if step.shape != (state.density.dimension,):
-        raise ValueError(
-            f"step has shape {step.shape}, expected ({state.density.dimension},)"
-        )
-    if not np.all(np.isfinite(step)):
-        raise ValueError("step has non-finite entries")
-    proposal = state.current + step
-    log_new = state.density.log_density(proposal)
-    accept_prob = np.exp(np.minimum(0.0, log_new - state.log_current))
-    coin = state.rng.uniform()
-    accepted = bool(coin < accept_prob)
-    state.steps_seen += 1
-    if accepted:
-        state.current = proposal
-        state.log_current = float(log_new)
-    else:
-        state.steps_discarded += 1
-    return StepOutcome(
-        accepted=accepted,
-        acceptance_probability=float(accept_prob),
-        proposed=proposal,
-        resulting_sum=state.current - state.origin,
-    )
-
-
-def filter_run(density: Density, signed_steps, rng_seed: SeedLike) -> Trajectory:
-    """Run a whole step sequence, asserting 2K containment after every step."""
-    steps = np.asarray(signed_steps, dtype=float)
-    if steps.size == 0:
-        steps = steps.reshape(0, density.dimension)
-    if steps.ndim != 2 or steps.shape[1] != density.dimension:
-        raise ValueError("signed_steps must have shape (n, d)")
-    state = filter_init(density, rng_seed)
-    n = steps.shape[0]
-    outcomes = []
-    sums = np.zeros((n, density.dimension))
-    for k in range(n):
-        outcome = filter_step(state, steps[k])
-        sums[k] = outcome.resulting_sum
-        if not density.support.contains_scaled(outcome.resulting_sum, 2.0, _CONTAINMENT_TOL):
-            raise ContainmentError(
-                f"accepted sum {outcome.resulting_sum} left 2K at step {k}"
-            )
-        outcomes.append(outcome)
-    return Trajectory(outcomes=tuple(outcomes), accepted_sums=sums)
 
 
 @dataclass(frozen=True)
@@ -187,9 +79,10 @@ def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> Ensemble
     """Advance m trials together, one vectorized filter step at a time.
 
     ``steps`` has shape (m, n, d): each trial gets its own step sequence.
-    Trial i draws its origin and its n coins from seeds[i] in exactly the
-    order ``filter_run`` would, so results match the sequential path bit
-    for bit.  Steps run in blocks of ``max(1, _PATH_BUDGET // (m * d))``;
+    Trial i draws its origin (one (1, d) row of uniforms through
+    ``density.quantile``) and then its n coins from
+    ``np.random.default_rng(seeds[i])``, so a trial's result does not depend
+    on the others.  Steps run in blocks of ``max(1, _PATH_BUDGET // (m * d))``;
     each block's steps must be finite (ValueError otherwise, before the
     block runs).  After a block, raises ContainmentError for its first step
     where any trial's accepted sum left the doubled support, naming the
@@ -245,6 +138,44 @@ def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> Ensemble
             )
     return EnsembleResult(
         origins=origins, finals=current, accepted=accepted, max_abs_sums=max_abs
+    )
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """One filtered walk: ``run_ensemble`` with a single trial."""
+
+    origin: np.ndarray  # (d,)
+    final: np.ndarray  # (d,)
+    accepted: np.ndarray  # (n,) bool
+    max_abs_sum: float  # running max of |accepted sum| over all prefixes
+
+    @property
+    def n_steps(self) -> int:
+        return int(self.accepted.size)
+
+    @property
+    def n_discarded(self) -> int:
+        return self.n_steps - int(np.count_nonzero(self.accepted))
+
+
+def filter_run(density: Density, signed_steps, rng_seed: SeedLike) -> Trajectory:
+    """Filter one (n, d) step sequence: ``run_ensemble`` with one trial.
+
+    Raises what the ensemble raises, so a containment message reads
+    ``trial 0 accepted sum ... left 2K at step k``.
+    """
+    steps = np.asarray(signed_steps, dtype=float)
+    if steps.size == 0:
+        steps = steps.reshape(0, density.dimension)
+    if steps.ndim != 2 or steps.shape[1] != density.dimension:
+        raise ValueError("signed_steps must have shape (n, d)")
+    result = run_ensemble(density, steps[None], [rng_seed])
+    return Trajectory(
+        origin=result.origins[0],
+        final=result.finals[0],
+        accepted=result.accepted[0],
+        max_abs_sum=float(result.max_abs_sums[0]),
     )
 
 

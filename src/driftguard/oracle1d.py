@@ -25,7 +25,6 @@ __all__ = [
     "dp_longest_valid",
     "verify_lex_optimality",
     "verify_start_shift",
-    "reflected_kernel_matrix",
     "exact_chain_expectation",
     "exact_chain_expectation_fraction",
 ]
@@ -46,14 +45,6 @@ class ValidSubsequence:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def is_valid_for(self, signs: Sequence[int], half_width: int) -> bool:
-        s = self.start
-        for i in self.indices:
-            s += signs[i - 1]
-            if abs(s) > half_width:
-                return False
-        return True
 
 
 def signs_from_string(text: str) -> tuple[int, ...]:
@@ -160,26 +151,6 @@ def verify_start_shift(signs: Sequence[int], half_width: int, start: int) -> boo
     if len(eps) > _ENUM_LIMIT:
         raise ValueError(f"verify_start_shift is limited to n <= {_ENUM_LIMIT}")
     return dp_longest_valid(eps, t, 0) <= dp_longest_valid(eps, t, s) + abs(s)
-
-
-def reflected_kernel_matrix(half_width: int) -> list[list[Fraction]]:
-    """Row-stochastic transition matrix of the reflected walk on [-T, T].
-
-    Row i is the state i - T; a blocked half-step keeps the walk in place,
-    so the uniform distribution is exactly stationary.
-    """
-    t, _ = _check_band(half_width, 0)
-    width = 2 * t + 1
-    half = Fraction(1, 2)
-    kernel = [[Fraction(0)] * width for _ in range(width)]
-    for i in range(width):
-        for move in (-1, 1):
-            j = i + move
-            if 0 <= j < width:
-                kernel[i][j] += half
-            else:
-                kernel[i][i] += half
-    return kernel
 
 
 def _start_weights(start: StartDistribution, width: int, t: int) -> tuple[list[int], int]:

@@ -1,12 +1,13 @@
 """Independent oracles used by the test suite.
 
 Everything here is deliberately written against the definitions, not against
-the library code paths it checks: subset enumeration for longest valid
-subsequences, a closed-form 1-d rejection rate (also in 40-digit decimal),
-direct Gauss-Legendre integration, a Monte Carlo Fisher matrix from explicit
-outer products, a plain Monte Carlo reflected walk, the reflected chain
-stepped one transition at a time, and a 40-digit decimal quantile of the
-cube eigen-density.
+the library code paths it checks: the Metropolis filter stepped one proposal
+at a time, subset enumeration for longest valid subsequences, a closed-form
+1-d rejection rate (also in 40-digit decimal), the cube eigen-density's
+marginal CDF, direct Gauss-Legendre integration, a Monte Carlo Fisher matrix
+from explicit outer products, a plain Monte Carlo reflected walk, the
+reflected chain stepped one transition at a time (and its rational kernel
+matrix), and a 40-digit decimal quantile of the cube eigen-density.
 """
 
 from __future__ import annotations
@@ -14,8 +15,104 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
+
+from driftguard.metropolis import ContainmentError
+
+
+class LoopRun(NamedTuple):
+    origin: np.ndarray  # (d,)
+    final: np.ndarray  # (d,)
+    accepted: np.ndarray  # (n,) bool
+    accept_prob: np.ndarray  # (n,) min(pi(w + v) / pi(w), 1) per step
+    sums: np.ndarray  # (n, d) accepted sum after each step
+
+
+def filter_loop(density, steps, seed):
+    """The Metropolis filter stepped one proposal at a time.
+
+    From ``np.random.default_rng(seed)`` it draws the origin
+    (``density.sample``), then one uniform coin per step whether or not the
+    proposal can be rejected.  Step v from w is accepted iff the coin is
+    below exp(min(0, log pi(w + v) - log pi(w))).  After each step the
+    accepted sum must lie in twice the support box, with slack 1e-9 per
+    unit of half-width, else ContainmentError("accepted sum {sum} left 2K
+    at step {k}").  A non-finite step raises ValueError when it is reached.
+    """
+    d = density.dimension
+    steps = np.asarray(steps, dtype=float).reshape(-1, d)
+    rng = np.random.default_rng(seed)
+    origin = density.sample(rng)
+    hw = density.support.half_widths
+    limit = 2.0 * hw + 1e-9 * hw
+    current, log_current = origin.copy(), float(density.log_density(origin))
+    n = len(steps)
+    accepted, accept_prob, sums = np.zeros(n, dtype=bool), np.zeros(n), np.zeros((n, d))
+    for k, step in enumerate(steps):
+        if not np.all(np.isfinite(step)):
+            raise ValueError("step has non-finite entries")
+        proposal = current + step
+        log_new = float(density.log_density(proposal))
+        accept_prob[k] = np.exp(np.minimum(0.0, log_new - log_current))
+        accepted[k] = rng.uniform() < accept_prob[k]
+        if accepted[k]:
+            current, log_current = proposal, log_new
+        sums[k] = current - origin
+        if not np.all(np.abs(sums[k]) <= limit):
+            raise ContainmentError(f"accepted sum {sums[k]} left 2K at step {k}")
+    return LoopRun(origin, current, accepted, accept_prob, sums)
+
+
+def contains_interior(box, points):
+    """Strict interior test, vectorized over leading axes of ``points``."""
+    return np.all(np.abs(np.asarray(points, dtype=float)) < box.half_widths, axis=-1)
+
+
+def contains_scaled(box, points, scale, tol=0.0):
+    """Non-strict membership in the scaled box, slack ``tol`` per axis unit."""
+    limit = scale * box.half_widths + tol * box.half_widths
+    return np.all(np.abs(np.asarray(points, dtype=float)) <= limit, axis=-1)
+
+
+def cube_coordinate_cdf(t, x):
+    """Marginal CDF x / (2T) + 1/2 + sin(pi x / T) / (2 pi) of the cube density."""
+    x = np.clip(np.asarray(x, dtype=float), -t, t)
+    return x / (2.0 * t) + 0.5 + np.sin(np.pi * x / t) / (2.0 * np.pi)
+
+
+def direction_information(fisher, step):
+    """sqrt(v^T I v): the information length of a step direction."""
+    v = np.asarray(step, dtype=float)
+    if v.shape != (fisher.dimension,):
+        raise ValueError(f"step has shape {v.shape}, expected ({fisher.dimension},)")
+    return math.sqrt(max(float(v @ fisher.entries @ v), 0.0))
+
+
+def is_valid_for(walk, signs, half_width):
+    """Whether ``walk``'s kept steps, taken from its start, stay in [-T, T]."""
+    s = walk.start
+    for i in walk.indices:
+        s += signs[i - 1]
+        if abs(s) > half_width:
+            return False
+    return True
+
+
+def reflected_kernel_matrix(half_width):
+    """Row-stochastic transition matrix of the reflected walk on [-T, T].
+
+    Row i is the state i - T; a blocked half-step keeps the walk in place,
+    so the uniform distribution is exactly stationary.
+    """
+    width = 2 * half_width + 1
+    kernel = [[Fraction(0)] * width for _ in range(width)]
+    for i in range(width):
+        for j in (i - 1, i + 1):
+            kernel[i][j if 0 <= j < width else i] += Fraction(1, 2)
+    return kernel
 
 
 def enumerate_longest(eps, t, start):

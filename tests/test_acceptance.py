@@ -37,7 +37,12 @@ from driftguard.harness import (
 )
 from driftguard.metropolis import rejection_rate_exact_1d, rejection_rate_monte_carlo
 from driftguard.oracle1d import exact_chain_expectation_fraction, reflected_walk
-from helpers import exhaustive_longest_table, mc_reflected_discards, signs_of_bits
+from helpers import (
+    cube_coordinate_cdf,
+    exhaustive_longest_table,
+    mc_reflected_discards,
+    signs_of_bits,
+)
 
 
 @contextmanager
@@ -241,10 +246,9 @@ def test_criterion_08_origin_start_lower_bound():
 
 def test_criterion_09_snapshot_matches_stationary_cdf():
     with criterion(9, 60) as detail:
-        density = cube_eigen_density(Box.cube(1, 1.0))
         _, ensemble = run_experiment_ensemble(snapshot_config())
         result = sps.kstest(
-            ensemble.finals[:, 0], lambda x: density.coordinate_cdf(0, x)
+            ensemble.finals[:, 0], lambda x: cube_coordinate_cdf(1.0, x)
         )
         assert result.pvalue > 0.001
         detail["text"] = (
@@ -269,3 +273,30 @@ def test_criterion_10_reports_are_byte_identical():
             )
             checked += 1
         detail["text"] = f"{checked} report pairs byte-identical across re-runs"
+
+
+def test_criterion_11_discard_fraction_is_dimension_free():
+    # unit Euclidean steps in a cube: the discard fraction stays under the
+    # d-free bound pi / (2T) as d grows
+    with criterion(11, 30) as detail:
+        t, n = 16.0, 4000
+        fractions = []
+        for d in (1, 4, 16, 64):
+            config = ExperimentConfig(
+                body=Box.cube(d, t),
+                generator=StepGenerator("random_unit_sphere", d),
+                n_steps=n,
+                n_trials=50,
+                seed=3,
+            )
+            stats, ensemble = run_experiment_ensemble(config)
+            cube = next(r for r in stats.bound_reports if r.kind == "cube_l2")
+            assert cube.value == pytest.approx(math.pi * n / (2.0 * t), rel=1e-9)
+            assert stats.mean <= cube.value + 3.0 * stats.std_error, d
+            assert stats.containment_violations == 0
+            assert float(ensemble.max_abs_sums.max()) <= 2.0 * t
+            fractions.append(f"d={d} {stats.mean / n:.3f}")
+        detail["text"] = (
+            f"discard fraction {', '.join(fractions)} <= pi/(2T) {math.pi / (2.0 * t):.3f} "
+            f"+ 3 SE, zero violations"
+        )

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftguard.bodies import Box, FisherMatrix, direction_information, fisher_closed_form_cube
+from driftguard.bodies import Box, FisherMatrix, fisher_closed_form_cube
 from driftguard.bounds import (
     isotropic_bound,
     lower_bound_1d,
@@ -21,6 +21,7 @@ from driftguard.harness import (
     trial_streams,
 )
 from driftguard.oracle1d import exact_chain_expectation
+from helpers import direction_information
 
 
 class TestUpperBoundGeneral:

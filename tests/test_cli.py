@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from driftguard import cli, harness
 from driftguard.cli import main
 from driftguard.oracle1d import exact_chain_expectation_fraction
 from helpers import chain_expectation_loop
@@ -127,6 +128,71 @@ class TestSimulate:
         )
         assert code == 2
         assert err != ""
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_config_rademacher_must_be_bool(self, capsys, tmp_path, value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"rademacher": value, "steps": 5, "trials": 2}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: rademacher must be true or false")
+
+    def test_config_rademacher_false_drops_signs(self, capsys, tmp_path):
+        # pm1 steps without signs are always +e_1 in d = 1, so the walk only
+        # climbs, and discards more than with fair signs
+        config = tmp_path / "run.json"
+        reports = {}
+        for flag in (True, False):
+            config.write_text(json.dumps(
+                {"rademacher": flag, "generator": "pm1", "steps": 200, "trials": 20}
+            ))
+            code, out, _ = run_cli(capsys, "simulate", "--config", str(config), "--format", "json")
+            assert code == 0
+            reports[flag] = json.loads(out)["mean"]
+        assert reports[False] > reports[True]
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("trials", 2.9), ("trials", True), ("dim", True), ("dim", 1.5), ("steps", "10"),
+         ("steps", False), ("seed", 0.5), ("seed", None), ("steps", float("inf"))],
+    )
+    def test_config_integers_must_be_integral(self, capsys, tmp_path, key, value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"steps": 5, "trials": 2, key: value}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {key} must be an integer")
+
+    def test_config_integral_floats_accepted(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"steps": 5.0, "trials": 3.0, "dim": 2.0, "seed": 4.0}))
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(config), "--format", "json")
+        assert code == 0
+        _, ints, _ = run_cli(
+            capsys, "simulate", "--steps", "5", "--trials", "3", "--dim", "2", "--seed", "4",
+            "--format", "json",
+        )
+        assert out == ints
+
+    def test_config_bad_format_rejected_before_run(self, capsys, tmp_path, monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda config: runs.append(config))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"format": "xml", "steps": 5, "trials": 2}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert (code, out, runs) == (2, "", [])
+        assert "xml" in err
+
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        def too_big(config):
+            raise MemoryError("Unable to allocate 44.7 GiB for an array")
+
+        monkeypatch.setattr(harness, "trial_streams", too_big)
+        code, out, err = run_cli(
+            capsys, "simulate", "--dim", "3", "--steps", "1000000", "--trials", "2000"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory: Unable to allocate 44.7 GiB for an array\n"
 
 
 class TestBounds:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -8,34 +9,33 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftguard import metropolis
-from driftguard.bodies import (
-    Box,
-    Density,
-    cube_eigen_density,
-    direction_information,
-    fisher_closed_form_cube,
-)
+from driftguard.bodies import Box, Density, cube_eigen_density, fisher_closed_form_cube
 from driftguard.metropolis import (
     ContainmentError,
-    filter_init,
     filter_run,
-    filter_step,
     rejection_rate_exact_1d,
     rejection_rate_monte_carlo,
     run_ensemble,
 )
-from helpers import closed_rejection_1d, reference_rejection_1d
+from helpers import (
+    closed_rejection_1d,
+    contains_scaled,
+    cube_coordinate_cdf,
+    direction_information,
+    filter_loop,
+    reference_rejection_1d,
+)
 
 
 def unit_density(t=1.0):
     return cube_eigen_density(Box.cube(1, t))
 
 
-def liar_density(t=0.5):
+def liar_density(t=0.5, d=1):
     """A "density" that starts at 0 and accepts everything, so sums escape 2K."""
     return Density(
-        dimension=1,
-        support=Box.cube(1, t),
+        dimension=d,
+        support=Box.cube(d, t),
         log_density=lambda x: 0.0 if np.ndim(x) == 1 else np.zeros(np.shape(x)[:-1]),
         log_gradient=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         quantile=lambda u: np.zeros_like(u),
@@ -72,66 +72,69 @@ def block_budget(n_values):
 
 class TestFilterInit:
     def test_origin_equals_current_with_positive_density(self):
-        state = filter_init(unit_density(), 7)
-        assert np.array_equal(state.origin, state.current)
-        assert math.isfinite(state.log_current)
+        loop = filter_loop(unit_density(), np.zeros((0, 1)), 7)
+        assert np.array_equal(loop.origin, loop.final)
+        assert math.isfinite(unit_density().log_density(loop.origin))
+        traj = filter_run(unit_density(), np.zeros((0, 1)), 7)
+        assert np.array_equal(traj.origin, loop.origin)
+        assert np.array_equal(traj.final, loop.origin)
 
     def test_fresh_counters(self):
-        state = filter_init(unit_density(), 0)
-        assert state.steps_seen == 0
-        assert state.steps_discarded == 0
+        traj = filter_run(unit_density(), np.zeros((0, 1)), 0)
+        assert traj.n_steps == 0
+        assert traj.n_discarded == 0
+        assert traj.max_abs_sum == 0.0
 
     def test_equal_seeds_equal_origin(self):
-        a = filter_init(unit_density(), 12345)
-        b = filter_init(unit_density(), 12345)
+        a = filter_run(unit_density(), np.zeros((0, 1)), 12345)
+        b = filter_run(unit_density(), np.zeros((0, 1)), 12345)
         assert np.array_equal(a.origin, b.origin)
+        assert np.array_equal(a.origin, filter_loop(unit_density(), [], 12345).origin)
 
 
 class TestFilterStep:
     def test_zero_step_always_accepted(self):
-        state = filter_init(unit_density(), 3)
-        out = filter_step(state, np.zeros(1))
-        assert out.acceptance_probability == 1.0
-        assert out.accepted
+        loop = filter_loop(unit_density(), np.zeros((1, 1)), 3)
+        assert loop.accept_prob[0] == 1.0
+        assert loop.accepted[0]
+        assert filter_run(unit_density(), np.zeros((1, 1)), 3).accepted[0]
 
     def test_proposal_outside_support_discarded(self):
-        state = filter_init(unit_density(), 3)
-        state.current = np.array([0.99])
-        state.log_current = float(state.density.log_density(state.current))
-        out = filter_step(state, np.array([0.5]))
-        assert out.acceptance_probability == 0.0
-        assert not out.accepted
-        assert state.steps_discarded == 1
-        assert np.array_equal(state.current, [0.99])
+        # from anywhere in (-1, 1), a step of 2.5 lands outside the support
+        loop = filter_loop(unit_density(), [[2.5]], 3)
+        assert loop.accept_prob[0] == 0.0
+        assert not loop.accepted[0]
+        assert np.array_equal(loop.final, loop.origin)
+        traj = filter_run(unit_density(), [[2.5]], 3)
+        assert traj.n_discarded == 1
+        assert np.array_equal(traj.final, traj.origin)
 
     def test_rejects_bad_steps(self):
-        state = filter_init(unit_density(), 3)
         with pytest.raises(ValueError):
-            filter_step(state, np.array([0.1, 0.2]))
+            filter_run(unit_density(), np.array([[0.1, 0.2]]), 3)
         with pytest.raises(ValueError):
-            filter_step(state, np.array([np.nan]))
+            filter_run(unit_density(), np.array([0.1, 0.2]), 3)
+        with pytest.raises(ValueError, match="non-finite"):
+            filter_run(unit_density(), np.array([[np.nan]]), 3)
+        with pytest.raises(ValueError, match="non-finite"):
+            filter_loop(unit_density(), np.array([[np.nan]]), 3)
 
     def test_counters_and_sum_tracking(self):
         den = cube_eigen_density(Box.cube(2, 4.0))
-        state = filter_init(den, 11)
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            filter_step(state, rng.normal(size=2) * 0.5)
-        assert state.steps_seen == 100
-        assert 0 <= state.steps_discarded <= 100
-        assert den.support.contains_scaled(state.accepted_sum, 2.0, 1e-9)
+        steps = np.random.default_rng(5).normal(size=(100, 2)) * 0.5
+        traj = filter_run(den, steps, 11)
+        loop = filter_loop(den, steps, 11)
+        assert traj.n_steps == 100
+        assert traj.n_discarded == 100 - int(loop.accepted.sum())
+        assert 0 < traj.n_discarded < 100
+        assert contains_scaled(den.support, traj.final - traj.origin, 2.0, 1e-9)
 
     def test_sign_symmetry_from_center(self):
         # for an even density, a(0, +v) = a(0, -v) exactly
-        den = unit_density()
+        den = dataclasses.replace(unit_density(), quantile=np.zeros_like)  # starts at 0
         for v in (0.1, 0.37, 0.9):
-            probs = []
-            for sign in (1.0, -1.0):
-                state = filter_init(den, 99)
-                state.current = np.zeros(1)
-                state.log_current = float(den.log_density(state.current))
-                probs.append(filter_step(state, np.array([sign * v])).acceptance_probability)
-            assert probs[0] == probs[1]
+            probs = [filter_loop(den, [[sign * v]], 99).accept_prob[0] for sign in (1.0, -1.0)]
+            assert probs[0] == probs[1] < 1.0
 
 
 class TestFilterRun:
@@ -139,48 +142,58 @@ class TestFilterRun:
         traj = filter_run(unit_density(), [], 5)
         assert traj.n_steps == 0
         assert traj.n_discarded == 0
-        assert traj.accepted_sums.shape == (0, 1)
+        assert traj.accepted.shape == (0,)
+        assert traj.origin.shape == traj.final.shape == (1,)
 
     def test_accepted_sums_recomputable_from_outcomes(self):
         den = cube_eigen_density(Box.cube(2, 2.0))
-        rng = np.random.default_rng(8)
-        steps = rng.normal(size=(200, 2)) * 0.4
+        steps = np.random.default_rng(8).normal(size=(200, 2)) * 0.4
         traj = filter_run(den, steps, 21)
-        running = np.zeros(2)
-        for k, out in enumerate(traj.outcomes):
-            if out.accepted:
-                running = running + steps[k]
-            assert np.allclose(traj.accepted_sums[k], running, atol=1e-12)
+        loop = filter_loop(den, steps, 21)
+        running = np.cumsum(np.where(loop.accepted[:, None], steps, 0.0), axis=0)
+        assert np.allclose(loop.sums, running, atol=1e-12)
+        assert np.allclose(traj.final - traj.origin, running[-1], atol=1e-12)
+        assert traj.max_abs_sum == np.max(np.abs(loop.sums))
 
     def test_every_prefix_in_doubled_box(self):
         for t, d, seed in [(1.0, 1, 0), (4.0, 2, 1), (16.0, 3, 2)]:
             den = cube_eigen_density(Box.cube(d, t))
-            rng = np.random.default_rng(seed)
-            steps = rng.normal(size=(500, d))
-            traj = filter_run(den, steps, seed)
-            assert np.all(np.abs(traj.accepted_sums) <= 2.0 * t + 1e-9 * t)
+            steps = np.random.default_rng(seed).normal(size=(500, d))
+            assert filter_run(den, steps, seed).max_abs_sum <= 2.0 * t + 1e-9 * t
+            assert np.all(np.abs(filter_loop(den, steps, seed).sums) <= 2.0 * t + 1e-9 * t)
 
     def test_max_norm_at_most_2t(self):
         den = cube_eigen_density(Box.cube(3, 16.0))
         rng = np.random.default_rng(14)
         gauss = rng.normal(size=(2000, 3))
         steps = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
-        traj = filter_run(den, steps, 14)
-        assert float(np.max(np.abs(traj.accepted_sums))) <= 32.0
+        assert filter_run(den, steps, 14).max_abs_sum <= 32.0
 
     def test_deterministic(self):
-        rng = np.random.default_rng(2)
-        steps = rng.normal(size=(150, 1)) * 0.3
+        steps = np.random.default_rng(2).normal(size=(150, 1)) * 0.3
         a = filter_run(unit_density(), steps, 77)
         b = filter_run(unit_density(), steps, 77)
-        assert np.array_equal(a.accepted_sums, b.accepted_sums)
-        assert [o.accepted for o in a.outcomes] == [o.accepted for o in b.outcomes]
+        assert np.array_equal(a.accepted, b.accepted)
+        assert np.array_equal(a.final, b.final)
+        assert a.max_abs_sum == b.max_abs_sum
 
     def test_containment_tripwire_fires_on_dishonest_density(self):
-        # a "density" that accepts everything lets the sum escape 2K and
-        # must trip the per-step assertion
-        with pytest.raises(ContainmentError):
+        # a "density" that accepts everything lets the sum escape 2K; the
+        # message is the per-step loop's, prefixed with the ensemble's trial
+        with pytest.raises(ContainmentError) as exc:
             filter_run(liar_density(), np.ones((5, 1)), 0)
+        assert str(exc.value) == "trial 0 accepted sum [2.] left 2K at step 1"
+        with pytest.raises(ContainmentError, match=r"^accepted sum \[2\.\] left 2K at step 1$"):
+            filter_loop(liar_density(), np.ones((5, 1)), 0)
+
+    def test_escape_and_non_finite_step_in_one_block(self):
+        # the block is screened for non-finite steps before it runs, so a
+        # NaN after an escape in the same block is reported, not the escape
+        steps = np.array([[2.0], [np.nan]])
+        with pytest.raises(ValueError, match="non-finite"):
+            filter_run(liar_density(), steps, 0)
+        with pytest.raises(ContainmentError, match="at step 0"):
+            filter_loop(liar_density(), steps, 0)
 
 
 class TestRejectionRate:
@@ -269,13 +282,11 @@ class TestEnsembleEquivalence:
         seeds = [100 + i for i in range(6)]
         ens = run_ensemble(den, steps, seeds)
         for i, seed in enumerate(seeds):
-            traj = filter_run(den, steps[i], seed)
-            assert np.array_equal(
-                np.array([o.accepted for o in traj.outcomes]), ens.accepted[i]
-            )
-            assert np.array_equal(traj.accepted_sums[-1], ens.accepted_sums[i])
-            assert traj.n_discarded == int(ens.discards[i])
-            assert float(np.max(np.abs(traj.accepted_sums))) == float(ens.max_abs_sums[i])
+            loop = filter_loop(den, steps[i], seed)
+            assert np.array_equal(loop.accepted, ens.accepted[i])
+            assert np.array_equal(loop.sums[-1], ens.accepted_sums[i])
+            assert float(np.max(np.abs(loop.sums))) == float(ens.max_abs_sums[i])
+            assert filter_run(den, steps[i], seed).n_discarded == int(ens.discards[i])
 
     def test_zero_steps(self):
         den = unit_density()
@@ -291,33 +302,60 @@ class TestEnsembleEquivalence:
             run_ensemble(den, np.zeros((2, 5, 1)), [1])
 
 
-def assert_matches_filter_run(den, steps, seeds):
-    """Each ensemble trial equals filter_run on its own steps, bit for bit."""
-    ens = run_ensemble(den, steps, seeds)
-    for i, seed in enumerate(seeds):
-        traj = filter_run(den, steps[i], seed)
-        assert np.array_equal([o.accepted for o in traj.outcomes], ens.accepted[i])
-        # the current point is the last accepted proposal, else the origin
-        moves = [o.proposed for o in traj.outcomes if o.accepted]
-        final = moves[-1] if moves else filter_init(den, seed).origin
-        assert np.array_equal(final, ens.finals[i])
-        assert np.max(np.abs(traj.accepted_sums), initial=0.0) == ens.max_abs_sums[i]
+def loop_or_escape(den, steps, seed):
+    """(filter_loop's run, None), or (None, its ContainmentError text)."""
+    try:
+        return filter_loop(den, steps, seed), None
+    except ContainmentError as exc:
+        return None, str(exc)
 
 
 def first_violation_per_step(den, steps, seeds):
     """The report of a check after every step: earliest step, lowest trial.
 
-    Each trial runs through filter_run, whose own per-step check names the
-    step; the ensemble message is filter_run's prefixed with the trial.
+    Each trial runs through filter_loop, whose own per-step check names the
+    step; the ensemble message is the loop's prefixed with the trial.
     """
     hits = []
     for i, seed in enumerate(seeds):
-        try:
-            filter_run(den, steps[i], seed)
-        except ContainmentError as exc:
-            hits.append((int(str(exc).rsplit(" ", 1)[1]), i, str(exc)))
+        _, message = loop_or_escape(den, steps[i], seed)
+        if message:
+            hits.append((int(message.rsplit(" ", 1)[1]), i, message))
     _, trial, message = min(hits)
     return f"trial {trial} {message}"
+
+
+def assert_matches_filter_loop(den, steps, seeds):
+    """run_ensemble and filter_run each equal filter_loop, bit for bit.
+
+    Where a trial's loop leaves 2K, filter_run raises the loop's message as
+    trial 0, and the ensemble raises the first escape across its trials.
+    """
+    runs = [loop_or_escape(den, steps[i], seed) for i, seed in enumerate(seeds)]
+    if any(message for _, message in runs):
+        with pytest.raises(ContainmentError) as exc:
+            run_ensemble(den, steps, seeds)
+        assert str(exc.value) == first_violation_per_step(den, steps, seeds)
+        ens = None
+    else:
+        ens = run_ensemble(den, steps, seeds)
+    for i, (seed, (loop, message)) in enumerate(zip(seeds, runs)):
+        if message:
+            with pytest.raises(ContainmentError) as exc:
+                filter_run(den, steps[i], seed)
+            assert str(exc.value) == f"trial 0 {message}"
+            continue
+        max_abs = np.max(np.abs(loop.sums), initial=0.0)
+        traj = filter_run(den, steps[i], seed)
+        assert np.array_equal(traj.accepted, loop.accepted)
+        assert np.array_equal(traj.origin, loop.origin)
+        assert np.array_equal(traj.final, loop.final)
+        assert traj.max_abs_sum == max_abs
+        if ens is not None:
+            assert np.array_equal(ens.accepted[i], loop.accepted)
+            assert np.array_equal(ens.origins[i], loop.origin)
+            assert np.array_equal(ens.finals[i], loop.final)
+            assert ens.max_abs_sums[i] == max_abs
 
 
 class TestEnsembleKernel:
@@ -338,16 +376,20 @@ class TestEnsembleKernel:
         budget=st.integers(1, 16),
         t=st.floats(0.3, 4.0),
         seed=st.integers(0, 2**32 - 1),
+        honest=st.booleans(),
     )
-    @example(m=4, n=12, d=3, budget=5, t=0.5, seed=1)  # m * d above: one-step blocks
-    @example(m=2, n=10, d=1, budget=6, t=0.5, seed=2)  # below: blocks of 3, one partial
-    @settings(max_examples=40, deadline=None)
-    def test_matches_filter_run_across_block_sizes(self, m, n, d, budget, t, seed):
-        den = cube_eigen_density(Box.cube(d, t))
-        steps = np.random.default_rng(seed).normal(size=(m, n, d)) * t
+    @example(m=4, n=12, d=3, budget=5, t=0.5, seed=1, honest=True)  # m * d above: one-step blocks
+    @example(m=2, n=10, d=1, budget=6, t=0.5, seed=2, honest=True)  # below: 3-step blocks
+    @example(m=3, n=30, d=2, budget=6, t=0.5, seed=3, honest=False)  # escapes
+    @settings(max_examples=60, deadline=None)
+    def test_matches_filter_run_across_block_sizes(self, m, n, d, budget, t, seed, honest):
+        # a liar accepts every step from the origin, so its sums leave 2K
+        den = cube_eigen_density(Box.cube(d, t)) if honest else liar_density(t, d)
+        scale = t if honest else 0.4 * t
+        steps = np.random.default_rng(seed).normal(size=(m, n, d)) * scale
         seeds = [np.random.SeedSequence((seed, i)) for i in range(m)]
         with block_budget(budget):
-            assert_matches_filter_run(den, steps, seeds)
+            assert_matches_filter_loop(den, steps, seeds)
 
     @pytest.mark.parametrize("budget", [12, metropolis._PATH_BUDGET])
     @pytest.mark.parametrize("escape", [3, 4, 9])
@@ -402,7 +444,7 @@ class TestStationarity:
         rng = np.random.default_rng(606)
         signs = rng.integers(0, 2, size=(m, n, 1)) * 2.0 - 1.0
         ens = run_ensemble(den, 0.3 * signs, list(range(m)))
-        stat = scipy.stats.kstest(ens.finals[:, 0], lambda x: den.coordinate_cdf(0, x))
+        stat = scipy.stats.kstest(ens.finals[:, 0], lambda x: cube_coordinate_cdf(1.0, x))
         assert stat.pvalue > 0.001
 
     def test_expected_discard_bound(self):

@@ -10,13 +10,18 @@ from driftguard.oracle1d import (
     dp_longest_valid,
     exact_chain_expectation,
     exact_chain_expectation_fraction,
-    reflected_kernel_matrix,
     reflected_walk,
     signs_from_string,
     verify_lex_optimality,
     verify_start_shift,
 )
-from helpers import chain_expectation_loop, enumerate_longest, mc_reflected_discards
+from helpers import (
+    chain_expectation_loop,
+    enumerate_longest,
+    is_valid_for,
+    mc_reflected_discards,
+    reflected_kernel_matrix,
+)
 
 sign_lists = st.lists(st.sampled_from([-1, 1]), min_size=0, max_size=12)
 
@@ -56,7 +61,7 @@ class TestReflectedWalk:
         if abs(start) > t:
             start = 0
         walk = reflected_walk(eps, t, start)
-        assert walk.is_valid_for(eps, t)
+        assert is_valid_for(walk, eps, t)
         assert all(a < b for a, b in zip(walk.indices, walk.indices[1:]))
         # discards are exactly the unkept steps
         assert len(walk.indices) + (len(eps) - len(walk.indices)) == len(eps)
