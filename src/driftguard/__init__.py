@@ -17,6 +17,7 @@ from .bounds import (
     BoundReport,
     isotropic_bound,
     lower_bound_1d,
+    matching_bounds,
     upper_bound_cube,
     upper_bound_general,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "upper_bound_cube",
     "isotropic_bound",
     "lower_bound_1d",
+    "matching_bounds",
     "ValidSubsequence",
     "signs_from_string",
     "reflected_walk",

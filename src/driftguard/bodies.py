@@ -85,14 +85,18 @@ class Density:
     log-values, -inf outside the open support.  ``log_gradient`` is only
     defined on interior points.  ``quantile`` maps uniforms of shape
     (..., d) to points of the same shape, each row alike alone or in a batch;
-    ``sample`` feeds it ``rng.uniform(size=(n, d))``.
+    ``sample`` feeds it ``rng.uniform(size=(n, d))``.  The dimension d is
+    the support's.
     """
 
-    dimension: int
     support: Box
     log_density: Callable[[ArrayLike], Union[float, np.ndarray]]
     log_gradient: Callable[[ArrayLike], np.ndarray]
     quantile: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+
+    @property
+    def dimension(self) -> int:
+        return self.support.dimension
 
     def sample(self, rng: np.random.Generator, n: Optional[int] = None) -> np.ndarray:
         """Draw one point (shape (d,)) or ``n`` points (shape (n, d))."""
@@ -164,13 +168,7 @@ def cube_eigen_density(box: Box) -> Density:
             x[i : i + rows] = hw * np.copysign(1.0 - phi / np.pi, v - 0.5)
         return np.clip(x, inner_lo, inner_hi, out=x).reshape(u.shape)
 
-    return Density(
-        dimension=d,
-        support=box,
-        log_density=log_density,
-        log_gradient=log_gradient,
-        quantile=quantile,
-    )
+    return Density(box, log_density, log_gradient, quantile)
 
 
 def dirichlet_lambda1_box(box: Box) -> float:

@@ -2,6 +2,7 @@
 
 All four calculators return a BoundReport so downstream reports carry the
 bound kind and the inputs it was computed from next to the value.
+``matching_bounds`` is the one rule for which of them apply to a run.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bodies import Box, FisherMatrix, dirichlet_lambda1_box
+from .bodies import Box, FisherMatrix, dirichlet_lambda1_box, fisher_closed_form_cube
 
 __all__ = [
     "BoundReport",
@@ -20,7 +21,10 @@ __all__ = [
     "upper_bound_cube",
     "isotropic_bound",
     "lower_bound_1d",
+    "matching_bounds",
 ]
+
+_NORM_SLAB = 1 << 16  # float64 values per slab of the step-norm temporaries
 
 
 @dataclass(frozen=True)
@@ -96,3 +100,34 @@ def lower_bound_1d(half_width: int, n_steps: int) -> BoundReport:
         raise ValueError("half_width and n_steps must be nonnegative integers")
     value = float(Fraction(n, 2 * t + 1) - t)
     return BoundReport("lower_1d", value, f"n={n}, T={t}")
+
+
+def matching_bounds(box: Box, steps) -> list[BoundReport]:
+    """The bounds that apply to ``steps`` ((n, d), or (m, n, d) averaged over
+    trials) in ``box``: the Fisher-based upper bounds on cubes, which have a
+    closed-form Fisher matrix; the isotropic bound always; and the 1-d lower
+    bound only for steps of exactly +-1 on a band of integer radius.
+    """
+    v = np.asarray(steps, dtype=float)
+    if v.ndim not in (2, 3) or v.shape[-1] != box.dimension:
+        raise ValueError("steps must have shape (n, d) or (m, n, d) matching the box")
+    n = v.shape[-2]
+    t = float(box.half_widths[0])
+    reports = []
+    if box.is_cube:
+        reports.append(upper_bound_general(fisher_closed_form_cube(box), v))
+        reports.append(upper_bound_cube(t, _l2_norms(v)))
+    reports.append(isotropic_bound(box, n))
+    if box.dimension == 1 and t.is_integer() and bool(np.all(np.abs(v) == 1.0)):
+        reports.append(lower_bound_1d(int(t), n))
+    return reports
+
+
+def _l2_norms(steps: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(steps, axis=-1)``, over slabs of ~_NORM_SLAB values."""
+    rows = steps.reshape(-1, steps.shape[-1])
+    norms = np.empty(len(rows))
+    slab = max(1, _NORM_SLAB // rows.shape[1])
+    for i in range(0, len(rows), slab):
+        norms[i : i + slab] = np.linalg.norm(rows[i : i + slab], axis=1)
+    return norms.reshape(steps.shape[:-1])

@@ -6,7 +6,6 @@ import argparse
 import json
 import sys
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ from .bodies import (
     fisher_operator_norm,
     fisher_quadrature,
 )
-from .bounds import isotropic_bound, lower_bound_1d, upper_bound_cube, upper_bound_general
+from .bounds import lower_bound_1d, matching_bounds
 from .harness import (
     REPORT_FORMATS,
     ExperimentConfig,
@@ -33,6 +32,7 @@ from .oracle1d import (
     _DP_LIMIT,
     _ENUM_LIMIT,
     _RATIONAL_STATE_LIMIT,
+    _check_band,
     dp_longest_valid,
     exact_chain_expectation,
     exact_chain_expectation_fraction,
@@ -99,6 +99,14 @@ def _integer_setting(key: str, value) -> int:
     return int(value)
 
 
+def _number_setting(key: str, value) -> float:
+    """A config number: JSON bools, strings and values beyond float range are errors."""
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not real or abs(value) > sys.float_info.max:
+        raise ValueError(f"{key} must be a finite number, not {value!r}")
+    return float(value)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     settings = dict(_SIM_DEFAULTS)
     if args.config:
@@ -115,6 +123,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         settings[key] = _integer_setting(key, settings[key])
     if not isinstance(settings["rademacher"], bool):
         raise ValueError(f"rademacher must be true or false, not {settings['rademacher']!r}")
+    if not isinstance(settings["out"], str):
+        raise ValueError(f"out must be a path string, not {settings['out']!r}")
     if settings["format"] not in REPORT_FORMATS:
         raise ValueError(f"unknown report format {settings['format']!r} (use csv|json)")
     if args.half_width is not None:
@@ -124,9 +134,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         # explicit dimension flag forces the cube path
         settings["half_widths"] = None
     if settings["half_widths"] is not None:
-        box = Box(np.asarray(settings["half_widths"], dtype=float))
+        widths = settings["half_widths"]
+        if not isinstance(widths, list):
+            raise ValueError(f"half_widths must be a list of numbers, not {widths!r}")
+        box = Box(np.array([_number_setting("half_widths", w) for w in widths]))
     else:
-        box = Box.cube(settings["dim"], float(settings["half_width"]))
+        box = Box.cube(settings["dim"], _number_setting("half_width", settings["half_width"]))
     if settings["density"] != "cube_eigen":
         raise ValueError(f"unknown density {settings['density']!r} (only cube_eigen)")
     generator = _parse_generator(str(settings["generator"]), box.dimension, settings["rademacher"])
@@ -140,38 +153,23 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     stats = run_experiment(config)
     text = emit_report(stats, settings["format"])
     if settings["out"]:
-        Path(str(settings["out"])).write_text(text)
+        Path(settings["out"]).write_text(text)
     else:
         sys.stdout.write(text)
     return 0
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    dim = int(args.dim)
-    t = float(args.half_width)
+    box = Box.cube(args.dim, args.half_width)
     if args.norms:
         if not args.norms.startswith("file:"):
             raise ValueError("--norms expects file:<path>")
-        steps_arr = _load_step_file(args.norms[len("file:"):], dim)
+        steps = _load_step_file(args.norms[len("file:"):], box.dimension)
     else:
-        n = int(args.steps)
-        steps_arr = np.zeros((n, dim))
-        steps_arr[:, 0] = 1.0
-    n = steps_arr.shape[0]
-    norms = np.linalg.norm(steps_arr, axis=1)
-    box = Box.cube(dim, t)
-    fisher = fisher_closed_form_cube(box)
-    for report in (
-        upper_bound_general(fisher, steps_arr),
-        upper_bound_cube(t, norms),
-        isotropic_bound(box, n),
-    ):
+        steps = np.zeros((args.steps, box.dimension))
+        steps[:, 0] = 1.0
+    for report in matching_bounds(box, steps):
         _emit({"kind": report.kind, "value": report.value, "inputs_digest": report.inputs_digest})
-    if t.is_integer():
-        report = lower_bound_1d(int(t), n)
-        _emit({"kind": report.kind, "value": report.value, "inputs_digest": report.inputs_digest})
-    else:
-        _emit({"kind": "lower_1d", "skipped": "requires integer half-width"})
     return 0
 
 
@@ -220,6 +218,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         n = int(args.n)
         if n > _ENUM_LIMIT:
             raise ValueError(f"exhaustive mode is limited to n <= {_ENUM_LIMIT}")
+        _check_band(t, 0)
         starts = [int(args.start)] if args.start is not None else list(range(-t, t + 1))
         instances = 0
         failures = 0
@@ -290,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--format", choices=["csv", "json"])
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_bounds = sub.add_parser("bounds", help="print the four bound reports")
+    p_bounds = sub.add_parser("bounds", help="print the bound reports that apply to the steps")
     p_bounds.add_argument("--dim", type=int, required=True)
     p_bounds.add_argument("--half-width", dest="half_width", type=float, required=True)
     p_bounds.add_argument("--steps", type=int, default=0)

@@ -12,18 +12,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .bodies import Box, cube_eigen_density, fisher_closed_form_cube
-from .bounds import (
-    BoundReport,
-    isotropic_bound,
-    lower_bound_1d,
-    upper_bound_cube,
-    upper_bound_general,
-)
+from .bodies import Box, cube_eigen_density
+from .bounds import BoundReport, matching_bounds
 from .metropolis import EnsembleResult, run_ensemble
 
 __all__ = [
@@ -40,7 +34,6 @@ __all__ = [
 
 GENERATOR_KINDS = ("fixed_list", "random_unit_sphere", "coordinate_basis_cycle", "isotropic_custom")
 REPORT_FORMATS = ("csv", "json")
-_NORM_SLAB = 1 << 16  # float64 values per slab of the step-norm temporaries
 
 
 @dataclass(frozen=True)
@@ -154,7 +147,7 @@ def run_experiment_ensemble(config: ExperimentConfig) -> tuple[RunStats, Ensembl
         per_trial_discards=tuple(int(x) for x in discards),
         mean=mean,
         std_error=std_error,
-        bound_reports=tuple(_matching_bounds(config, steps)),
+        bound_reports=tuple(matching_bounds(config.body, steps)),
         containment_violations=0,
     )
     return stats, result
@@ -173,35 +166,8 @@ def run_experiment(config: ExperimentConfig) -> RunStats:
 
 
 def _matching_bounds(config: ExperimentConfig, steps: np.ndarray) -> list[BoundReport]:
-    """Bounds that apply to this configuration, averaged over trials.
-
-    The Fisher-based upper bounds need the closed-form cube matrix, so they
-    attach only for cubic boxes.  The isotropic bound is geometric and
-    always attaches.  The 1-d unit-step lower bound attaches only when the
-    steps really are integer unit steps on an integer-radius band.
-    """
-    box = config.body
-    n = config.n_steps
-    t = float(box.half_widths[0])
-    reports = []
-    if box.is_cube:
-        reports.append(upper_bound_general(fisher_closed_form_cube(box), steps))
-        reports.append(upper_bound_cube(t, _l2_norms(steps)))
-    reports.append(isotropic_bound(box, n))
-    if box.dimension == 1 and t.is_integer():
-        if n == 0 or bool(np.all(np.abs(steps) == 1.0)):
-            reports.append(lower_bound_1d(int(t), n))
-    return reports
-
-
-def _l2_norms(steps: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(steps, axis=2)``, over slabs of ~_NORM_SLAB values."""
-    m, n, d = steps.shape
-    norms = np.empty((m, n))
-    rows = max(1, _NORM_SLAB // max(n * d, 1))
-    for i in range(0, m, rows):
-        norms[i : i + rows] = np.linalg.norm(steps[i : i + rows], axis=2)
-    return norms
+    """``bounds.matching_bounds`` for this configuration's body."""
+    return matching_bounds(config.body, steps)
 
 
 def emit_report(stats: RunStats, report_format: str = "csv") -> str:

@@ -63,10 +63,6 @@ class EnsembleResult:
     max_abs_sums: np.ndarray  # (m,) running max of |accepted sum| over all prefixes
 
     @property
-    def n_trials(self) -> int:
-        return int(self.origins.shape[0])
-
-    @property
     def discards(self) -> np.ndarray:
         return self.accepted.shape[1] - self.accepted.sum(axis=1)
 

@@ -43,9 +43,6 @@ class ValidSubsequence:
     indices: tuple[int, ...]
     start: int
 
-    def __len__(self) -> int:
-        return len(self.indices)
-
 
 def signs_from_string(text: str) -> tuple[int, ...]:
     """Parse a +- string like '+-++' into a sign tuple."""
@@ -204,20 +201,9 @@ def exact_chain_expectation_fraction(
     acc = 0
     for _ in range(n):
         acc = (acc << 1) + weights[0] + weights[-1]
-        nxt = [0] * width
-        for j in range(width):
-            wj = weights[j]
-            if j > 0:
-                nxt[j - 1] += wj
-            else:
-                nxt[j] += wj
-            if j < width - 1:
-                nxt[j + 1] += wj
-            else:
-                nxt[j] += wj
-        weights = nxt
-    if n == 0:
-        return Fraction(0)
+        # each state takes a half-step from both neighbours; a blocked one stays put
+        padded = [weights[0], *weights, weights[-1]]
+        weights = [a + b for a, b in zip(padded, padded[2:])]
     return Fraction(acc, denom << n)
 
 

@@ -158,6 +158,12 @@ class TestCubeEigenDensity:
         batch = den.sample(np.random.default_rng(9), 1)
         assert np.array_equal(one, batch[0])
 
+    def test_dimension_is_the_supports(self):
+        den = cube_eigen_density(Box(np.array([0.5, 3.0, 1.0])))
+        assert den.dimension == den.support.dimension == 3
+        with pytest.raises(TypeError):
+            Density(3, den.support, den.log_density, den.log_gradient, den.quantile)
+
     def test_sample_is_quantile_of_uniforms(self):
         den = cube_eigen_density(Box(np.array([0.5, 3.0])))
         u = np.random.default_rng(4).uniform(size=(50, 2))
@@ -302,7 +308,6 @@ class TestFisherQuadrature:
     def test_non_finite_score_rejected(self):
         base = cube_eigen_density(Box.cube(1, 1.0))
         bad = Density(
-            dimension=1,
             support=base.support,
             log_density=base.log_density,
             log_gradient=lambda x: np.full_like(np.asarray(x, dtype=float), np.inf),

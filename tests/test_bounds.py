@@ -10,6 +10,7 @@ from driftguard.bodies import Box, FisherMatrix, fisher_closed_form_cube
 from driftguard.bounds import (
     isotropic_bound,
     lower_bound_1d,
+    matching_bounds,
     upper_bound_cube,
     upper_bound_general,
 )
@@ -141,6 +142,44 @@ class TestVectorisedBounds:
             "n=200, d=3, fisher=closed_form, mean over 6 trials"
         )
         assert by_kind["cube_l2"].inputs_digest == "n=200, T=4.0, mean over 6 trials"
+
+
+class TestMatchingBounds:
+    def test_one_run_is_the_four_calculators(self):
+        box = Box.cube(1, 3.0)
+        steps = np.array([[1.0], [-1.0], [1.0], [1.0]])
+        assert matching_bounds(box, steps) == [
+            upper_bound_general(fisher_closed_form_cube(box), steps),
+            upper_bound_cube(3.0, np.abs(steps[:, 0])),
+            isotropic_bound(box, 4),
+            lower_bound_1d(3, 4),
+        ]
+
+    @pytest.mark.parametrize(
+        "box,steps",
+        [
+            (Box.cube(1, 2.5), np.ones((4, 1))),  # half-width not an integer
+            (Box.cube(1, 2.0), np.full((4, 1), 0.1)),  # steps not +-1
+            (Box.cube(1, 2.0), np.full((3, 4, 1), -2.0)),
+            (Box.cube(2, 2.0), np.eye(2)),  # more than one dimension
+        ],
+    )
+    def test_lower_bound_only_for_unit_steps_on_integer_band(self, box, steps):
+        kinds = [b.kind for b in matching_bounds(box, steps)]
+        assert kinds == ["general_fisher", "cube_l2", "isotropic"]
+
+    def test_lower_bound_attaches_to_empty_runs(self):
+        kinds = [b.kind for b in matching_bounds(Box.cube(1, 2.0), np.zeros((3, 0, 1)))]
+        assert kinds == ["general_fisher", "cube_l2", "isotropic", "lower_1d"]
+
+    def test_non_cube_gets_only_isotropic(self):
+        kinds = [b.kind for b in matching_bounds(Box(np.array([1.0, 2.0])), np.ones((5, 2)))]
+        assert kinds == ["isotropic"]
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 2), (2, 5, 3), (1, 2, 5, 1)])
+    def test_rejects_steps_not_matching_the_box(self, shape):
+        with pytest.raises(ValueError, match="matching the box"):
+            matching_bounds(Box(np.array([1.0])), np.ones(shape))
 
 
 class TestUpperBoundCube:

@@ -19,6 +19,26 @@ def json_lines(text):
     return [json.loads(line) for line in text.strip().splitlines()]
 
 
+_STEP_ROWS = 1000
+
+
+def write_step_file(tmp_path, rows, dim):
+    """_STEP_ROWS step vectors of one kind, written one per line."""
+    if rows == "pm1":
+        steps = np.zeros((_STEP_ROWS, dim))
+        steps[:, 0] = np.resize([1.0, -1.0, 1.0], _STEP_ROWS)
+    elif rows == "tenth":
+        steps = np.full((_STEP_ROWS, dim), 0.1)
+    elif rows == "e1":
+        steps = np.zeros((_STEP_ROWS, dim))
+        steps[:, 0] = 1.0
+    else:
+        steps = np.random.default_rng(dim).normal(size=(_STEP_ROWS, dim))
+    path = tmp_path / f"{rows}.txt"
+    np.savetxt(path, steps, fmt="%.17g")
+    return path
+
+
 class TestSimulate:
     def test_default_csv(self, capsys):
         code, out, err = run_cli(
@@ -174,6 +194,32 @@ class TestSimulate:
         )
         assert out == ints
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("half_width", True), ("half_width", "2"), ("half_width", 10**400),
+         ("half_widths", [True, 2]), ("half_widths", ["1", 2]), ("half_widths", 2.0),
+         ("out", 5)],
+    )
+    def test_config_values_are_not_coerced(self, capsys, tmp_path, monkeypatch, key, value):
+        monkeypatch.chdir(tmp_path)  # where "out": 5 coerced to a path would land
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"steps": 5, "trials": 2, key: value}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {key} must be")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+    def test_config_integer_half_widths_accepted(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        reports = []
+        for widths in ({"half_width": 2}, {"half_widths": [2]}):
+            config.write_text(json.dumps({"steps": 30, "trials": 3, **widths}))
+            code, out, _ = run_cli(capsys, "simulate", "--config", str(config))
+            assert code == 0
+            reports.append(out)
+        _, flag, _ = run_cli(capsys, "simulate", "--steps", "30", "--trials", "3", "--half-width", "2")
+        assert reports == [flag, flag]
+
     def test_config_bad_format_rejected_before_run(self, capsys, tmp_path, monkeypatch):
         runs = []
         monkeypatch.setattr(cli, "run_experiment", lambda config: runs.append(config))
@@ -209,9 +255,13 @@ class TestBounds:
             capsys, "bounds", "--dim", "1", "--half-width", "2.5", "--steps", "50"
         )
         assert code == 0
-        entries = json_lines(out)
-        lower = [e for e in entries if e["kind"] == "lower_1d"]
-        assert lower == [{"kind": "lower_1d", "skipped": "requires integer half-width"}]
+        kinds = [entry["kind"] for entry in json_lines(out)]
+        assert kinds == ["general_fisher", "cube_l2", "isotropic"]
+
+    def test_dim_zero_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--dim", "0", "--half-width", "2", "--steps", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: dimension must be at least 1\n"
 
     def test_values_match_closed_forms(self, capsys):
         _, out, _ = run_cli(
@@ -231,6 +281,43 @@ class TestBounds:
         assert code == 0
         by_kind = {e["kind"]: e for e in json_lines(out)}
         assert by_kind["cube_l2"]["value"] == pytest.approx(np.pi * 6.0 / 4, rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("half_width", [2.0, 2.5])
+    @pytest.mark.parametrize("rows", ["pm1", "tenth", "e1", "gauss"])
+    def test_same_bounds_as_simulate(self, capsys, tmp_path, dim, half_width, rows):
+        path = write_step_file(tmp_path, rows, dim)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "dim": dim, "half_width": half_width, "generator": f"file:{path}",
+            "rademacher": False, "steps": _STEP_ROWS, "trials": 2, "format": "json",
+        }))
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(config))
+        assert code == 0
+        simulated = json.loads(out)["bound_reports"]
+        code, out, _ = run_cli(
+            capsys, "bounds", "--dim", str(dim), "--half-width", str(half_width),
+            "--norms", f"file:{path}",
+        )
+        assert code == 0
+        printed = json_lines(out)
+        assert [e["kind"] for e in printed] == [b["kind"] for b in simulated]
+        for entry, report in zip(printed, simulated):
+            assert entry["value"] == pytest.approx(report["value"], rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("half_width", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("rows", ["pm1", "tenth", "e1", "gauss"])
+    def test_lower_bound_below_cube_bound(self, capsys, tmp_path, dim, half_width, rows):
+        path = write_step_file(tmp_path, rows, dim)
+        code, out, _ = run_cli(
+            capsys, "bounds", "--dim", str(dim), "--half-width", str(half_width),
+            "--norms", f"file:{path}",
+        )
+        assert code == 0
+        by_kind = {e["kind"]: e["value"] for e in json_lines(out)}
+        if "lower_1d" in by_kind:
+            assert by_kind["lower_1d"] <= by_kind["cube_l2"]
 
 
 class TestOracle:
@@ -301,6 +388,11 @@ class TestOracle:
         summary = json_lines(out)[-1]
         assert summary["failures"] == 0
         assert summary["instances"] == 16 * 3
+
+    def test_exhaustive_negative_t_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "--mode", "exhaustive", "--T", "-1", "--n", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: half_width must be a nonnegative integer\n"
 
     def test_signs_length_mismatch(self, capsys):
         code, _, err = run_cli(

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from driftguard import harness
+from driftguard import bounds, harness
 from driftguard.bodies import Box, dirichlet_lambda1_box
 from driftguard.bounds import lower_bound_1d, upper_bound_cube
 from driftguard.harness import (
@@ -215,12 +215,13 @@ class TestStepNorms:
     @pytest.mark.parametrize("d", [1, 3, 8, 12])
     @pytest.mark.parametrize("slab", [1, 100, 1 << 16])
     def test_slab_norms_equal_linalg_norm(self, monkeypatch, d, slab):
-        # slabs of 1 trial, of a few trials with a partial last one, and one slab
-        monkeypatch.setattr(harness, "_NORM_SLAB", slab)
+        # slabs of one step row, of a few rows with a partial last one, and one slab
+        monkeypatch.setattr(bounds, "_NORM_SLAB", slab)
         scales = 10.0 ** np.arange(-3, 4)[:, None]  # one per step
         steps = np.random.default_rng(d).normal(size=(23, 7, d)) * scales
-        assert np.array_equal(harness._l2_norms(steps), np.linalg.norm(steps, axis=2))
-        assert harness._l2_norms(steps[:, :0]).shape == (23, 0)
+        assert np.array_equal(bounds._l2_norms(steps), np.linalg.norm(steps, axis=2))
+        assert np.array_equal(bounds._l2_norms(steps[5]), np.linalg.norm(steps[5], axis=1))
+        assert bounds._l2_norms(steps[:, :0]).shape == (23, 0)
 
 
 class TestReports:

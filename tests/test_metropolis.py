@@ -34,7 +34,6 @@ def unit_density(t=1.0):
 def liar_density(t=0.5, d=1):
     """A "density" that starts at 0 and accepts everything, so sums escape 2K."""
     return Density(
-        dimension=d,
         support=Box.cube(d, t),
         log_density=lambda x: 0.0 if np.ndim(x) == 1 else np.zeros(np.shape(x)[:-1]),
         log_gradient=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
@@ -57,7 +56,6 @@ def triangle_density(t):
         return np.copysign(t - t * np.sqrt(2.0 * np.minimum(u, 1.0 - u)), u - 0.5)
 
     return Density(
-        dimension=1,
         support=Box.cube(1, t),
         log_density=log_density,
         log_gradient=lambda x: -np.sign(x) / (t - np.abs(x)),
