@@ -192,12 +192,14 @@ class FisherMatrix:
         m = np.asarray(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("entries must be a square matrix")
+        se = np.asarray(self.std_error if self.std_error is not None else 0.0, dtype=float)
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(se))):
+            raise ValueError("entries and std_error must be finite")
         if self.estimator_kind not in ("closed_form", "quadrature", "monte_carlo"):
             raise ValueError(f"unknown estimator_kind {self.estimator_kind!r}")
         asym = np.abs(m - m.T)
         if self.estimator_kind == "monte_carlo":
-            se = np.asarray(self.std_error, dtype=float) if self.std_error is not None else 0.0
-            allowed = _SYMMETRY_TOL + se + np.transpose(se) if np.ndim(se) == 2 else _SYMMETRY_TOL
+            allowed = _SYMMETRY_TOL + se + se.T if se.ndim == 2 else _SYMMETRY_TOL
             if np.any(asym > allowed):
                 raise ValueError("matrix asymmetry exceeds reported standard error")
         elif np.max(asym) > _SYMMETRY_TOL:
@@ -221,11 +223,14 @@ class FisherMatrix:
 def fisher_closed_form_cube(box: Box) -> FisherMatrix:
     """(pi**2 / T**2) * I for a cube of half-width T.
 
-    Raises ValueError when pi**2 / T**2 is not finite (T below ~1e-154).
+    Raises ValueError when T**2 or pi**2 / T**2 is not finite (T outside ~[1e-154, 1.3e154]).
     """
     if not box.is_cube:
         raise ValueError("closed form requires a cube (equal half-widths)")
-    t_sq = float(box.half_widths[0]) ** 2
+    try:
+        t_sq = float(box.half_widths[0]) ** 2
+    except OverflowError:
+        raise ValueError("half_width too large: T**2 overflows") from None
     scale = np.pi**2 / t_sq if t_sq > 0.0 else math.inf
     if not math.isfinite(scale):
         raise ValueError("half_width too small: pi**2 / T**2 overflows")

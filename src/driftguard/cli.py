@@ -85,9 +85,7 @@ def _parse_generator(choice: str, dim: int, rademacher: bool) -> StepGenerator:
         return StepGenerator("coordinate_basis_cycle", dim, rademacher)
     if choice.startswith("file:"):
         vectors = _load_step_file(choice[len("file:"):], dim)
-        return StepGenerator(
-            "fixed_list", dim, rademacher, tuple(tuple(row) for row in vectors)
-        )
+        return StepGenerator("fixed_list", dim, rademacher, vectors)
     raise ValueError(f"unknown generator {choice!r} (use unit|isotropic|pm1|file:<path>)")
 
 
@@ -166,6 +164,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             raise ValueError("--norms expects file:<path>")
         steps = _load_step_file(args.norms[len("file:"):], box.dimension)
     else:
+        if args.steps < 0:
+            raise ValueError(f"--steps must be nonnegative, not {args.steps}")
         steps = np.zeros((args.steps, box.dimension))
         steps[:, 0] = 1.0
     for report in matching_bounds(box, steps):
@@ -175,6 +175,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     t = int(args.T)
+    if args.n < 0:
+        raise ValueError(f"--n must be nonnegative, not {args.n}")
     if args.mode == "single":
         if not args.signs:
             raise ValueError("--signs is required in single mode")
@@ -259,12 +261,8 @@ def _cmd_fisher(args: argparse.Namespace) -> int:
         "method": args.method,
         "dim": dim,
         "half_width": t,
-        "entries": [[float(x) for x in row] for row in fisher.entries],
-        "std_error": (
-            [[float(x) for x in row] for row in fisher.std_error]
-            if fisher.std_error is not None
-            else None
-        ),
+        "entries": fisher.entries.tolist(),
+        "std_error": None if fisher.std_error is None else fisher.std_error.tolist(),
         "operator_norm": fisher_operator_norm(fisher),
         "trace": fisher.trace,
         "four_lambda1": 4.0 * dirichlet_lambda1_box(box),

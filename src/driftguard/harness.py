@@ -41,13 +41,13 @@ class StepGenerator:
     """Recipe for a sequence of signed steps.
 
     ``rademacher`` multiplies every generated vector by an independent fair
-    sign.  ``vectors`` (fixed_list only) is cycled when n exceeds its length.
+    sign.  ``vectors`` (fixed_list only) is a read-only (L, d) array, cycled when n exceeds L.
     """
 
     kind: str
     dimension: int
     rademacher: bool = True
-    vectors: Optional[tuple[tuple[float, ...], ...]] = None
+    vectors: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         if self.kind not in GENERATOR_KINDS:
@@ -55,13 +55,17 @@ class StepGenerator:
         if self.dimension < 1:
             raise ValueError("dimension must be at least 1")
         if self.kind == "fixed_list":
-            if not self.vectors:
+            try:
+                vecs = np.array(self.vectors, dtype=float, ndmin=2)
+            except ValueError as exc:  # ragged rows
+                raise ValueError("fixed_list rows must all have the generator dimension") from exc
+            if self.vectors is None or vecs.size == 0:
                 raise ValueError("fixed_list requires a nonempty vector list")
-            vecs = tuple(tuple(float(x) for x in v) for v in self.vectors)
-            if any(len(v) != self.dimension for v in vecs):
-                raise ValueError("fixed_list vectors must all have the generator dimension")
-            if not all(math.isfinite(x) for v in vecs for x in v):
+            if vecs.shape != (len(vecs), self.dimension):
+                raise ValueError("fixed_list rows must all have the generator dimension")
+            if not np.all(np.isfinite(vecs)):
                 raise ValueError("fixed_list vectors must be finite")
+            vecs.setflags(write=False)
             object.__setattr__(self, "vectors", vecs)
         elif self.vectors is not None:
             raise ValueError("vectors only apply to fixed_list generators")
@@ -74,12 +78,10 @@ def generate_steps(gen: StepGenerator, n: int, rng_seed) -> np.ndarray:
         raise ValueError("n must be nonnegative")
     d = gen.dimension
     rng = np.random.default_rng(rng_seed)
-    if gen.kind == "fixed_list":
-        base = np.asarray(gen.vectors, dtype=float)
-        reps = -(-n // base.shape[0]) if n else 0
-        out = np.tile(base, (max(reps, 1), 1))[:n].copy()
-    elif gen.kind == "coordinate_basis_cycle":
-        out = np.eye(d)[np.arange(n) % d] if n else np.zeros((0, d))
+    if gen.kind in ("fixed_list", "coordinate_basis_cycle"):
+        # np.tile, not np.resize: resize concatenates n*d/size copies one by one
+        base = gen.vectors if gen.kind == "fixed_list" else np.eye(d)
+        out = np.tile(base, (-(-n // len(base)), 1))[:n]
     else:
         gauss = rng.standard_normal((n, d))
         norms = np.linalg.norm(gauss, axis=1, keepdims=True)

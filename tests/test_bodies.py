@@ -282,6 +282,14 @@ class TestFisherClosedForm:
         small = fisher_closed_form_cube(Box.cube(1, 1e-150))
         assert small.entries[0, 0] == pytest.approx(math.pi**2 * 1e300, rel=1e-15)
 
+    def test_huge_half_width_rejected(self):
+        # T**2 overflows for T above ~1.3e154; just below, the closed form is finite
+        for t in (1.4e154, 1e200, 1e308):
+            with pytest.raises(ValueError, match="too large"):
+                fisher_closed_form_cube(Box.cube(2, t))
+        big = fisher_closed_form_cube(Box.cube(1, 1e154))
+        assert big.entries[0, 0] == pytest.approx(math.pi**2 * 1e-308, rel=1e-15)
+
     def test_matches_quadrature_t2(self):
         quad = fisher_quadrature(cube_eigen_density(Box.cube(1, 2.0)), 256)
         assert quad.entries[0, 0] == pytest.approx(math.pi**2 / 4.0, abs=1e-6)
@@ -385,6 +393,13 @@ class TestFisherMatrixInvariants:
 
     def test_accepts_tiny_negative_eigenvalue(self):
         FisherMatrix(np.diag([1.0, -1e-10]), "closed_form")
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            FisherMatrix(np.diag([bad, 1.0]), "closed_form")
+        with pytest.raises(ValueError, match="finite"):
+            FisherMatrix(np.eye(2), "monte_carlo", std_error=np.diag([bad, 0.0]))
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):

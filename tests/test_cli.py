@@ -126,6 +126,31 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out)["mean"] >= 0.0
 
+    def test_step_file_csv_bytes(self, capsys, tmp_path):
+        steps = tmp_path / "steps.txt"
+        steps.write_text("0.5 -0.25\n-0.75 1\n")
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--generator", f"file:{steps}", "--dim", "2", "--half-width", "1.5",
+            "--trials", "3", "--steps", "7", "--seed", "5", "--format", "csv",
+        )
+        assert code == 0
+        assert out == (
+            "trial,discards\n0,3\n1,4\n2,3\nmean,3.3333333333333335\n"
+            "std_error,0.33333333333333337\ncontainment_violations,0\n"
+            "bound,general_fisher,6.268595727334151,"
+            '"n=7, d=2, fisher=closed_form, mean over 3 trials"\n'
+            'bound,cube_l2,6.26859572733415,"n=7, T=1.5, mean over 3 trials"\n'
+            'bound,isotropic,10.366726855702854,"n=7, d=2, lambda1=2.193245422464302"\n'
+        )
+
+    def test_huge_half_width_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--half-width", "1e308", "--steps", "3", "--trials", "2"
+        )
+        assert (code, out) == (2, "")
+        assert err.endswith("error: half_width too large: T**2 overflows\n")
+
     def test_step_file_dimension_mismatch(self, capsys, tmp_path):
         steps = tmp_path / "steps.txt"
         steps.write_text("0.5 0.0\n")
@@ -263,6 +288,20 @@ class TestBounds:
         assert (code, out) == (2, "")
         assert err == "error: dimension must be at least 1\n"
 
+    def test_huge_half_width_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bounds", "--dim", "1", "--half-width", "1e308", "--steps", "3"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: half_width too large: T**2 overflows\n"
+
+    def test_negative_steps_names_flag(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bounds", "--dim", "1", "--half-width", "2", "--steps", "-3"
+        )
+        assert (code, out) == (2, "")
+        assert "--steps" in err
+
     def test_values_match_closed_forms(self, capsys):
         _, out, _ = run_cli(
             capsys, "bounds", "--dim", "1", "--half-width", "2", "--steps", "100"
@@ -394,6 +433,11 @@ class TestOracle:
         assert (code, out) == (2, "")
         assert err == "error: half_width must be a nonnegative integer\n"
 
+    def test_exhaustive_negative_n_names_flag(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "--mode", "exhaustive", "--T", "1", "--n", "-1")
+        assert (code, out) == (2, "")
+        assert "--n" in err
+
     def test_signs_length_mismatch(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -422,6 +466,23 @@ class TestFisher:
         assert code == 2
         assert out == ""
         assert "too small" in err
+
+    def test_closed_huge_half_width_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "fisher", "--dim", "1", "--half-width", "1e200", "--method", "closed",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: half_width too large: T**2 overflows\n"
+
+    def test_quadrature_non_finite_exits_2(self, capsys):
+        # the quadrature weights overflow to inf, and inf * 0 is NaN
+        code, out, err = run_cli(
+            capsys,
+            "fisher", "--dim", "2", "--half-width", "1e200",
+            "--method", "quadrature", "--nodes", "16",
+        )
+        assert (code, out) == (2, "")
+        assert err.endswith("error: entries and std_error must be finite\n")
 
     def test_quadrature(self, capsys):
         code, out, _ = run_cli(

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -57,6 +58,42 @@ class TestStepGenerator:
             [[0.5, 0.0], [0.0, -0.25], [0.5, 0.0], [0.0, -0.25], [0.5, 0.0]]
         )
         assert np.array_equal(steps, expected)
+
+    @pytest.mark.parametrize("rademacher", [False, True])
+    @pytest.mark.parametrize(
+        "length,n",
+        [(L, n) for L in (1, 3, 7) for n in sorted({0, 1, L - 1, L, L + 1, 5 * L + 2})],
+    )
+    def test_fixed_list_cycles_like_tile(self, length, n, rademacher):
+        # the list cycled by tiling, then signed by the generator's stream
+        base = np.random.default_rng(length).normal(size=(length, 2))
+        gen = StepGenerator("fixed_list", 2, rademacher=rademacher, vectors=base.tolist())
+        expected = np.tile(base, (max(math.ceil(n / length), 1), 1))[:n]
+        if rademacher:
+            signs = np.random.default_rng(4).integers(0, 2, size=n) * 2.0 - 1.0
+            expected = expected * signs[:, None]
+        steps = generate_steps(gen, n, rng_seed=4)
+        assert steps.shape == (n, 2) and steps.dtype == np.float64
+        assert steps.tobytes() == expected.tobytes()
+
+    def test_vectors_are_one_read_only_array(self):
+        rows = ((0.5, 0.0), (0.0, -0.25), (1.0, 2.0))
+        source = np.array(rows)
+        inputs = (rows, [list(r) for r in rows], source)
+        gens = [StepGenerator("fixed_list", 2, vectors=v) for v in inputs]
+        source[0, 0] = 9.0  # the generator keeps its own copy
+        for gen in gens:
+            assert isinstance(gen.vectors, np.ndarray)
+            assert gen.vectors.dtype == np.float64 and gen.vectors.shape == (3, 2)
+            assert not gen.vectors.flags.writeable
+            assert np.array_equal(generate_steps(gen, 8, 1), generate_steps(gens[0], 8, 1))
+        with pytest.raises(TypeError):
+            hash(gens[0])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_ragged_vectors_rejected(self, dim):
+        with pytest.raises(ValueError, match="generator dimension"):
+            StepGenerator("fixed_list", dim, vectors=((1.0,), (1.0, 2.0)))
 
     def test_fixed_list_signs_flip_entire_vector(self):
         gen = StepGenerator("fixed_list", 2, vectors=((0.5, 0.25),))
