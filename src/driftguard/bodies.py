@@ -172,8 +172,19 @@ def cube_eigen_density(box: Box) -> Density:
 
 
 def dirichlet_lambda1_box(box: Box) -> float:
-    """Principal Dirichlet eigenvalue of the box: sum_i pi**2 / (4 T_i**2)."""
-    return float(np.sum(np.pi**2 / (4.0 * box.half_widths**2)))
+    """Principal Dirichlet eigenvalue of the box: sum_i pi**2 / (4 T_i**2).
+
+    Raises ValueError when 4 T_i**2 overflows (T_i above ~6.7e153), where
+    the sum would read 0, or when the sum itself overflows (tiny T_i).
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        four_t_sq = 4.0 * box.half_widths**2
+        lam = float(np.sum(np.pi**2 / four_t_sq))
+    if not np.all(np.isfinite(four_t_sq)):
+        raise ValueError("half_width too large: 4 T**2 overflows")
+    if not math.isfinite(lam):
+        raise ValueError("half_width too small: pi**2 / (4 T**2) overflows")
+    return lam
 
 
 @dataclass(frozen=True)
@@ -251,8 +262,9 @@ def gauss_legendre_grid(box: Box, nodes_per_axis: int) -> tuple[np.ndarray, np.n
     mesh = np.meshgrid(*axis_x, indexing="ij")
     points = np.stack([m.reshape(-1) for m in mesh], axis=-1)
     weights = axis_w[0]
-    for w in axis_w[1:]:
-        weights = np.multiply.outer(weights, w)
+    with np.errstate(over="ignore"):  # FisherMatrix rejects what an inf weight gives
+        for w in axis_w[1:]:
+            weights = np.multiply.outer(weights, w)
     return points, np.asarray(weights, dtype=float).reshape(-1)
 
 
@@ -271,7 +283,8 @@ def fisher_quadrature(density: Density, grid_points_per_axis: int = 128) -> Fish
     if not np.all(np.isfinite(scores)):
         raise ValueError("log_gradient returned non-finite values at interior nodes")
     pi_vals = np.exp(np.asarray(density.log_density(points), dtype=float))
-    entries = np.einsum("k,ki,kj->ij", weights * pi_vals, scores, scores)
+    with np.errstate(invalid="ignore"):  # inf weight * 0 density: FisherMatrix rejects it
+        entries = np.einsum("k,ki,kj->ij", weights * pi_vals, scores, scores)
     return FisherMatrix(entries, "quadrature")
 
 
@@ -295,6 +308,9 @@ def fisher_monte_carlo(density: Density, samples: int, rng_seed: int) -> FisherM
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
     d = density.dimension
+    # scores scale as 1 / T_i: a power of two near T_i per axis keeps their
+    # products and squares in range at tiny T, and scales back exactly
+    exps = np.frexp(density.support.half_widths)[1]
     total = np.zeros((d, d))
     total_sq = np.zeros((d, d))
     done = 0
@@ -303,7 +319,7 @@ def fisher_monte_carlo(density: Density, samples: int, rng_seed: int) -> FisherM
         m = min(_MC_CHUNK, samples - done)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((rng_seed, chunk_index))))
         pts = density.sample(rng, m)
-        scores = np.asarray(density.log_gradient(pts), dtype=float)
+        scores = np.ldexp(np.asarray(density.log_gradient(pts), dtype=float), exps)
         # no (chunk, d, d) outer products; einsum, not `@`, whose BLAS sums vary with threads
         total += np.einsum("ki,kj->ij", scores, scores)
         squares = scores * scores
@@ -313,6 +329,9 @@ def fisher_monte_carlo(density: Density, samples: int, rng_seed: int) -> FisherM
     mean = total / samples
     var = np.maximum(total_sq - samples * np.square(mean), 0.0) / (samples - 1)
     se = np.sqrt(var / samples)
+    unscale = -(exps[:, None] + exps[None, :])
+    with np.errstate(over="ignore"):  # an overflow is left to FisherMatrix to reject
+        mean, se = np.ldexp(mean, unscale), np.ldexp(se, unscale)
     return FisherMatrix(mean, "monte_carlo", std_error=se)
 
 

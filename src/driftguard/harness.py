@@ -135,8 +135,11 @@ def trial_streams(config: ExperimentConfig) -> tuple[np.ndarray, list]:
 
 def run_experiment_ensemble(config: ExperimentConfig) -> tuple[RunStats, EnsembleResult]:
     """run_experiment, also returning the raw ensemble for further checks."""
-    density = cube_eigen_density(config.body)
     steps, filter_seeds = trial_streams(config)
+    # first, so a half-width the bounds reject fails before the density and
+    # the kernel are built and run
+    bound_reports = tuple(matching_bounds(config.body, steps))
+    density = cube_eigen_density(config.body)
     result = run_ensemble(density, steps, filter_seeds)
     discards = np.asarray(result.discards, dtype=np.int64)
     mean = float(np.mean(discards))
@@ -149,7 +152,7 @@ def run_experiment_ensemble(config: ExperimentConfig) -> tuple[RunStats, Ensembl
         per_trial_discards=tuple(int(x) for x in discards),
         mean=mean,
         std_error=std_error,
-        bound_reports=tuple(matching_bounds(config.body, steps)),
+        bound_reports=bound_reports,
         containment_violations=0,
     )
     return stats, result

@@ -9,13 +9,18 @@ support, so their difference cannot leave 2K.
 
 The acceptance ratio is computed in log space and one uniform coin is
 consumed per step whether or not the proposal can be rejected, which keeps
-the random stream independent of the data.  There is one kernel:
-``run_ensemble`` advances many trials in lockstep, no trial's arithmetic
-depending on another's, and ``filter_run`` is its one-trial case.  It
-draws every trial's origin in one batched inverse-CDF pass, and checks 2K
-containment once per block of steps rather than after each step; the
-first violation it reports (step, lowest trial, accepted sum) is the one a
-per-step check would report.
+the random stream independent of the data.  There is one kernel,
+``run_ensemble``, no trial's arithmetic depending on another's, and
+``filter_run`` is its one-trial case.  It draws every trial's origin in
+one batched inverse-CDF pass and runs the steps in blocks, each through one
+of two bodies chosen by the ensemble's width m * d.  A wide ensemble steps
+all its trials in lockstep, one vectorized filter step at a time.  A
+narrow one (``filter_run`` among them) pre-fetches: each trial assumes its
+next few steps are all accepted, decides them in one call and commits up to
+its first rejection.  Both bodies compute the same floats and decisions.
+The kernel checks 2K containment once per block of steps rather than after
+each step; the first violation it reports (step, lowest trial, accepted
+sum) is the one a per-step check would report.
 """
 
 from __future__ import annotations
@@ -42,6 +47,10 @@ _CONTAINMENT_TOL = 1e-9
 # float64 values of the position buffer run_ensemble checks containment on;
 # a block is as many lockstep steps as fit, and at least one
 _PATH_BUDGET = 1 << 16
+# widest ensemble (trials * dimension) that takes the speculative body, and
+# how many steps each of its trials assumes accepted per log_density call
+_SPECULATIVE_WIDTH = 128
+_WINDOW = 16
 
 # Gauss-Legendre rule for the 1-d rejection rate, built once: leggauss is ~1.5 ms
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -72,7 +81,7 @@ class EnsembleResult:
 
 
 def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> EnsembleResult:
-    """Advance m trials together, one vectorized filter step at a time.
+    """Advance m trials together, block by block.
 
     ``steps`` has shape (m, n, d): each trial gets its own step sequence.
     Trial i draws its origin (one (1, d) row of uniforms through
@@ -83,8 +92,14 @@ def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> Ensemble
     block runs).  After a block, raises ContainmentError for its first step
     where any trial's accepted sum left the doubled support, naming the
     lowest such trial.
+
+    A block runs through one of two bodies, chosen by the ensemble's width
+    m * d alone.  Wide ensembles (above ``_SPECULATIVE_WIDTH``) step all
+    trials in lockstep, one vectorized filter step at a time.  Narrow ones
+    take ``_accept_runs``, which commits each trial's run of accepted steps
+    a window at a time.  Both make the same floats and the same decisions.
     """
-    steps = np.asarray(steps, dtype=float)
+    steps = np.ascontiguousarray(steps, dtype=float)  # the windows read it as (m * n, d)
     if steps.ndim != 3 or steps.shape[2] != density.dimension:
         raise ValueError("steps must have shape (m, n, d)")
     m, n, d = steps.shape
@@ -92,9 +107,11 @@ def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> Ensemble
         raise ValueError("need at least one trial")
     if len(seeds) != m:
         raise ValueError("need one seed per trial")
+    speculative = m * d <= _SPECULATIVE_WIDTH
     gens = [np.random.default_rng(s) for s in seeds]
     origins = density.quantile(np.concatenate([g.uniform(size=(1, d)) for g in gens]))
-    coins = np.stack([g.uniform(size=n) for g in gens], axis=1)  # (n, m), step-major
+    # trial-major (m, n) for the windows, step-major (n, m) for the lockstep rows
+    coins = np.stack([g.uniform(size=n) for g in gens], axis=0 if speculative else 1)
     hw = density.support.half_widths
     limit = 2.0 * hw + _CONTAINMENT_TOL * hw
     current = origins.copy()
@@ -110,31 +127,116 @@ def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> Ensemble
         stop = min(start + block, n)
         if not np.isfinite(steps[:, start:stop]).all():
             raise ValueError("steps have non-finite entries")
-        for k in range(start, stop):
-            np.add(current, steps[:, k], out=proposal)
-            log_new = density.log_density(proposal)
-            np.subtract(log_new, log_current, out=prob)
-            np.minimum(prob, 0.0, out=prob)
-            np.exp(prob, out=prob)
-            np.less(coins[k], prob, out=acc)
-            accepted[:, k] = acc
-            np.copyto(current, proposal, where=acc[:, None])
-            np.copyto(log_current, log_new, where=acc)
-            path[k - start] = current
-        sums = path[: stop - start]
-        np.subtract(sums, origins, out=sums)
-        dist = np.abs(sums)
-        block_max = dist.max(axis=0)  # (m, d)
-        np.maximum(max_abs, block_max.max(axis=-1), out=max_abs)
-        if (block_max > limit).any():
-            # argwhere is row-major: the first step, then its lowest trial
-            j, trial = (int(i) for i in np.argwhere((dist > limit).any(axis=-1))[0])
-            raise ContainmentError(
-                f"trial {trial} accepted sum {sums[j, trial]} left 2K at step {start + j}"
+        if speculative:
+            positions = _accept_runs(
+                density, steps, coins, current, log_current, accepted, path, start, stop
             )
+        else:
+            for k in range(start, stop):
+                np.add(current, steps[:, k], out=proposal)
+                log_new = density.log_density(proposal)
+                np.subtract(log_new, log_current, out=prob)
+                np.minimum(prob, 0.0, out=prob)
+                np.exp(prob, out=prob)
+                np.less(coins[k], prob, out=acc)
+                accepted[:, k] = acc
+                np.copyto(current, proposal, where=acc[:, None])
+                np.copyto(log_current, log_new, where=acc)
+                path[k - start] = current
+            positions = path[: stop - start]
+        _check_containment(positions, origins, limit, max_abs, start)
     return EnsembleResult(
         origins=origins, finals=current, accepted=accepted, max_abs_sums=max_abs
     )
+
+
+def _accept_runs(
+    density, steps, coins, current, log_current, accepted, path, start, stop
+) -> np.ndarray:
+    """Filter steps [start, stop) of every trial, a window of accept runs at a time.
+
+    Pre-fetching Metropolis (Brockwell 2006): each trial assumes its next
+    ``_WINDOW`` steps are all accepted, builds those candidates as one
+    sequential cumsum from ``current`` (the floats the per-step loop makes),
+    decides the whole (m, W) window with one ``log_density`` call, and
+    commits its steps up to and including the first rejection.  Windows
+    are clipped at the block end, and each trial keeps its own step
+    pointer.  ``coins`` is trial-major (m, n); ``current``, ``log_current``
+    and ``accepted`` are updated in place.
+
+    Returns the block's (b, m, d) positions in ``path``, rebuilt from
+    ``accepted`` by one sequential cumsum down the steps from the block's
+    start.  A discarded step adds -0.0, the exact additive identity (+0.0
+    would turn a -0.0 coordinate into 0.0), so each row is the float the
+    walk held.
+    """
+    m, n, d = steps.shape
+    flat_steps = steps.reshape(m * n, d)
+    flat_coins = coins.reshape(m * n)
+    rows = np.arange(m)
+    offsets = np.arange(_WINDOW)
+    head = rows * n + start  # each trial's next step, as a flat index
+    end = rows * n + stop
+    last = (end - 1)[:, None]
+    idx = np.empty((m, _WINDOW), dtype=np.intp)
+    run = np.empty(m, dtype=np.intp)
+    # column 0 holds the committed state, the window's candidates follow it
+    cand = np.empty((m, _WINDOW + 1, d))
+    logs = np.empty((m, _WINDOW + 1))
+    cand[:, 0] = current
+    logs[:, 0] = log_current
+    prob = np.empty((m, _WINDOW))
+    # the last column stays False, so a fully accepted window's argmin is W
+    ok = np.zeros((m, _WINDOW + 1), dtype=bool)
+    rejected = []  # flat indices of the committed rejections
+    # candidates past a window's first rejection, or past its block end, are
+    # never committed: their overflow and the NaN of -inf - -inf do not matter
+    with np.errstate(over="ignore", invalid="ignore"):
+        while (avail := np.minimum(end - head, _WINDOW)).max() > 0:
+            np.add(head[:, None], offsets, out=idx)
+            np.minimum(idx, last, out=idx)  # a window past the block end repeats its last step
+            cand[:, 1:] = flat_steps.take(idx, axis=0, mode="clip")
+            np.add.accumulate(cand, axis=1, out=cand)  # a sequential cumsum
+            logs[:, 1:] = density.log_density(cand[:, 1:])
+            np.subtract(logs[:, 1:], logs[:, :-1], out=prob)
+            np.minimum(prob, 0.0, out=prob)
+            np.exp(prob, out=prob)
+            np.less(flat_coins.take(idx, mode="clip"), prob, out=ok[:, :-1])
+            np.minimum(ok.argmin(axis=1), avail, out=run)  # accepted steps to commit
+            cand[:, 0] = cand[rows, run]
+            logs[:, 0] = logs[rows, run]
+            head += run
+            hit = run < avail  # the window's first rejection is committed too
+            rejected.append(head[hit])
+            head += hit
+    accepted[:, start:stop] = True
+    accepted.reshape(m * n)[np.concatenate(rejected)] = False
+    moves = path[: stop - start]
+    np.copyto(moves, steps[:, start:stop].transpose(1, 0, 2))
+    np.copyto(moves, -0.0, where=~accepted[:, start:stop].T[:, :, None])
+    moves[0] += current  # the sums run from the block's start, as cumsum([current, ...])
+    current[...] = cand[:, 0]
+    log_current[...] = logs[:, 0]
+    return np.cumsum(moves, axis=0, out=moves)
+
+
+def _check_containment(positions, origins, limit, max_abs, start) -> None:
+    """Fold a block's (b, m, d) positions into ``max_abs`` and check 2K.
+
+    ``positions`` is overwritten with the accepted sums.  Raises
+    ContainmentError for the block's first step where a trial's sum left
+    ``limit``, naming the lowest such trial; block step j is step start + j.
+    """
+    sums = np.subtract(positions, origins, out=positions)
+    dist = np.abs(sums)
+    block_max = dist.max(axis=0)  # (m, d)
+    np.maximum(max_abs, block_max.max(axis=-1), out=max_abs)
+    if (block_max > limit).any():
+        # argwhere is row-major: the first step, then its lowest trial
+        j, trial = (int(i) for i in np.argwhere((dist > limit).any(axis=-1))[0])
+        raise ContainmentError(
+            f"trial {trial} accepted sum {sums[j, trial]} left 2K at step {start + j}"
+        )
 
 
 @dataclass(frozen=True)

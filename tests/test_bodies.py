@@ -258,6 +258,23 @@ class TestDirichletLambda1:
             dirichlet_lambda1_box(Box(np.array([1.0, 2.0]))), rel=1e-12
         )
 
+    def test_huge_half_width_rejected(self):
+        # 4 T**2 overflows for T above ~6.7e153, where the sum read 0.0
+        for hw in ([1e154], [6.8e153, 6.8e153], [1.0, 1e200], [1e308]):
+            with pytest.raises(ValueError, match="too large"):
+                dirichlet_lambda1_box(Box(np.array(hw)))
+        # just below, the value is today's expression bit for bit
+        for hw in ([6.7e153], [1e150, 3.0], [1e-150], [1.0, 2.0, 0.5]):
+            box = Box(np.array(hw))
+            expected = float(np.sum(np.pi**2 / (4.0 * box.half_widths**2)))
+            assert dirichlet_lambda1_box(box) == expected
+
+    def test_tiny_half_width_rejected(self):
+        # 4 T**2 underflows to 0 or a subnormal, and pi**2 over it overflows
+        for t in (1e-160, 1e-200, 5e-324):
+            with pytest.raises(ValueError, match="too small"):
+                dirichlet_lambda1_box(Box.cube(1, t))
+
 
 class TestFisherClosedForm:
     def test_d2_t1_is_pi_squared_identity(self):
@@ -371,6 +388,17 @@ class TestFisherMonteCarlo:
         scale = float(np.max(np.abs(mean)))
         np.testing.assert_allclose(mc.entries, mean, rtol=1e-14, atol=1e-14 * scale)
         np.testing.assert_allclose(mc.std_error, se, rtol=1e-12)
+
+    def test_tiny_half_width_finite(self):
+        # squared score products overflowed below T ~ 1e-75, so the standard
+        # error was NaN; the same draws on a unit-scale box agree after 1 / T**2
+        tiny = np.array([1e-76, 3e-77])
+        mc = fisher_monte_carlo(cube_eigen_density(Box(tiny)), 1000, 5)
+        assert np.all(np.isfinite(mc.entries)) and np.all(np.isfinite(mc.std_error))
+        unit = fisher_monte_carlo(cube_eigen_density(Box(tiny * 1e76)), 1000, 5)
+        scale = np.outer(tiny * 1e76, tiny * 1e76) / np.outer(tiny, tiny)
+        np.testing.assert_allclose(mc.entries, unit.entries * scale, rtol=1e-9)
+        np.testing.assert_allclose(mc.std_error, unit.std_error * scale, rtol=1e-9)
 
     def test_estimator_kind_and_se_shape(self):
         mc = fisher_monte_carlo(cube_eigen_density(Box.cube(2, 1.0)), 2000, 1)

@@ -151,6 +151,17 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err.endswith("error: half_width too large: T**2 overflows\n")
 
+    def test_huge_half_width_fails_before_the_kernel(self, capsys, monkeypatch):
+        # the bounds are computed before the filter runs, so no run is
+        # wasted and no overflow warning precedes the error line
+        runs = []
+        monkeypatch.setattr(harness, "run_ensemble", lambda *args: runs.append(args))
+        code, out, err = run_cli(
+            capsys, "simulate", "--half-width", "1e308", "--steps", "3", "--trials", "2"
+        )
+        assert (code, out, err) == (2, "", "error: half_width too large: T**2 overflows\n")
+        assert runs == []
+
     def test_step_file_dimension_mismatch(self, capsys, tmp_path):
         steps = tmp_path / "steps.txt"
         steps.write_text("0.5 0.0\n")
@@ -294,6 +305,13 @@ class TestBounds:
         )
         assert (code, out) == (2, "")
         assert err == "error: half_width too large: T**2 overflows\n"
+
+    def test_lambda1_overflow_exits_2(self, capsys):
+        # T**2 is finite but 4 T**2 is not: isotropic printed 0.0 with lambda1=0.0
+        code, out, err = run_cli(
+            capsys, "bounds", "--dim", "1", "--half-width", "1e154", "--steps", "3"
+        )
+        assert (code, out, err) == (2, "", "error: half_width too large: 4 T**2 overflows\n")
 
     def test_negative_steps_names_flag(self, capsys):
         code, out, err = run_cli(
@@ -473,6 +491,13 @@ class TestFisher:
         )
         assert (code, out) == (2, "")
         assert err == "error: half_width too large: T**2 overflows\n"
+
+    def test_closed_lambda1_overflow_exits_2(self, capsys):
+        # four_lambda1 printed 0.0 beside a trace of 9.87e-308
+        code, out, err = run_cli(
+            capsys, "fisher", "--dim", "1", "--half-width", "1e154", "--method", "closed",
+        )
+        assert (code, out, err) == (2, "", "error: half_width too large: 4 T**2 overflows\n")
 
     def test_quadrature_non_finite_exits_2(self, capsys):
         # the quadrature weights overflow to inf, and inf * 0 is NaN

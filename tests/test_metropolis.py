@@ -68,6 +68,15 @@ def block_budget(n_values):
     return mock.patch.object(metropolis, "_PATH_BUDGET", n_values)
 
 
+BODIES = ("lockstep", "speculative")
+
+
+def kernel_body(body, window=metropolis._WINDOW):
+    """Send every run_ensemble call through one inner body, at this window."""
+    width = 0 if body == "lockstep" else 1 << 62
+    return mock.patch.multiple(metropolis, _SPECULATIVE_WIDTH=width, _WINDOW=window)
+
+
 class TestFilterInit:
     def test_origin_equals_current_with_positive_density(self):
         loop = filter_loop(unit_density(), np.zeros((0, 1)), 7)
@@ -372,22 +381,32 @@ class TestEnsembleKernel:
         n=st.integers(0, 30),
         d=st.integers(1, 3),
         budget=st.integers(1, 16),
+        window=st.integers(1, 8),
         t=st.floats(0.3, 4.0),
         seed=st.integers(0, 2**32 - 1),
         honest=st.booleans(),
     )
-    @example(m=4, n=12, d=3, budget=5, t=0.5, seed=1, honest=True)  # m * d above: one-step blocks
-    @example(m=2, n=10, d=1, budget=6, t=0.5, seed=2, honest=True)  # below: 3-step blocks
-    @example(m=3, n=30, d=2, budget=6, t=0.5, seed=3, honest=False)  # escapes
+    # m * d above the budget: one-step blocks
+    @example(m=4, n=12, d=3, budget=5, window=2, t=0.5, seed=1, honest=True)
+    # below: 3-step blocks, which 5-step windows straddle, the last one at step 10
+    @example(m=2, n=10, d=1, budget=6, window=5, t=0.5, seed=2, honest=True)
+    @example(m=2, n=10, d=1, budget=6, window=5, t=4.0, seed=2, honest=True)
+    @example(m=3, n=30, d=2, budget=6, window=4, t=0.5, seed=3, honest=False)  # escapes
+    # one 30-step block: liars' sums leave 2K at steps 4, 13 and 16, two of
+    # them in the middle of an 8-step window
+    @example(m=3, n=30, d=1, budget=90, window=8, t=0.5, seed=8, honest=False)
     @settings(max_examples=60, deadline=None)
-    def test_matches_filter_run_across_block_sizes(self, m, n, d, budget, t, seed, honest):
+    def test_matches_filter_run_across_block_sizes(
+        self, m, n, d, budget, window, t, seed, honest
+    ):
         # a liar accepts every step from the origin, so its sums leave 2K
         den = cube_eigen_density(Box.cube(d, t)) if honest else liar_density(t, d)
         scale = t if honest else 0.4 * t
         steps = np.random.default_rng(seed).normal(size=(m, n, d)) * scale
         seeds = [np.random.SeedSequence((seed, i)) for i in range(m)]
-        with block_budget(budget):
-            assert_matches_filter_loop(den, steps, seeds)
+        for body in BODIES:
+            with block_budget(budget), kernel_body(body, window):
+                assert_matches_filter_loop(den, steps, seeds)
 
     @pytest.mark.parametrize("budget", [12, metropolis._PATH_BUDGET])
     @pytest.mark.parametrize("escape", [3, 4, 9])
@@ -400,37 +419,44 @@ class TestEnsembleKernel:
         steps[2, escape] = 2.0
         steps[1, escape] = -2.0  # escapes with trial 2 and is the one named
         steps[0, min(escape + 1, 9)] += 1.5  # later in the block, or at 9 too
-        with block_budget(budget), pytest.raises(ContainmentError) as exc:
-            run_ensemble(liar, steps, [5, 6, 7])
-        assert str(exc.value) == first_violation_per_step(liar, steps, [5, 6, 7])
-        if escape == 9:  # trial 0 reaches 0.9 + 1.5 at step 9 with the others
-            assert str(exc.value) == "trial 0 accepted sum [2.4] left 2K at step 9"
-        else:
-            assert str(exc.value) == f"trial 1 accepted sum [-2.] left 2K at step {escape}"
+        for body in BODIES:
+            with block_budget(budget), kernel_body(body, 4):
+                with pytest.raises(ContainmentError) as exc:
+                    run_ensemble(liar, steps, [5, 6, 7])
+            assert str(exc.value) == first_violation_per_step(liar, steps, [5, 6, 7])
+            if escape == 9:  # trial 0 reaches 0.9 + 1.5 at step 9 with the others
+                assert str(exc.value) == "trial 0 accepted sum [2.4] left 2K at step 9"
+            else:
+                assert str(exc.value) == f"trial 1 accepted sum [-2.] left 2K at step {escape}"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("at", [0, 6])
     def test_rejects_non_finite_steps(self, bad, at):
         steps = np.full((3, 10, 1), 0.1)
         steps[1, at, 0] = bad
-        with block_budget(12), pytest.raises(ValueError, match="non-finite"):
-            run_ensemble(unit_density(), steps, [1, 2, 3])
-        with pytest.raises(ValueError, match="non-finite"):
-            run_ensemble(unit_density(), steps, [1, 2, 3])
-        with pytest.raises(ValueError, match="non-finite"):
-            run_ensemble(unit_density(), [[[bad]]], [0])
+        for body in BODIES:
+            with kernel_body(body):
+                with block_budget(12), pytest.raises(ValueError, match="non-finite"):
+                    run_ensemble(unit_density(), steps, [1, 2, 3])
+                with pytest.raises(ValueError, match="non-finite"):
+                    run_ensemble(unit_density(), steps, [1, 2, 3])
+                with pytest.raises(ValueError, match="non-finite"):
+                    run_ensemble(unit_density(), [[[bad]]], [0])
 
     def test_non_finite_block_checked_before_it_runs(self):
         # an escape at step 5 and a NaN at step 6 share the block [4, 8)
         steps = np.zeros((3, 10, 1))
         steps[2, 5] = 2.0
         steps[0, 6] = math.nan
-        with block_budget(12), pytest.raises(ValueError, match="non-finite"):
-            run_ensemble(liar_density(), steps, [1, 2, 3])
-        steps[0, 6] = 0.0
-        steps[0, 9] = math.nan  # now the escape's block finishes first
-        with block_budget(12), pytest.raises(ContainmentError, match="at step 5"):
-            run_ensemble(liar_density(), steps, [1, 2, 3])
+        later = steps.copy()
+        later[0, 6] = 0.0
+        later[0, 9] = math.nan  # now the escape's block finishes first
+        for body in BODIES:
+            with block_budget(12), kernel_body(body):
+                with pytest.raises(ValueError, match="non-finite"):
+                    run_ensemble(liar_density(), steps, [1, 2, 3])
+                with pytest.raises(ContainmentError, match="at step 5"):
+                    run_ensemble(liar_density(), later, [1, 2, 3])
 
 
 class TestStationarity:
