@@ -46,6 +46,22 @@ _PSD_FLOOR = -1e-9
 ArrayLike = Union[Sequence[float], np.ndarray]
 
 
+def _integer(name: str, value, minimum: Optional[int] = None) -> int:
+    """``value`` as an int: ints, numpy ints and integral floats (3.0 counts as
+    3) pass, and bools, other floats (NaN and inf too) and strings raise
+    ValueError, as does a value below ``minimum``."""
+    if type(value) is not int:  # a plain int skips the type checks
+        integral = isinstance(value, (int, np.integer)) or (
+            isinstance(value, (float, np.floating)) and float(value).is_integer()
+        )
+        if isinstance(value, bool) or not integral:
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+        value = int(value)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
+    return value
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box prod_i [-T_i, T_i] centered at the origin."""
@@ -64,9 +80,7 @@ class Box:
 
     @classmethod
     def cube(cls, dimension: int, half_width: float) -> "Box":
-        if dimension < 1:
-            raise ValueError("dimension must be at least 1")
-        return cls(np.full(int(dimension), float(half_width)))
+        return cls(np.full(_integer("dimension", dimension, 1), float(half_width)))
 
     @property
     def dimension(self) -> int:
@@ -100,7 +114,8 @@ class Density:
 
     def sample(self, rng: np.random.Generator, n: Optional[int] = None) -> np.ndarray:
         """Draw one point (shape (d,)) or ``n`` points (shape (n, d))."""
-        pts = self.quantile(rng.uniform(size=(1 if n is None else int(n), self.dimension)))
+        rows = 1 if n is None else _integer("n", n, 0)
+        pts = self.quantile(rng.uniform(size=(rows, self.dimension)))
         return pts[0] if n is None else pts
 
 
@@ -118,14 +133,17 @@ def cube_eigen_density(box: Box) -> Density:
     Newton steps from the edge asymptote (12 pi v)**(1/3) reach ~2 ulp(T_i).
     It is elementwise, so a batch equals its rows mapped one at a time, and
     clips samples (u = 0 included) strictly inside the box.  Raises
-    ValueError when pi / T_i overflows, and ``quantile`` raises it on a
-    uniform outside [0, 1] (NaN included).
+    ValueError when pi / T_i or 2 T_i overflows (T_i above ~9e307, where the
+    density would be flat), and ``quantile`` raises it on a uniform outside
+    [0, 1] (NaN included).
     """
     hw = box.half_widths
     d = box.dimension
     with np.errstate(over="ignore"):
         if not np.all(np.isfinite(np.pi / hw)):
             raise ValueError("half_widths too small: pi / T overflows")
+        if not np.all(np.isfinite(2.0 * hw)):
+            raise ValueError("half_widths too large: 2 T overflows")
     half_freq = np.pi / (2.0 * hw)  # pi / (2 T_i) per axis
     log_norm = float(-np.sum(np.log(hw)))
     inner_lo, inner_hi = np.nextafter(-hw, 0.0), np.nextafter(hw, 0.0)
@@ -254,9 +272,8 @@ def gauss_legendre_grid(box: Box, nodes_per_axis: int) -> tuple[np.ndarray, np.n
     Returns (points, weights) with points of shape (nodes**d, d).  Nodes are
     strictly interior, so integrands defined only on the open box are safe.
     """
-    if nodes_per_axis < 1:
-        raise ValueError("nodes_per_axis must be positive")
-    base_x, base_w = np.polynomial.legendre.leggauss(int(nodes_per_axis))
+    nodes = _integer("nodes_per_axis", nodes_per_axis, 1)
+    base_x, base_w = np.polynomial.legendre.leggauss(nodes)
     axis_x = [base_x * t for t in box.half_widths]
     axis_w = [base_w * t for t in box.half_widths]
     mesh = np.meshgrid(*axis_x, indexing="ij")
@@ -276,9 +293,8 @@ def fisher_quadrature(density: Density, grid_points_per_axis: int = 128) -> Fish
     """
     if density.dimension > 3:
         raise ValueError("quadrature supports dimension at most 3")
-    if grid_points_per_axis < 16:
-        raise ValueError("grid_points_per_axis must be at least 16")
-    points, weights = gauss_legendre_grid(density.support, grid_points_per_axis)
+    nodes = _integer("grid_points_per_axis", grid_points_per_axis, 16)
+    points, weights = gauss_legendre_grid(density.support, nodes)
     scores = np.asarray(density.log_gradient(points), dtype=float)
     if not np.all(np.isfinite(scores)):
         raise ValueError("log_gradient returned non-finite values at interior nodes")
@@ -302,11 +318,11 @@ def fisher_monte_carlo(density: Density, samples: int, rng_seed: int) -> FisherM
     is not a valid error bar on the diagonal: for the cube eigen-density the
     squared score has infinite variance, so the diagonal converges at rate
     n**(-1/3) with a heavy upper tail.  Off-diagonal products have finite
-    variance and their standard error holds.
+    variance and their standard error holds.  Raises ValueError when
+    scaling back to 1 / T_i**2 underflows a nonzero entry or standard error
+    to zero or a subnormal (T_i above ~1e153).
     """
-    samples = int(samples)
-    if samples < 1000:
-        raise ValueError("need at least 1000 samples")
+    samples = _integer("samples", samples, 1000)
     d = density.dimension
     # scores scale as 1 / T_i: a power of two near T_i per axis keeps their
     # products and squares in range at tiny T, and scales back exactly
@@ -330,9 +346,12 @@ def fisher_monte_carlo(density: Density, samples: int, rng_seed: int) -> FisherM
     var = np.maximum(total_sq - samples * np.square(mean), 0.0) / (samples - 1)
     se = np.sqrt(var / samples)
     unscale = -(exps[:, None] + exps[None, :])
+    scaled = np.stack([mean, se])
     with np.errstate(over="ignore"):  # an overflow is left to FisherMatrix to reject
-        mean, se = np.ldexp(mean, unscale), np.ldexp(se, unscale)
-    return FisherMatrix(mean, "monte_carlo", std_error=se)
+        unscaled = np.ldexp(scaled, unscale)
+    if ((np.abs(unscaled) < np.finfo(float).tiny) & (scaled != 0.0)).any():
+        raise ValueError("half_width too large: Fisher entries underflow")
+    return FisherMatrix(unscaled[0], "monte_carlo", std_error=unscaled[1])
 
 
 def fisher_operator_norm(fisher: FisherMatrix) -> float:

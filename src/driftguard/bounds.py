@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bodies import Box, FisherMatrix, dirichlet_lambda1_box, fisher_closed_form_cube
+from .bodies import Box, FisherMatrix, _integer, dirichlet_lambda1_box, fisher_closed_form_cube
 
 __all__ = [
     "BoundReport",
@@ -80,9 +80,7 @@ def upper_bound_cube(half_width: float, step_l2_norms) -> BoundReport:
 
 def isotropic_bound(box: Box, n_steps: int) -> BoundReport:
     """sqrt(lambda_1(K)) * n for isotropic unit-covariance steps."""
-    n = int(n_steps)
-    if n < 0:
-        raise ValueError("n_steps must be nonnegative")
+    n = _integer("n_steps", n_steps, 0)
     lam = dirichlet_lambda1_box(box)
     digest = f"n={n}, d={box.dimension}, lambda1={lam}"
     return BoundReport("isotropic", math.sqrt(lam) * n, digest)
@@ -94,10 +92,8 @@ def lower_bound_1d(half_width: int, n_steps: int) -> BoundReport:
     Computed as an exact rational, then converted.  May be negative for
     short runs; reported raw.
     """
-    t = int(half_width)
-    n = int(n_steps)
-    if t < 0 or n < 0:
-        raise ValueError("half_width and n_steps must be nonnegative integers")
+    t = _integer("half_width", half_width, 0)
+    n = _integer("n_steps", n_steps, 0)
     value = float(Fraction(n, 2 * t + 1) - t)
     return BoundReport("lower_1d", value, f"n={n}, T={t}")
 
@@ -119,7 +115,7 @@ def matching_bounds(box: Box, steps) -> list[BoundReport]:
         reports.append(upper_bound_cube(t, _l2_norms(v)))
     reports.append(isotropic_bound(box, n))
     if box.dimension == 1 and t.is_integer() and bool(np.all(np.abs(v) == 1.0)):
-        reports.append(lower_bound_1d(int(t), n))
+        reports.append(lower_bound_1d(t, n))
     return reports
 
 

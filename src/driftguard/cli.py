@@ -12,6 +12,7 @@ import numpy as np
 
 from .bodies import (
     Box,
+    _integer,
     cube_eigen_density,
     dirichlet_lambda1_box,
     fisher_closed_form_cube,
@@ -89,14 +90,6 @@ def _parse_generator(choice: str, dim: int, rademacher: bool) -> StepGenerator:
     raise ValueError(f"unknown generator {choice!r} (use unit|isotropic|pm1|file:<path>)")
 
 
-def _integer_setting(key: str, value) -> int:
-    """A config integer: JSON bools and non-integral numbers are errors."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ValueError(f"{key} must be an integer, not {value!r}")
-    return int(value)
-
-
 def _number_setting(key: str, value) -> float:
     """A config number: JSON bools, strings and values beyond float range are errors."""
     real = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -118,7 +111,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if value is not None:
             settings[key] = value
     for key in ("dim", "steps", "trials", "seed"):
-        settings[key] = _integer_setting(key, settings[key])
+        settings[key] = _integer(key, settings[key])
     if not isinstance(settings["rademacher"], bool):
         raise ValueError(f"rademacher must be true or false, not {settings['rademacher']!r}")
     if not isinstance(settings["out"], str):
@@ -174,16 +167,16 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    t = int(args.T)
-    if args.n < 0:
-        raise ValueError(f"--n must be nonnegative, not {args.n}")
+    t, n = args.T, args.n
+    if n < 0:
+        raise ValueError(f"--n must be nonnegative, not {n}")
     if args.mode == "single":
         if not args.signs:
             raise ValueError("--signs is required in single mode")
         eps = signs_from_string(args.signs)
-        if args.n and int(args.n) != len(eps):
-            raise ValueError(f"--n {args.n} does not match {len(eps)} signs")
-        start = int(args.start) if args.start is not None else 0
+        if n and n != len(eps):
+            raise ValueError(f"--n {n} does not match {len(eps)} signs")
+        start = args.start if args.start is not None else 0
         walk = reflected_walk(eps, t, start)
         n = len(eps)
         record = {
@@ -199,8 +192,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         _emit(record)
         return 0
     if args.mode == "chain":
-        n = int(args.n)
-        start = int(args.start) if args.start is not None else "uniform"
+        start = args.start if args.start is not None else "uniform"
         record = {
             "mode": "chain",
             "T": t,
@@ -217,50 +209,38 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         _emit(record)
         return 0
     if args.mode == "exhaustive":
-        n = int(args.n)
         if n > _ENUM_LIMIT:
             raise ValueError(f"exhaustive mode is limited to n <= {_ENUM_LIMIT}")
         _check_band(t, 0)
-        starts = [int(args.start)] if args.start is not None else list(range(-t, t + 1))
-        instances = 0
+        starts = [args.start] if args.start is not None else list(range(-t, t + 1))
         failures = 0
         for bits in range(1 << n):
             eps = tuple(1 if bits & (1 << i) else -1 for i in range(n))
             for start in starts:
-                instances += 1
-                ok = verify_lex_optimality(eps, t, start) and verify_start_shift(eps, t, start)
-                if not ok:
+                if not (verify_lex_optimality(eps, t, start) and verify_start_shift(eps, t, start)):
                     failures += 1
-                    _emit(
-                        {
-                            "mode": "exhaustive",
-                            "T": t,
-                            "start": start,
-                            "signs": "".join("+" if e > 0 else "-" for e in eps),
-                            "ok": False,
-                        }
-                    )
+                    signs = "".join("+" if e > 0 else "-" for e in eps)
+                    _emit(dict(mode="exhaustive", T=t, start=start, signs=signs, ok=False))
+        instances = len(starts) << n
         _emit({"mode": "exhaustive", "T": t, "n": n, "instances": instances, "failures": failures})
         return 0 if failures == 0 else 2
     raise ValueError(f"unknown oracle mode {args.mode!r}")
 
 
 def _cmd_fisher(args: argparse.Namespace) -> int:
-    dim = int(args.dim)
-    t = float(args.half_width)
-    box = Box.cube(dim, t)
+    box = Box.cube(args.dim, args.half_width)
     if args.method == "closed":
         fisher = fisher_closed_form_cube(box)
     elif args.method == "quadrature":
-        fisher = fisher_quadrature(cube_eigen_density(box), int(args.nodes))
+        fisher = fisher_quadrature(cube_eigen_density(box), args.nodes)
     elif args.method == "mc":
-        fisher = fisher_monte_carlo(cube_eigen_density(box), int(args.samples), int(args.seed))
+        fisher = fisher_monte_carlo(cube_eigen_density(box), args.samples, args.seed)
     else:
         raise ValueError(f"unknown method {args.method!r}")
     record = {
         "method": args.method,
-        "dim": dim,
-        "half_width": t,
+        "dim": args.dim,
+        "half_width": args.half_width,
         "entries": fisher.entries.tolist(),
         "std_error": None if fisher.std_error is None else fisher.std_error.tolist(),
         "operator_norm": fisher_operator_norm(fisher),

@@ -2,7 +2,7 @@
 
 Each trial gets its own random streams derived from (seed, trial_index) via
 SeedSequence, one stream for step generation and one for the filter, so the
-results cannot depend on scheduling.  Trials advance in lockstep through
+results cannot depend on scheduling.  All trials run together through
 ``run_ensemble``; a trial's walk depends only on its own streams, so
 ``filter_run`` on one trial's steps and seed gives the same walk.
 """
@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bodies import Box, cube_eigen_density
+from .bodies import Box, _integer, cube_eigen_density
 from .bounds import BoundReport, matching_bounds
 from .metropolis import EnsembleResult, run_ensemble
 
@@ -52,8 +52,7 @@ class StepGenerator:
     def __post_init__(self) -> None:
         if self.kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.dimension < 1:
-            raise ValueError("dimension must be at least 1")
+        object.__setattr__(self, "dimension", _integer("dimension", self.dimension, 1))
         if self.kind == "fixed_list":
             try:
                 vecs = np.array(self.vectors, dtype=float, ndmin=2)
@@ -73,9 +72,7 @@ class StepGenerator:
 
 def generate_steps(gen: StepGenerator, n: int, rng_seed) -> np.ndarray:
     """n signed step vectors, shape (n, d), deterministic given the seed."""
-    n = int(n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = _integer("n", n, 0)
     d = gen.dimension
     rng = np.random.default_rng(rng_seed)
     if gen.kind in ("fixed_list", "coordinate_basis_cycle"):
@@ -104,10 +101,8 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be at least 1")
-        if self.n_steps < 0:
-            raise ValueError("n_steps must be nonnegative")
+        object.__setattr__(self, "n_trials", _integer("n_trials", self.n_trials, 1))
+        object.__setattr__(self, "n_steps", _integer("n_steps", self.n_steps, 0))
         if self.generator.dimension != self.body.dimension:
             raise ValueError("generator and body dimensions differ")
 
@@ -161,7 +156,7 @@ def run_experiment_ensemble(config: ExperimentConfig) -> tuple[RunStats, Ensembl
 def run_experiment(config: ExperimentConfig) -> RunStats:
     """Run n_trials seeded trials and aggregate discard counts and bounds.
 
-    Containment is checked once per block of lockstep steps, and a
+    Containment is checked once per block of steps, and a
     violation raises ContainmentError naming the first step and lowest
     trial that left the doubled box, rather than being counted; so a
     returned RunStats always has containment_violations = 0.
@@ -205,13 +200,14 @@ def emit_report(stats: RunStats, report_format: str = "csv") -> str:
 def run_stats_from_json(text: str) -> RunStats:
     """Inverse of emit_report(..., 'json'): parse(emit(stats)) == stats."""
     obj = json.loads(text)
+    discards = obj["per_trial_discards"]
     return RunStats(
-        per_trial_discards=tuple(int(x) for x in obj["per_trial_discards"]),
+        per_trial_discards=tuple(_integer("per_trial_discards", x) for x in discards),
         mean=float(obj["mean"]),
         std_error=float(obj["std_error"]),
         bound_reports=tuple(
             BoundReport(b["kind"], float(b["value"]), b["inputs_digest"])
             for b in obj["bound_reports"]
         ),
-        containment_violations=int(obj["containment_violations"]),
+        containment_violations=_integer("containment_violations", obj["containment_violations"]),
     )

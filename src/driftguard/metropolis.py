@@ -30,7 +30,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .bodies import Density
+from .bodies import Density, _integer
 
 __all__ = [
     "ContainmentError",
@@ -45,7 +45,7 @@ __all__ = [
 # slack for the 2K containment assertion, per unit of half-width
 _CONTAINMENT_TOL = 1e-9
 # float64 values of the position buffer run_ensemble checks containment on;
-# a block is as many lockstep steps as fit, and at least one
+# a block is as many steps as fit, and at least one
 _PATH_BUDGET = 1 << 16
 # widest ensemble (trials * dimension) that takes the speculative body, and
 # how many steps each of its trials assumes accepted per log_density call
@@ -64,7 +64,7 @@ class ContainmentError(RuntimeError):
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Final states of many filtered walks run in lockstep."""
+    """Final states of many filtered walks run together by ``run_ensemble``."""
 
     origins: np.ndarray  # (m, d)
     finals: np.ndarray  # (m, d)
@@ -113,7 +113,8 @@ def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> Ensemble
     # trial-major (m, n) for the windows, step-major (n, m) for the lockstep rows
     coins = np.stack([g.uniform(size=n) for g in gens], axis=0 if speculative else 1)
     hw = density.support.half_widths
-    limit = 2.0 * hw + _CONTAINMENT_TOL * hw
+    with np.errstate(over="ignore"):  # inf for T near 9e307, where no finite |sum| exceeds it
+        limit = 2.0 * hw + _CONTAINMENT_TOL * hw
     current = origins.copy()
     log_current = np.asarray(density.log_density(current), dtype=float)
     accepted = np.zeros((m, n), dtype=bool)
@@ -315,9 +316,7 @@ def rejection_rate_monte_carlo(
         raise ValueError("step dimension mismatch")
     if not np.all(np.isfinite(v)):
         raise ValueError("step has non-finite entries")
-    n = int(n_steps)
-    if n < 1:
-        raise ValueError("n_steps must be positive")
+    n = _integer("n_steps", n_steps, 1)
     rng = np.random.default_rng(rng_seed)
     points = density.sample(rng, n)
     log_pi = np.asarray(density.log_density(points), dtype=float)

@@ -18,6 +18,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .bodies import _integer
+
 __all__ = [
     "ValidSubsequence",
     "signs_from_string",
@@ -54,20 +56,20 @@ def signs_from_string(text: str) -> tuple[int, ...]:
 
 
 def _check_band(half_width: int, start: int) -> tuple[int, int]:
-    t = int(half_width)
-    s = int(start)
-    if t < 0:
-        raise ValueError("half_width must be a nonnegative integer")
+    t = _integer("half_width", half_width, 0)
+    s = _integer("start", start)
     if abs(s) > t:
         raise ValueError(f"start {s} outside band [-{t}, {t}]")
     return t, s
 
 
 def _check_signs(signs: Sequence[int]) -> tuple[int, ...]:
-    eps = tuple(int(e) for e in signs)
-    if any(e not in (-1, 1) for e in eps):
+    """Signs as +1 and -1 ints; 1.0 and numpy ints count, 1.5 and bools do not."""
+    eps = tuple(signs)
+    types = set(map(type, eps))
+    if not set(eps) <= {-1, 1} or bool in types or np.bool_ in types:
         raise ValueError("signs must be +1 or -1")
-    return eps
+    return eps if types <= {int} else tuple(1 if e > 0 else -1 for e in eps)
 
 
 def reflected_walk(signs: Sequence[int], half_width: int, start: int = 0) -> ValidSubsequence:
@@ -160,7 +162,7 @@ def _start_weights(start: StartDistribution, width: int, t: int) -> tuple[list[i
         if start != "uniform":
             raise ValueError(f"unknown start distribution {start!r}")
         return [1] * width, width
-    if isinstance(start, (int, np.integer)):
+    if isinstance(start, (int, float, np.number)):
         _, s = _check_band(t, start)
         weights = [0] * width
         weights[s + t] = 1
@@ -189,9 +191,7 @@ def exact_chain_expectation_fraction(
     states; beyond that use exact_chain_expectation.
     """
     t, _ = _check_band(half_width, 0)
-    n = int(n_steps)
-    if n < 0:
-        raise ValueError("n_steps must be nonnegative")
+    n = _integer("n_steps", n_steps, 0)
     width = 2 * t + 1
     if width > _RATIONAL_STATE_LIMIT:
         raise ValueError(f"rational arithmetic is limited to {_RATIONAL_STATE_LIMIT} states")
@@ -215,18 +215,21 @@ def exact_chain_expectation(
     Both sides parse ``start`` alike: "uniform", a point in [-T, T], or a
     vector of 2T+1 exact nonnegative rationals or floats summing to 1.
     Beyond 65 states it is ``_spectral_expectation``, whose cost does not
-    grow with n_steps.
+    grow with n_steps, or exactly 0 when no start state can reach an edge
+    within n_steps.
     """
     t, _ = _check_band(half_width, 0)
     width = 2 * t + 1
     if width <= _RATIONAL_STATE_LIMIT:
         return float(exact_chain_expectation_fraction(t, n_steps, start))
-    n = int(n_steps)
-    if n < 0:
-        raise ValueError("n_steps must be nonnegative")
+    n = _integer("n_steps", n_steps, 0)
     weights, denom = _start_weights(start, width, t)
     # int / int is correctly rounded even when the integers exceed float range
-    return _spectral_expectation(np.array([w / denom for w in weights]), n)
+    probs = np.array([w / denom for w in weights])
+    support = np.flatnonzero(probs)
+    if n <= min(support[0], width - 1 - support[-1]):
+        return 0.0  # the spectral sum would return rounding noise of either sign
+    return _spectral_expectation(probs, n)
 
 
 def _spectral_expectation(probs: np.ndarray, n: int) -> float:

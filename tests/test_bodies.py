@@ -141,6 +141,16 @@ class TestCubeEigenDensity:
         with pytest.raises(ValueError):
             cube_eigen_density(Box.cube(1, 5e-324))
 
+    def test_huge_half_width_rejected(self):
+        # 2 T overflowed above ~9e307 and the density went flat: -709.196...
+        # at x = 0 and at x = 9e307 for T = 1e308
+        largest = np.finfo(float).max / 2.0  # the largest T whose 2 T is finite
+        for t in (1e308, np.nextafter(largest, np.inf)):
+            with pytest.raises(ValueError, match=r"^half_widths too large: 2 T overflows$"):
+                cube_eigen_density(Box(np.array([1.0, t])))
+        den = cube_eigen_density(Box.cube(1, largest))
+        assert den.log_density([0.0]) > den.log_density([0.5 * largest]) > -np.inf
+
     def test_sampler_matches_cdf(self):
         den = cube_eigen_density(Box.cube(1, 2.0))
         x = np.sort(den.sample(np.random.default_rng(17), 10**5)[:, 0])
@@ -399,6 +409,21 @@ class TestFisherMonteCarlo:
         scale = np.outer(tiny * 1e76, tiny * 1e76) / np.outer(tiny, tiny)
         np.testing.assert_allclose(mc.entries, unit.entries * scale, rtol=1e-9)
         np.testing.assert_allclose(mc.std_error, unit.std_error * scale, rtol=1e-9)
+
+    @pytest.mark.parametrize("t", [1e160, 1e200])
+    def test_huge_half_width_underflow_rejected(self, t):
+        # scaling back to 1 / T**2 gave a subnormal [[1.05e-319]] at 1e160,
+        # and [[0.]] with a standard error of [[0.]] at 1e200
+        for box in (Box.cube(1, t), Box(np.array([1.0, t]))):
+            with pytest.raises(ValueError, match=r"^half_width too large: Fisher entries"):
+                fisher_monte_carlo(cube_eigen_density(box), 1000, 5)
+
+    def test_large_half_width_scales_back(self):
+        # below the underflow the unscaling is exact: the unit box's draws times 1 / T**2
+        mc = fisher_monte_carlo(cube_eigen_density(Box.cube(2, 2.0**400)), 1000, 5)
+        unit = fisher_monte_carlo(cube_eigen_density(Box.cube(2, 1.0)), 1000, 5)
+        assert np.array_equal(mc.entries, unit.entries * 2.0**-800)
+        assert np.array_equal(mc.std_error, unit.std_error * 2.0**-800)
 
     def test_estimator_kind_and_se_shape(self):
         mc = fisher_monte_carlo(cube_eigen_density(Box.cube(2, 1.0)), 2000, 1)

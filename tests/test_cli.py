@@ -446,10 +446,20 @@ class TestOracle:
         assert summary["failures"] == 0
         assert summary["instances"] == 16 * 3
 
+    def test_exhaustive_reports_each_counterexample(self, capsys, monkeypatch):
+        # the oracle finds none, so a shift check that fails on "+-" from 1 stands in
+        monkeypatch.setattr(cli, "verify_start_shift", lambda eps, t, s: (eps, s) != ((1, -1), 1))
+        code, out, err = run_cli(capsys, "oracle", "--mode", "exhaustive", "--T", "1", "--n", "2")
+        assert (code, err) == (2, "")
+        assert out == (
+            '{"T": 1, "mode": "exhaustive", "ok": false, "signs": "+-", "start": 1}\n'
+            '{"T": 1, "failures": 1, "instances": 12, "mode": "exhaustive", "n": 2}\n'
+        )
+
     def test_exhaustive_negative_t_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "oracle", "--mode", "exhaustive", "--T", "-1", "--n", "3")
         assert (code, out) == (2, "")
-        assert err == "error: half_width must be a nonnegative integer\n"
+        assert err == "error: half_width must be at least 0\n"
 
     def test_exhaustive_negative_n_names_flag(self, capsys):
         code, out, err = run_cli(capsys, "oracle", "--mode", "exhaustive", "--T", "1", "--n", "-1")

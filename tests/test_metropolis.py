@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -192,6 +193,22 @@ class TestFilterRun:
         assert str(exc.value) == "trial 0 accepted sum [2.] left 2K at step 1"
         with pytest.raises(ContainmentError, match=r"^accepted sum \[2\.\] left 2K at step 1$"):
             filter_loop(liar_density(), np.ones((5, 1)), 0)
+
+    def test_largest_half_width_runs_without_warning(self):
+        # the largest T the density accepts, where 2T is finite but the
+        # containment limit 2T + 1e-9 T is not; both bodies run it silently
+        largest = np.finfo(float).max / 2.0
+        den = cube_eigen_density(Box.cube(1, largest))
+        steps = np.random.default_rng(3).choice([-1.0, 1.0], size=(200, 6, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = filter_run(den, steps[0], 3)
+            wide = run_ensemble(den, steps, list(range(200)))  # m * d above the narrow width
+        with np.errstate(over="ignore"):  # the oracle's own limit overflows
+            loop = filter_loop(den, steps[0], 3)
+        assert np.array_equal(traj.accepted, loop.accepted)
+        assert np.array_equal(wide.accepted[3], filter_run(den, steps[3], 3).accepted)
+        assert traj.max_abs_sum <= 6.0
 
     def test_escape_and_non_finite_step_in_one_block(self):
         # the block is screened for non-finite steps before it runs, so a

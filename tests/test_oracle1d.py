@@ -36,6 +36,21 @@ class TestSignsParsing:
             signs_from_string("+0-")
 
 
+class TestSignChecks:
+    @pytest.mark.parametrize("bad", [1.5, True, np.True_, "1", float("nan"), 0, 2])
+    def test_signs_must_be_plus_or_minus_one(self, bad):
+        # 1.5 was taken as a +1 step
+        for check in (reflected_walk, dp_longest_valid, verify_lex_optimality):
+            with pytest.raises(ValueError, match=r"^signs must be \+1 or -1$"):
+                check((1, bad, -1), 1)
+
+    def test_integral_signs_count(self):
+        ints = reflected_walk((1, 1, -1, 1), 1)
+        for signs in ((1.0, 1.0, -1.0, 1.0), np.array([1, 1, -1, 1]), np.array([1.0, 1, -1, 1])):
+            assert reflected_walk(signs, 1) == ints
+            assert dp_longest_valid(signs, 1) == dp_longest_valid((1, 1, -1, 1), 1)
+
+
 class TestReflectedWalk:
     def test_two_ups_t1(self):
         assert reflected_walk((1, 1), 1, 0).indices == (1,)
@@ -245,8 +260,8 @@ class TestExactChain:
             for n in (0, 1, 7, 1000):
                 loop = chain_expectation_loop(probs, n)
                 value = exact_chain_expectation(t, n, start)
-                # exact zeros (the centre start before it can reach an edge)
-                # come back as sums of modes cancelling to ~1e-17
+                # the centre start's tiny expectations carry the sum's
+                # ~1e-17 absolute error (its exact zeros are returned as 0.0)
                 assert value == pytest.approx(loop, rel=1e-12, abs=1e-15), (name, n)
 
     @pytest.mark.parametrize("t", [0, 1, 2, 5, 16, 22, 29, 32])
@@ -260,6 +275,23 @@ class TestExactChain:
                 exact = float(exact_chain_expectation_fraction(t, n, start))
                 value = _spectral_expectation(probs, n)
                 assert abs(value - exact) <= 1e-15 * max(exact, 1.0), (start, n)
+
+    @pytest.mark.parametrize("t", [33, 40, 100, 300, 1000])
+    def test_unreachable_edges_give_exact_zero(self, t):
+        # a start law that cannot reach an edge within n steps discards
+        # nothing; the spectral sum returned +-3.3e-16 there, mostly negative
+        width = 2 * t + 1
+        for s in (0, t // 2, 3 - t, t - 1):
+            reach = t - abs(s)
+            probs = np.eye(width)[s + t]
+            for n in (1, reach // 2, reach):
+                assert exact_chain_expectation(t, n, s) == chain_expectation_loop(probs, n) == 0.0
+            loop = chain_expectation_loop(probs, reach + 1)
+            assert exact_chain_expectation(t, reach + 1, s) == pytest.approx(loop, abs=1e-15)
+        law = [Fraction(0)] * width
+        law[t - 2 : t + 3] = [Fraction(1, 5)] * 5
+        probs = [float(p) for p in law]
+        assert exact_chain_expectation(t, t - 2, law) == chain_expectation_loop(probs, t - 2) == 0.0
 
     def test_spectral_sum_uniform_is_n_over_width(self):
         assert exact_chain_expectation(40, 10_000, "uniform") == 10_000 / 81
