@@ -15,6 +15,7 @@ eigenvalue of the box, which is what ties step budgets to the geometry.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -62,14 +63,40 @@ def _integer(name: str, value, minimum: Optional[int] = None) -> int:
     return value
 
 
+def _seed(name: str, value):
+    """A random seed: a SeedSequence as it is, anything else an integer of at least 0."""
+    return value if isinstance(value, np.random.SeedSequence) else _integer(name, value, 0)
+
+
+def _number(name: str, value) -> float:
+    """``value`` as a float: ints, floats and their numpy kinds pass, and bools,
+    strings and values beyond float range (inf too) raise ValueError."""
+    if isinstance(value, (np.integer, np.floating)):
+        value = value.item()  # compared below as a Python number, without numpy's casts
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not real or abs(value) > sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, not {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box prod_i [-T_i, T_i] centered at the origin."""
+    """Axis-aligned box prod_i [-T_i, T_i] centered at the origin.
+
+    Each entry of a list or tuple must be an int or a float (numpy's too):
+    a bool, a string or a number beyond float range raises ValueError, and
+    so does a boolean array.
+    """
 
     half_widths: np.ndarray
 
     def __post_init__(self) -> None:
-        hw = np.asarray(self.half_widths, dtype=float)
+        hw = self.half_widths
+        if isinstance(hw, (list, tuple)):
+            hw = [_number("half_widths", w) for w in hw]
+        elif np.asarray(hw).dtype == bool:
+            raise ValueError("half_widths must be numbers, not booleans")
+        hw = np.asarray(hw, dtype=float)
         if hw.ndim != 1 or hw.size < 1:
             raise ValueError("half_widths must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(hw)) or np.any(hw <= 0.0):
@@ -80,7 +107,7 @@ class Box:
 
     @classmethod
     def cube(cls, dimension: int, half_width: float) -> "Box":
-        return cls(np.full(_integer("dimension", dimension, 1), float(half_width)))
+        return cls(np.full(_integer("dimension", dimension, 1), _number("half_width", half_width)))
 
     @property
     def dimension(self) -> int:
@@ -323,6 +350,7 @@ def fisher_monte_carlo(density: Density, samples: int, rng_seed: int) -> FisherM
     to zero or a subnormal (T_i above ~1e153).
     """
     samples = _integer("samples", samples, 1000)
+    seed = _integer("rng_seed", rng_seed, 0)
     d = density.dimension
     # scores scale as 1 / T_i: a power of two near T_i per axis keeps their
     # products and squares in range at tiny T, and scales back exactly
@@ -333,7 +361,7 @@ def fisher_monte_carlo(density: Density, samples: int, rng_seed: int) -> FisherM
     chunk_index = 0
     while done < samples:
         m = min(_MC_CHUNK, samples - done)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((rng_seed, chunk_index))))
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chunk_index))))
         pts = density.sample(rng, m)
         scores = np.ldexp(np.asarray(density.log_gradient(pts), dtype=float), exps)
         # no (chunk, d, d) outer products; einsum, not `@`, whose BLAS sums vary with threads

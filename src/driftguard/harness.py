@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bodies import Box, _integer, cube_eigen_density
+from .bodies import Box, _integer, _seed, cube_eigen_density
 from .bounds import BoundReport, matching_bounds
 from .metropolis import EnsembleResult, run_ensemble
 
@@ -74,7 +74,7 @@ def generate_steps(gen: StepGenerator, n: int, rng_seed) -> np.ndarray:
     """n signed step vectors, shape (n, d), deterministic given the seed."""
     n = _integer("n", n, 0)
     d = gen.dimension
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(_seed("rng_seed", rng_seed))
     if gen.kind in ("fixed_list", "coordinate_basis_cycle"):
         # np.tile, not np.resize: resize concatenates n*d/size copies one by one
         base = gen.vectors if gen.kind == "fixed_list" else np.eye(d)
@@ -103,6 +103,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_trials", _integer("n_trials", self.n_trials, 1))
         object.__setattr__(self, "n_steps", _integer("n_steps", self.n_steps, 0))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
         if self.generator.dimension != self.body.dimension:
             raise ValueError("generator and body dimensions differ")
 
@@ -130,11 +131,9 @@ def trial_streams(config: ExperimentConfig) -> tuple[np.ndarray, list]:
 
 def run_experiment_ensemble(config: ExperimentConfig) -> tuple[RunStats, EnsembleResult]:
     """run_experiment, also returning the raw ensemble for further checks."""
-    steps, filter_seeds = trial_streams(config)
-    # first, so a half-width the bounds reject fails before the density and
-    # the kernel are built and run
-    bound_reports = tuple(matching_bounds(config.body, steps))
     density = cube_eigen_density(config.body)
+    steps, filter_seeds = trial_streams(config)
+    bound_reports = tuple(matching_bounds(config.body, steps))
     result = run_ensemble(density, steps, filter_seeds)
     discards = np.asarray(result.discards, dtype=np.int64)
     mean = float(np.mean(discards))

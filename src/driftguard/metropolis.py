@@ -30,7 +30,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .bodies import Density, _integer
+from .bodies import Density, _integer, _seed
 
 __all__ = [
     "ContainmentError",
@@ -108,7 +108,7 @@ def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> Ensemble
     if len(seeds) != m:
         raise ValueError("need one seed per trial")
     speculative = m * d <= _SPECULATIVE_WIDTH
-    gens = [np.random.default_rng(s) for s in seeds]
+    gens = [np.random.default_rng(_seed("seeds", s)) for s in seeds]
     origins = density.quantile(np.concatenate([g.uniform(size=(1, d)) for g in gens]))
     # trial-major (m, n) for the windows, step-major (n, m) for the lockstep rows
     coins = np.stack([g.uniform(size=n) for g in gens], axis=0 if speculative else 1)
@@ -269,7 +269,7 @@ def filter_run(density: Density, signed_steps, rng_seed: SeedLike) -> Trajectory
         steps = steps.reshape(0, density.dimension)
     if steps.ndim != 2 or steps.shape[1] != density.dimension:
         raise ValueError("signed_steps must have shape (n, d)")
-    result = run_ensemble(density, steps[None], [rng_seed])
+    result = run_ensemble(density, steps[None], [_seed("rng_seed", rng_seed)])
     return Trajectory(
         origin=result.origins[0],
         final=result.finals[0],
@@ -317,7 +317,7 @@ def rejection_rate_monte_carlo(
     if not np.all(np.isfinite(v)):
         raise ValueError("step has non-finite entries")
     n = _integer("n_steps", n_steps, 1)
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(_seed("rng_seed", rng_seed))
     points = density.sample(rng, n)
     log_pi = np.asarray(density.log_density(points), dtype=float)
     log_pi_shift = np.asarray(density.log_density(points + v), dtype=float)

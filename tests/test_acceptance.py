@@ -281,7 +281,7 @@ def test_criterion_11_discard_fraction_is_dimension_free():
     with criterion(11, 30) as detail:
         t, n = 16.0, 4000
         fractions = []
-        for d in (1, 4, 16, 64):
+        for d in (1, 4, 16, 64, 256):
             config = ExperimentConfig(
                 body=Box.cube(d, t),
                 generator=StepGenerator("random_unit_sphere", d),

@@ -52,6 +52,20 @@ class TestBox:
         with pytest.raises(ValueError):
             Box(np.ones((2, 2)))
 
+    def test_half_widths_follow_the_number_rule(self):
+        # a bool was taken as 1.0, and an int beyond float range overflowed
+        for bad in (True, "2", 10**400, np.inf):
+            message = f"^half_width must be a finite number, not {bad!r}$"
+            with pytest.raises(ValueError, match=message):
+                Box.cube(2, bad)
+        for bad in ([True, 2.0], (2.0, "1"), [1.0, 10**400]):
+            with pytest.raises(ValueError, match="^half_widths must be a finite number"):
+                Box(bad)
+        with pytest.raises(ValueError, match="booleans"):
+            Box(np.array([True, False]))
+        assert np.array_equal(Box.cube(2, np.int64(2)).half_widths, [2.0, 2.0])
+        assert np.array_equal(Box([1, np.float32(2.5)]).half_widths, [1.0, 2.5])
+
     def test_non_cube_box(self):
         assert not Box(np.array([1.0, 2.0])).is_cube
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from driftguard.bodies import Box, FisherMatrix, fisher_closed_form_cube
 from driftguard.bounds import (
+    BoundReport,
     isotropic_bound,
     lower_bound_1d,
     matching_bounds,
@@ -146,14 +147,17 @@ class TestVectorisedBounds:
 
 class TestMatchingBounds:
     def test_one_run_is_the_four_calculators(self):
+        # the Fisher bound is the cube bound's float under the general digest
         box = Box.cube(1, 3.0)
         steps = np.array([[1.0], [-1.0], [1.0], [1.0]])
+        general = upper_bound_general(fisher_closed_form_cube(box), steps)
+        cube = upper_bound_cube(3.0, np.abs(steps[:, 0]))
         assert matching_bounds(box, steps) == [
-            upper_bound_general(fisher_closed_form_cube(box), steps),
-            upper_bound_cube(3.0, np.abs(steps[:, 0])),
-            isotropic_bound(box, 4),
+            BoundReport("general_fisher", cube.value, general.inputs_digest),
+            cube,
             lower_bound_1d(3, 4),
         ]
+        assert cube.value == pytest.approx(general.value, rel=1e-15)
 
     @pytest.mark.parametrize(
         "box,steps",
@@ -166,15 +170,44 @@ class TestMatchingBounds:
     )
     def test_lower_bound_only_for_unit_steps_on_integer_band(self, box, steps):
         kinds = [b.kind for b in matching_bounds(box, steps)]
-        assert kinds == ["general_fisher", "cube_l2", "isotropic"]
+        assert kinds == ["general_fisher", "cube_l2"]
 
     def test_lower_bound_attaches_to_empty_runs(self):
         kinds = [b.kind for b in matching_bounds(Box.cube(1, 2.0), np.zeros((3, 0, 1)))]
-        assert kinds == ["general_fisher", "cube_l2", "isotropic", "lower_1d"]
+        assert kinds == ["general_fisher", "cube_l2", "lower_1d"]
 
-    def test_non_cube_gets_only_isotropic(self):
+    def test_non_cube_gets_only_general_fisher(self):
         kinds = [b.kind for b in matching_bounds(Box(np.array([1.0, 2.0])), np.ones((5, 2)))]
-        assert kinds == ["isotropic"]
+        assert kinds == ["general_fisher"]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 64, 256])
+    def test_fisher_pass_is_the_einsum_on_any_box(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(5):
+            half_widths = np.exp(rng.uniform(-4.0, 4.0, size=d))
+            fisher = FisherMatrix(np.diag(np.pi**2 / half_widths**2), "closed_form")
+            for shape in ((30, d), (4, 30, d)):
+                steps = rng.normal(size=shape) * np.exp(rng.uniform(-3.0, 3.0, size=d))
+                report = matching_bounds(Box(half_widths), steps)[0]
+                oracle = upper_bound_general(fisher, steps)
+                assert report == BoundReport("general_fisher", report.value, oracle.inputs_digest)
+                assert report.value == pytest.approx(oracle.value, rel=1e-14, abs=0.0)
+
+    def test_fisher_pass_on_an_eccentric_box(self):
+        # T_max / T_min overflows, and so does T_max**2: both zero the long axis
+        half_widths = np.array([1e-10, 3.0, 1e300])
+        with np.errstate(over="ignore"):
+            fisher = FisherMatrix(np.diag(np.pi**2 / half_widths**2), "closed_form")
+        steps = np.random.default_rng(4).normal(size=(3, 20, 3))
+        (report,) = matching_bounds(Box(half_widths), steps)
+        assert report.value == pytest.approx(upper_bound_general(fisher, steps).value, rel=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 3, 64])
+    @pytest.mark.parametrize("t", [1e-300, 0.7, 16.0, 1e300])
+    def test_general_fisher_is_cube_l2_on_cubes(self, d, t):
+        steps = np.random.default_rng(d).normal(size=(3, 50, d))
+        general, cube = matching_bounds(Box.cube(d, t), steps)[:2]
+        assert (general.kind, cube.kind, general.value) == ("general_fisher", "cube_l2", cube.value)
 
     @pytest.mark.parametrize("shape", [(5,), (5, 2), (2, 5, 3), (1, 2, 5, 1)])
     def test_rejects_steps_not_matching_the_box(self, shape):
@@ -205,6 +238,13 @@ class TestUpperBoundCube:
             upper_bound_cube(math.inf, [1.0])
         with pytest.raises(ValueError):
             upper_bound_cube(1.0, [math.nan])
+
+    def test_extreme_half_widths(self):
+        # 2 T overflows above ~9e307 and pi / (2 T) below ~1e-308
+        assert upper_bound_cube(1e308, np.ones(3)).value == 3.0 * ((0.5 * math.pi) / 1e308)
+        for t in (1e-310, 1e-320):
+            with pytest.raises(ValueError, match="too small"):
+                upper_bound_cube(t, np.ones(3))
 
     def test_rejects_infinite_norms(self):
         one_run = [math.inf, 1.0]

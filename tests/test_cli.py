@@ -138,10 +138,9 @@ class TestSimulate:
         assert out == (
             "trial,discards\n0,3\n1,4\n2,3\nmean,3.3333333333333335\n"
             "std_error,0.33333333333333337\ncontainment_violations,0\n"
-            "bound,general_fisher,6.268595727334151,"
+            "bound,general_fisher,6.26859572733415,"
             '"n=7, d=2, fisher=closed_form, mean over 3 trials"\n'
             'bound,cube_l2,6.26859572733415,"n=7, T=1.5, mean over 3 trials"\n'
-            'bound,isotropic,10.366726855702854,"n=7, d=2, lambda1=2.193245422464302"\n'
         )
 
     def test_huge_half_width_exits_2(self, capsys):
@@ -149,18 +148,28 @@ class TestSimulate:
             capsys, "simulate", "--half-width", "1e308", "--steps", "3", "--trials", "2"
         )
         assert (code, out) == (2, "")
-        assert err.endswith("error: half_width too large: T**2 overflows\n")
+        assert err.endswith("error: half_widths too large: 2 T overflows\n")
 
     def test_huge_half_width_fails_before_the_kernel(self, capsys, monkeypatch):
-        # the bounds are computed before the filter runs, so no run is
+        # the density is built before the filter runs, so no run is
         # wasted and no overflow warning precedes the error line
         runs = []
         monkeypatch.setattr(harness, "run_ensemble", lambda *args: runs.append(args))
         code, out, err = run_cli(
             capsys, "simulate", "--half-width", "1e308", "--steps", "3", "--trials", "2"
         )
-        assert (code, out, err) == (2, "", "error: half_width too large: T**2 overflows\n")
+        assert (code, out, err) == (2, "", "error: half_widths too large: 2 T overflows\n")
         assert runs == []
+
+    def test_huge_half_width_fails_before_the_streams(self, capsys, monkeypatch):
+        # no (m, n, d) step tensor is built for a half-width the density rejects
+        calls = []
+        monkeypatch.setattr(harness, "trial_streams", lambda config: calls.append(config))
+        code, out, err = run_cli(
+            capsys, "simulate", "--half-width", "1e308", "--steps", "3", "--trials", "2"
+        )
+        assert (code, out, calls) == (2, "", [])
+        assert err == "error: half_widths too large: 2 T overflows\n"
 
     def test_step_file_dimension_mismatch(self, capsys, tmp_path):
         steps = tmp_path / "steps.txt"
@@ -284,7 +293,7 @@ class TestBounds:
         )
         assert code == 0
         kinds = [entry["kind"] for entry in json_lines(out)]
-        assert kinds == ["general_fisher", "cube_l2", "isotropic", "lower_1d"]
+        assert kinds == ["general_fisher", "cube_l2", "lower_1d"]
 
     def test_non_integer_t_skips_lower(self, capsys):
         code, out, _ = run_cli(
@@ -292,7 +301,7 @@ class TestBounds:
         )
         assert code == 0
         kinds = [entry["kind"] for entry in json_lines(out)]
-        assert kinds == ["general_fisher", "cube_l2", "isotropic"]
+        assert kinds == ["general_fisher", "cube_l2"]
 
     def test_dim_zero_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "bounds", "--dim", "0", "--half-width", "2", "--steps", "3")
@@ -300,18 +309,24 @@ class TestBounds:
         assert err == "error: dimension must be at least 1\n"
 
     def test_huge_half_width_exits_2(self, capsys):
+        # it did while the bounds squared T; pi / (2 T) needs neither T**2 nor 2 T
         code, out, err = run_cli(
             capsys, "bounds", "--dim", "1", "--half-width", "1e308", "--steps", "3"
         )
-        assert (code, out) == (2, "")
-        assert err == "error: half_width too large: T**2 overflows\n"
+        assert (code, err) == (0, "")
+        values = [(e["kind"], e["value"]) for e in json_lines(out)]
+        upper = 3.0 * ((0.5 * np.pi) / 1e308)
+        assert values == [("general_fisher", upper), ("cube_l2", upper), ("lower_1d", -1e308)]
 
     def test_lambda1_overflow_exits_2(self, capsys):
-        # T**2 is finite but 4 T**2 is not: isotropic printed 0.0 with lambda1=0.0
+        # 4 T**2 overflows, but no report needs lambda1 any more
         code, out, err = run_cli(
             capsys, "bounds", "--dim", "1", "--half-width", "1e154", "--steps", "3"
         )
-        assert (code, out, err) == (2, "", "error: half_width too large: 4 T**2 overflows\n")
+        assert (code, err) == (0, "")
+        values = [(e["kind"], e["value"]) for e in json_lines(out)]
+        upper = 3.0 * ((0.5 * np.pi) / 1e154)
+        assert values == [("general_fisher", upper), ("cube_l2", upper), ("lower_1d", -1e154)]
 
     def test_negative_steps_names_flag(self, capsys):
         code, out, err = run_cli(

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from driftguard import bounds, harness
-from driftguard.bodies import Box, dirichlet_lambda1_box
-from driftguard.bounds import lower_bound_1d, upper_bound_cube
+from driftguard.bodies import Box
+from driftguard.bounds import isotropic_bound, lower_bound_1d, upper_bound_cube
 from driftguard.harness import (
     ExperimentConfig,
     RunStats,
@@ -209,12 +209,7 @@ class TestBoundAttachment:
 
     def test_integer_t_unit_steps_all_four(self):
         stats = run_experiment(cfg(n_trials=3, n_steps=20))
-        assert self.kinds(stats) == {
-            "general_fisher",
-            "cube_l2",
-            "isotropic",
-            "lower_1d",
-        }
+        assert self.kinds(stats) == {"general_fisher", "cube_l2", "lower_1d"}
 
     def test_non_integer_t_drops_lower(self):
         stats = run_experiment(cfg(body=Box.cube(1, 2.5), n_trials=3, n_steps=20))
@@ -228,7 +223,7 @@ class TestBoundAttachment:
         )
         assert "lower_1d" not in self.kinds(run_experiment(config))
 
-    def test_non_cube_box_keeps_isotropic_only_upper(self):
+    def test_non_cube_box_keeps_general_fisher_only_upper(self):
         config = ExperimentConfig(
             body=Box((2.0, 3.0)),
             generator=StepGenerator("random_unit_sphere", 2),
@@ -237,15 +232,24 @@ class TestBoundAttachment:
             seed=1,
         )
         kinds = self.kinds(run_experiment(config))
-        assert "isotropic" in kinds
-        assert "cube_l2" not in kinds
-        assert "general_fisher" not in kinds
+        assert kinds == {"general_fisher"}
 
-    def test_isotropic_value_matches_formula(self):
+    def test_general_fisher_value_matches_formula(self):
         stats = run_experiment(cfg(n_trials=3, n_steps=50))
-        iso = next(r for r in stats.bound_reports if r.kind == "isotropic")
-        lam = dirichlet_lambda1_box(Box.cube(1, 4.0))
-        assert iso.value == pytest.approx(np.sqrt(lam) * 50, rel=1e-13)
+        by_kind = {r.kind: r.value for r in stats.bound_reports}
+        assert by_kind["general_fisher"] == by_kind["cube_l2"] == (0.5 * math.pi / 4.0) * 50.0
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_isotropic_bound_holds_for_isotropic_steps(self, d):
+        # no report attaches it, so check it against its own step law here
+        config = cfg(
+            body=Box.cube(d, 4.0),
+            generator=StepGenerator("isotropic_custom", d),
+            n_steps=2000,
+            n_trials=20,
+        )
+        stats = run_experiment(config)
+        assert stats.mean <= isotropic_bound(config.body, 2000).value + 3.0 * stats.std_error
 
 
 class TestStepNorms:

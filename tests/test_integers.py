@@ -4,7 +4,9 @@ Each entry point below takes an integer argument: ints, numpy ints and
 integral floats give the same result, and bools, non-integral floats (NaN
 included) and strings raise ValueError naming the argument.  Before the
 rule, 2.5 was truncated (``lower_bound_1d(2.5, 10)`` reported T = 2) and
-``Box.cube(True, 1.0)`` built a 1-d box.
+``Box.cube(True, 1.0)`` built a 1-d box.  Seeds follow it too, with a
+minimum of 0: ``seed=True`` ran as seed 1, and ``seed=2.5`` failed later
+with a TypeError.
 """
 
 import json
@@ -26,8 +28,10 @@ from driftguard import (
     generate_steps,
     isotropic_bound,
     lower_bound_1d,
+    filter_run,
     reflected_walk,
     rejection_rate_monte_carlo,
+    run_ensemble,
     run_stats_from_json,
 )
 from driftguard.bodies import gauss_legendre_grid
@@ -36,6 +40,7 @@ _BOX = Box.cube(2, 2.0)
 _DENSITY = cube_eigen_density(_BOX)
 _GENERATOR = StepGenerator("random_unit_sphere", 2)
 _SIGNS = (1, 1, 1, -1, 1, 1)
+_STEPS = np.full((3, 2), 0.5)
 
 
 def _config(**counts):
@@ -68,6 +73,14 @@ ENTRY_POINTS = {
     "chain_fraction n": ("n_steps", 3, 0, lambda k: exact_chain_expectation_fraction(3, k, 0)),
     "chain_float T": ("half_width", 40, 0, lambda k: exact_chain_expectation(k, 9, 0)),
     "chain_float n": ("n_steps", 3, 0, lambda k: exact_chain_expectation(40, k, "uniform")),
+    "ExperimentConfig seed": ("seed", 3, 0, lambda k: _config(seed=k)),
+    "generate_steps seed": ("rng_seed", 3, 0, lambda k: generate_steps(_GENERATOR, 3, k)),
+    "run_ensemble seed": ("seeds", 3, 0, lambda k: run_ensemble(_DENSITY, _STEPS[None], [k])),
+    "filter_run seed": ("rng_seed", 3, 0, lambda k: filter_run(_DENSITY, _STEPS, k)),
+    "rejection_rate_monte_carlo seed": (
+        "rng_seed", 3, 0, lambda k: rejection_rate_monte_carlo(_DENSITY, [0.5, 0.5], 3, k)
+    ),
+    "fisher_monte_carlo seed": ("rng_seed", 3, 0, lambda k: fisher_monte_carlo(_DENSITY, 1000, k)),
 }
 
 

@@ -1,8 +1,9 @@
 """README's examples run as written.
 
-The python quick start and every ``driftguard`` command line that reads no
-input file run here, so a renamed or removed name fails the suite instead
-of going stale in the docs.
+The python quick start and every ``driftguard`` command line run here, so
+a renamed or removed name fails the suite instead of going stale in the
+docs.  The lines that read a file get README's own config and step-file
+examples, written to ``run.json`` and ``steps.txt``.
 """
 
 import re
@@ -18,19 +19,19 @@ BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(), flags=re.S | re
 
 
 def _commands() -> list[list[str]]:
-    """The argv of each README command line that needs no input file."""
+    """The argv of each README command line."""
     commands = []
     for lang, body in BLOCKS:
         for line in body.replace("\\\n", " ").splitlines():
-            if lang or not line.startswith("driftguard "):
-                continue
-            argv = shlex.split(line)[1:]
-            if not any(arg == "--config" or arg.startswith("file:") for arg in argv):
-                commands.append(argv)
+            if not lang and line.startswith("driftguard "):
+                commands.append(shlex.split(line)[1:])
     return commands
 
 
 COMMANDS = _commands()
+# the config-file block is the one JSON object; the step-file block is all numbers
+(CONFIG,) = [body for lang, body in BLOCKS if not lang and body.startswith("{")]
+(STEPS,) = [body for lang, body in BLOCKS if not lang and re.fullmatch(r"[-+.\d\s]+", body)]
 
 
 def test_every_subcommand_has_an_example():
@@ -39,7 +40,9 @@ def test_every_subcommand_has_an_example():
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_command_exits_0(argv, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)  # where simulate's --out lands
+    monkeypatch.chdir(tmp_path)  # where simulate's --out lands and the files are read
+    (tmp_path / "run.json").write_text(CONFIG)
+    (tmp_path / "steps.txt").write_text(STEPS)
     code = cli.main(argv)
     assert (code, capsys.readouterr().err) == (0, "")
 
