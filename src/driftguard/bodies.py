@@ -41,6 +41,7 @@ _KEPLER_STEPS = 5
 _KEPLER_SERIES_CUTOFF = 1.0
 _KEPLER_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in reversed(range(9)))
 _QUANTILE_SLAB = 1 << 16  # float64 uniforms the quantile solves at a time
+_QUADRATURE_SLAB = 1 << 16  # grid points fisher_quadrature integrates at a time
 _SYMMETRY_TOL = 1e-12  # tolerance for declaring a matrix symmetric
 _PSD_FLOOR = -1e-9
 
@@ -315,19 +316,39 @@ def gauss_legendre_grid(box: Box, nodes_per_axis: int) -> tuple[np.ndarray, np.n
 def fisher_quadrature(density: Density, grid_points_per_axis: int = 128) -> FisherMatrix:
     """Fisher matrix by tensor quadrature of (score)(score)^T pi.
 
-    Only for d <= 3; the grid is nodes**d points.  Raises if the score is
-    non-finite at any interior node.
+    Only for d <= 3, with at least 16 nodes per axis.  The nodes**d grid is
+    never built whole: a slab of whole first-axis planes (the 1-d rule's
+    nodes on axis 0 times the grid of the other axes, ~_QUADRATURE_SLAB
+    points) is integrated at a time and the d x d sums are added up, so any
+    node count runs in a few MiB.  Raises if the score is non-finite at any
+    interior node.
     """
     if density.dimension > 3:
         raise ValueError("quadrature supports dimension at most 3")
     nodes = _integer("grid_points_per_axis", grid_points_per_axis, 16)
-    points, weights = gauss_legendre_grid(density.support, nodes)
-    scores = np.asarray(density.log_gradient(points), dtype=float)
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("log_gradient returned non-finite values at interior nodes")
-    pi_vals = np.exp(np.asarray(density.log_density(points), dtype=float))
-    with np.errstate(invalid="ignore"):  # inf weight * 0 density: FisherMatrix rejects it
-        entries = np.einsum("k,ki,kj->ij", weights * pi_vals, scores, scores)
+    hw = density.support.half_widths
+    d = density.dimension
+    base_x, base_w = np.polynomial.legendre.leggauss(nodes)
+    if d > 1:
+        rest_points, rest_weights = gauss_legendre_grid(Box(hw[1:]), nodes)
+    else:
+        rest_points, rest_weights = np.empty((1, 0)), np.ones(1)
+    planes = max(1, _QUADRATURE_SLAB // len(rest_weights))
+    entries = np.zeros((d, d))
+    for i in range(0, nodes, planes):
+        axis_x = base_x[i : i + planes] * hw[0]
+        points = np.empty((len(axis_x), len(rest_weights), d))
+        points[:, :, 0] = axis_x[:, None]
+        points[:, :, 1:] = rest_points
+        points = points.reshape(-1, d)
+        scores = np.asarray(density.log_gradient(points), dtype=float)
+        if not np.all(np.isfinite(scores)):
+            raise ValueError("log_gradient returned non-finite values at interior nodes")
+        pi_vals = np.exp(np.asarray(density.log_density(points), dtype=float))
+        # an inf weight (and inf * 0 density) gives NaN, which FisherMatrix rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = np.multiply.outer(base_w[i : i + planes] * hw[0], rest_weights)
+            entries += np.einsum("k,ki,kj->ij", weights.reshape(-1) * pi_vals, scores, scores)
     return FisherMatrix(entries, "quadrature")
 
 

@@ -40,19 +40,20 @@ def upper_bound_general(fisher: FisherMatrix, steps) -> BoundReport:
 
     ``steps`` is (n, d) for one run or (m, n, d) for m trials; with a
     trials axis the value is the mean over trials of the per-run bound.
-    Raises ValueError on non-finite steps.
+    Raises ValueError on non-finite steps, and on finite ones whose
+    quadratic forms or bound overflow.
     """
     v = np.asarray(steps, dtype=float)
     if v.ndim not in (2, 3) or v.shape[-1] != fisher.dimension:
         raise ValueError("steps must have shape (n, d) or (m, n, d) matching the Fisher matrix")
-    quad = np.einsum("...nd,df,...nf->...n", v, fisher.entries, v)
-    # a non-finite step makes its quadratic form non-finite, so the (m, n)
-    # forms screen the (m, n, d) steps; finite steps may still overflow
-    if not np.isfinite(quad).all() and not np.isfinite(v).all():
-        raise ValueError("steps have non-finite entries")
-    np.maximum(quad, 0.0, out=quad)
-    np.sqrt(quad, out=quad)  # in place: the (m, n) forms are the only big array
-    value = 0.5 * float(np.mean(np.sum(quad, axis=-1)))
+
+    def root_forms(slab):
+        quad = np.einsum("...nd,df,...nf->...n", slab, fisher.entries, slab)
+        np.maximum(quad, 0.0, out=quad)
+        return np.sqrt(quad, out=quad)
+
+    with np.errstate(over="ignore"):  # an overflow is left to _finite_bound to reject
+        value = _finite_bound(0.5 * float(np.mean(_trial_sums(v, root_forms))), v)
     digest = f"n={v.shape[-2]}, d={fisher.dimension}, fisher={fisher.estimator_kind}"
     if v.ndim == 3:
         digest += f", mean over {v.shape[0]} trials"
@@ -67,12 +68,7 @@ def upper_bound_cube(half_width: float, step_l2_norms) -> BoundReport:
     Raises ValueError on negative or non-finite norms, and when pi / (2 T)
     is not finite (T below ~1e-308).
     """
-    t = float(half_width)
-    if not (0.0 < t < math.inf):
-        raise ValueError("half_width must be positive and finite")
-    factor = (0.5 * math.pi) / t  # 2 T would overflow for T above ~9e307
-    if not math.isfinite(factor):
-        raise ValueError("half_width too small: pi / (2 T) overflows")
+    t, factor = _cube_factor(half_width)
     norms = np.asarray(step_l2_norms, dtype=float)
     if norms.ndim not in (1, 2) or not np.all((norms >= 0.0) & (norms < math.inf)):
         raise ValueError("step_l2_norms must be (n,) or (m, n) finite nonnegative norms")
@@ -81,6 +77,17 @@ def upper_bound_cube(half_width: float, step_l2_norms) -> BoundReport:
     if norms.ndim == 2:
         digest += f", mean over {norms.shape[0]} trials"
     return BoundReport("cube_l2", value, digest)
+
+
+def _cube_factor(half_width: float) -> tuple[float, float]:
+    """(T, pi / (2 T)), or ValueError unless T is positive and the factor finite."""
+    t = float(half_width)
+    if not (0.0 < t < math.inf):
+        raise ValueError("half_width must be positive and finite")
+    factor = (0.5 * math.pi) / t  # 2 T would overflow for T above ~9e307
+    if not math.isfinite(factor):
+        raise ValueError("half_width too small: pi / (2 T) overflows")
+    return t, factor
 
 
 def isotropic_bound(box: Box, n_steps: int) -> BoundReport:
@@ -99,12 +106,13 @@ def lower_bound_1d(half_width: int, n_steps: int) -> BoundReport:
     """n / (2 T + 1) - T for the unit-step walk on a band of integer radius T.
 
     Computed as an exact rational, then converted.  May be negative for
-    short runs; reported raw.
+    short runs; reported raw.  The digest writes T as an integer below
+    2**53 and as its float repr from there on.
     """
     t = _integer("half_width", half_width, 0)
     n = _integer("n_steps", n_steps, 0)
     value = float(Fraction(n, 2 * t + 1) - t)
-    return BoundReport("lower_1d", value, f"n={n}, T={t}")
+    return BoundReport("lower_1d", value, f"n={n}, T={t if t < 2**53 else float(t)!r}")
 
 
 def matching_bounds(box: Box, steps) -> list[BoundReport]:
@@ -112,29 +120,70 @@ def matching_bounds(box: Box, steps) -> list[BoundReport]:
     trials) in ``box``: the Fisher bound on every box and the cube bound, the
     same float, on cubes, both pi / (2 T_min) * sum_j |v_j / (T / T_min)|_2;
     and the 1-d lower bound only for steps of exactly +-1 on an integer band.
+    Raises ValueError on non-finite steps, and on finite ones whose norms or
+    bound overflow.
     """
     v = np.asarray(steps, dtype=float)
     if v.ndim not in (2, 3) or v.shape[-1] != box.dimension:
         raise ValueError("steps must have shape (n, d) or (m, n, d) matching the box")
-    t_min = float(np.min(box.half_widths))
+    t_min, factor = _cube_factor(np.min(box.half_widths))
     with np.errstate(over="ignore"):  # T_i / T_min = inf zeroes v_i, as pi**2 / T_i**2 does
-        cube = upper_bound_cube(t_min, _l2_norms(v, box.half_widths / t_min))
-    digest = f"n={v.shape[-2]}, d={box.dimension}, fisher=closed_form"
-    if v.ndim == 3:
-        digest += f", mean over {v.shape[0]} trials"
-    reports = [BoundReport("general_fisher", cube.value, digest)]
+        divisor = box.half_widths / t_min
+        sums = _trial_sums(v, lambda slab: np.linalg.norm(slab / divisor, axis=-1))
+        value = _finite_bound(factor * float(np.mean(sums)), v)
+    trials = f", mean over {v.shape[0]} trials" if v.ndim == 3 else ""
+    n = v.shape[-2]
+    digest = f"n={n}, d={box.dimension}, fisher=closed_form{trials}"
+    reports = [BoundReport("general_fisher", value, digest)]
     if box.is_cube:
-        reports.append(cube)
-    if box.dimension == 1 and t_min.is_integer() and bool(np.all(np.abs(v) == 1.0)):
-        reports.append(lower_bound_1d(t_min, v.shape[-2]))
+        reports.append(BoundReport("cube_l2", value, f"n={n}, T={t_min}{trials}"))
+    if box.dimension == 1 and t_min.is_integer() and _all_unit(v):
+        reports.append(lower_bound_1d(t_min, n))
     return reports
 
 
-def _l2_norms(steps: np.ndarray, divisor=1.0) -> np.ndarray:
-    """``np.linalg.norm(steps / divisor, axis=-1)``, over slabs of ~_NORM_SLAB values."""
-    rows = steps.reshape(-1, steps.shape[-1])
-    norms = np.empty(len(rows))
-    slab = max(1, _NORM_SLAB // rows.shape[1])
-    for i in range(0, len(rows), slab):
-        norms[i : i + slab] = np.linalg.norm(rows[i : i + slab] / divisor, axis=1)
-    return norms.reshape(steps.shape[:-1])
+def _trial_sums(steps: np.ndarray, per_step) -> np.ndarray:
+    """``np.sum(per_step(steps), axis=-1)`` for (n, d) or (m, n, d) ``steps``
+    without the (m, n) array: ``per_step`` maps a slab of whole trials, ~_NORM_SLAB
+    values, to their (k, n) per-step values, and a trial longer than a slab gets
+    its own (n,) values, filled a slab of steps at a time.  The sums are the bits
+    of the unslabbed ones, each row of n summed alike.  Raises ValueError for
+    zero trials, whose mean would be NaN.
+    """
+    v = steps if steps.ndim == 3 else steps[None]
+    m, n, d = v.shape
+    if m == 0:
+        raise ValueError("need at least one trial")
+    sums = np.empty(m)
+    per_slab = _NORM_SLAB // max(1, n * d)
+    if per_slab:
+        for i in range(0, m, per_slab):
+            sums[i : i + per_slab] = np.sum(per_step(v[i : i + per_slab]), axis=-1)
+    else:
+        rows = max(1, _NORM_SLAB // d)
+        values = np.empty(n)
+        for i in range(m):
+            for j in range(0, n, rows):
+                values[j : j + rows] = per_step(v[i, j : j + rows])
+            sums[i] = np.sum(values)
+    return sums.reshape(steps.shape[:-2])
+
+
+def _finite_bound(value: float, steps: np.ndarray) -> float:
+    """``value``, or ValueError naming why it is not finite: a non-finite step
+    makes its trial's sum, and so the mean, non-finite; finite steps can
+    still overflow a norm, a quadratic form or a sum of them."""
+    if math.isfinite(value):
+        return value
+    if not np.isfinite(steps).all():
+        raise ValueError("steps have non-finite entries")
+    raise ValueError("steps too large: the bound overflows")
+
+
+def _all_unit(steps: np.ndarray) -> bool:
+    """Whether every entry is exactly +-1, checked ~_NORM_SLAB values at a time."""
+    flat = steps.reshape(-1)
+    return all(
+        bool(np.all(np.abs(flat[i : i + _NORM_SLAB]) == 1.0))
+        for i in range(0, flat.size, _NORM_SLAB)
+    )

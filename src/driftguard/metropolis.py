@@ -110,8 +110,10 @@ def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> Ensemble
     speculative = m * d <= _SPECULATIVE_WIDTH
     gens = [np.random.default_rng(_seed("seeds", s)) for s in seeds]
     origins = density.quantile(np.concatenate([g.uniform(size=(1, d)) for g in gens]))
-    # trial-major (m, n) for the windows, step-major (n, m) for the lockstep rows
-    coins = np.stack([g.uniform(size=n) for g in gens], axis=0 if speculative else 1)
+    # trial-major (m, n), filled in place: random(out=row) gives uniform(size=n)'s doubles
+    coins = np.empty((m, n))
+    for g, row in zip(gens, coins):
+        g.random(out=row)
     hw = density.support.half_widths
     with np.errstate(over="ignore"):  # inf for T near 9e307, where no finite |sum| exceeds it
         limit = 2.0 * hw + _CONTAINMENT_TOL * hw
@@ -122,6 +124,7 @@ def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> Ensemble
     block = max(1, _PATH_BUDGET // (m * d))
     path = np.empty((min(block, n), m, d))
     proposal = np.empty((m, d))
+    step_coins = np.empty((min(block, n), m))  # the lockstep body's block of coins, step-major
     prob = np.empty(m)
     acc = np.empty(m, dtype=bool)
     for start in range(0, n, block):
@@ -133,13 +136,14 @@ def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> Ensemble
                 density, steps, coins, current, log_current, accepted, path, start, stop
             )
         else:
+            np.copyto(step_coins[: stop - start], coins[:, start:stop].T)
             for k in range(start, stop):
                 np.add(current, steps[:, k], out=proposal)
                 log_new = density.log_density(proposal)
                 np.subtract(log_new, log_current, out=prob)
                 np.minimum(prob, 0.0, out=prob)
                 np.exp(prob, out=prob)
-                np.less(coins[k], prob, out=acc)
+                np.less(step_coins[k - start], prob, out=acc)
                 accepted[:, k] = acc
                 np.copyto(current, proposal, where=acc[:, None])
                 np.copyto(log_current, log_new, where=acc)

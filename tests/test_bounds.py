@@ -52,7 +52,7 @@ class TestUpperBoundGeneral:
             upper_bound_general(fisher, np.zeros((3, 3)))
 
     def test_peak_memory_is_the_forms(self):
-        # the (m, n) quadratic forms are reduced in place, with no copies
+        # the quadratic forms are summed a slab of whole trials at a time
         fisher = fisher_closed_form_cube(Box.cube(3, 16.0))
         steps = np.random.default_rng(2).normal(size=(200, 1000, 3))
         tracemalloc.start()
@@ -61,7 +61,7 @@ class TestUpperBoundGeneral:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 200 * 1000 * 8
+        assert peak < 200 * 1000 * 8  # no (m, n) float array
 
     def test_kind_and_digest(self):
         fisher = FisherMatrix(np.eye(1), "closed_form")
@@ -109,6 +109,11 @@ class TestVectorisedBounds:
             upper_bound_general(fisher, np.zeros((1, 1, 1, 2)))
         with pytest.raises(ValueError):
             upper_bound_cube(1.0, np.zeros((1, 1, 1)))
+
+    def test_general_rejects_finite_steps_whose_forms_overflow(self):
+        fisher = FisherMatrix(np.eye(2), "closed_form")
+        with pytest.raises(ValueError, match="overflow"):
+            upper_bound_general(fisher, [[1e200, 1e200]])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_general_rejects_non_finite_steps(self, bad):
@@ -215,6 +220,29 @@ class TestMatchingBounds:
             matching_bounds(Box(np.array([1.0])), np.ones(shape))
 
 
+    def test_rejects_zero_trials(self):
+        # a mean over no trials is NaN, not a bound
+        with pytest.raises(ValueError, match="at least one trial"):
+            matching_bounds(Box.cube(1, 1.0), np.zeros((0, 5, 1)))
+        with pytest.raises(ValueError, match="at least one trial"):
+            upper_bound_general(FisherMatrix(np.eye(1), "closed_form"), np.zeros((0, 5, 1)))
+
+    @pytest.mark.parametrize("steps", [[[math.nan]], [[math.inf]], [[1.0], [-math.inf]]])
+    def test_rejects_non_finite_steps(self, steps):
+        with pytest.raises(ValueError, match="^steps have non-finite entries$"):
+            matching_bounds(Box.cube(1, 1.0), steps)
+        with pytest.raises(ValueError, match="^steps have non-finite entries$"):
+            matching_bounds(Box.cube(1, 1.0), [steps, steps])
+
+    def test_rejects_finite_steps_whose_norms_overflow(self):
+        # each entry is finite, but the squares under the norm are not
+        with pytest.raises(ValueError, match="overflow"):
+            matching_bounds(Box.cube(2, 1.0), [[1e200, 1e200]])
+        # the norm is finite, but pi / (2 T) times it is not
+        with pytest.raises(ValueError, match="overflow"):
+            matching_bounds(Box.cube(1, 1e-300), [[1e10]])
+
+
 class TestUpperBoundCube:
     def test_t16_ten_thousand_unit_norms(self):
         report = upper_bound_cube(16.0, np.ones(10**4))
@@ -312,6 +340,12 @@ class TestLowerBound1d:
 
     def test_negative_value_reported_raw(self):
         assert lower_bound_1d(5, 10).value == pytest.approx(10.0 / 11.0 - 5.0, rel=1e-13)
+
+    def test_digest_writes_t_in_full_only_below_2_53(self):
+        assert lower_bound_1d(8, 100000).inputs_digest == "n=100000, T=8"
+        assert lower_bound_1d(2**53 - 1, 3).inputs_digest == f"n=3, T={2**53 - 1}"
+        assert lower_bound_1d(2**53, 3).inputs_digest == "n=3, T=9007199254740992.0"
+        assert lower_bound_1d(1e308, 3).inputs_digest == "n=3, T=1e+308"
 
     def test_guards(self):
         with pytest.raises(ValueError):

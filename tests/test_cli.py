@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -39,7 +40,29 @@ def write_step_file(tmp_path, rows, dim):
     return path
 
 
+# sha256 of `simulate --format json --seed 1` reports.  A change to the
+# step, origin or coin streams moves these bytes, and must re-pin them.
+PINNED_REPORTS = [
+    (
+        ("--dim", "3", "--half-width", "16", "--generator", "unit", "--trials", "64",
+         "--steps", "200"),
+        "58988a87e4d61a7171c029e24451dc6b8cc3e58742273657815bbb8c80a9c278",
+    ),
+    (
+        ("--dim", "1", "--half-width", "8", "--generator", "pm1", "--trials", "4",
+         "--steps", "5000"),
+        "cbb34a2c2727933a72805f9bbd472402cb107accc2074c3f48630a13246e223c",
+    ),
+]
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("argv, digest", PINNED_REPORTS)
+    def test_pinned_report_bytes(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, "simulate", *argv, "--seed", "1", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_default_csv(self, capsys):
         code, out, err = run_cli(
             capsys, "simulate", "--trials", "5", "--steps", "20", "--seed", "3"
@@ -317,6 +340,18 @@ class TestBounds:
         values = [(e["kind"], e["value"]) for e in json_lines(out)]
         upper = 3.0 * ((0.5 * np.pi) / 1e308)
         assert values == [("general_fisher", upper), ("cube_l2", upper), ("lower_1d", -1e308)]
+
+    @pytest.mark.parametrize(
+        "half_width, steps, digest",
+        [("1e308", "3", "n=3, T=1e+308"), ("8", "100000", "n=100000, T=8")],
+    )
+    def test_lower_1d_digest_writes_t_briefly(self, capsys, half_width, steps, digest):
+        # the sim-long shape's digest keeps its integer T
+        code, out, _ = run_cli(
+            capsys, "bounds", "--dim", "1", "--half-width", half_width, "--steps", steps
+        )
+        last = json_lines(out)[-1]
+        assert (code, last["kind"], last["inputs_digest"]) == (0, "lower_1d", digest)
 
     def test_lambda1_overflow_exits_2(self, capsys):
         # 4 T**2 overflows, but no report needs lambda1 any more

@@ -256,13 +256,20 @@ class TestStepNorms:
     @pytest.mark.parametrize("d", [1, 3, 8, 12])
     @pytest.mark.parametrize("slab", [1, 100, 1 << 16])
     def test_slab_norms_equal_linalg_norm(self, monkeypatch, d, slab):
-        # slabs of one step row, of a few rows with a partial last one, and one slab
+        # per-trial norm sums over slabs of one step, of a few steps with a
+        # partial last one (trials longer than a slab), and of whole trials
         monkeypatch.setattr(bounds, "_NORM_SLAB", slab)
         scales = 10.0 ** np.arange(-3, 4)[:, None]  # one per step
         steps = np.random.default_rng(d).normal(size=(23, 7, d)) * scales
-        assert np.array_equal(bounds._l2_norms(steps), np.linalg.norm(steps, axis=2))
-        assert np.array_equal(bounds._l2_norms(steps[5]), np.linalg.norm(steps[5], axis=1))
-        assert bounds._l2_norms(steps[:, :0]).shape == (23, 0)
+
+        def norms(s):
+            return np.linalg.norm(s, axis=-1)
+
+        expected = np.sum(np.linalg.norm(steps, axis=2), axis=-1)
+        assert np.array_equal(bounds._trial_sums(steps, norms), expected)
+        assert bounds._trial_sums(steps[5], norms) == expected[5]
+        assert bounds._trial_sums(steps[5], norms).shape == ()
+        assert np.array_equal(bounds._trial_sums(steps[:, :0], norms), np.zeros(23))
 
 
 class TestReports:

@@ -1,0 +1,124 @@
+"""Bounded temporaries: peak numpy allocations (tracemalloc, which numpy
+reports to) of the quadrature, the bound pass and the filter kernel, and the
+bit-identity of the slabbed per-trial sums.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from driftguard import bounds, metropolis
+from driftguard.bodies import Box, FisherMatrix, cube_eigen_density, fisher_quadrature
+from driftguard.bounds import matching_bounds, upper_bound_general
+from driftguard.metropolis import run_ensemble
+from helpers import leggauss_integrate
+
+MIB = 1 << 20
+
+
+def peak_bytes(fn):
+    """Bytes ``fn()`` allocates at its peak beyond what was live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestQuadratureMemory:
+    def test_d3_128_nodes_peaks_below_16_mib(self):
+        # the whole 128**3 grid, as it was once built, peaked at 208 MiB
+        density = cube_eigen_density(Box.cube(3, 16.0))
+        assert peak_bytes(lambda: fisher_quadrature(density, 128)) < 16 * MIB
+
+    def test_d3_within_1e13_of_the_closed_form(self):
+        fisher = fisher_quadrature(cube_eigen_density(Box.cube(3, 16.0)), 128)
+        closed = math.pi**2 / 16.0**2
+        assert np.max(np.abs(fisher.entries - closed * np.eye(3))) <= 1e-13 * closed
+
+    @pytest.mark.parametrize(
+        "half_widths, nodes",
+        [([2.0], 64), ([1.0, 3.0], 48), ([16.0, 16.0, 16.0], 24), ([0.5, 2.0, 7.0], 20)],
+    )
+    def test_matches_leggauss_integrate(self, monkeypatch, half_widths, nodes):
+        # a slab of two first-axis planes, so the sums run over many slabs
+        planes = nodes ** (len(half_widths) - 1)
+        monkeypatch.setattr("driftguard.bodies._QUADRATURE_SLAB", 2 * planes)
+        box = Box(np.array(half_widths))
+        density = cube_eigen_density(box)
+        fisher = fisher_quadrature(density, nodes)
+        d = box.dimension
+        expected = np.empty((d, d))
+        for i in range(d):
+            for j in range(d):
+
+                def integrand(x, i=i, j=j):
+                    score = density.log_gradient(x)
+                    return score[:, i] * score[:, j] * np.exp(density.log_density(x))
+
+                expected[i, j] = leggauss_integrate(integrand, half_widths, nodes)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(fisher.entries - expected)) <= 1e-13 * scale
+
+
+class TestBoundPassMemory:
+    @pytest.mark.parametrize("shape, pm1", [((128, 20000, 3), False), ((64, 50000, 1), True)])
+    def test_no_m_by_n_array(self, shape, pm1):
+        m, n, d = shape
+        rng = np.random.default_rng(5)
+        steps = np.sign(rng.normal(size=shape)) if pm1 else rng.normal(size=shape)
+        box = Box.cube(d, 8.0)
+        fisher = FisherMatrix(np.eye(d) * (math.pi / 8.0) ** 2, "closed_form")
+        # below m * n bytes: not even an (m, n) bool array is built
+        assert peak_bytes(lambda: matching_bounds(box, steps)) < m * n
+        assert peak_bytes(lambda: upper_bound_general(fisher, steps)) < m * n * 8
+
+
+class TestTrialSums:
+    # the last shape has n * d above _NORM_SLAB: each trial gets its own (n,) norms
+    SHAPES = [(7, 1000, 3), (3, 50000, 1), (40, 300, 8), (5, 2000, 64)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_norm_sums_are_the_unslabbed_bits(self, shape):
+        steps = np.random.default_rng(shape[1]).normal(size=shape)
+        expected = np.sum(np.linalg.norm(steps, axis=-1), axis=-1)
+
+        def norms(slab):
+            return np.linalg.norm(slab, axis=-1)
+
+        assert np.array_equal(bounds._trial_sums(steps, norms), expected)
+        assert bounds._trial_sums(steps[-1], norms) == expected[-1]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_bounds_are_the_unslabbed_bits(self, shape):
+        m, n, d = shape
+        rng = np.random.default_rng(d)
+        steps = rng.normal(size=shape)
+        half_widths = np.exp(rng.uniform(-1.0, 1.0, size=d))
+        t_min = np.min(half_widths)
+        norms = np.linalg.norm(steps / (half_widths / t_min), axis=-1)
+        cube = (0.5 * math.pi) / t_min * float(np.mean(np.sum(norms, axis=-1)))
+        assert matching_bounds(Box(half_widths), steps)[0].value == cube
+        root = rng.normal(size=(d, d))
+        product = root @ root.T
+        fisher = FisherMatrix(0.5 * (product + product.T), "closed_form")
+        forms = np.einsum("...nd,df,...nf->...n", steps, fisher.entries, steps)
+        general = 0.5 * float(np.mean(np.sum(np.sqrt(np.maximum(forms, 0.0)), axis=-1)))
+        assert upper_bound_general(fisher, steps).value == general
+
+
+class TestEnsembleMemory:
+    # width 200 takes the lockstep body, width 4 the pre-fetching one
+    @pytest.mark.parametrize("m, n", [(200, 10000), (4, 200000)])
+    def test_peak_is_coins_and_decisions(self, m, n):
+        # beyond its input: the (m, n) coins and accepted flags, 9 bytes a
+        # trial-step, plus per-block buffers and per-trial generators
+        steps = np.sign(np.random.default_rng(m).normal(size=(m, n, 1)))
+        density = cube_eigen_density(Box.cube(1, 8.0))
+        seeds = list(range(m))
+        extra = 8 * metropolis._PATH_BUDGET * 8  # eight path buffers' worth
+        assert peak_bytes(lambda: run_ensemble(density, steps, seeds)) <= m * n * 9 + extra
