@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,8 +40,9 @@ __all__ = [
 _KEPLER_STEPS = 5
 _KEPLER_SERIES_CUTOFF = 1.0
 _KEPLER_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in reversed(range(9)))
-_QUANTILE_SLAB = 1 << 16  # float64 uniforms the quantile solves at a time
-_QUADRATURE_SLAB = 1 << 16  # grid points fisher_quadrature integrates at a time
+# float64 values per slab of every pass over arrays that grow with the input:
+# the quantile, the quadrature, the bound pass and the filter kernel's blocks
+_SLAB = 1 << 16
 _SYMMETRY_TOL = 1e-12  # tolerance for declaring a matrix symmetric
 _PSD_FLOOR = -1e-9
 
@@ -64,6 +65,13 @@ def _integer(name: str, value, minimum: Optional[int] = None) -> int:
     return value
 
 
+def _slabs(count: int, width: int) -> Iterator[slice]:
+    """Slices tiling range(count), each of as many items of ``width`` values
+    as fit in ``_SLAB`` (at least one item, and a width of 0 counts as 1)."""
+    size = max(1, _SLAB // max(1, width))
+    return (slice(i, min(i + size, count)) for i in range(0, count, size))
+
+
 def _seed(name: str, value):
     """A random seed: a SeedSequence as it is, anything else an integer of at least 0."""
     return value if isinstance(value, np.random.SeedSequence) else _integer(name, value, 0)
@@ -71,11 +79,11 @@ def _seed(name: str, value):
 
 def _number(name: str, value) -> float:
     """``value`` as a float: ints, floats and their numpy kinds pass, and bools,
-    strings and values beyond float range (inf too) raise ValueError."""
+    strings, NaN and values beyond float range (inf too) raise ValueError."""
     if isinstance(value, (np.integer, np.floating)):
         value = value.item()  # compared below as a Python number, without numpy's casts
     real = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not real or abs(value) > sys.float_info.max:
+    if not real or not abs(value) <= sys.float_info.max:  # NaN compares False
         raise ValueError(f"{name} must be a finite number, not {value!r}")
     return float(value)
 
@@ -192,12 +200,11 @@ def cube_eigen_density(box: Box) -> Density:
         u = np.asarray(u, dtype=float)
         if u.shape[-1:] != (d,):
             raise ValueError(f"uniforms have shape {u.shape}, expected (..., {d})")
-        # slabs keep the Newton temporaries to ~_QUANTILE_SLAB values each
+        # slabs of rows keep the Newton temporaries to ~_SLAB values each
         flat = u.reshape(-1, d)
         x = np.empty_like(flat)
-        rows = max(1, _QUANTILE_SLAB // d)
-        for i in range(0, len(flat), rows):
-            v = flat[i : i + rows]
+        for rows in _slabs(len(flat), d):
+            v = flat[rows]
             if not ((v >= 0.0) & (v <= 1.0)).all():
                 raise ValueError("uniforms must lie in [0, 1]")
             mean_anomaly = 2.0 * np.pi * np.minimum(v, 1.0 - v)
@@ -211,7 +218,7 @@ def cube_eigen_density(box: Box) -> Density:
                 slope = 2.0 * np.sin(0.5 * phi) ** 2
                 step = np.divide(resid, slope, out=np.zeros_like(resid), where=slope > 0.0)
                 phi = np.clip(phi - step, 0.0, np.pi)
-            x[i : i + rows] = hw * np.copysign(1.0 - phi / np.pi, v - 0.5)
+            x[rows] = hw * np.copysign(1.0 - phi / np.pi, v - 0.5)
         return np.clip(x, inner_lo, inner_hi, out=x).reshape(u.shape)
 
     return Density(box, log_density, log_gradient, quantile)
@@ -318,10 +325,10 @@ def fisher_quadrature(density: Density, grid_points_per_axis: int = 128) -> Fish
 
     Only for d <= 3, with at least 16 nodes per axis.  The nodes**d grid is
     never built whole: a slab of whole first-axis planes (the 1-d rule's
-    nodes on axis 0 times the grid of the other axes, ~_QUADRATURE_SLAB
-    points) is integrated at a time and the d x d sums are added up, so any
-    node count runs in a few MiB.  Raises if the score is non-finite at any
-    interior node.
+    nodes on axis 0 times the grid of the other axes, ~_SLAB points) is
+    integrated at a time and the d x d sums are added up, so any node count
+    runs in a few MiB.  Raises if the score is non-finite at any interior
+    node.
     """
     if density.dimension > 3:
         raise ValueError("quadrature supports dimension at most 3")
@@ -333,10 +340,9 @@ def fisher_quadrature(density: Density, grid_points_per_axis: int = 128) -> Fish
         rest_points, rest_weights = gauss_legendre_grid(Box(hw[1:]), nodes)
     else:
         rest_points, rest_weights = np.empty((1, 0)), np.ones(1)
-    planes = max(1, _QUADRATURE_SLAB // len(rest_weights))
     entries = np.zeros((d, d))
-    for i in range(0, nodes, planes):
-        axis_x = base_x[i : i + planes] * hw[0]
+    for planes in _slabs(nodes, len(rest_weights)):
+        axis_x = base_x[planes] * hw[0]
         points = np.empty((len(axis_x), len(rest_weights), d))
         points[:, :, 0] = axis_x[:, None]
         points[:, :, 1:] = rest_points
@@ -347,7 +353,7 @@ def fisher_quadrature(density: Density, grid_points_per_axis: int = 128) -> Fish
         pi_vals = np.exp(np.asarray(density.log_density(points), dtype=float))
         # an inf weight (and inf * 0 density) gives NaN, which FisherMatrix rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            weights = np.multiply.outer(base_w[i : i + planes] * hw[0], rest_weights)
+            weights = np.multiply.outer(base_w[planes] * hw[0], rest_weights)
             entries += np.einsum("k,ki,kj->ij", weights.reshape(-1) * pi_vals, scores, scores)
     return FisherMatrix(entries, "quadrature")
 

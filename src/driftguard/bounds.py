@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bodies import Box, FisherMatrix, _integer, dirichlet_lambda1_box
+from .bodies import Box, FisherMatrix, _integer, _slabs, dirichlet_lambda1_box
 
 __all__ = [
     "BoundReport",
@@ -24,9 +24,6 @@ __all__ = [
     "lower_bound_1d",
     "matching_bounds",
 ]
-
-_NORM_SLAB = 1 << 16  # float64 values per slab of the step-norm temporaries
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -144,28 +141,22 @@ def matching_bounds(box: Box, steps) -> list[BoundReport]:
 
 def _trial_sums(steps: np.ndarray, per_step) -> np.ndarray:
     """``np.sum(per_step(steps), axis=-1)`` for (n, d) or (m, n, d) ``steps``
-    without the (m, n) array: ``per_step`` maps a slab of whole trials, ~_NORM_SLAB
-    values, to their (k, n) per-step values, and a trial longer than a slab gets
-    its own (n,) values, filled a slab of steps at a time.  The sums are the bits
-    of the unslabbed ones, each row of n summed alike.  Raises ValueError for
-    zero trials, whose mean would be NaN.
+    without the (m, n) array: a slab of k whole trials (one, if a trial is
+    longer than a slab) gets its (k, n) per-step values, filled by
+    ``per_step`` a slab of steps at a time (all n at once when the k trials
+    fit in one).  The sums are the bits of the unslabbed ones, each row of n
+    summed alike.  Raises ValueError for zero trials, whose mean would be NaN.
     """
     v = steps if steps.ndim == 3 else steps[None]
     m, n, d = v.shape
     if m == 0:
         raise ValueError("need at least one trial")
     sums = np.empty(m)
-    per_slab = _NORM_SLAB // max(1, n * d)
-    if per_slab:
-        for i in range(0, m, per_slab):
-            sums[i : i + per_slab] = np.sum(per_step(v[i : i + per_slab]), axis=-1)
-    else:
-        rows = max(1, _NORM_SLAB // d)
-        values = np.empty(n)
-        for i in range(m):
-            for j in range(0, n, rows):
-                values[j : j + rows] = per_step(v[i, j : j + rows])
-            sums[i] = np.sum(values)
+    for trials in _slabs(m, n * d):
+        values = np.empty((trials.stop - trials.start, n))
+        for chunk in _slabs(n, len(values) * d):
+            values[:, chunk] = per_step(v[trials, chunk])
+        sums[trials] = np.sum(values, axis=-1)
     return sums.reshape(steps.shape[:-2])
 
 
@@ -181,9 +172,6 @@ def _finite_bound(value: float, steps: np.ndarray) -> float:
 
 
 def _all_unit(steps: np.ndarray) -> bool:
-    """Whether every entry is exactly +-1, checked ~_NORM_SLAB values at a time."""
+    """Whether every entry is exactly +-1, checked ~_SLAB values at a time."""
     flat = steps.reshape(-1)
-    return all(
-        bool(np.all(np.abs(flat[i : i + _NORM_SLAB]) == 1.0))
-        for i in range(0, flat.size, _NORM_SLAB)
-    )
+    return all(bool(np.all(np.abs(flat[s]) == 1.0)) for s in _slabs(flat.size, 1))

@@ -94,6 +94,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     settings = dict(_SIM_DEFAULTS)
     if args.config:
         raw = json.loads(Path(args.config).read_text())
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object, not {type(raw).__name__}")
         unknown = sorted(set(raw) - set(_SIM_DEFAULTS))
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")

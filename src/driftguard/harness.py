@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bodies import Box, _integer, _seed, cube_eigen_density
+from .bodies import Box, _integer, _number, _seed, cube_eigen_density
 from .bounds import BoundReport, matching_bounds
 from .metropolis import EnsembleResult, run_ensemble
 
@@ -197,15 +197,19 @@ def emit_report(stats: RunStats, report_format: str = "csv") -> str:
 
 
 def run_stats_from_json(text: str) -> RunStats:
-    """Inverse of emit_report(..., 'json'): parse(emit(stats)) == stats."""
+    """Inverse of emit_report(..., 'json'): parse(emit(stats)) == stats.
+
+    Counts follow the integer rule and the mean, standard error and bound
+    values the number rule: a string, a bool, NaN or inf raises ValueError.
+    """
     obj = json.loads(text)
     discards = obj["per_trial_discards"]
     return RunStats(
         per_trial_discards=tuple(_integer("per_trial_discards", x) for x in discards),
-        mean=float(obj["mean"]),
-        std_error=float(obj["std_error"]),
+        mean=_number("mean", obj["mean"]),
+        std_error=_number("std_error", obj["std_error"]),
         bound_reports=tuple(
-            BoundReport(b["kind"], float(b["value"]), b["inputs_digest"])
+            BoundReport(b["kind"], _number("value", b["value"]), b["inputs_digest"])
             for b in obj["bound_reports"]
         ),
         containment_violations=_integer("containment_violations", obj["containment_violations"]),

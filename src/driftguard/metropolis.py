@@ -30,7 +30,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .bodies import Density, _integer, _seed
+from .bodies import Density, _integer, _number, _seed, _slabs
 
 __all__ = [
     "ContainmentError",
@@ -44,9 +44,6 @@ __all__ = [
 
 # slack for the 2K containment assertion, per unit of half-width
 _CONTAINMENT_TOL = 1e-9
-# float64 values of the position buffer run_ensemble checks containment on;
-# a block is as many steps as fit, and at least one
-_PATH_BUDGET = 1 << 16
 # widest ensemble (trials * dimension) that takes the speculative body, and
 # how many steps each of its trials assumes accepted per log_density call
 _SPECULATIVE_WIDTH = 128
@@ -87,11 +84,11 @@ def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> Ensemble
     Trial i draws its origin (one (1, d) row of uniforms through
     ``density.quantile``) and then its n coins from
     ``np.random.default_rng(seeds[i])``, so a trial's result does not depend
-    on the others.  Steps run in blocks of ``max(1, _PATH_BUDGET // (m * d))``;
-    each block's steps must be finite (ValueError otherwise, before the
-    block runs).  After a block, raises ContainmentError for its first step
-    where any trial's accepted sum left the doubled support, naming the
-    lowest such trial.
+    on the others.  Steps run in blocks of ``bodies._slabs(n, m * d)``, so a
+    block's (b, m, d) positions are one slab; each block's steps must be
+    finite (ValueError otherwise, before the block runs).  After a block,
+    raises ContainmentError for its first step where any trial's accepted
+    sum left the doubled support, naming the lowest such trial.
 
     A block runs through one of two bodies, chosen by the ensemble's width
     m * d alone.  Wide ensembles (above ``_SPECULATIVE_WIDTH``) step all
@@ -121,44 +118,36 @@ def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> Ensemble
     log_current = np.asarray(density.log_density(current), dtype=float)
     accepted = np.zeros((m, n), dtype=bool)
     max_abs = np.zeros(m)
-    block = max(1, _PATH_BUDGET // (m * d))
-    path = np.empty((min(block, n), m, d))
     proposal = np.empty((m, d))
-    step_coins = np.empty((min(block, n), m))  # the lockstep body's block of coins, step-major
     prob = np.empty(m)
     acc = np.empty(m, dtype=bool)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        if not np.isfinite(steps[:, start:stop]).all():
+    for block in _slabs(n, m * d):
+        if not np.isfinite(steps[:, block]).all():
             raise ValueError("steps have non-finite entries")
         if speculative:
-            positions = _accept_runs(
-                density, steps, coins, current, log_current, accepted, path, start, stop
-            )
+            positions = _accept_runs(density, steps, coins, current, log_current, accepted, block)
         else:
-            np.copyto(step_coins[: stop - start], coins[:, start:stop].T)
-            for k in range(start, stop):
+            positions = np.empty((block.stop - block.start, m, d))
+            step_coins = np.ascontiguousarray(coins[:, block].T)  # the block's coins, step-major
+            for j, k in enumerate(range(block.start, block.stop)):
                 np.add(current, steps[:, k], out=proposal)
                 log_new = density.log_density(proposal)
                 np.subtract(log_new, log_current, out=prob)
                 np.minimum(prob, 0.0, out=prob)
                 np.exp(prob, out=prob)
-                np.less(step_coins[k - start], prob, out=acc)
+                np.less(step_coins[j], prob, out=acc)
                 accepted[:, k] = acc
                 np.copyto(current, proposal, where=acc[:, None])
                 np.copyto(log_current, log_new, where=acc)
-                path[k - start] = current
-            positions = path[: stop - start]
-        _check_containment(positions, origins, limit, max_abs, start)
+                positions[j] = current
+        _check_containment(positions, origins, limit, max_abs, block.start)
     return EnsembleResult(
         origins=origins, finals=current, accepted=accepted, max_abs_sums=max_abs
     )
 
 
-def _accept_runs(
-    density, steps, coins, current, log_current, accepted, path, start, stop
-) -> np.ndarray:
-    """Filter steps [start, stop) of every trial, a window of accept runs at a time.
+def _accept_runs(density, steps, coins, current, log_current, accepted, block) -> np.ndarray:
+    """Filter the ``block`` slice of every trial's steps, a window of accept runs at a time.
 
     Pre-fetching Metropolis (Brockwell 2006): each trial assumes its next
     ``_WINDOW`` steps are all accepted, builds those candidates as one
@@ -169,13 +158,14 @@ def _accept_runs(
     pointer.  ``coins`` is trial-major (m, n); ``current``, ``log_current``
     and ``accepted`` are updated in place.
 
-    Returns the block's (b, m, d) positions in ``path``, rebuilt from
+    Returns the block's (b, m, d) positions, rebuilt from
     ``accepted`` by one sequential cumsum down the steps from the block's
     start.  A discarded step adds -0.0, the exact additive identity (+0.0
     would turn a -0.0 coordinate into 0.0), so each row is the float the
     walk held.
     """
     m, n, d = steps.shape
+    start, stop = block.start, block.stop
     flat_steps = steps.reshape(m * n, d)
     flat_coins = coins.reshape(m * n)
     rows = np.arange(m)
@@ -214,11 +204,10 @@ def _accept_runs(
             hit = run < avail  # the window's first rejection is committed too
             rejected.append(head[hit])
             head += hit
-    accepted[:, start:stop] = True
+    accepted[:, block] = True
     accepted.reshape(m * n)[np.concatenate(rejected)] = False
-    moves = path[: stop - start]
-    np.copyto(moves, steps[:, start:stop].transpose(1, 0, 2))
-    np.copyto(moves, -0.0, where=~accepted[:, start:stop].T[:, :, None])
+    moves = steps[:, block].transpose(1, 0, 2).copy()  # a copy, not a view, even at m = 1
+    np.copyto(moves, -0.0, where=~accepted[:, block].T[:, :, None])
     moves[0] += current  # the sums run from the block's start, as cumsum([current, ...])
     current[...] = cand[:, 0]
     log_current[...] = logs[:, 0]
@@ -296,9 +285,7 @@ def rejection_rate_exact_1d(density: Density, step: float) -> float:
     """
     if density.dimension != 1:
         raise ValueError("exact rejection rate is one-dimensional only")
-    v = abs(float(step))
-    if not np.isfinite(v):
-        raise ValueError("step must be finite")
+    v = abs(_number("step", step))
     if v >= 2.0 * float(density.support.half_widths[0]):
         return 1.0
     # v * mean of pi on (0, v/2): the halved weights sum to 1, so no overflow

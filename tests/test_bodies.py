@@ -53,8 +53,9 @@ class TestBox:
             Box(np.ones((2, 2)))
 
     def test_half_widths_follow_the_number_rule(self):
-        # a bool was taken as 1.0, and an int beyond float range overflowed
-        for bad in (True, "2", 10**400, np.inf):
+        # a bool was taken as 1.0, an int beyond float range overflowed, and
+        # NaN passed, as abs(nan) > float max is False
+        for bad in (True, "2", 10**400, np.inf, math.nan):
             message = f"^half_width must be a finite number, not {bad!r}$"
             with pytest.raises(ValueError, match=message):
                 Box.cube(2, bad)
@@ -233,7 +234,7 @@ class TestCubeEigenDensity:
         den = cube_eigen_density(Box(np.array([0.5, 3.0, 16.0])))
         u = np.random.default_rng(8).uniform(size=(2, 25, 3))
         whole = den.quantile(u)
-        monkeypatch.setattr(bodies, "_QUANTILE_SLAB", 7)
+        monkeypatch.setattr(bodies, "_SLAB", 7)
         assert np.array_equal(den.quantile(u), whole)
 
     def test_quantile_rejects_uniforms_outside_unit_interval(self):

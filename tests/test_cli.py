@@ -119,6 +119,17 @@ class TestSimulate:
         assert code == 2
         assert err != ""
 
+    @pytest.mark.parametrize(
+        "raw, kind", [("5", "int"), ('[["steps", 5]]', "list"), ('["steps"]', "list")]
+    )
+    def test_config_must_be_an_object(self, capsys, tmp_path, raw, kind):
+        # the first two raised an uncaught TypeError, the third a dict() message
+        config = tmp_path / "run.json"
+        config.write_text(raw)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"error: config must be a JSON object, not {kind}\n"
+
     def test_unknown_density(self, capsys, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"density": "cube_eigen", "steps": 5, "trials": 2}))

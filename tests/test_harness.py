@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from driftguard import bounds, harness
+from driftguard import bodies, bounds, harness
 from driftguard.bodies import Box
 from driftguard.bounds import isotropic_bound, lower_bound_1d, upper_bound_cube
 from driftguard.harness import (
@@ -258,7 +258,7 @@ class TestStepNorms:
     def test_slab_norms_equal_linalg_norm(self, monkeypatch, d, slab):
         # per-trial norm sums over slabs of one step, of a few steps with a
         # partial last one (trials longer than a slab), and of whole trials
-        monkeypatch.setattr(bounds, "_NORM_SLAB", slab)
+        monkeypatch.setattr(bodies, "_SLAB", slab)
         scales = 10.0 ** np.arange(-3, 4)[:, None]  # one per step
         steps = np.random.default_rng(d).normal(size=(23, 7, d)) * scales
 
@@ -304,6 +304,22 @@ class TestReports:
         text = emit_report(stats, "json")
         assert text.endswith("\n")
         assert run_stats_from_json(text) == stats
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [("mean", '"1.5"'), ("std_error", "true"), ("value", '"nan"'), ("value", "1e999")],
+    )
+    def test_json_numbers_follow_the_number_rule(self, key, text):
+        # these parsed as 1.5, 1.0, NaN and inf through float()
+        record = (
+            '{{"per_trial_discards": [3, 5], "containment_violations": 0, "mean": {mean}, '
+            '"std_error": {std_error}, "bound_reports": '
+            '[{{"kind": "cube_l2", "value": {value}, "inputs_digest": "n=1"}}]}}'
+        )
+        fields = {"mean": "4.0", "std_error": "1.0", "value": "2.0"}
+        assert run_stats_from_json(record.format(**fields)).bound_reports[0].value == 2.0
+        with pytest.raises(ValueError, match=f"^{key} must be a finite number"):
+            run_stats_from_json(record.format(**{**fields, key: text}))
 
     def test_json_is_canonical(self):
         text = emit_report(self.stats(), "json")

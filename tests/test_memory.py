@@ -1,6 +1,7 @@
-"""Bounded temporaries: peak numpy allocations (tracemalloc, which numpy
+"""Bounded temporaries: the one slab rule (``bodies._slabs`` over a budget of
+``bodies._SLAB`` values), peak numpy allocations (tracemalloc, which numpy
 reports to) of the quadrature, the bound pass and the filter kernel, and the
-bit-identity of the slabbed per-trial sums.
+bit-identity of the slabbed per-trial sums and reports.
 """
 
 import math
@@ -9,9 +10,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from driftguard import bounds, metropolis
-from driftguard.bodies import Box, FisherMatrix, cube_eigen_density, fisher_quadrature
+from driftguard import bodies, bounds
+from driftguard.bodies import Box, FisherMatrix, _slabs, cube_eigen_density, fisher_quadrature
 from driftguard.bounds import matching_bounds, upper_bound_general
+from driftguard.harness import ExperimentConfig, StepGenerator, emit_report, run_experiment
 from driftguard.metropolis import run_ensemble
 from helpers import leggauss_integrate
 
@@ -27,6 +29,42 @@ def peak_bytes(fn):
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+class TestSlabs:
+    def test_zero_count_yields_nothing(self):
+        assert list(_slabs(0, 3)) == []
+
+    def test_zero_width_counts_as_one(self):
+        assert list(_slabs(3 * bodies._SLAB, 0)) == list(_slabs(3 * bodies._SLAB, 1))
+
+    def test_width_above_the_budget_gives_one_item_a_slice(self):
+        assert list(_slabs(3, bodies._SLAB + 1)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+    @pytest.mark.parametrize("count, width", [(1, 1), (10, 3), (7, 7), (100, 2), (9, 100)])
+    def test_slices_tile_the_range(self, monkeypatch, count, width):
+        monkeypatch.setattr(bodies, "_SLAB", 7)
+        slices = list(_slabs(count, width))
+        size = max(1, 7 // width)
+        assert [i for s in slices for i in range(count)[s]] == list(range(count))
+        assert all(s.stop - s.start == size for s in slices[:-1])
+        assert slices[-1].stop == count and slices[-1].stop - slices[-1].start <= size
+
+    @pytest.mark.parametrize(
+        "box, kind, m, n",
+        [
+            (Box.cube(3, 16.0), "random_unit_sphere", 50, 300),  # the lockstep body
+            (Box.cube(1, 8.0), "coordinate_basis_cycle", 4, 5000),  # windows, long trials
+            (Box([2.0, 5.0, 0.75]), "isotropic_custom", 20, 200),
+        ],
+    )
+    def test_reports_do_not_depend_on_the_budget(self, monkeypatch, box, kind, m, n):
+        # a budget of 7 values slabs every pass: the origin draws, the bound
+        # pass (each trial longer than a slab) and the kernel's blocks
+        config = ExperimentConfig(box, StepGenerator(kind, box.dimension), n, m, 3)
+        default = emit_report(run_experiment(config), "json")
+        monkeypatch.setattr(bodies, "_SLAB", 7)
+        assert emit_report(run_experiment(config), "json") == default
 
 
 class TestQuadratureMemory:
@@ -47,7 +85,7 @@ class TestQuadratureMemory:
     def test_matches_leggauss_integrate(self, monkeypatch, half_widths, nodes):
         # a slab of two first-axis planes, so the sums run over many slabs
         planes = nodes ** (len(half_widths) - 1)
-        monkeypatch.setattr("driftguard.bodies._QUADRATURE_SLAB", 2 * planes)
+        monkeypatch.setattr(bodies, "_SLAB", 2 * planes)
         box = Box(np.array(half_widths))
         density = cube_eigen_density(box)
         fisher = fisher_quadrature(density, nodes)
@@ -79,7 +117,7 @@ class TestBoundPassMemory:
 
 
 class TestTrialSums:
-    # the last shape has n * d above _NORM_SLAB: each trial gets its own (n,) norms
+    # the last shape has n * d above _SLAB: each trial is a slab of its own
     SHAPES = [(7, 1000, 3), (3, 50000, 1), (40, 300, 8), (5, 2000, 64)]
 
     @pytest.mark.parametrize("shape", SHAPES)
@@ -120,5 +158,5 @@ class TestEnsembleMemory:
         steps = np.sign(np.random.default_rng(m).normal(size=(m, n, 1)))
         density = cube_eigen_density(Box.cube(1, 8.0))
         seeds = list(range(m))
-        extra = 8 * metropolis._PATH_BUDGET * 8  # eight path buffers' worth
+        extra = 8 * bodies._SLAB * 8  # eight path buffers' worth
         assert peak_bytes(lambda: run_ensemble(density, steps, seeds)) <= m * n * 9 + extra

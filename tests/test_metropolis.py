@@ -9,7 +9,7 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from driftguard import metropolis
+from driftguard import bodies, metropolis
 from driftguard.bodies import Box, Density, cube_eigen_density, fisher_closed_form_cube
 from driftguard.metropolis import (
     ContainmentError,
@@ -65,8 +65,8 @@ def triangle_density(t):
 
 
 def block_budget(n_values):
-    """Shrink run_ensemble's position buffer so small runs span many blocks."""
-    return mock.patch.object(metropolis, "_PATH_BUDGET", n_values)
+    """Shrink the one memory budget so small runs span many kernel blocks."""
+    return mock.patch.object(bodies, "_SLAB", n_values)
 
 
 BODIES = ("lockstep", "speculative")
@@ -273,9 +273,13 @@ class TestRejectionRate:
     def test_guards(self):
         with pytest.raises(ValueError):
             rejection_rate_exact_1d(cube_eigen_density(Box.cube(2, 1.0)), 0.1)
-        for v in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError):
+        for v in (math.nan, math.inf, -math.inf, "1.5", True, b"1"):
+            with pytest.raises(ValueError, match=f"^step must be a finite number, not {v!r}$"):
                 rejection_rate_exact_1d(unit_density(), v)
+        assert rejection_rate_exact_1d(unit_density(), np.float64(1.5)) == (
+            rejection_rate_exact_1d(unit_density(), 1.5)
+        )
+        for v in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="non-finite"):
                 rejection_rate_monte_carlo(unit_density(), [v], 100, 0)
             with pytest.raises(ValueError, match="non-finite"):
@@ -425,7 +429,7 @@ class TestEnsembleKernel:
             with block_budget(budget), kernel_body(body, window):
                 assert_matches_filter_loop(den, steps, seeds)
 
-    @pytest.mark.parametrize("budget", [12, metropolis._PATH_BUDGET])
+    @pytest.mark.parametrize("budget", [12, bodies._SLAB])
     @pytest.mark.parametrize("escape", [3, 4, 9])
     def test_block_check_names_first_violation(self, budget, escape):
         # with budget 12, m = 3 and d = 1 the blocks are [0, 4), [4, 8) and
@@ -474,6 +478,16 @@ class TestEnsembleKernel:
                     run_ensemble(liar_density(), steps, [1, 2, 3])
                 with pytest.raises(ContainmentError, match="at step 5"):
                     run_ensemble(liar_density(), later, [1, 2, 3])
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_steps_are_read_not_written(self, m):
+        # at m = 1 a block of steps, moved step-major, is still a contiguous
+        # view: the window body must sum its positions in a copy of it
+        steps = np.random.default_rng(m).normal(size=(m, 50, 2))
+        steps.setflags(write=False)
+        for body in BODIES:
+            with block_budget(12), kernel_body(body):
+                run_ensemble(cube_eigen_density(Box.cube(2, 4.0)), steps, list(range(m)))
 
 
 class TestStationarity:
