@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bodies import Box, FisherMatrix, _integer, _slabs, dirichlet_lambda1_box
+from .bodies import Box, FisherMatrix, _integer, _number, _slabs, dirichlet_lambda1_box
 
 __all__ = [
     "BoundReport",
@@ -49,8 +49,9 @@ def upper_bound_general(fisher: FisherMatrix, steps) -> BoundReport:
         np.maximum(quad, 0.0, out=quad)
         return np.sqrt(quad, out=quad)
 
-    with np.errstate(over="ignore"):  # an overflow is left to _finite_bound to reject
-        value = _finite_bound(0.5 * float(np.mean(_trial_sums(v, root_forms))), v)
+    with np.errstate(over="ignore"):  # an overflow is left to _check_finite to reject
+        value = 0.5 * float(np.mean(_trial_sums(v, root_forms)))
+    _check_finite(value, v)
     digest = f"n={v.shape[-2]}, d={fisher.dimension}, fisher={fisher.estimator_kind}"
     if v.ndim == 3:
         digest += f", mean over {v.shape[0]} trials"
@@ -78,8 +79,8 @@ def upper_bound_cube(half_width: float, step_l2_norms) -> BoundReport:
 
 def _cube_factor(half_width: float) -> tuple[float, float]:
     """(T, pi / (2 T)), or ValueError unless T is positive and the factor finite."""
-    t = float(half_width)
-    if not (0.0 < t < math.inf):
+    t = _number("half_width", half_width)
+    if not t > 0.0:
         raise ValueError("half_width must be positive and finite")
     factor = (0.5 * math.pi) / t  # 2 T would overflow for T above ~9e307
     if not math.isfinite(factor):
@@ -123,18 +124,38 @@ def matching_bounds(box: Box, steps) -> list[BoundReport]:
     v = np.asarray(steps, dtype=float)
     if v.ndim not in (2, 3) or v.shape[-1] != box.dimension:
         raise ValueError("steps must have shape (n, d) or (m, n, d) matching the box")
-    t_min, factor = _cube_factor(np.min(box.half_widths))
+    return _bound_reports(box, *_bound_pass(box, v), v.shape[-2])
+
+
+def _bound_pass(box: Box, steps: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``matching_bounds``' pass over (n, d) or (m, n, d) ``steps``: each
+    trial's sum of |v_j / (T / T_min)|_2, and whether ``lower_1d`` attaches
+    (d = 1, an integer T and every entry +-1).  Passes over slabs of trials
+    give the sums of one pass.  Raises ValueError on non-finite steps, and on
+    finite ones whose sums overflow.
+    """
+    t_min, _ = _cube_factor(np.min(box.half_widths))
     with np.errstate(over="ignore"):  # T_i / T_min = inf zeroes v_i, as pi**2 / T_i**2 does
         divisor = box.half_widths / t_min
-        sums = _trial_sums(v, lambda slab: np.linalg.norm(slab / divisor, axis=-1))
-        value = _finite_bound(factor * float(np.mean(sums)), v)
-    trials = f", mean over {v.shape[0]} trials" if v.ndim == 3 else ""
-    n = v.shape[-2]
+        sums = _trial_sums(steps, lambda slab: np.linalg.norm(slab / divisor, axis=-1))
+    _check_finite(sums, steps)
+    return sums, box.dimension == 1 and t_min.is_integer() and _all_unit(steps)
+
+
+def _bound_reports(box: Box, sums: np.ndarray, unit: bool, n: int) -> list[BoundReport]:
+    """The reports of ``matching_bounds`` from ``_bound_pass``' finite sums
+    (one trial's, or an (m,) array averaged over trials) for n-step trials.
+    Raises ValueError when the bound overflows."""
+    t_min, factor = _cube_factor(np.min(box.half_widths))
+    with np.errstate(over="ignore"):
+        value = factor * float(np.mean(sums))
+    _check_finite(value, sums)
+    trials = f", mean over {sums.size} trials" if sums.ndim == 1 else ""
     digest = f"n={n}, d={box.dimension}, fisher=closed_form{trials}"
     reports = [BoundReport("general_fisher", value, digest)]
     if box.is_cube:
         reports.append(BoundReport("cube_l2", value, f"n={n}, T={t_min}{trials}"))
-    if box.dimension == 1 and t_min.is_integer() and _all_unit(v):
+    if unit:
         reports.append(lower_bound_1d(t_min, n))
     return reports
 
@@ -160,12 +181,12 @@ def _trial_sums(steps: np.ndarray, per_step) -> np.ndarray:
     return sums.reshape(steps.shape[:-2])
 
 
-def _finite_bound(value: float, steps: np.ndarray) -> float:
-    """``value``, or ValueError naming why it is not finite: a non-finite step
+def _check_finite(values, steps) -> None:
+    """ValueError unless ``values`` are finite, naming why: a non-finite step
     makes its trial's sum, and so the mean, non-finite; finite steps can
     still overflow a norm, a quadratic form or a sum of them."""
-    if math.isfinite(value):
-        return value
+    if np.isfinite(values).all():
+        return
     if not np.isfinite(steps).all():
         raise ValueError("steps have non-finite entries")
     raise ValueError("steps too large: the bound overflows")

@@ -2,23 +2,23 @@
 
 Each trial gets its own random streams derived from (seed, trial_index) via
 SeedSequence, one stream for step generation and one for the filter, so the
-results cannot depend on scheduling.  All trials run together through
-``run_ensemble``; a trial's walk depends only on its own streams, so
-``filter_run`` on one trial's steps and seed gives the same walk.
+results cannot depend on scheduling.  Trials run through ``run_ensemble``
+a slab at a time; a trial's walk depends only on its own streams, so the
+slabs, or ``filter_run`` on one trial's steps and seed, give the same walk.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .bodies import Box, _integer, _number, _seed, cube_eigen_density
-from .bounds import BoundReport, matching_bounds
-from .metropolis import EnsembleResult, run_ensemble
+from .bounds import BoundReport, _bound_pass, _bound_reports, matching_bounds
+from .metropolis import _LOCKSTEP_WIDTH, ContainmentError, EnsembleResult, run_ensemble
 
 __all__ = [
     "StepGenerator",
@@ -118,23 +118,64 @@ class RunStats:
 
 
 def trial_streams(config: ExperimentConfig) -> tuple[np.ndarray, list]:
-    """Per-trial step arrays (m, n, d) and filter seeds, from (seed, index)."""
-    m, n, d = config.n_trials, config.n_steps, config.body.dimension
-    steps = np.empty((m, n, d))
+    """Every trial's steps (m, n, d) and filter seeds: ``_slab_streams`` of all trials."""
+    return _slab_streams(config, range(config.n_trials))
+
+
+def _slab_streams(config: ExperimentConfig, trials: range) -> tuple[np.ndarray, list]:
+    """Steps (k, n, d) and filter seeds of the k ``trials``, from (seed, index)."""
+    steps = np.empty((len(trials), config.n_steps, config.body.dimension))
     filter_seeds = []
-    for i in range(m):
+    for row, i in zip(steps, trials):
         step_seed, filter_seed = np.random.SeedSequence((config.seed, i)).spawn(2)
-        steps[i] = generate_steps(config.generator, n, step_seed)
+        row[...] = generate_steps(config.generator, config.n_steps, step_seed)
         filter_seeds.append(filter_seed)
     return steps, filter_seeds
 
 
 def run_experiment_ensemble(config: ExperimentConfig) -> tuple[RunStats, EnsembleResult]:
-    """run_experiment, also returning the raw ensemble for further checks."""
+    """run_experiment, also returning the raw ensemble for further checks.
+
+    Trials run in slabs of ceil(``_LOCKSTEP_WIDTH`` / d), so one slab's
+    steps and coins are alive at a time; a trial's results depend only on
+    its own streams, so the slabs give the bits of one ensemble.  Each slab
+    adds its per-trial sums to the bound pass before its kernel runs.
+    """
     density = cube_eigen_density(config.body)
-    steps, filter_seeds = trial_streams(config)
-    bound_reports = tuple(matching_bounds(config.body, steps))
-    result = run_ensemble(density, steps, filter_seeds)
+    m, n, d = config.n_trials, config.n_steps, config.body.dimension
+    size = min(m, -(-_LOCKSTEP_WIDTH // d))
+    sums = np.empty(m)
+    unit = True
+    escape = None  # the least (step, trial) violation over the slabs run so far
+    if size < m:
+        result = EnsembleResult(
+            origins=np.empty((m, d)),
+            finals=np.empty((m, d)),
+            accepted=np.empty((m, n), dtype=bool),
+            max_abs_sums=np.empty(m),
+        )
+    for start in range(0, m, size):
+        rows = slice(start, min(start + size, m))
+        steps, filter_seeds = _slab_streams(config, range(m)[rows])
+        sums[rows], slab_unit = _bound_pass(config.body, steps)
+        unit = unit and slab_unit
+        try:
+            part = run_ensemble(density, steps, filter_seeds)
+        except ContainmentError as exc:
+            # a later slab's violation may come at an earlier step
+            if escape is None or (exc.step, start + exc.trial) < (escape.step, escape.trial):
+                escape = _renumbered(exc, start)
+            continue
+        finally:
+            del steps  # before the next slab's are built
+        if size == m:
+            result = part
+        else:
+            for field in fields(EnsembleResult):
+                getattr(result, field.name)[rows] = getattr(part, field.name)
+    bound_reports = tuple(_bound_reports(config.body, sums, unit, n))
+    if escape is not None:
+        raise escape
     discards = np.asarray(result.discards, dtype=np.int64)
     mean = float(np.mean(discards))
     std_error = (
@@ -150,6 +191,13 @@ def run_experiment_ensemble(config: ExperimentConfig) -> tuple[RunStats, Ensembl
         containment_violations=0,
     )
     return stats, result
+
+
+def _renumbered(exc: ContainmentError, offset: int) -> ContainmentError:
+    """A slab's containment error with its trial renamed to the ensemble's."""
+    trial = offset + exc.trial
+    text = str(exc).removeprefix(f"trial {exc.trial} ")
+    return ContainmentError(f"trial {trial} {text}", exc.step, trial)
 
 
 def run_experiment(config: ExperimentConfig) -> RunStats:

@@ -48,6 +48,9 @@ _CONTAINMENT_TOL = 1e-9
 # how many steps each of its trials assumes accepted per log_density call
 _SPECULATIVE_WIDTH = 128
 _WINDOW = 16
+# narrowest width (trials * dimension) at which the lockstep body's per-step
+# numpy calls are amortised; the harness runs trials in slabs this wide
+_LOCKSTEP_WIDTH = 2048
 
 # Gauss-Legendre rule for the 1-d rejection rate, built once: leggauss is ~1.5 ms
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -56,7 +59,15 @@ SeedLike = Union[int, np.random.SeedSequence]
 
 
 class ContainmentError(RuntimeError):
-    """An accepted partial sum left the doubled support box."""
+    """An accepted partial sum left the doubled support box.
+
+    The kernel's errors name the violation's ``step`` and ``trial`` (None
+    on others), the least step and, at that step, the lowest trial.
+    """
+
+    def __init__(self, message: str, step=None, trial=None):
+        super().__init__(message)
+        self.step, self.trial = step, trial
 
 
 @dataclass(frozen=True)
@@ -229,7 +240,9 @@ def _check_containment(positions, origins, limit, max_abs, start) -> None:
         # argwhere is row-major: the first step, then its lowest trial
         j, trial = (int(i) for i in np.argwhere((dist > limit).any(axis=-1))[0])
         raise ContainmentError(
-            f"trial {trial} accepted sum {sums[j, trial]} left 2K at step {start + j}"
+            f"trial {trial} accepted sum {sums[j, trial]} left 2K at step {start + j}",
+            start + j,
+            trial,
         )
 
 
@@ -302,11 +315,12 @@ def rejection_rate_monte_carlo(
     Draws ``n_steps`` independent stationary points, proposes x + step from
     each with a fresh coin, and returns (frequency, standard error).
     """
-    v = np.asarray(step, dtype=float)
+    v = np.asarray(step)
     if v.shape != (density.dimension,):
         raise ValueError("step dimension mismatch")
-    if not np.all(np.isfinite(v)):
+    if v.dtype.kind == "f" and not np.all(np.isfinite(v)):
         raise ValueError("step has non-finite entries")
+    v = np.array([_number("step", x) for x in v])  # bools and strings raise
     n = _integer("n_steps", n_steps, 1)
     rng = np.random.default_rng(_seed("rng_seed", rng_seed))
     points = density.sample(rng, n)

@@ -267,6 +267,14 @@ class TestUpperBoundCube:
         with pytest.raises(ValueError):
             upper_bound_cube(1.0, [math.nan])
 
+    def test_half_width_follows_the_number_rule(self):
+        for t in ("2", True, b"1", math.nan):
+            with pytest.raises(ValueError, match="half_width must be a finite number"):
+                upper_bound_cube(t, [1.0, 1.0])
+        report = upper_bound_cube(np.float64(16.0), np.ones(4))
+        assert report == upper_bound_cube(16, np.ones(4)) == upper_bound_cube(16.0, np.ones(4))
+        assert report.inputs_digest == "n=4, T=16.0"
+
     def test_extreme_half_widths(self):
         # 2 T overflows above ~9e307 and pi / (2 T) below ~1e-308
         assert upper_bound_cube(1e308, np.ones(3)).value == 3.0 * ((0.5 * math.pi) / 1e308)

@@ -53,6 +53,10 @@ PINNED_REPORTS = [
          "--steps", "5000"),
         "cbb34a2c2727933a72805f9bbd472402cb107accc2074c3f48630a13246e223c",
     ),
+    (  # four trial slabs
+        ("--dim", "3", "--generator", "unit", "--steps", "200", "--trials", "2500"),
+        "c26040f9193f7d3f8e892c28131182364dba0c130ac270cd4f0dd12518547c04",
+    ),
 ]
 
 
@@ -196,9 +200,9 @@ class TestSimulate:
         assert runs == []
 
     def test_huge_half_width_fails_before_the_streams(self, capsys, monkeypatch):
-        # no (m, n, d) step tensor is built for a half-width the density rejects
+        # no trial slab's steps are built for a half-width the density rejects
         calls = []
-        monkeypatch.setattr(harness, "trial_streams", lambda config: calls.append(config))
+        monkeypatch.setattr(harness, "_slab_streams", lambda *args: calls.append(args))
         code, out, err = run_cli(
             capsys, "simulate", "--half-width", "1e308", "--steps", "3", "--trials", "2"
         )
@@ -309,10 +313,10 @@ class TestSimulate:
         assert "xml" in err
 
     def test_out_of_memory_exits_2(self, capsys, monkeypatch):
-        def too_big(config):
+        def too_big(config, trials):
             raise MemoryError("Unable to allocate 44.7 GiB for an array")
 
-        monkeypatch.setattr(harness, "trial_streams", too_big)
+        monkeypatch.setattr(harness, "_slab_streams", too_big)
         code, out, err = run_cli(
             capsys, "simulate", "--dim", "3", "--steps", "1000000", "--trials", "2000"
         )

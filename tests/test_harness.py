@@ -18,6 +18,8 @@ from driftguard.harness import (
     run_stats_from_json,
     trial_streams,
 )
+from driftguard.metropolis import ContainmentError, run_ensemble
+from test_metropolis import liar_density
 
 
 def cfg(**overrides):
@@ -201,6 +203,35 @@ class TestRunExperiment:
     def test_reproducible(self):
         config = cfg(n_trials=5, n_steps=100, seed=77)
         assert run_experiment(config) == run_experiment(config)
+
+    # at T = 2.5 each slab of two trials reports its first escape as (step,
+    # trial): with seed 1 the last slab holds the least step, and with seed 6
+    # the first and last slabs tie at step 9, and the lower trial wins
+    @pytest.mark.parametrize(
+        "seed, per_slab",
+        [(1, [(15, 1), (23, 3), (5, 5)]), (6, [(9, 1), (41, 3), (9, 5)])],
+    )
+    def test_containment_names_the_unslabbed_violation(self, monkeypatch, seed, per_slab):
+        t = 2.5
+        config = cfg(body=Box.cube(1, t), generator=StepGenerator("coordinate_basis_cycle", 1),
+                     n_steps=60, n_trials=6, seed=seed)
+        steps, seeds = trial_streams(config)
+        found = []
+        for start in (0, 2, 4):
+            with pytest.raises(ContainmentError) as exc:
+                run_ensemble(liar_density(t), steps[start : start + 2], seeds[start : start + 2])
+            found.append((exc.value.step, start + exc.value.trial))
+        assert found == per_slab
+        with pytest.raises(ContainmentError) as unslabbed:
+            run_ensemble(liar_density(t), steps, seeds)
+        monkeypatch.setattr(harness, "cube_eigen_density", lambda box: liar_density(t))
+        monkeypatch.setattr(harness, "_LOCKSTEP_WIDTH", 2)
+        with pytest.raises(ContainmentError) as slabbed:
+            run_experiment(config)
+        assert (slabbed.value.step, slabbed.value.trial) == min(per_slab)
+        assert (unslabbed.value.step, unslabbed.value.trial) == min(per_slab)
+        assert str(slabbed.value) == str(unslabbed.value)
+        assert str(slabbed.value).startswith(f"trial {min(per_slab)[1]} accepted sum ")
 
 
 class TestBoundAttachment:

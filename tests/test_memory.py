@@ -4,17 +4,26 @@ reports to) of the quadrature, the bound pass and the filter kernel, and the
 bit-identity of the slabbed per-trial sums and reports.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from driftguard import bodies, bounds
+
+from driftguard import bodies, bounds, harness, metropolis
 from driftguard.bodies import Box, FisherMatrix, _slabs, cube_eigen_density, fisher_quadrature
 from driftguard.bounds import matching_bounds, upper_bound_general
-from driftguard.harness import ExperimentConfig, StepGenerator, emit_report, run_experiment
-from driftguard.metropolis import run_ensemble
+from driftguard.harness import (
+    ExperimentConfig,
+    StepGenerator,
+    emit_report,
+    run_experiment,
+    run_experiment_ensemble,
+    trial_streams,
+)
+from driftguard.metropolis import EnsembleResult, run_ensemble
 from helpers import leggauss_integrate
 
 MIB = 1 << 20
@@ -56,6 +65,8 @@ class TestSlabs:
             (Box.cube(3, 16.0), "random_unit_sphere", 50, 300),  # the lockstep body
             (Box.cube(1, 8.0), "coordinate_basis_cycle", 4, 5000),  # windows, long trials
             (Box([2.0, 5.0, 0.75]), "isotropic_custom", 20, 200),
+            # two trial slabs, 2048 trials in lockstep and 52 pre-fetching
+            (Box.cube(1, 8.0), "coordinate_basis_cycle", 2100, 30),
         ],
     )
     def test_reports_do_not_depend_on_the_budget(self, monkeypatch, box, kind, m, n):
@@ -160,3 +171,42 @@ class TestEnsembleMemory:
         seeds = list(range(m))
         extra = 8 * bodies._SLAB * 8  # eight path buffers' worth
         assert peak_bytes(lambda: run_ensemble(density, steps, seeds)) <= m * n * 9 + extra
+
+
+class TestTrialSlabs:
+    # lanes (a slab's trials * d) patched below the default 2048, so that
+    # slabs hold one or a few trials; a slab wider than 128 lanes steps in
+    # lockstep and a narrower one pre-fetches
+    @pytest.mark.parametrize(
+        "box, kind, m, n, lanes",
+        [
+            (Box.cube(3, 16.0), "random_unit_sphere", 120, 200, 150),  # 50, 50 lockstep, 20 not
+            (Box.cube(3, 16.0), "random_unit_sphere", 7, 200, 1),  # one trial a slab
+            (Box.cube(1, 8.0), "coordinate_basis_cycle", 135, 500, 130),  # 130 lockstep, 5 not
+            (Box([2.0, 5.0, 0.75]), "isotropic_custom", 50, 100, 7),  # three trials a slab
+        ],
+    )
+    def test_slabs_give_the_unslabbed_bits(self, monkeypatch, box, kind, m, n, lanes):
+        config = ExperimentConfig(box, StepGenerator(kind, box.dimension), n, m, 4)
+        assert m * box.dimension <= metropolis._LOCKSTEP_WIDTH  # one slab by default
+        unslabbed = run_ensemble(cube_eigen_density(box), *trial_streams(config))
+        report = emit_report(run_experiment(config), "json")
+        monkeypatch.setattr(harness, "_LOCKSTEP_WIDTH", lanes)
+        stats, result = run_experiment_ensemble(config)
+        assert emit_report(stats, "json") == report
+        for field in dataclasses.fields(EnsembleResult):
+            got, expected = getattr(result, field.name), getattr(unslabbed, field.name)
+            assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+            assert got.tobytes() == expected.tobytes(), field.name
+
+    # the whole (m, n, d) step tensor alone is m * n * d * 8 = 14.4 MB at
+    # n = 300; at n = 1000 two slabs' steps alive at once exceed the bound
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_peak_is_one_slab_of_steps_and_coins(self, n):
+        m, d = 2000, 3
+        config = ExperimentConfig(Box.cube(d, 16.0), StepGenerator("random_unit_sphere", d), n, m, 1)
+        trials = -(-metropolis._LOCKSTEP_WIDTH // d)
+        slab = trials * n * (d + 1) * 8  # one slab's steps and coins
+        extra = 8 * bodies._SLAB * 8  # eight path buffers' worth
+        assert slab + m * n + extra < m * n * d * 8
+        assert peak_bytes(lambda: run_experiment(config)) <= slab + m * n + extra

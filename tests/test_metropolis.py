@@ -285,6 +285,17 @@ class TestRejectionRate:
             with pytest.raises(ValueError, match="non-finite"):
                 rejection_rate_monte_carlo(cube_eigen_density(Box.cube(2, 1.0)), [0.1, v], 100, 0)
 
+    def test_monte_carlo_step_entries_follow_the_number_rule(self):
+        den = cube_eigen_density(Box.cube(1, 2.0))
+        for step in (["1.5"], [True], np.array([True]), [b"1"]):
+            with pytest.raises(ValueError, match="^step must be a finite number"):
+                rejection_rate_monte_carlo(den, step, 1000, 0)
+        with pytest.raises(ValueError, match="^step must be a finite number"):
+            rejection_rate_monte_carlo(cube_eigen_density(Box.cube(2, 2.0)), [0.5, "1"], 1000, 0)
+        expected = rejection_rate_monte_carlo(den, [1.5], 1000, 0)
+        for step in ([np.float64(1.5)], np.array([1.5]), (1.5,), np.array([1.5], dtype=np.float32)):
+            assert rejection_rate_monte_carlo(den, step, 1000, 0) == expected
+
     def test_monte_carlo_rejection_bound(self):
         # empirical rejection frequency <= half the information length + 3 SE
         den = cube_eigen_density(Box.cube(1, 2.0))
