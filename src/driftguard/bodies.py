@@ -88,6 +88,14 @@ def _number(name: str, value) -> float:
     return float(value)
 
 
+def _reals(name: str, values) -> np.ndarray:
+    """``values`` as a float array; ValueError unless ints or floats (bools, strings, objects)."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be ints or floats, not {array.dtype}")
+    return array.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box prod_i [-T_i, T_i] centered at the origin.

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bodies import Box, FisherMatrix, _integer, _number, _slabs, dirichlet_lambda1_box
+from .bodies import Box, FisherMatrix, _integer, _number, _reals, _slabs, dirichlet_lambda1_box
 
 __all__ = [
     "BoundReport",
@@ -40,22 +40,16 @@ def upper_bound_general(fisher: FisherMatrix, steps) -> BoundReport:
     Raises ValueError on non-finite steps, and on finite ones whose
     quadratic forms or bound overflow.
     """
-    v = np.asarray(steps, dtype=float)
-    if v.ndim not in (2, 3) or v.shape[-1] != fisher.dimension:
-        raise ValueError("steps must have shape (n, d) or (m, n, d) matching the Fisher matrix")
+    v = _steps(steps, fisher.dimension, "the Fisher matrix")
 
     def root_forms(slab):
         quad = np.einsum("...nd,df,...nf->...n", slab, fisher.entries, slab)
         np.maximum(quad, 0.0, out=quad)
         return np.sqrt(quad, out=quad)
 
-    with np.errstate(over="ignore"):  # an overflow is left to _check_finite to reject
-        value = 0.5 * float(np.mean(_trial_sums(v, root_forms)))
-    _check_finite(value, v)
+    sums = _trial_sums(v, root_forms)
     digest = f"n={v.shape[-2]}, d={fisher.dimension}, fisher={fisher.estimator_kind}"
-    if v.ndim == 3:
-        digest += f", mean over {v.shape[0]} trials"
-    return BoundReport("general_fisher", value, digest)
+    return _report("general_fisher", 0.5, sums, v, digest)
 
 
 def upper_bound_cube(half_width: float, step_l2_norms) -> BoundReport:
@@ -63,18 +57,16 @@ def upper_bound_cube(half_width: float, step_l2_norms) -> BoundReport:
 
     ``step_l2_norms`` is (n,) for one run or (m, n) for m trials; with a
     trials axis the value is the mean over trials of the per-run bound.
-    Raises ValueError on negative or non-finite norms, and when pi / (2 T)
-    is not finite (T below ~1e-308).
+    Raises ValueError on norms that are not ints or floats, negative or
+    non-finite, on zero trials, when pi / (2 T) is not finite (T below
+    ~1e-308), and when the bound overflows.
     """
     t, factor = _cube_factor(half_width)
-    norms = np.asarray(step_l2_norms, dtype=float)
+    norms = _reals("step_l2_norms", step_l2_norms)
     if norms.ndim not in (1, 2) or not np.all((norms >= 0.0) & (norms < math.inf)):
         raise ValueError("step_l2_norms must be (n,) or (m, n) finite nonnegative norms")
-    value = factor * float(np.mean(np.sum(norms, axis=-1)))
-    digest = f"n={norms.shape[-1]}, T={t}"
-    if norms.ndim == 2:
-        digest += f", mean over {norms.shape[0]} trials"
-    return BoundReport("cube_l2", value, digest)
+    sums = _trial_sums(norms[..., None], lambda slab: slab[..., 0])
+    return _report("cube_l2", factor, sums, norms, f"n={norms.shape[-1]}, T={t}")
 
 
 def _cube_factor(half_width: float) -> tuple[float, float]:
@@ -121,9 +113,7 @@ def matching_bounds(box: Box, steps) -> list[BoundReport]:
     Raises ValueError on non-finite steps, and on finite ones whose norms or
     bound overflow.
     """
-    v = np.asarray(steps, dtype=float)
-    if v.ndim not in (2, 3) or v.shape[-1] != box.dimension:
-        raise ValueError("steps must have shape (n, d) or (m, n, d) matching the box")
+    v = _steps(steps, box.dimension, "the box")
     return _bound_reports(box, *_bound_pass(box, v), v.shape[-2])
 
 
@@ -137,7 +127,7 @@ def _bound_pass(box: Box, steps: np.ndarray) -> tuple[np.ndarray, bool]:
     t_min, _ = _cube_factor(np.min(box.half_widths))
     with np.errstate(over="ignore"):  # T_i / T_min = inf zeroes v_i, as pi**2 / T_i**2 does
         divisor = box.half_widths / t_min
-        sums = _trial_sums(steps, lambda slab: np.linalg.norm(slab / divisor, axis=-1))
+    sums = _trial_sums(steps, lambda slab: np.linalg.norm(slab / divisor, axis=-1))
     _check_finite(sums, steps)
     return sums, box.dimension == 1 and t_min.is_integer() and _all_unit(steps)
 
@@ -147,17 +137,32 @@ def _bound_reports(box: Box, sums: np.ndarray, unit: bool, n: int) -> list[Bound
     (one trial's, or an (m,) array averaged over trials) for n-step trials.
     Raises ValueError when the bound overflows."""
     t_min, factor = _cube_factor(np.min(box.half_widths))
-    with np.errstate(over="ignore"):
-        value = factor * float(np.mean(sums))
-    _check_finite(value, sums)
-    trials = f", mean over {sums.size} trials" if sums.ndim == 1 else ""
-    digest = f"n={n}, d={box.dimension}, fisher=closed_form{trials}"
-    reports = [BoundReport("general_fisher", value, digest)]
+    digest = f"n={n}, d={box.dimension}, fisher=closed_form"
+    reports = [_report("general_fisher", factor, sums, sums, digest)]
     if box.is_cube:
-        reports.append(BoundReport("cube_l2", value, f"n={n}, T={t_min}{trials}"))
+        reports.append(_report("cube_l2", factor, sums, sums, f"n={n}, T={t_min}"))
     if unit:
         reports.append(lower_bound_1d(t_min, n))
     return reports
+
+
+def _steps(steps, d: int, what: str) -> np.ndarray:
+    """(n, d) or (m, n, d) ``steps`` as floats (``bodies._reals``), d matching ``what``."""
+    v = _reals("steps", steps)
+    if v.ndim not in (2, 3) or v.shape[-1] != d:
+        raise ValueError(f"steps must have shape (n, d) or (m, n, d) matching {what}")
+    return v
+
+
+def _report(kind: str, factor: float, sums: np.ndarray, inputs, digest: str) -> BoundReport:
+    """A ``kind`` report of ``factor`` times the mean of ``sums`` (one trial's,
+    or (m,) ones, and the digest then ends ", mean over m trials"); ValueError
+    unless it is finite, naming why from the ``inputs`` the sums came from."""
+    with np.errstate(over="ignore"):
+        value = factor * float(np.mean(sums))
+    _check_finite(value, inputs)
+    trials = f", mean over {sums.size} trials" if sums.ndim == 1 else ""
+    return BoundReport(kind, value, digest + trials)
 
 
 def _trial_sums(steps: np.ndarray, per_step) -> np.ndarray:
@@ -166,18 +171,20 @@ def _trial_sums(steps: np.ndarray, per_step) -> np.ndarray:
     longer than a slab) gets its (k, n) per-step values, filled by
     ``per_step`` a slab of steps at a time (all n at once when the k trials
     fit in one).  The sums are the bits of the unslabbed ones, each row of n
-    summed alike.  Raises ValueError for zero trials, whose mean would be NaN.
+    summed alike; an overflow gives an inf sum, left to ``_check_finite``.
+    Raises ValueError for zero trials, whose mean would be NaN.
     """
     v = steps if steps.ndim == 3 else steps[None]
     m, n, d = v.shape
     if m == 0:
         raise ValueError("need at least one trial")
     sums = np.empty(m)
-    for trials in _slabs(m, n * d):
-        values = np.empty((trials.stop - trials.start, n))
-        for chunk in _slabs(n, len(values) * d):
-            values[:, chunk] = per_step(v[trials, chunk])
-        sums[trials] = np.sum(values, axis=-1)
+    with np.errstate(over="ignore"):
+        for trials in _slabs(m, n * d):
+            values = np.empty((trials.stop - trials.start, n))
+            for chunk in _slabs(n, len(values) * d):
+                values[:, chunk] = per_step(v[trials, chunk])
+            sums[trials] = np.sum(values, axis=-1)
     return sums.reshape(steps.shape[:-2])
 
 

@@ -138,55 +138,37 @@ def run_experiment_ensemble(config: ExperimentConfig) -> tuple[RunStats, Ensembl
 
     Trials run in slabs of ceil(``_LOCKSTEP_WIDTH`` / d), so one slab's
     steps and coins are alive at a time; a trial's results depend only on
-    its own streams, so the slabs give the bits of one ensemble.  Each slab
-    adds its per-trial sums to the bound pass before its kernel runs.
+    its own streams, so the slabs' results, concatenated field by field, are
+    the bits of one ensemble.  Each slab adds its per-trial sums to the bound
+    pass before its kernel runs; the least (step, trial) containment error
+    of all slabs is raised after the bound reports are made.
     """
     density = cube_eigen_density(config.body)
     m, n, d = config.n_trials, config.n_steps, config.body.dimension
     size = min(m, -(-_LOCKSTEP_WIDTH // d))
     sums = np.empty(m)
-    unit = True
-    escape = None  # the least (step, trial) violation over the slabs run so far
-    if size < m:
-        result = EnsembleResult(
-            origins=np.empty((m, d)),
-            finals=np.empty((m, d)),
-            accepted=np.empty((m, n), dtype=bool),
-            max_abs_sums=np.empty(m),
-        )
+    units, parts, escapes = [], [], []
     for start in range(0, m, size):
         rows = slice(start, min(start + size, m))
         steps, filter_seeds = _slab_streams(config, range(m)[rows])
-        sums[rows], slab_unit = _bound_pass(config.body, steps)
-        unit = unit and slab_unit
+        sums[rows], unit = _bound_pass(config.body, steps)
+        units.append(unit)
         try:
-            part = run_ensemble(density, steps, filter_seeds)
+            parts.append(run_ensemble(density, steps, filter_seeds))
         except ContainmentError as exc:
-            # a later slab's violation may come at an earlier step
-            if escape is None or (exc.step, start + exc.trial) < (escape.step, escape.trial):
-                escape = _renumbered(exc, start)
-            continue
+            escapes.append(_renumbered(exc, start))
         finally:
             del steps  # before the next slab's are built
-        if size == m:
-            result = part
-        else:
-            for field in fields(EnsembleResult):
-                getattr(result, field.name)[rows] = getattr(part, field.name)
-    bound_reports = tuple(_bound_reports(config.body, sums, unit, n))
-    if escape is not None:
-        raise escape
+    bound_reports = tuple(_bound_reports(config.body, sums, all(units), n))
+    if escapes:  # a later slab's violation may come at an earlier step
+        raise min(escapes, key=lambda exc: (exc.step, exc.trial))
+    result = EnsembleResult(*(np.concatenate([getattr(part, f.name) for part in parts])
+                              for f in fields(EnsembleResult)))
     discards = np.asarray(result.discards, dtype=np.int64)
-    mean = float(np.mean(discards))
-    std_error = (
-        float(np.std(discards, ddof=1) / math.sqrt(config.n_trials))
-        if config.n_trials > 1
-        else 0.0
-    )
     stats = RunStats(
         per_trial_discards=tuple(int(x) for x in discards),
-        mean=mean,
-        std_error=std_error,
+        mean=float(np.mean(discards)),
+        std_error=float(np.std(discards, ddof=1) / math.sqrt(m)) if m > 1 else 0.0,
         bound_reports=bound_reports,
         containment_violations=0,
     )

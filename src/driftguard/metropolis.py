@@ -30,7 +30,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .bodies import Density, _integer, _number, _seed, _slabs
+from .bodies import Density, _integer, _number, _reals, _seed, _slabs
 
 __all__ = [
     "ContainmentError",
@@ -91,7 +91,7 @@ class EnsembleResult:
 def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> EnsembleResult:
     """Advance m trials together, block by block.
 
-    ``steps`` has shape (m, n, d): each trial gets its own step sequence.
+    ``steps`` is an (m, n, d) array of ints or floats, one sequence a trial.
     Trial i draws its origin (one (1, d) row of uniforms through
     ``density.quantile``) and then its n coins from
     ``np.random.default_rng(seeds[i])``, so a trial's result does not depend
@@ -107,7 +107,7 @@ def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> Ensemble
     take ``_accept_runs``, which commits each trial's run of accepted steps
     a window at a time.  Both make the same floats and the same decisions.
     """
-    steps = np.ascontiguousarray(steps, dtype=float)  # the windows read it as (m * n, d)
+    steps = np.ascontiguousarray(_reals("steps", steps))  # the windows read it as (m * n, d)
     if steps.ndim != 3 or steps.shape[2] != density.dimension:
         raise ValueError("steps must have shape (m, n, d)")
     m, n, d = steps.shape
@@ -270,7 +270,7 @@ def filter_run(density: Density, signed_steps, rng_seed: SeedLike) -> Trajectory
     Raises what the ensemble raises, so a containment message reads
     ``trial 0 accepted sum ... left 2K at step k``.
     """
-    steps = np.asarray(signed_steps, dtype=float)
+    steps = _reals("signed_steps", signed_steps)
     if steps.size == 0:
         steps = steps.reshape(0, density.dimension)
     if steps.ndim != 2 or steps.shape[1] != density.dimension:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,22 @@ class TestMatchingBounds:
             matching_bounds(Box.cube(1, 1.0), np.zeros((0, 5, 1)))
         with pytest.raises(ValueError, match="at least one trial"):
             upper_bound_general(FisherMatrix(np.eye(1), "closed_form"), np.zeros((0, 5, 1)))
+        with pytest.raises(ValueError, match="at least one trial"):
+            upper_bound_cube(1.0, np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("bad", [[["1.0"]], [[True], [True]]], ids=["str", "bool"])
+    def test_steps_must_be_ints_or_floats(self, bad):
+        # such steps were cast to float and bounded as numbers
+        with pytest.raises(ValueError, match="^steps must be ints or floats"):
+            matching_bounds(Box.cube(1, 2.0), bad)
+        with pytest.raises(ValueError, match="^steps must be ints or floats"):
+            upper_bound_general(FisherMatrix(np.eye(1), "closed_form"), bad)
+        with pytest.raises(ValueError, match="^step_l2_norms must be ints or floats"):
+            upper_bound_cube(2.0, np.ravel(bad))
+        ints = np.array([[1], [-1]])
+        assert matching_bounds(Box.cube(1, 2.0), ints) == matching_bounds(
+            Box.cube(1, 2.0), ints.astype(float)
+        )
 
     @pytest.mark.parametrize("steps", [[[math.nan]], [[math.inf]], [[1.0], [-math.inf]]])
     def test_rejects_non_finite_steps(self, steps):
@@ -281,6 +298,14 @@ class TestUpperBoundCube:
         for t in (1e-310, 1e-320):
             with pytest.raises(ValueError, match="too small"):
                 upper_bound_cube(t, np.ones(3))
+
+    @pytest.mark.parametrize("t, norms", [(1.0, [1e308, 1e308]), (1e-300, [1e10])])
+    def test_rejects_a_bound_that_overflows(self, t, norms):
+        # the sum of the norms, or pi / (2 T) times it, is not a finite float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                upper_bound_cube(t, norms)
 
     def test_rejects_infinite_norms(self):
         one_run = [math.inf, 1.0]

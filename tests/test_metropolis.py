@@ -475,6 +475,22 @@ class TestEnsembleKernel:
                 with pytest.raises(ValueError, match="non-finite"):
                     run_ensemble(unit_density(), [[[bad]]], [0])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [[["1.5"], ["0.5"]], [[True], [False]], np.array([[0.5], [0.5]], dtype=object)],
+        ids=["str", "bool", "object"],
+    )
+    def test_steps_must_be_ints_or_floats(self, bad):
+        # such steps were cast to float and filtered as numbers
+        with pytest.raises(ValueError, match="^steps must be ints or floats"):
+            run_ensemble(unit_density(2.0), [bad], [0])
+        with pytest.raises(ValueError, match="^signed_steps must be ints or floats"):
+            filter_run(unit_density(2.0), bad, 0)
+        ints = np.array([[[1], [-1]]])
+        a, b = (run_ensemble(unit_density(2.0), s, [0]) for s in (ints, ints.astype(float)))
+        for field in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
+
     def test_non_finite_block_checked_before_it_runs(self):
         # an escape at step 5 and a NaN at step 6 share the block [4, 8)
         steps = np.zeros((3, 10, 1))
