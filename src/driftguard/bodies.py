@@ -43,7 +43,7 @@ _KEPLER_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in reversed(r
 # float64 values per slab of every pass over arrays that grow with the input:
 # the quantile, the quadrature, the bound pass and the filter kernel's blocks
 _SLAB = 1 << 16
-_SYMMETRY_TOL = 1e-12  # tolerance for declaring a matrix symmetric
+_SYMMETRY_TOL = 1e-12  # FisherMatrix's tolerances, relative to the largest entry
 _PSD_FLOOR = -1e-9
 
 ArrayLike = Union[Sequence[float], np.ndarray]
@@ -102,7 +102,7 @@ class Box:
 
     Each entry of a list or tuple must be an int or a float (numpy's too):
     a bool, a string or a number beyond float range raises ValueError, and
-    so does a boolean array.
+    an array of bools, strings or objects does too (``_reals``).
     """
 
     half_widths: np.ndarray
@@ -111,14 +111,11 @@ class Box:
         hw = self.half_widths
         if isinstance(hw, (list, tuple)):
             hw = [_number("half_widths", w) for w in hw]
-        elif np.asarray(hw).dtype == bool:
-            raise ValueError("half_widths must be numbers, not booleans")
-        hw = np.asarray(hw, dtype=float)
+        hw = np.array(_reals("half_widths", hw))  # an own copy
         if hw.ndim != 1 or hw.size < 1:
             raise ValueError("half_widths must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(hw)) or np.any(hw <= 0.0):
             raise ValueError("half_widths must be finite and strictly positive")
-        hw = hw.copy()
         hw.setflags(write=False)
         object.__setattr__(self, "half_widths", hw)
 
@@ -179,7 +176,7 @@ def cube_eigen_density(box: Box) -> Density:
     clips samples (u = 0 included) strictly inside the box.  Raises
     ValueError when pi / T_i or 2 T_i overflows (T_i above ~9e307, where the
     density would be flat), and ``quantile`` raises it on a uniform outside
-    [0, 1] (NaN included).
+    [0, 1] (NaN included) or on uniforms that are not ints or floats.
     """
     hw = box.half_widths
     d = box.dimension
@@ -205,7 +202,7 @@ def cube_eigen_density(box: Box) -> Density:
         return -(np.pi / hw) * np.tan(half_freq * x)
 
     def quantile(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
+        u = _reals("uniforms", u)
         if u.shape[-1:] != (d,):
             raise ValueError(f"uniforms have shape {u.shape}, expected (..., {d})")
         # slabs of rows keep the Newton temporaries to ~_SLAB values each
@@ -253,7 +250,9 @@ class FisherMatrix:
     """Fisher information matrix E[(grad log pi)(grad log pi)^T].
 
     ``estimator_kind`` is one of closed_form, quadrature, monte_carlo.
-    Monte Carlo matrices carry an entrywise standard error.
+    Monte Carlo matrices carry an entrywise standard error.  Both are kept
+    as read-only float64 copies; asymmetry may reach se + se^T plus
+    _SYMMETRY_TOL times the largest entry (at least 1).
     """
 
     entries: np.ndarray
@@ -261,27 +260,23 @@ class FisherMatrix:
     std_error: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=float)
+        m = np.array(_reals("entries", self.entries))
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("entries must be a square matrix")
-        se = np.asarray(self.std_error if self.std_error is not None else 0.0, dtype=float)
+        se = np.array(_reals("std_error", 0.0 if self.std_error is None else self.std_error))
         if not (np.all(np.isfinite(m)) and np.all(np.isfinite(se))):
             raise ValueError("entries and std_error must be finite")
         if self.estimator_kind not in ("closed_form", "quadrature", "monte_carlo"):
             raise ValueError(f"unknown estimator_kind {self.estimator_kind!r}")
-        asym = np.abs(m - m.T)
-        if self.estimator_kind == "monte_carlo":
-            allowed = _SYMMETRY_TOL + se + se.T if se.ndim == 2 else _SYMMETRY_TOL
-            if np.any(asym > allowed):
-                raise ValueError("matrix asymmetry exceeds reported standard error")
-        elif np.max(asym) > _SYMMETRY_TOL:
-            raise ValueError("matrix is not symmetric to within 1e-12")
         scale = max(1.0, float(np.max(np.abs(m))))
+        if np.any(np.abs(m - m.T) > _SYMMETRY_TOL * scale + se + se.T):
+            raise ValueError("matrix asymmetry exceeds its tolerance and standard error")
         if np.min(np.linalg.eigvalsh(0.5 * (m + m.T))) < _PSD_FLOOR * scale:
             raise ValueError("matrix is not positive semidefinite")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
+        for name, array in (("entries", m), ("std_error", se)):
+            if getattr(self, name) is not None:
+                array.setflags(write=False)
+                object.__setattr__(self, name, array)
 
     @property
     def dimension(self) -> int:
@@ -358,9 +353,9 @@ def fisher_quadrature(density: Density, grid_points_per_axis: int = 128) -> Fish
         scores = np.asarray(density.log_gradient(points), dtype=float)
         if not np.all(np.isfinite(scores)):
             raise ValueError("log_gradient returned non-finite values at interior nodes")
-        pi_vals = np.exp(np.asarray(density.log_density(points), dtype=float))
-        # an inf weight (and inf * 0 density) gives NaN, which FisherMatrix rejects
+        # an inf weight or density (and inf * 0) gives NaN, which FisherMatrix rejects
         with np.errstate(over="ignore", invalid="ignore"):
+            pi_vals = np.exp(np.asarray(density.log_density(points), dtype=float))
             weights = np.multiply.outer(base_w[planes] * hw[0], rest_weights)
             entries += np.einsum("k,ki,kj->ij", weights.reshape(-1) * pi_vals, scores, scores)
     return FisherMatrix(entries, "quadrature")

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bodies import Box, _integer, _number, _seed, cube_eigen_density
+from .bodies import Box, _integer, _number, _reals, _seed, cube_eigen_density
 from .bounds import BoundReport, _bound_pass, _bound_reports, matching_bounds
 from .metropolis import _LOCKSTEP_WIDTH, ContainmentError, EnsembleResult, run_ensemble
 
@@ -55,11 +55,12 @@ class StepGenerator:
         object.__setattr__(self, "dimension", _integer("dimension", self.dimension, 1))
         if self.kind == "fixed_list":
             try:
-                vecs = np.array(self.vectors, dtype=float, ndmin=2)
+                vecs = np.array(self.vectors, ndmin=2)  # an own copy, typed by _reals below
             except ValueError as exc:  # ragged rows
                 raise ValueError("fixed_list rows must all have the generator dimension") from exc
             if self.vectors is None or vecs.size == 0:
                 raise ValueError("fixed_list requires a nonempty vector list")
+            vecs = _reals("fixed_list vectors", vecs)
             if vecs.shape != (len(vecs), self.dimension):
                 raise ValueError("fixed_list rows must all have the generator dimension")
             if not np.all(np.isfinite(vecs)):

@@ -156,7 +156,7 @@ def _start_weights(start: StartDistribution, width: int, t: int) -> tuple[list[i
     """Integer weights and their common denominator for the start law.
 
     A start vector must hold exact rationals (floats count at their exact
-    binary value), be nonnegative, and sum to exactly 1.
+    binary value, but not strings or bools), be nonnegative, and sum to exactly 1.
     """
     if isinstance(start, str):
         if start != "uniform":
@@ -168,7 +168,10 @@ def _start_weights(start: StartDistribution, width: int, t: int) -> tuple[list[i
         weights[s + t] = 1
         return weights, 1
     try:
-        probs = [Fraction(p) for p in start]
+        entries = list(start)
+        if any(isinstance(p, (str, bool, np.bool_)) for p in entries):
+            raise TypeError("a string or bool entry")
+        probs = [Fraction(p) for p in entries]
     except (TypeError, OverflowError) as exc:
         raise ValueError("start vector entries must be finite rationals or floats") from exc
     if len(probs) != width:

@@ -62,10 +62,22 @@ class TestBox:
         for bad in ([True, 2.0], (2.0, "1"), [1.0, 10**400]):
             with pytest.raises(ValueError, match="^half_widths must be a finite number"):
                 Box(bad)
-        with pytest.raises(ValueError, match="booleans"):
+        with pytest.raises(ValueError, match="^half_widths must be ints or floats, not bool$"):
             Box(np.array([True, False]))
+        # numpy would cast a string array to the half-widths it spells
+        for bad in (np.array(["2.0"]), np.array([2.0, None])):
+            message = f"^half_widths must be ints or floats, not {bad.dtype}$"
+            with pytest.raises(ValueError, match=message):
+                Box(bad)
         assert np.array_equal(Box.cube(2, np.int64(2)).half_widths, [2.0, 2.0])
         assert np.array_equal(Box([1, np.float32(2.5)]).half_widths, [1.0, 2.5])
+
+    def test_half_widths_are_a_read_only_float64_copy(self):
+        for source in (np.array([1.0, 2.0]), np.array([1, 2])):
+            box = Box(source)
+            source[0] = 5  # the box keeps its own copy
+            assert box.half_widths.dtype == np.float64 and not box.half_widths.flags.writeable
+            assert box.half_widths.tolist() == [1.0, 2.0]
 
     def test_non_cube_box(self):
         assert not Box(np.array([1.0, 2.0])).is_cube
@@ -245,6 +257,14 @@ class TestCubeEigenDensity:
         with pytest.raises(ValueError):
             den.quantile(np.array([[0.25], [1.5], [0.75]]))
 
+    def test_quantile_reads_uniforms_by_the_array_rule(self):
+        # numpy would cast np.array([["0.5"]]) to the uniform 0.5
+        den = cube_eigen_density(Box.cube(1, 2.0))
+        for bad in (np.array([["0.5"]]), np.array([[True]]), [["0.5"]]):
+            with pytest.raises(ValueError, match="^uniforms must be ints or floats, not "):
+                den.quantile(bad)
+        assert np.array_equal(den.quantile([[0.5]]), den.quantile(np.array([[0.5]])))
+
     def test_quantile_shape_guard(self):
         den = cube_eigen_density(Box.cube(2, 1.0))
         for bad in (np.zeros((3, 1)), np.zeros((3, 3)), np.float64(0.5)):
@@ -373,6 +393,15 @@ class TestFisherQuadrature:
             fisher = fisher_quadrature(cube_eigen_density(box), 128)
             assert fisher.trace == pytest.approx(4.0 * dirichlet_lambda1_box(box), abs=1e-5)
 
+    @pytest.mark.parametrize("t", [0.005, 1e-3, 1e-6])
+    @pytest.mark.parametrize("d,nodes", [(2, 128), (3, 64)])
+    def test_small_cubes_match_closed_form(self, d, nodes, t):
+        # the einsum sums (i, j) and (j, i) apart, so the matrix is symmetric
+        # only to ~1e-18 of its entries, well above an absolute 1e-12 here
+        closed = fisher_closed_form_cube(Box.cube(d, t)).entries
+        quad = fisher_quadrature(cube_eigen_density(Box.cube(d, t)), nodes).entries
+        assert np.max(np.abs(quad - closed)) <= 1e-10 * np.max(closed)
+
     def test_box_quadrature_matches_per_axis_closed_form(self):
         box = Box(np.array([1.0, 2.0]))
         fisher = fisher_quadrature(cube_eigen_density(box), 128)
@@ -454,6 +483,35 @@ class TestFisherMatrixInvariants:
 
     def test_accepts_asymmetry_within_tolerance(self):
         FisherMatrix(np.array([[1.0, 1e-13], [0.0, 1.0]]), "closed_form")
+
+    def test_symmetry_tolerance_scales_with_entries(self):
+        FisherMatrix(np.array([[1e6, 9e-7], [0.0, 1e6]]), "closed_form")
+        with pytest.raises(ValueError, match="asymmetry"):
+            FisherMatrix(np.array([[1e6, 2e-6], [0.0, 1e6]]), "quadrature")
+        # a Monte Carlo matrix may also differ by se + se^T
+        se = np.array([[0.0, 1e-3], [0.0, 0.0]])
+        FisherMatrix(np.array([[1.0, 1e-3], [0.0, 1.0]]), "monte_carlo", std_error=se)
+        with pytest.raises(ValueError, match="asymmetry"):
+            FisherMatrix(np.array([[1.0, 2e-3], [0.0, 1.0]]), "monte_carlo", std_error=se)
+
+    def test_arrays_follow_the_array_rule(self):
+        # numpy would cast [["1.0"]] and [[True]] alike to the matrix [[1.0]]
+        for bad in ([["1.0"]], [[True]], np.array([["1.0"]]), np.array([[True]])):
+            with pytest.raises(ValueError, match="^entries must be ints or floats, not "):
+                FisherMatrix(bad, "closed_form")
+            with pytest.raises(ValueError, match="^std_error must be ints or floats, not "):
+                FisherMatrix([[1.0]], "monte_carlo", std_error=bad)
+
+    def test_std_error_is_a_read_only_float64_copy(self):
+        source = np.array([[0.5]])
+        for given in ([[0.5]], np.array([[0.5]], dtype=np.float32), source):
+            fisher = FisherMatrix([[1]], "monte_carlo", std_error=given)
+            assert isinstance(fisher.std_error, np.ndarray)
+            assert fisher.std_error.dtype == np.float64 and not fisher.std_error.flags.writeable
+            assert fisher.entries.dtype == np.float64 and not fisher.entries.flags.writeable
+        source[0, 0] = 9.0  # the matrix keeps its own copy
+        assert fisher.std_error.tolist() == [[0.5]]
+        assert FisherMatrix(np.eye(2), "closed_form").std_error is None
 
     def test_rejects_negative_definite(self):
         with pytest.raises(ValueError):

@@ -584,6 +584,27 @@ class TestFisher:
         assert (code, out) == (2, "")
         assert err.endswith("error: entries and std_error must be finite\n")
 
+    def test_quadrature_small_cube_exits_0(self, capsys):
+        # entries ~4e5 whose last digits differ across the diagonal
+        code, out, err = run_cli(
+            capsys, "fisher", "--dim", "2", "--half-width", "0.005", "--method", "quadrature",
+        )
+        assert (code, err) == (0, "")
+        assert np.array(json.loads(out)["entries"]) == pytest.approx(
+            np.eye(2) * np.pi**2 / 0.005**2, rel=1e-12, abs=1e-6
+        )
+
+    @pytest.mark.parametrize("half_width", ["1e-160", "1e-170", "1e-200"])
+    @pytest.mark.parametrize("dim", ["2", "3"])
+    def test_quadrature_tiny_half_width_prints_only_the_error(self, capsys, dim, half_width):
+        # the density's exp overflows here, which must not warn before the error
+        code, out, err = run_cli(
+            capsys,
+            "fisher", "--dim", dim, "--half-width", half_width,
+            "--method", "quadrature", "--nodes", "16",
+        )
+        assert (code, out, err) == (2, "", "error: entries and std_error must be finite\n")
+
     def test_quadrature(self, capsys):
         code, out, _ = run_cli(
             capsys,

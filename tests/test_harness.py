@@ -92,6 +92,15 @@ class TestStepGenerator:
         with pytest.raises(TypeError):
             hash(gens[0])
 
+    def test_vectors_follow_the_array_rule(self):
+        # numpy would cast [["1.5"]] to the step 1.5 and [[True]] to 1.0
+        message = "^fixed_list vectors must be ints or floats, not "
+        for bad in ([["1.5"]], [[True]], np.array([["1.5"]]), np.array([[True, False]])):
+            with pytest.raises(ValueError, match=message):
+                StepGenerator("fixed_list", len(bad[0]), vectors=bad)
+        gen = StepGenerator("fixed_list", 2, vectors=[[1, 0]])
+        assert gen.vectors.dtype == np.float64 and gen.vectors.tolist() == [[1.0, 0.0]]
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_ragged_vectors_rejected(self, dim):
         with pytest.raises(ValueError, match="generator dimension"):

@@ -200,6 +200,20 @@ class TestExactChain:
             exact_chain_expectation_fraction(1, 5, 3)
         with pytest.raises(ValueError):
             exact_chain_expectation(1, 5, "gaussian")
+        # Fraction would parse "1/5" and take True as 1
+        message = "^start vector entries must be finite rationals or floats$"
+        for bad in (
+            ["1/5"] * 5,
+            [True, False, False, False, False],
+            [np.bool_(True)] + [0] * 4,
+            np.array(["0.2"] * 5),
+            np.eye(5, dtype=bool)[0],
+        ):
+            with pytest.raises(ValueError, match=message):
+                exact_chain_expectation_fraction(2, 10, bad)
+        point = exact_chain_expectation_fraction(2, 10, 0)
+        for good in ([0, 0, 1, 0, 0], [0.0, 0, Fraction(1), np.int64(0), np.float64(0.0)]):
+            assert exact_chain_expectation_fraction(2, 10, good) == point
 
     @pytest.mark.parametrize("t", [4, 40])
     def test_bad_start_vectors_on_both_sides_of_rational_limit(self, t):

@@ -40,8 +40,14 @@ LINES = tuple(
     "bounds --dim 1 --half-width 4 --steps 10000",
     "bounds --dim 3 --half-width 16 --steps 1000",
     "oracle --mode chain --T 2 --n 1000 --start 0",
+    "oracle --mode chain --T 1000 --n 100000 --start 0",
+    "oracle --mode exhaustive --T 2 --n 8",
+    "oracle --mode single --T 1 --n 4 --signs=+--+",
+    "simulate --dim 3 --half-width 4 --generator isotropic --steps 500 --trials 50"
+    " --format json --seed 1",
     "fisher --dim 2 --half-width 2 --method closed",
     "fisher --dim 2 --half-width 2 --method quadrature --nodes 128",
+    "fisher --dim 3 --half-width 16 --method quadrature --nodes 128",
     "fisher --dim 2 --half-width 2 --method mc --samples 1000000 --seed 3",
 )
 
