@@ -250,9 +250,9 @@ class FisherMatrix:
     """Fisher information matrix E[(grad log pi)(grad log pi)^T].
 
     ``estimator_kind`` is one of closed_form, quadrature, monte_carlo.
-    Monte Carlo matrices carry an entrywise standard error.  Both are kept
-    as read-only float64 copies; asymmetry may reach se + se^T plus
-    _SYMMETRY_TOL times the largest entry (at least 1).
+    Monte Carlo matrices carry an entrywise standard error of the same shape.
+    Both are kept as read-only float64 copies; asymmetry may reach se + se^T
+    plus _SYMMETRY_TOL times the largest entry (at least 1).
     """
 
     entries: np.ndarray
@@ -264,6 +264,8 @@ class FisherMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("entries must be a square matrix")
         se = np.array(_reals("std_error", 0.0 if self.std_error is None else self.std_error))
+        if self.std_error is not None and se.shape != m.shape:
+            raise ValueError(f"std_error must have the entries' shape {m.shape}, not {se.shape}")
         if not (np.all(np.isfinite(m)) and np.all(np.isfinite(se))):
             raise ValueError("entries and std_error must be finite")
         if self.estimator_kind not in ("closed_form", "quadrature", "monte_carlo"):

@@ -157,12 +157,11 @@ def run_experiment_ensemble(config: ExperimentConfig) -> tuple[RunStats, Ensembl
         try:
             parts.append(run_ensemble(density, steps, filter_seeds))
         except ContainmentError as exc:
-            escapes.append(_renumbered(exc, start))
-        finally:
-            del steps  # before the next slab's are built
+            escapes.append((exc.step, start + exc.trial, exc.accepted_sum))
+        del steps  # before the next slab's are built
     bound_reports = tuple(_bound_reports(config.body, sums, all(units), n))
     if escapes:  # a later slab's violation may come at an earlier step
-        raise min(escapes, key=lambda exc: (exc.step, exc.trial))
+        raise ContainmentError(*min(escapes, key=lambda escape: escape[:2]))
     result = EnsembleResult(*(np.concatenate([getattr(part, f.name) for part in parts])
                               for f in fields(EnsembleResult)))
     discards = np.asarray(result.discards, dtype=np.int64)
@@ -174,13 +173,6 @@ def run_experiment_ensemble(config: ExperimentConfig) -> tuple[RunStats, Ensembl
         containment_violations=0,
     )
     return stats, result
-
-
-def _renumbered(exc: ContainmentError, offset: int) -> ContainmentError:
-    """A slab's containment error with its trial renamed to the ensemble's."""
-    trial = offset + exc.trial
-    text = str(exc).removeprefix(f"trial {exc.trial} ")
-    return ContainmentError(f"trial {trial} {text}", exc.step, trial)
 
 
 def run_experiment(config: ExperimentConfig) -> RunStats:

@@ -61,13 +61,17 @@ SeedLike = Union[int, np.random.SeedSequence]
 class ContainmentError(RuntimeError):
     """An accepted partial sum left the doubled support box.
 
-    The kernel's errors name the violation's ``step`` and ``trial`` (None
-    on others), the least step and, at that step, the lowest trial.
+    The kernel raises it for the least ``step`` and, at that step, the
+    lowest ``trial``, whose sum then was ``accepted_sum``.  The three are
+    also ``args``, so a pickled copy keeps them, and the text is made from them.
     """
 
-    def __init__(self, message: str, step=None, trial=None):
-        super().__init__(message)
-        self.step, self.trial = step, trial
+    def __init__(self, step: int, trial: int, accepted_sum: np.ndarray):
+        super().__init__(step, trial, accepted_sum)
+        self.step, self.trial, self.accepted_sum = step, trial, accepted_sum
+
+    def __str__(self) -> str:
+        return f"trial {self.trial} accepted sum {self.accepted_sum} left 2K at step {self.step}"
 
 
 @dataclass(frozen=True)
@@ -239,11 +243,7 @@ def _check_containment(positions, origins, limit, max_abs, start) -> None:
     if (block_max > limit).any():
         # argwhere is row-major: the first step, then its lowest trial
         j, trial = (int(i) for i in np.argwhere((dist > limit).any(axis=-1))[0])
-        raise ContainmentError(
-            f"trial {trial} accepted sum {sums[j, trial]} left 2K at step {start + j}",
-            start + j,
-            trial,
-        )
+        raise ContainmentError(start + j, trial, sums[j, trial].copy())  # not a view of the block
 
 
 @dataclass(frozen=True)
@@ -312,15 +312,15 @@ def rejection_rate_monte_carlo(
 ) -> tuple[float, float]:
     """Monte Carlo discard frequency of one filter step from stationarity.
 
-    Draws ``n_steps`` independent stationary points, proposes x + step from
-    each with a fresh coin, and returns (frequency, standard error).
+    ``step`` is d finite ints or floats, read by ``bodies._reals``.  Draws
+    ``n_steps`` independent stationary points, proposes x + step from each
+    with a fresh coin, and returns (frequency, standard error).
     """
-    v = np.asarray(step)
+    v = _reals("step", step)
     if v.shape != (density.dimension,):
         raise ValueError("step dimension mismatch")
-    if v.dtype.kind == "f" and not np.all(np.isfinite(v)):
+    if not np.all(np.isfinite(v)):
         raise ValueError("step has non-finite entries")
-    v = np.array([_number("step", x) for x in v])  # bools and strings raise
     n = _integer("n_steps", n_steps, 1)
     rng = np.random.default_rng(_seed("rng_seed", rng_seed))
     points = density.sample(rng, n)

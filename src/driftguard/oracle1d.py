@@ -86,14 +86,15 @@ def reflected_walk(signs: Sequence[int], half_width: int, start: int = 0) -> Val
 
 
 def dp_longest_valid(signs: Sequence[int], half_width: int, start: int = 0) -> int:
-    """Length of the longest band-valid subsequence, by DP over heights."""
+    """Length of the longest band-valid subsequence, by DP over the heights n steps reach."""
     t, s = _check_band(half_width, start)
     eps = _check_signs(signs)
     if len(eps) > _DP_LIMIT:
         raise ValueError(f"dp_longest_valid is limited to n <= {_DP_LIMIT}")
-    width = 2 * t + 1
+    low = max(-t, s - len(eps))
+    width = min(t, s + len(eps)) - low + 1
     best = [-1] * width
-    best[s + t] = 0
+    best[s - low] = 0
     for e in eps:
         nxt = best.copy()
         for h in range(width):
@@ -155,8 +156,8 @@ def verify_start_shift(signs: Sequence[int], half_width: int, start: int) -> boo
 def _start_weights(start: StartDistribution, width: int, t: int) -> tuple[list[int], int]:
     """Integer weights and their common denominator for the start law.
 
-    A start vector must hold exact rationals (floats count at their exact
-    binary value, but not strings or bools), be nonnegative, and sum to exactly 1.
+    A start vector holds exact nonnegative rationals summing to exactly 1;
+    floats of any width count at their exact binary value, strings and bools not.
     """
     if isinstance(start, str):
         if start != "uniform":
@@ -171,8 +172,9 @@ def _start_weights(start: StartDistribution, width: int, t: int) -> tuple[list[i
         entries = list(start)
         if any(isinstance(p, (str, bool, np.bool_)) for p in entries):
             raise TypeError("a string or bool entry")
-        probs = [Fraction(p) for p in entries]
-    except (TypeError, OverflowError) as exc:
+        probs = [Fraction(*p.as_integer_ratio()) if isinstance(p, np.floating) else Fraction(p)
+                 for p in entries]
+    except (TypeError, ValueError, OverflowError) as exc:  # NaN gives ValueError, inf overflows
         raise ValueError("start vector entries must be finite rationals or floats") from exc
     if len(probs) != width:
         raise ValueError(f"start vector must have {width} entries")
@@ -219,13 +221,15 @@ def exact_chain_expectation(
     vector of 2T+1 exact nonnegative rationals or floats summing to 1.
     Beyond 65 states it is ``_spectral_expectation``, whose cost does not
     grow with n_steps, or exactly 0 when no start state can reach an edge
-    within n_steps.
+    within n_steps; a point start is found to be so before any state is built.
     """
     t, _ = _check_band(half_width, 0)
     width = 2 * t + 1
     if width <= _RATIONAL_STATE_LIMIT:
         return float(exact_chain_expectation_fraction(t, n_steps, start))
     n = _integer("n_steps", n_steps, 0)
+    if isinstance(start, (int, float, np.number)) and n <= t - abs(_check_band(t, start)[1]):
+        return 0.0
     weights, denom = _start_weights(start, width, t)
     # int / int is correctly rounded even when the integers exceed float range
     probs = np.array([w / denom for w in weights])

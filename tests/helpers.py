@@ -39,8 +39,8 @@ def filter_loop(density, steps, seed):
     proposal can be rejected.  Step v from w is accepted iff the coin is
     below exp(min(0, log pi(w + v) - log pi(w))).  After each step the
     accepted sum must lie in twice the support box, with slack 1e-9 per
-    unit of half-width, else ContainmentError("accepted sum {sum} left 2K
-    at step {k}").  A non-finite step raises ValueError when it is reached.
+    unit of half-width, else ContainmentError(k, 0, sum), as the kernel
+    names trial 0.  A non-finite step raises ValueError when it is reached.
     """
     d = density.dimension
     steps = np.asarray(steps, dtype=float).reshape(-1, d)
@@ -62,7 +62,7 @@ def filter_loop(density, steps, seed):
             current, log_current = proposal, log_new
         sums[k] = current - origin
         if not np.all(np.abs(sums[k]) <= limit):
-            raise ContainmentError(f"accepted sum {sums[k]} left 2K at step {k}")
+            raise ContainmentError(k, 0, sums[k])
     return LoopRun(origin, current, accepted, accept_prob, sums)
 
 

@@ -513,6 +513,15 @@ class TestFisherMatrixInvariants:
         assert fisher.std_error.tolist() == [[0.5]]
         assert FisherMatrix(np.eye(2), "closed_form").std_error is None
 
+    def test_std_error_has_the_entries_shape(self):
+        # a (1, 1) or 0-d standard error would broadcast over the whole matrix
+        for bad in ([[0.1]], 0.5, np.zeros((2, 2, 1))):
+            with pytest.raises(ValueError, match="^std_error must have the entries' shape"):
+                FisherMatrix(np.eye(2), "monte_carlo", std_error=bad)
+        mc = fisher_monte_carlo(cube_eigen_density(Box.cube(2, 1.0)), 1000, 3)
+        again = FisherMatrix(mc.entries, mc.estimator_kind, std_error=mc.std_error)
+        assert again.std_error.shape == again.entries.shape == (2, 2)
+
     def test_rejects_negative_definite(self):
         with pytest.raises(ValueError):
             FisherMatrix(np.diag([1.0, -1e-6]), "closed_form")

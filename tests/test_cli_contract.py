@@ -1,18 +1,22 @@
-"""The CLI's contract over edge half-widths.
+"""The CLI's contract over edge half-widths and edge oracle bands.
 
 Every command line either exits 0 with each stdout line a JSON object of
 finite numbers, or exits 2 with stderr starting ``error:``.  It never ends
 in a traceback, never prints NaN or inf, and raises no RuntimeWarning.
 The lines are drawn from the subcommands that read a half-width, over
-d in {1, 2, 3} and half-widths from NaN through subnormals to 1e308.
+d in {1, 2, 3} and half-widths from NaN through subnormals to 1e308, and
+from the three oracle modes over bands, step counts and starts at and
+beyond their limits.
 """
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import warnings
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +33,11 @@ HALF_WIDTHS = (
     "nan", "inf", "-1", "0", "5e-324", "1e-310", "1e-200", "1e-170", "1e-160", "1e-76",
     "1e-6", "1e-3", "0.005", "0.5", "1", "16", "1e150", "1e154", "1e200", "1e307", "1e308",
 )
+# 2T + 1 = 65 states is the last in rationals; n = 14 the last exhaustive and
+# n = 30 the last DP, so exhaustive runs only at n <= 4 (cheap) or n >= 15 (refused)
+ORACLE_TS = ("-1", "0", "1", "2", "32", "33", "40")
+ORACLE_NS = (-1, 0, 1, 4, 15, 31)
+ORACLE_STARTS = (None, "0", "-1", "1", "41", "-41")
 
 
 def _finite_json(line: str):
@@ -48,7 +57,28 @@ def _finite_json(line: str):
     half_width=st.sampled_from(HALF_WIDTHS),
 )
 def test_exits_0_with_finite_json_or_2_with_an_error(command, dim, half_width):
-    argv = [*command, "--dim", dim, f"--half-width={half_width}"]
+    assert_meets_contract([*command, "--dim", dim, f"--half-width={half_width}"])
+
+
+@pytest.mark.parametrize("mode", ["chain", "single", "exhaustive"])
+def test_oracle_grid_meets_the_contract(mode):
+    # 252 lines a mode; single gets signs of length n, none at n <= 0
+    for t, n, start in itertools.product(ORACLE_TS, ORACLE_NS, ORACLE_STARTS):
+        argv = ["oracle", "--mode", mode, f"--T={t}", f"--n={n}"]
+        if start is not None:
+            argv.append(f"--start={start}")
+        if mode == "single":
+            argv.append("--signs=" + ("++-" * 11)[: max(n, 0)])
+        assert_meets_contract(argv)
+
+
+def test_oracle_at_a_wide_band_meets_the_contract():
+    assert_meets_contract(["oracle", "--mode", "chain", "--T=1000000", "--n=10", "--start=0"])
+    assert_meets_contract(["oracle", "--mode", "single", "--T=1000000", "--n=2", "--signs=++"])
+
+
+def assert_meets_contract(argv):
+    """``driftguard argv`` exits 0 with finite JSON lines or 2 with one error line."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):

@@ -1,7 +1,8 @@
 """Bounded temporaries: the one slab rule (``bodies._slabs`` over a budget of
 ``bodies._SLAB`` values), peak numpy allocations (tracemalloc, which numpy
-reports to) of the quadrature, the bound pass and the filter kernel, and the
-bit-identity of the slabbed per-trial sums and reports.
+reports to) of the quadrature, the bound pass and the filter kernel, the
+1-d oracles' state at a wide band, and the bit-identity of the slabbed
+per-trial sums and reports.
 """
 
 import dataclasses
@@ -24,6 +25,7 @@ from driftguard.harness import (
     trial_streams,
 )
 from driftguard.metropolis import EnsembleResult, run_ensemble
+from driftguard.oracle1d import dp_longest_valid, exact_chain_expectation
 from helpers import leggauss_integrate
 
 MIB = 1 << 20
@@ -210,3 +212,13 @@ class TestTrialSlabs:
         extra = 8 * bodies._SLAB * 8  # eight path buffers' worth
         assert slab + m * n + extra < m * n * d * 8
         assert peak_bytes(lambda: run_experiment(config)) <= slab + m * n + extra
+
+
+class TestOracleState:
+    # a state for each of the 2T + 1 heights peaked at 31 MiB (the DP) and
+    # 93 MiB (the start weights) at T = 10**6
+    def test_dp_holds_the_heights_n_steps_reach(self):
+        assert peak_bytes(lambda: dp_longest_valid((1, 1), 10**6, 0)) < MIB
+
+    def test_point_start_that_cannot_reach_an_edge_builds_no_states(self):
+        assert peak_bytes(lambda: exact_chain_expectation(10**6, 10, 0)) < MIB

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import warnings
 from unittest import mock
 
@@ -187,12 +188,19 @@ class TestFilterRun:
 
     def test_containment_tripwire_fires_on_dishonest_density(self):
         # a "density" that accepts everything lets the sum escape 2K; the
-        # message is the per-step loop's, prefixed with the ensemble's trial
+        # kernel and the per-step loop both name trial 0
         with pytest.raises(ContainmentError) as exc:
             filter_run(liar_density(), np.ones((5, 1)), 0)
         assert str(exc.value) == "trial 0 accepted sum [2.] left 2K at step 1"
-        with pytest.raises(ContainmentError, match=r"^accepted sum \[2\.\] left 2K at step 1$"):
+        with pytest.raises(ContainmentError) as loop:
             filter_loop(liar_density(), np.ones((5, 1)), 0)
+        assert str(loop.value) == "trial 0 accepted sum [2.] left 2K at step 1"
+        # a record: its fields are its args, so a pickled copy keeps them
+        assert exc.value.accepted_sum.base is None  # a copy, not a view of the kernel's block
+        copy = pickle.loads(pickle.dumps(exc.value))
+        assert (copy.step, copy.trial) == (1, 0)
+        assert np.array_equal(copy.accepted_sum, [2.0])
+        assert str(copy) == str(exc.value)
 
     def test_largest_half_width_runs_without_warning(self):
         # the largest T the density accepts, where 2T is finite but the
@@ -288,9 +296,9 @@ class TestRejectionRate:
     def test_monte_carlo_step_entries_follow_the_number_rule(self):
         den = cube_eigen_density(Box.cube(1, 2.0))
         for step in (["1.5"], [True], np.array([True]), [b"1"]):
-            with pytest.raises(ValueError, match="^step must be a finite number"):
+            with pytest.raises(ValueError, match="^step must be ints or floats, not"):
                 rejection_rate_monte_carlo(den, step, 1000, 0)
-        with pytest.raises(ValueError, match="^step must be a finite number"):
+        with pytest.raises(ValueError, match="^step must be ints or floats, not"):
             rejection_rate_monte_carlo(cube_eigen_density(Box.cube(2, 2.0)), [0.5, "1"], 1000, 0)
         expected = rejection_rate_monte_carlo(den, [1.5], 1000, 0)
         for step in ([np.float64(1.5)], np.array([1.5]), (1.5,), np.array([1.5], dtype=np.float32)):
@@ -342,47 +350,52 @@ class TestEnsembleEquivalence:
 
 
 def loop_or_escape(den, steps, seed):
-    """(filter_loop's run, None), or (None, its ContainmentError text)."""
+    """(filter_loop's run, None), or (None, its ContainmentError)."""
     try:
         return filter_loop(den, steps, seed), None
     except ContainmentError as exc:
-        return None, str(exc)
+        return None, exc
 
 
 def first_violation_per_step(den, steps, seeds):
-    """The report of a check after every step: earliest step, lowest trial.
+    """The error of a check after every step: earliest step, lowest trial.
 
     Each trial runs through filter_loop, whose own per-step check names the
-    step; the ensemble message is the loop's prefixed with the trial.
+    step and the sum; the trial is the seed's index.
     """
     hits = []
     for i, seed in enumerate(seeds):
-        _, message = loop_or_escape(den, steps[i], seed)
-        if message:
-            hits.append((int(message.rsplit(" ", 1)[1]), i, message))
-    _, trial, message = min(hits)
-    return f"trial {trial} {message}"
+        _, escape = loop_or_escape(den, steps[i], seed)
+        if escape is not None:
+            hits.append((escape.step, i, escape.accepted_sum))
+    return ContainmentError(*min(hits, key=lambda hit: hit[:2]))
+
+
+def assert_same_escape(exc, expected):
+    """Both errors name the same step and trial, in the same text."""
+    assert (exc.step, exc.trial) == (expected.step, expected.trial)
+    assert str(exc) == str(expected)
 
 
 def assert_matches_filter_loop(den, steps, seeds):
     """run_ensemble and filter_run each equal filter_loop, bit for bit.
 
-    Where a trial's loop leaves 2K, filter_run raises the loop's message as
-    trial 0, and the ensemble raises the first escape across its trials.
+    Where a trial's loop leaves 2K, filter_run raises the loop's error, and
+    the ensemble raises the first escape across its trials.
     """
     runs = [loop_or_escape(den, steps[i], seed) for i, seed in enumerate(seeds)]
-    if any(message for _, message in runs):
+    if any(escape is not None for _, escape in runs):
         with pytest.raises(ContainmentError) as exc:
             run_ensemble(den, steps, seeds)
-        assert str(exc.value) == first_violation_per_step(den, steps, seeds)
+        assert_same_escape(exc.value, first_violation_per_step(den, steps, seeds))
         ens = None
     else:
         ens = run_ensemble(den, steps, seeds)
-    for i, (seed, (loop, message)) in enumerate(zip(seeds, runs)):
-        if message:
+    for i, (seed, (loop, escape)) in enumerate(zip(seeds, runs)):
+        if escape is not None:
             with pytest.raises(ContainmentError) as exc:
                 filter_run(den, steps[i], seed)
-            assert str(exc.value) == f"trial 0 {message}"
+            assert_same_escape(exc.value, escape)
             continue
         max_abs = np.max(np.abs(loop.sums), initial=0.0)
         traj = filter_run(den, steps[i], seed)
@@ -455,7 +468,7 @@ class TestEnsembleKernel:
             with block_budget(budget), kernel_body(body, 4):
                 with pytest.raises(ContainmentError) as exc:
                     run_ensemble(liar, steps, [5, 6, 7])
-            assert str(exc.value) == first_violation_per_step(liar, steps, [5, 6, 7])
+            assert_same_escape(exc.value, first_violation_per_step(liar, steps, [5, 6, 7]))
             if escape == 9:  # trial 0 reaches 0.9 + 1.5 at step 9 with the others
                 assert str(exc.value) == "trial 0 accepted sum [2.4] left 2K at step 9"
             else:

@@ -94,6 +94,11 @@ class TestDpLongestValid:
         with pytest.raises(ValueError):
             dp_longest_valid((1,) * 31, 1, 0)
 
+    def test_wide_band_answers_at_every_start(self):
+        eps = (1, 1, 1, -1, 1, 1)
+        for start in (-10**6, -3, 0, 5, 10**6 - 2, 10**6):
+            assert dp_longest_valid(eps, 10**6, start) == enumerate_longest(eps, 10**6, start)[0]
+
     def test_matches_enumeration_random_instances(self):
         rng = np.random.default_rng(2718)
         for _ in range(1000):
@@ -190,6 +195,27 @@ class TestExactChain:
         assert exact_chain_expectation_fraction(2, 50, point) == exact_chain_expectation_fraction(
             2, 50, 0
         )
+
+    def test_numpy_floats_of_any_width_count_exactly(self):
+        point = exact_chain_expectation_fraction(2, 10, [np.float64(0)] * 4 + [np.float64(1)])
+        assert point == Fraction(2455, 1024)
+        for kind in (np.float16, np.float32, np.longdouble):
+            law = [kind(0)] * 4 + [kind(1)]
+            assert exact_chain_expectation_fraction(2, 10, law) == point
+            edges = [kind(0.5)] + [kind(0)] * 79 + [kind(0.5)]  # 81 states run in floats
+            assert exact_chain_expectation(40, 7, edges) == exact_chain_expectation(
+                40, 7, [0.5] + [0.0] * 79 + [0.5]
+            )
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ValueError, match="^start vector entries must be finite"):
+                    exact_chain_expectation_fraction(2, 10, [kind(bad)] + law[1:])
+
+    def test_point_start_far_from_the_edges(self):
+        assert exact_chain_expectation(10**6, 10, 0) == 0.0
+        with pytest.raises(ValueError, match="outside band"):
+            exact_chain_expectation(10**6, 10, 10**6 + 1)
+        with pytest.raises(ValueError, match="must be an integer"):
+            exact_chain_expectation(10**6, 10, 0.5)
 
     def test_bad_start_vectors(self):
         with pytest.raises(ValueError):

@@ -43,6 +43,8 @@ LINES = tuple(
     "oracle --mode chain --T 1000 --n 100000 --start 0",
     "oracle --mode exhaustive --T 2 --n 8",
     "oracle --mode single --T 1 --n 4 --signs=+--+",
+    "oracle --mode single --T 1000000 --n 2 --signs=++",
+    "oracle --mode chain --T 1000000 --n 10 --start 0",
     "simulate --dim 3 --half-width 4 --generator isotropic --steps 500 --trials 50"
     " --format json --seed 1",
     "fisher --dim 2 --half-width 2 --method closed",
