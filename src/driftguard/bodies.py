@@ -137,7 +137,8 @@ class Density:
     """Probability density supported in the open interior of a box.
 
     ``log_density`` accepts arrays of shape (..., d) and returns (...,)
-    log-values, -inf outside the open support.  ``log_gradient`` is only
+    log-values, -inf outside the open support; a point's value must not
+    depend on the array's layout or the other points.  ``log_gradient`` is only
     defined on interior points.  ``quantile`` maps uniforms of shape
     (..., d) to points of the same shape, each row alike alone or in a batch;
     ``sample`` feeds it ``rng.uniform(size=(n, d))``.  The dimension d is
@@ -164,7 +165,8 @@ def cube_eigen_density(box: Box) -> Density:
     """Squared Dirichlet ground-state density on ``box``.
 
     pi(x) = prod_i T_i**-1 * cos(pi x_i / (2 T_i))**2, with log-gradient
-    component -(pi / T_i) * tan(pi x_i / (2 T_i)).  ``quantile`` inverts
+    component -(pi / T_i) * tan(pi x_i / (2 T_i)).  ``log_density`` adds its
+    log |cos| terms in axis order for any memory layout.  ``quantile`` inverts
     the per-coordinate CDF
 
         F_i(x) = x / (2 T_i) + 1/2 + sin(pi x / T_i) / (2 pi)
@@ -191,11 +193,20 @@ def cube_eigen_density(box: Box) -> Density:
 
     def log_density(points: ArrayLike) -> Union[float, np.ndarray]:
         x = np.asarray(points, dtype=float)
-        # np.sum / np.all are these reductions plus a per-call Python wrapper
-        with np.errstate(divide="ignore"):
-            vals = log_norm + 2.0 * np.add.reduce(np.log(np.abs(np.cos(half_freq * x))), axis=-1)
-        out = np.where(np.logical_and.reduce(np.abs(x) < hw, axis=-1), vals, -np.inf)
-        return float(out) if x.ndim == 1 else out
+        if x.shape[-1:] != (d,):
+            raise ValueError(f"points have shape {x.shape}, expected (..., {d})")
+        rows = x.reshape(-1, d)
+        # axis-major terms: reducing axis 0 adds whole rows, so each sum runs in
+        # axis order whatever x's layout; a lone point is taken twice, as numpy
+        # sums one row pairwise.  No float is a zero of cos, so no log(0).
+        terms = np.empty((d, len(rows) + (len(rows) == 1)))
+        np.multiply(rows, half_freq, out=terms.T)
+        np.log(np.abs(np.cos(terms, out=terms), out=terms), out=terms)
+        vals = log_norm + 2.0 * np.add.reduce(terms, axis=0)[: len(rows)]
+        inside = np.less(np.abs(rows), hw)
+        if not np.logical_and.reduce(inside, axis=None):
+            vals[~np.logical_and.reduce(inside, axis=1)] = -np.inf
+        return float(vals[0]) if x.ndim == 1 else vals.reshape(x.shape[:-1])
 
     def log_gradient(points: ArrayLike) -> np.ndarray:
         x = np.asarray(points, dtype=float)

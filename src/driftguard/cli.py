@@ -161,14 +161,14 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    t, n = args.T, args.n
+    t, n = args.T, args.n or 0  # single mode reads n off --signs
     if n < 0:
         raise ValueError(f"--n must be nonnegative, not {n}")
     if args.mode == "single":
         if not args.signs:
             raise ValueError("--signs is required in single mode")
         eps = signs_from_string(args.signs)
-        if n and n != len(eps):
+        if args.n not in (None, len(eps)):
             raise ValueError(f"--n {n} does not match {len(eps)} signs")
         start = args.start if args.start is not None else 0
         walk = reflected_walk(eps, t, start)
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="1-d reflected-walk oracles, JSON lines")
     p_oracle.add_argument("--mode", choices=["exhaustive", "chain", "single"], required=True)
     p_oracle.add_argument("--T", type=int, required=True)
-    p_oracle.add_argument("--n", type=int, default=0)
+    p_oracle.add_argument("--n", type=int)
     p_oracle.add_argument("--start", type=int)
     p_oracle.add_argument("--signs")
     p_oracle.set_defaults(func=_cmd_oracle)

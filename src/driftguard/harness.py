@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bodies import Box, _integer, _number, _reals, _seed, cube_eigen_density
+from .bodies import Box, _integer, _number, _reals, _seed, _slabs, cube_eigen_density
 from .bounds import BoundReport, _bound_pass, _bound_reports, matching_bounds
 from .metropolis import _LOCKSTEP_WIDTH, ContainmentError, EnsembleResult, run_ensemble
 
@@ -73,24 +73,38 @@ class StepGenerator:
 
 def generate_steps(gen: StepGenerator, n: int, rng_seed) -> np.ndarray:
     """n signed step vectors, shape (n, d), deterministic given the seed."""
-    n = _integer("n", n, 0)
+    return _draw_steps(gen, _integer("n", n, 0), [_seed("rng_seed", rng_seed)])[0]
+
+
+def _draw_steps(gen: StepGenerator, n: int, seeds) -> np.ndarray:
+    """Steps (k, n, d) of k trials, trial i's from ``seeds[i]``: its normals
+    (the random kinds), then its signs; then a ``_slabs`` chunk of steps at a
+    time is scaled and signed, so no temporary grows with the slab."""
     d = gen.dimension
-    rng = np.random.default_rng(_seed("rng_seed", rng_seed))
-    if gen.kind in ("fixed_list", "coordinate_basis_cycle"):
+    steps = np.empty((len(seeds), n, d))
+    gaussian = gen.kind in ("random_unit_sphere", "isotropic_custom")
+    if not gaussian:
         # np.tile, not np.resize: resize concatenates n*d/size copies one by one
         base = gen.vectors if gen.kind == "fixed_list" else np.eye(d)
-        out = np.tile(base, (-(-n // len(base)), 1))[:n]
-    else:
-        gauss = rng.standard_normal((n, d))
-        norms = np.linalg.norm(gauss, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        out = gauss / norms
+        steps[...] = np.tile(base, (-(-n // len(base)), 1))[:n]
+    signs = np.ones((len(seeds), n), dtype=np.int8)  # 1 for +, 0 for -
+    for row, sign, seed in zip(steps, signs, seeds):
+        rng = np.random.default_rng(seed)
+        if gaussian:
+            rng.standard_normal(out=row)
+        if gen.rademacher:
+            sign[...] = rng.integers(0, 2, size=n)
+    flat, flat_signs = steps.reshape(-1, d), signs.reshape(-1)
+    for rows in _slabs(len(flat), d):
+        chunk = flat[rows]
+        divisor = flat_signs[rows] * 2.0 - 1.0  # a division by -1 flips a step exactly
+        if gaussian:
+            norms = np.linalg.norm(chunk, axis=1)
+            divisor *= np.where(norms == 0.0, 1.0, norms)
+        np.divide(chunk, divisor[:, None], out=chunk)
         if gen.kind == "isotropic_custom":
-            out = out * math.sqrt(d)
-    if gen.rademacher:
-        signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        out = out * signs[:, None]
-    return out
+            chunk *= math.sqrt(d)
+    return steps
 
 
 @dataclass(frozen=True)
@@ -124,14 +138,12 @@ def trial_streams(config: ExperimentConfig) -> tuple[np.ndarray, list]:
 
 
 def _slab_streams(config: ExperimentConfig, trials: range) -> tuple[np.ndarray, list]:
-    """Steps (k, n, d) and filter seeds of the k ``trials``, from (seed, index)."""
-    steps = np.empty((len(trials), config.n_steps, config.body.dimension))
-    filter_seeds = []
-    for row, i in zip(steps, trials):
-        step_seed, filter_seed = np.random.SeedSequence((config.seed, i)).spawn(2)
-        row[...] = generate_steps(config.generator, config.n_steps, step_seed)
-        filter_seeds.append(filter_seed)
-    return steps, filter_seeds
+    """Steps (k, n, d) and filter seeds of the k ``trials``: trial i's
+    ``SeedSequence((seed, i)).spawn(2)``, each child built from its spawn key."""
+    entropy = [(config.seed, i) for i in trials]
+    seeds = [np.random.SeedSequence(e, spawn_key=(0,)) for e in entropy]
+    steps = _draw_steps(config.generator, config.n_steps, seeds)
+    return steps, [np.random.SeedSequence(e, spawn_key=(1,)) for e in entropy]
 
 
 def run_experiment_ensemble(config: ExperimentConfig) -> tuple[RunStats, EnsembleResult]:

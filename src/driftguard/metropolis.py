@@ -107,9 +107,11 @@ def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> Ensemble
 
     A block runs through one of two bodies, chosen by the ensemble's width
     m * d alone.  Wide ensembles (above ``_SPECULATIVE_WIDTH``) step all
-    trials in lockstep, one vectorized filter step at a time.  Narrow ones
-    take ``_accept_runs``, which commits each trial's run of accepted steps
-    a window at a time.  Both make the same floats and the same decisions.
+    trials in lockstep, one vectorized filter step at a time, on an
+    axis-major (d, m) state.  Narrow ones take ``_accept_runs``, which
+    commits each trial's run of accepted steps a window at a time.  Both
+    make the same floats and decisions, as ``log_density`` gives each point
+    one float whatever the layout.
     """
     steps = np.ascontiguousarray(_reals("steps", steps))  # the windows read it as (m * n, d)
     if steps.ndim != 3 or steps.shape[2] != density.dimension:
@@ -128,36 +130,39 @@ def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> Ensemble
         g.random(out=row)
     hw = density.support.half_widths
     with np.errstate(over="ignore"):  # inf for T near 9e307, where no finite |sum| exceeds it
-        limit = 2.0 * hw + _CONTAINMENT_TOL * hw
-    current = origins.copy()
-    log_current = np.asarray(density.log_density(current), dtype=float)
+        limit = (2.0 * hw + _CONTAINMENT_TOL * hw)[:, None]
+    # axis-major (d, m), so the lockstep body's masked copies run along rows
+    first = origins.T.copy()
+    state = first.copy()
+    log_current = np.asarray(density.log_density(state.T), dtype=float)
     accepted = np.zeros((m, n), dtype=bool)
     max_abs = np.zeros(m)
-    proposal = np.empty((m, d))
+    proposal = np.empty((d, m))
     prob = np.empty(m)
-    acc = np.empty(m, dtype=bool)
     for block in _slabs(n, m * d):
         if not np.isfinite(steps[:, block]).all():
             raise ValueError("steps have non-finite entries")
         if speculative:
-            positions = _accept_runs(density, steps, coins, current, log_current, accepted, block)
+            positions = _accept_runs(density, steps, coins, state.T, log_current, accepted, block)
         else:
-            positions = np.empty((block.stop - block.start, m, d))
-            step_coins = np.ascontiguousarray(coins[:, block].T)  # the block's coins, step-major
+            positions = np.empty((block.stop - block.start, d, m))
+            # the block's coins and decisions, step-major (b, m)
+            step_coins = np.ascontiguousarray(coins[:, block].T)
+            acc = np.empty(step_coins.shape, dtype=bool)
             for j, k in enumerate(range(block.start, block.stop)):
-                np.add(current, steps[:, k], out=proposal)
-                log_new = density.log_density(proposal)
+                np.add(state, steps[:, k].T, out=proposal)
+                log_new = density.log_density(proposal.T)
                 np.subtract(log_new, log_current, out=prob)
                 np.minimum(prob, 0.0, out=prob)
                 np.exp(prob, out=prob)
-                np.less(step_coins[j], prob, out=acc)
-                accepted[:, k] = acc
-                np.copyto(current, proposal, where=acc[:, None])
-                np.copyto(log_current, log_new, where=acc)
-                positions[j] = current
-        _check_containment(positions, origins, limit, max_abs, block.start)
+                np.less(step_coins[j], prob, out=acc[j])
+                np.copyto(state, proposal, where=acc[j])
+                np.copyto(log_current, log_new, where=acc[j])
+                positions[j] = state
+            accepted[:, block] = acc.T
+        _check_containment(positions, first, limit, max_abs, block.start)
     return EnsembleResult(
-        origins=origins, finals=current, accepted=accepted, max_abs_sums=max_abs
+        origins=origins, finals=state.T.copy(), accepted=accepted, max_abs_sums=max_abs
     )
 
 
@@ -173,7 +178,7 @@ def _accept_runs(density, steps, coins, current, log_current, accepted, block) -
     pointer.  ``coins`` is trial-major (m, n); ``current``, ``log_current``
     and ``accepted`` are updated in place.
 
-    Returns the block's (b, m, d) positions, rebuilt from
+    Returns the block's axis-major (b, d, m) positions, rebuilt from
     ``accepted`` by one sequential cumsum down the steps from the block's
     start.  A discarded step adds -0.0, the exact additive identity (+0.0
     would turn a -0.0 coordinate into 0.0), so each row is the float the
@@ -202,7 +207,7 @@ def _accept_runs(density, steps, coins, current, log_current, accepted, block) -
     # candidates past a window's first rejection, or past its block end, are
     # never committed: their overflow and the NaN of -inf - -inf do not matter
     with np.errstate(over="ignore", invalid="ignore"):
-        while (avail := np.minimum(end - head, _WINDOW)).max() > 0:
+        while np.maximum.reduce(avail := np.minimum(end - head, _WINDOW)) > 0:
             np.add(head[:, None], offsets, out=idx)
             np.minimum(idx, last, out=idx)  # a window past the block end repeats its last step
             cand[:, 1:] = flat_steps.take(idx, axis=0, mode="clip")
@@ -221,29 +226,30 @@ def _accept_runs(density, steps, coins, current, log_current, accepted, block) -
             head += hit
     accepted[:, block] = True
     accepted.reshape(m * n)[np.concatenate(rejected)] = False
-    moves = steps[:, block].transpose(1, 0, 2).copy()  # a copy, not a view, even at m = 1
-    np.copyto(moves, -0.0, where=~accepted[:, block].T[:, :, None])
-    moves[0] += current  # the sums run from the block's start, as cumsum([current, ...])
+    moves = steps[:, block].transpose(1, 2, 0).copy()  # a copy, not a view, even at m = 1
+    np.copyto(moves, -0.0, where=~accepted[:, block].T[:, None])
+    moves[0] += current.T  # the sums run from the block's start, as cumsum([current, ...])
     current[...] = cand[:, 0]
     log_current[...] = logs[:, 0]
     return np.cumsum(moves, axis=0, out=moves)
 
 
 def _check_containment(positions, origins, limit, max_abs, start) -> None:
-    """Fold a block's (b, m, d) positions into ``max_abs`` and check 2K.
+    """Fold a block's axis-major (b, d, m) positions into ``max_abs`` and check 2K.
 
-    ``positions`` is overwritten with the accepted sums.  Raises
-    ContainmentError for the block's first step where a trial's sum left
-    ``limit``, naming the lowest such trial; block step j is step start + j.
+    ``origins`` is (d, m), ``limit`` (d, 1), and ``positions`` is overwritten
+    with the accepted sums.  Raises ContainmentError for the block's first
+    step where a trial's sum left ``limit``, naming the lowest such trial;
+    block step j is step start + j.
     """
     sums = np.subtract(positions, origins, out=positions)
     dist = np.abs(sums)
-    block_max = dist.max(axis=0)  # (m, d)
-    np.maximum(max_abs, block_max.max(axis=-1), out=max_abs)
+    block_max = dist.max(axis=0)  # (d, m)
+    np.maximum(max_abs, block_max.max(axis=0), out=max_abs)
     if (block_max > limit).any():
         # argwhere is row-major: the first step, then its lowest trial
-        j, trial = (int(i) for i in np.argwhere((dist > limit).any(axis=-1))[0])
-        raise ContainmentError(start + j, trial, sums[j, trial].copy())  # not a view of the block
+        j, trial = (int(i) for i in np.argwhere((dist > limit).any(axis=1))[0])
+        raise ContainmentError(start + j, trial, sums[j, :, trial].copy())  # not a view of the block
 
 
 @dataclass(frozen=True)

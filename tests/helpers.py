@@ -2,7 +2,7 @@
 
 Everything here is deliberately written against the definitions, not against
 the library code paths it checks: the Metropolis filter stepped one proposal
-at a time, subset enumeration for longest valid subsequences, a closed-form
+at a time, step streams from their formula, subset enumeration for longest valid subsequences, a closed-form
 1-d rejection rate (also in 40-digit decimal), the cube eigen-density's
 marginal CDF, direct Gauss-Legendre integration, a Monte Carlo Fisher matrix
 from explicit outer products, a plain Monte Carlo reflected walk, the
@@ -64,6 +64,31 @@ def filter_loop(density, steps, seed):
         if not np.all(np.abs(sums[k]) <= limit):
             raise ContainmentError(k, 0, sums[k])
     return LoopRun(origin, current, accepted, accept_prob, sums)
+
+
+def reference_steps(gen, n, seed):
+    """A StepGenerator's n steps, written out from the definition.
+
+    From ``np.random.default_rng(seed)``: for the random kinds n * d normals,
+    each row over its ``np.linalg.norm`` (1 where that is 0), times sqrt(d)
+    for isotropic_custom; else the vectors (the identity for the coordinate
+    cycle) taken in turn.  With ``rademacher``, n fair signs are drawn next
+    and multiply the rows.
+    """
+    rng = np.random.default_rng(seed)
+    d = gen.dimension
+    if gen.kind in ("fixed_list", "coordinate_basis_cycle"):
+        base = gen.vectors if gen.kind == "fixed_list" else np.eye(d)
+        out = np.array([base[k % len(base)] for k in range(n)]).reshape(n, d)
+    else:
+        gauss = rng.standard_normal((n, d))
+        norms = np.linalg.norm(gauss, axis=1, keepdims=True)
+        out = gauss / np.where(norms == 0.0, 1.0, norms)
+        if gen.kind == "isotropic_custom":
+            out = out * math.sqrt(d)
+    if gen.rademacher:
+        out = out * (rng.integers(0, 2, size=n) * 2.0 - 1.0)[:, None]
+    return out
 
 
 def contains_interior(box, points):

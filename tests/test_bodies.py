@@ -125,6 +125,39 @@ class TestCubeEigenDensity:
         for i in range(40):
             assert batch[i] == den.log_density(pts[i])
 
+    @pytest.mark.parametrize("d", [1, 3, 8, 64, 256])
+    def test_log_density_sums_axes_in_order_whatever_the_layout(self, d):
+        # numpy sums a contiguous row pairwise from 8 terms on, so at d >= 8
+        # a sum that followed the memory layout would differ in the last bits
+        box = Box(np.linspace(0.5, 4.0, d))
+        den = cube_eigen_density(box)
+        pts = den.sample(np.random.default_rng(d), 60)
+        pts[7, -1] = box.half_widths[-1]  # on the boundary
+        pts[9, 0] = -2.0 * box.half_widths[0]  # outside
+        log_norm = den.log_density(np.zeros(d))  # every term is log(1) = 0 there
+        expected = []
+        for point in pts:
+            terms = np.log(np.abs(np.cos(point * (np.pi / (2.0 * box.half_widths)))))
+            total = terms[0]
+            for term in terms[1:]:
+                total += term
+            inside = np.all(np.abs(point) < box.half_widths)
+            expected.append(log_norm + 2.0 * total if inside else -math.inf)
+        spaced = np.zeros((60, 2 * d))
+        spaced[:, ::2] = pts
+        layouts = [pts, np.asfortranarray(pts), spaced[:, ::2], spaced[::-1, ::2][::-1],
+                   pts.reshape(6, 10, d), np.asfortranarray(pts.reshape(6, 10, d))]
+        for points in layouts:
+            assert np.array_equal(den.log_density(points).reshape(-1), expected)
+        assert [den.log_density(point) for point in pts] == expected
+        assert [den.log_density(point[None])[0] for point in pts] == expected
+
+    def test_log_density_rejects_points_of_another_dimension(self):
+        den = cube_eigen_density(Box.cube(2, 1.0))
+        for points in (np.zeros(3), np.zeros((4, 1)), 0.0):
+            with pytest.raises(ValueError, match=r"expected \(\.\.\., 2\)"):
+                den.log_density(points)
+
     def test_score_matches_finite_differences(self):
         # 100 random interior points, step 1e-6 * T, relative error < 1e-5
         box = Box(np.array([1.0, 3.0]))

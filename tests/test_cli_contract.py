@@ -77,8 +77,24 @@ def test_oracle_at_a_wide_band_meets_the_contract():
     assert_meets_contract(["oracle", "--mode", "single", "--T=1000000", "--n=2", "--signs=++"])
 
 
+def test_oracle_n_when_given_must_match_the_signs():
+    # --n 0 was once read as "not given", so it passed for any sign string
+    single = ["oracle", "--mode", "single", "--T=1", "--signs=+++"]
+    assert assert_meets_contract([*single, "--n=0"])[0] == 2
+    assert assert_meets_contract([*single, "--n=4"])[0] == 2
+    assert assert_meets_contract([*single, "--n=3"]) == assert_meets_contract(single)
+    assert assert_meets_contract(single)[0] == 0
+    # chain and exhaustive take n = 0 without --n
+    for mode in ("chain", "exhaustive"):
+        bare = assert_meets_contract(["oracle", "--mode", mode, "--T=1"])
+        assert bare == assert_meets_contract(["oracle", "--mode", mode, "--T=1", "--n=0"])
+        assert bare[0] == 0 and json.loads(bare[1].splitlines()[-1])["n"] == 0
+
+
 def assert_meets_contract(argv):
-    """``driftguard argv`` exits 0 with finite JSON lines or 2 with one error line."""
+    """``driftguard argv`` exits 0 with finite JSON lines or 2 with one error line.
+
+    Returns the exit code and stdout."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -92,3 +108,4 @@ def assert_meets_contract(argv):
     else:
         assert code == 2 and out.getvalue() == ""
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+    return code, out.getvalue()

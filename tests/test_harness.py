@@ -19,6 +19,7 @@ from driftguard.harness import (
     trial_streams,
 )
 from driftguard.metropolis import ContainmentError, run_ensemble
+from helpers import reference_steps
 from test_metropolis import liar_density
 
 
@@ -176,6 +177,30 @@ class TestTrialStreams:
         assert np.array_equal(large[:3], small)
         for a, b in zip(seeds_large[:3], seeds_small):
             assert np.array_equal(a.generate_state(4), b.generate_state(4))
+
+
+    @pytest.mark.parametrize("kind", harness.GENERATOR_KINDS)
+    @pytest.mark.parametrize("rademacher", [True, False])
+    @pytest.mark.parametrize("d", [1, 3, 8, 256])
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_slab_is_per_trial_generate_steps(self, monkeypatch, kind, rademacher, d, chunk):
+        # a slab finishes its steps a _slabs chunk at a time: 7-step chunks cut
+        # through trials, and at d = 256 so do the default 256-step ones
+        if chunk is not None:
+            monkeypatch.setattr(bodies, "_SLAB", chunk * d)
+        vectors = np.random.default_rng(d).normal(size=(3, d)) if kind == "fixed_list" else None
+        if vectors is not None:
+            vectors[1] = 0.0
+        gen = StepGenerator(kind, d, rademacher, vectors)
+        k, n = 5, 60
+        steps, seeds = harness._slab_streams(cfg(body=Box.cube(d, 4.0), generator=gen,
+                                                 n_steps=n, n_trials=9, seed=11), range(3, 3 + k))
+        assert steps.shape == (k, n, d) and len(seeds) == k
+        for i, row, seed in zip(range(3, 3 + k), steps, seeds):
+            step_seed, filter_seed = np.random.SeedSequence((11, i)).spawn(2)
+            assert row.tobytes() == generate_steps(gen, n, step_seed).tobytes()
+            assert row.tobytes() == reference_steps(gen, n, step_seed).tobytes()
+            assert seed.state == filter_seed.state
 
 
 class TestRunExperiment:

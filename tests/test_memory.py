@@ -129,6 +129,19 @@ class TestBoundPassMemory:
         assert peak_bytes(lambda: upper_bound_general(fisher, steps)) < m * n * 8
 
 
+class TestStreamMemory:
+    @pytest.mark.parametrize(
+        "kind", ["random_unit_sphere", "isotropic_custom", "coordinate_basis_cycle"]
+    )
+    def test_finishing_builds_no_slab_sized_temporary(self, kind):
+        # beyond the 9.6 MB of steps: the slab's int8 signs and a few chunks
+        # of _SLAB values, not even the slab's (k, n) norms or float signs
+        k, n, d = 100, 4000, 3
+        config = ExperimentConfig(Box.cube(d, 4.0), StepGenerator(kind, d), n, k, 1)
+        extra = peak_bytes(lambda: harness._slab_streams(config, range(k))) - k * n * d * 8
+        assert extra < k * n + 4 * bodies._SLAB * 8
+
+
 class TestTrialSums:
     # the last shape has n * d above _SLAB: each trial is a slab of its own
     SHAPES = [(7, 1000, 3), (3, 50000, 1), (40, 300, 8), (5, 2000, 64)]

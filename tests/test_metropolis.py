@@ -453,6 +453,19 @@ class TestEnsembleKernel:
             with block_budget(budget), kernel_body(body, window):
                 assert_matches_filter_loop(den, steps, seeds)
 
+    @pytest.mark.parametrize("d", [1, 3, 8, 64, 256])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_matches_filter_run_in_high_dimension(self, d, m):
+        # from 8 axes numpy's own row sums are pairwise, and the lockstep
+        # body hands log_density a transposed view: every path must still
+        # sum a point's axes as the loop's one-point calls do
+        den = cube_eigen_density(Box(np.linspace(2.0, 6.0, d)))
+        steps = np.random.default_rng(d).normal(size=(m, 40, d)) * (1.5 / math.sqrt(d))
+        seeds = [np.random.SeedSequence((d, i)) for i in range(m)]
+        for body in BODIES:
+            with block_budget(7 * m * d), kernel_body(body, 4):
+                assert_matches_filter_loop(den, steps, seeds)
+
     @pytest.mark.parametrize("budget", [12, bodies._SLAB])
     @pytest.mark.parametrize("escape", [3, 4, 9])
     def test_block_check_names_first_violation(self, budget, escape):

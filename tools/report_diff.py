@@ -47,6 +47,10 @@ LINES = tuple(
     "oracle --mode chain --T 1000000 --n 10 --start 0",
     "simulate --dim 3 --half-width 4 --generator isotropic --steps 500 --trials 50"
     " --format json --seed 1",
+    # two trials at d = 64 take the pre-fetching body, whose windows are
+    # where log_density's sums over 8 or more axes decide
+    "simulate --dim 64 --half-width 16 --generator pm1 --steps 4000 --trials 2"
+    " --format json --seed 1",
     "fisher --dim 2 --half-width 2 --method closed",
     "fisher --dim 2 --half-width 2 --method quadrature --nodes 128",
     "fisher --dim 3 --half-width 16 --method quadrature --nodes 128",
