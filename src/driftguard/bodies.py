@@ -96,6 +96,20 @@ def _reals(name: str, values) -> np.ndarray:
     return array.astype(float, copy=False)
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=-1)`` bit for bit.  numpy adds a row of fewer
+    than 8 squares left to right, so such rows take the squares of whole
+    columns in that order, not one short loop per row; longer rows take
+    ``np.linalg.norm`` itself."""
+    d = x.shape[-1]
+    if not 0 < d < 8:
+        return np.linalg.norm(x, axis=-1)
+    sums = np.square(x[..., 0])
+    for j in range(1, d):
+        sums += np.square(x[..., j])
+    return np.sqrt(sums, out=sums)
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box prod_i [-T_i, T_i] centered at the origin.
@@ -177,8 +191,8 @@ def cube_eigen_density(box: Box) -> Density:
     It is elementwise, so a batch equals its rows mapped one at a time, and
     clips samples (u = 0 included) strictly inside the box.  Raises
     ValueError when pi / T_i or 2 T_i overflows (T_i above ~9e307, where the
-    density would be flat), and ``quantile`` raises it on a uniform outside
-    [0, 1] (NaN included) or on uniforms that are not ints or floats.
+    density would be flat), ``quantile`` on a uniform outside [0, 1] (NaN
+    included), and all three on inputs that are not ints or floats (``_reals``).
     """
     hw = box.half_widths
     d = box.dimension
@@ -192,7 +206,7 @@ def cube_eigen_density(box: Box) -> Density:
     inner_lo, inner_hi = np.nextafter(-hw, 0.0), np.nextafter(hw, 0.0)
 
     def log_density(points: ArrayLike) -> Union[float, np.ndarray]:
-        x = np.asarray(points, dtype=float)
+        x = _reals("points", points)
         if x.shape[-1:] != (d,):
             raise ValueError(f"points have shape {x.shape}, expected (..., {d})")
         rows = x.reshape(-1, d)
@@ -209,7 +223,7 @@ def cube_eigen_density(box: Box) -> Density:
         return float(vals[0]) if x.ndim == 1 else vals.reshape(x.shape[:-1])
 
     def log_gradient(points: ArrayLike) -> np.ndarray:
-        x = np.asarray(points, dtype=float)
+        x = _reals("points", points)
         return -(np.pi / hw) * np.tan(half_freq * x)
 
     def quantile(u: np.ndarray) -> np.ndarray:

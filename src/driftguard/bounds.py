@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bodies import Box, FisherMatrix, _integer, _number, _reals, _slabs, dirichlet_lambda1_box
+from .bodies import Box, FisherMatrix, _integer, _number, _reals, _row_norms, _slabs
+from .bodies import dirichlet_lambda1_box
 
 __all__ = [
     "BoundReport",
@@ -127,7 +128,7 @@ def _bound_pass(box: Box, steps: np.ndarray) -> tuple[np.ndarray, bool]:
     t_min, _ = _cube_factor(np.min(box.half_widths))
     with np.errstate(over="ignore"):  # T_i / T_min = inf zeroes v_i, as pi**2 / T_i**2 does
         divisor = box.half_widths / t_min
-    sums = _trial_sums(steps, lambda slab: np.linalg.norm(slab / divisor, axis=-1))
+    sums = _trial_sums(steps, lambda slab: _row_norms(slab / divisor))
     _check_finite(sums, steps)
     return sums, box.dimension == 1 and t_min.is_integer() and _all_unit(steps)
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bodies import Box, _integer, _number, _reals, _seed, _slabs, cube_eigen_density
+from .bodies import Box, _integer, _number, _reals, _row_norms, _seed, _slabs, cube_eigen_density
 from .bounds import BoundReport, _bound_pass, _bound_reports, matching_bounds
 from .metropolis import _LOCKSTEP_WIDTH, ContainmentError, EnsembleResult, run_ensemble
 
@@ -99,7 +99,7 @@ def _draw_steps(gen: StepGenerator, n: int, seeds) -> np.ndarray:
         chunk = flat[rows]
         divisor = flat_signs[rows] * 2.0 - 1.0  # a division by -1 flips a step exactly
         if gaussian:
-            norms = np.linalg.norm(chunk, axis=1)
+            norms = _row_norms(chunk)
             divisor *= np.where(norms == 0.0, 1.0, norms)
         np.divide(chunk, divisor[:, None], out=chunk)
         if gen.kind == "isotropic_custom":

@@ -19,6 +19,7 @@ from driftguard.bodies import (
     fisher_quadrature,
     gauss_legendre_grid,
 )
+from driftguard.bounds import matching_bounds
 from helpers import (
     contains_interior,
     contains_scaled,
@@ -90,6 +91,47 @@ class TestBox:
         assert not contains_scaled(box, [2.1, 0.0], 2.0)
 
 
+class TestRowNorms:
+    # both sides of the d = 8 branch: below it the squares add a whole column
+    # at a time, from it on the rows are np.linalg.norm's own
+    DIMS = [*range(1, 21), 24, 64, 127, 128, 129, 256]
+
+    @staticmethod
+    def assert_bits(x):
+        got, expected = bodies._row_norms(x), np.linalg.norm(x, axis=-1)
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_bits_of_np_linalg_norm_in_every_layout(self, d):
+        rng = np.random.default_rng(d)
+        steps = rng.normal(size=(4, 50, d)) * np.exp(rng.uniform(-30.0, 30.0, size=(4, 50, d)))
+        rows = steps[0]
+        spaced = np.zeros((50, 2 * d))
+        spaced[:, ::2] = rows
+        layouts = [rows, np.asfortranarray(rows), rows[::3], spaced[:, ::2], rows[::-1, ::-1],
+                   steps, np.asfortranarray(steps), steps.transpose(1, 0, 2), steps[::-1, :, ::-1]]
+        for x in layouts:
+            self.assert_bits(x)
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_bits_on_zeros_subnormals_and_non_finite_entries(self, d):
+        specials = [0.0, -0.0, 5e-324, -1e-310, np.nan, np.inf, -np.inf, 1e200, -1e200, 1.5]
+        rng = np.random.default_rng(d)
+        x = rng.choice(specials, size=(300, d))
+        x[: len(specials)] = np.array(specials)[:, None]  # rows of one value each
+        with np.errstate(over="ignore"):
+            self.assert_bits(x)
+            self.assert_bits(np.asfortranarray(x))
+            assert np.all(bodies._row_norms(np.full((2, d), 1e200)) == np.inf)
+
+    def test_a_huge_step_still_overflows_the_bound(self):
+        steps = np.zeros((5, 3))
+        steps[2, 1] = 1e200  # its norm is finite, but not the square numpy sums
+        with pytest.raises(ValueError, match=r"^steps too large: the bound overflows$"):
+            matching_bounds(Box.cube(3, 4.0), steps)
+
+
 class TestCubeEigenDensity:
     def test_peak_value_d1(self):
         den = cube_eigen_density(Box.cube(1, 1.0))
@@ -157,6 +199,25 @@ class TestCubeEigenDensity:
         for points in (np.zeros(3), np.zeros((4, 1)), 0.0):
             with pytest.raises(ValueError, match=r"expected \(\.\.\., 2\)"):
                 den.log_density(points)
+
+    @pytest.mark.parametrize(
+        "points",
+        [["1.5", "0"], [True, False], np.array([[None, 1]], dtype=object), np.array([0.5j, 0.0])],
+    )
+    def test_points_must_be_ints_or_floats(self, points):
+        # strings and bools were cast to floats, and an object array read -inf
+        den = cube_eigen_density(Box.cube(2, 3.0))
+        for reader in (den.log_density, den.log_gradient):
+            with pytest.raises(ValueError, match=r"^points must be ints or floats"):
+                reader(points)
+
+    def test_float32_int_and_fortran_points_read_as_float64(self):
+        den = cube_eigen_density(Box(np.array([1.5, 4.0, 2.0])))
+        pts = den.sample(np.random.default_rng(8), 40)
+        for points in (pts.astype(np.float32), np.round(pts).astype(int), np.asfortranarray(pts)):
+            as_float = np.array(points, dtype=float, order="C")
+            for reader in (den.log_density, den.log_gradient):
+                assert reader(points).tobytes() == reader(as_float).tobytes()
 
     def test_score_matches_finite_differences(self):
         # 100 random interior points, step 1e-6 * T, relative error < 1e-5

@@ -109,3 +109,56 @@ def assert_meets_contract(argv):
         assert code == 2 and out.getvalue() == ""
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
     return code, out.getvalue()
+
+
+# a step file's text for each way it can be wrong, read at --dim 3; the
+# last overflows the bound's sum of squares though every entry is finite
+BAD_STEP_FILES = {
+    "empty": b"",
+    "comment_only": b"# no steps\n",
+    "ragged": b"1 0 0\n0 1\n",
+    "comma_separated": b"1,0,0\n0,1,0\n",
+    "non_numeric": b"1 0 zero\n",
+    "nan": b"1 0 0\nnan 0 0\n",
+    "beyond_float_range": b"1e400 0 0\n",
+    "wrong_dimension": b"1 0\n0 1\n",
+    "not_utf8": b"1 0 0\n\xff\xfe 0 0\n",
+    "huge": b"1e300 1e300 1e300\n",
+}
+
+
+def step_file_lines(path):
+    """``simulate --generator file:`` and ``bounds --norms file:`` on ``path``."""
+    return (
+        ["simulate", "--dim=3", "--half-width=4", "--steps=5", "--trials=2", "--format=json",
+         f"--generator=file:{path}"],
+        ["bounds", "--dim=3", "--half-width=4", f"--norms=file:{path}"],
+    )
+
+
+def assert_step_file_lines_exit(path, code):
+    for argv in step_file_lines(path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # any warning at all is recorded
+            assert assert_meets_contract(argv)[0] == code, argv
+        assert caught == [], argv
+
+
+@pytest.mark.parametrize("name", sorted(BAD_STEP_FILES))
+def test_bad_step_files_exit_2(tmp_path, name):
+    path = tmp_path / "steps.txt"
+    path.write_bytes(BAD_STEP_FILES[name])
+    assert_step_file_lines_exit(path, 2)
+
+
+def test_a_directory_or_a_missing_step_file_exits_2(tmp_path):
+    assert_step_file_lines_exit(tmp_path, 2)
+    assert_step_file_lines_exit(tmp_path / "missing.txt", 2)
+
+
+def test_step_files_that_fit_exit_0(tmp_path):
+    path = tmp_path / "steps.txt"
+    path.write_bytes(b"# two steps\n1 0 0\n0.5 -0.5 2\n")
+    assert_step_file_lines_exit(path, 0)
+    simulate = step_file_lines(path)[0]
+    assert assert_meets_contract([*simulate, "--steps=0"])[0] == 0  # a run of zero steps

@@ -128,6 +128,16 @@ class TestBoundPassMemory:
         assert peak_bytes(lambda: matching_bounds(box, steps)) < m * n
         assert peak_bytes(lambda: upper_bound_general(fisher, steps)) < m * n * 8
 
+    def test_norms_square_one_column_at_a_time(self):
+        # 10 MB of d = 3 steps: beyond the (m,) sums, one chunk of scaled
+        # steps and a third of one for each of the per-step values, the norms
+        # and a column's squares; np.linalg.norm's squares of the whole chunk
+        # took a third chunk
+        m, n, d = 416, 1000, 3
+        steps = np.random.default_rng(6).normal(size=(m, n, d))
+        extra = peak_bytes(lambda: bounds._bound_pass(Box.cube(d, 8.0), steps)) - m * 8
+        assert extra < 2 * bodies._SLAB * 8
+
 
 class TestStreamMemory:
     @pytest.mark.parametrize(

@@ -51,6 +51,10 @@ LINES = tuple(
     # where log_density's sums over 8 or more axes decide
     "simulate --dim 64 --half-width 16 --generator pm1 --steps 4000 --trials 2"
     " --format json --seed 1",
+    # unit steps on both sides of d = 8, where per-step norms switch from
+    # whole-column sums to np.linalg.norm
+    *(f"simulate --dim {d} --half-width 4 --generator unit --steps 500 --trials 300"
+      " --format json --seed 1" for d in (7, 8)),
     "fisher --dim 2 --half-width 2 --method closed",
     "fisher --dim 2 --half-width 2 --method quadrature --nodes 128",
     "fisher --dim 3 --half-width 16 --method quadrature --nodes 128",
