@@ -128,7 +128,8 @@ def _bound_pass(box: Box, steps: np.ndarray) -> tuple[np.ndarray, bool]:
     t_min, _ = _cube_factor(np.min(box.half_widths))
     with np.errstate(over="ignore"):  # T_i / T_min = inf zeroes v_i, as pi**2 / T_i**2 does
         divisor = box.half_widths / t_min
-    sums = _trial_sums(steps, lambda slab: _row_norms(slab / divisor))
+    # a C-ordered quotient, so norms of d >= 8 sum each row alike whatever the steps' layout
+    sums = _trial_sums(steps, lambda slab: _row_norms(np.divide(slab, divisor, order="C")))
     _check_finite(sums, steps)
     return sums, box.dimension == 1 and t_min.is_integer() and _all_unit(steps)
 

@@ -100,29 +100,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
         settings.update(raw)
-    for key in ("trials", "steps", "seed", "dim", "generator", "out", "format"):
-        value = getattr(args, key)
-        if value is not None:
-            settings[key] = value
+    flags = {key: value for key, value in vars(args).items()
+             if key in _SIM_DEFAULTS and value is not None}
+    if "dim" in flags or "half_width" in flags:
+        flags["half_widths"] = None  # a cube flag forces the cube path
+    settings.update(flags)
     for key in ("dim", "steps", "trials", "seed"):
         settings[key] = _integer(key, settings[key])
-    if not isinstance(settings["rademacher"], bool):
-        raise ValueError(f"rademacher must be true or false, not {settings['rademacher']!r}")
     if not isinstance(settings["out"], str):
         raise ValueError(f"out must be a path string, not {settings['out']!r}")
     if settings["format"] not in REPORT_FORMATS:
         raise ValueError(f"unknown report format {settings['format']!r} (use csv|json)")
-    if args.half_width is not None:
-        settings["half_width"] = args.half_width
-        settings["half_widths"] = None
-    if args.dim is not None:
-        # explicit dimension flag forces the cube path
-        settings["half_widths"] = None
     if settings["half_widths"] is not None:
-        widths = settings["half_widths"]
-        if not isinstance(widths, list):
-            raise ValueError(f"half_widths must be a list of numbers, not {widths!r}")
-        box = Box(widths)
+        box = Box(settings["half_widths"])
     else:
         box = Box.cube(settings["dim"], settings["half_width"])
     if settings["density"] != "cube_eigen":
@@ -202,23 +192,22 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             record["expected_discards"] = exact_chain_expectation(t, n, start)
         _emit(record)
         return 0
-    if args.mode == "exhaustive":
-        if n > _ENUM_LIMIT:
-            raise ValueError(f"exhaustive mode is limited to n <= {_ENUM_LIMIT}")
-        _check_band(t, 0)
-        starts = [args.start] if args.start is not None else list(range(-t, t + 1))
-        failures = 0
-        for bits in range(1 << n):
-            eps = tuple(1 if bits & (1 << i) else -1 for i in range(n))
-            for start in starts:
-                if not (verify_lex_optimality(eps, t, start) and verify_start_shift(eps, t, start)):
-                    failures += 1
-                    signs = "".join("+" if e > 0 else "-" for e in eps)
-                    _emit(dict(mode="exhaustive", T=t, start=start, signs=signs, ok=False))
-        instances = len(starts) << n
-        _emit({"mode": "exhaustive", "T": t, "n": n, "instances": instances, "failures": failures})
-        return 0 if failures == 0 else 2
-    raise ValueError(f"unknown oracle mode {args.mode!r}")
+    # exhaustive: argparse allows no other --mode
+    if n > _ENUM_LIMIT:
+        raise ValueError(f"exhaustive mode is limited to n <= {_ENUM_LIMIT}")
+    _check_band(t, 0)
+    starts = [args.start] if args.start is not None else list(range(-t, t + 1))
+    failures = 0
+    for bits in range(1 << n):
+        eps = tuple(1 if bits & (1 << i) else -1 for i in range(n))
+        for start in starts:
+            if not (verify_lex_optimality(eps, t, start) and verify_start_shift(eps, t, start)):
+                failures += 1
+                signs = "".join("+" if e > 0 else "-" for e in eps)
+                _emit(dict(mode="exhaustive", T=t, start=start, signs=signs, ok=False))
+    instances = len(starts) << n
+    _emit({"mode": "exhaustive", "T": t, "n": n, "instances": instances, "failures": failures})
+    return 0 if failures == 0 else 2
 
 
 def _cmd_fisher(args: argparse.Namespace) -> int:
@@ -227,10 +216,8 @@ def _cmd_fisher(args: argparse.Namespace) -> int:
         fisher = fisher_closed_form_cube(box)
     elif args.method == "quadrature":
         fisher = fisher_quadrature(cube_eigen_density(box), args.nodes)
-    elif args.method == "mc":
-        fisher = fisher_monte_carlo(cube_eigen_density(box), args.samples, args.seed)
     else:
-        raise ValueError(f"unknown method {args.method!r}")
+        fisher = fisher_monte_carlo(cube_eigen_density(box), args.samples, args.seed)
     record = {
         "method": args.method,
         "dim": args.dim,
@@ -258,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--half-width", dest="half_width", type=float)
     p_sim.add_argument("--generator", help="unit|isotropic|pm1|file:<path>")
     p_sim.add_argument("--out", help="output path (default stdout)")
-    p_sim.add_argument("--format", choices=["csv", "json"])
+    p_sim.add_argument("--format", choices=REPORT_FORMATS)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_bounds = sub.add_parser("bounds", help="print the bound reports that apply to the steps")

@@ -25,7 +25,6 @@ __all__ = [
     "ExperimentConfig",
     "RunStats",
     "generate_steps",
-    "trial_streams",
     "run_experiment",
     "run_experiment_ensemble",
     "emit_report",
@@ -52,6 +51,8 @@ class StepGenerator:
     def __post_init__(self) -> None:
         if self.kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        if not isinstance(self.rademacher, (bool, np.bool_)):
+            raise ValueError(f"rademacher must be true or false, not {self.rademacher!r}")
         object.__setattr__(self, "dimension", _integer("dimension", self.dimension, 1))
         if self.kind == "fixed_list":
             try:

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from driftguard import cli, harness
+from driftguard import (
+    Box, ExperimentConfig, StepGenerator, cli, emit_report, harness, run_experiment,
+)
 from driftguard.cli import main
 from driftguard.oracle1d import exact_chain_expectation_fraction
 from helpers import chain_expectation_loop
@@ -115,6 +117,23 @@ class TestSimulate:
         )
         assert code == 0
         assert len(json.loads(out)["per_trial_discards"]) == 5
+
+    def test_config_half_widths_give_a_box_the_flags_make_a_cube(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        run = {"steps": 40, "trials": 3, "seed": 2, "format": "json"}
+        config.write_text(json.dumps({**run, "half_widths": [1, 3]}))
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(config))
+        assert code == 0
+        assert [b["kind"] for b in json.loads(out)["bound_reports"]] == ["general_fisher"]
+        library = ExperimentConfig(Box([1, 3]), StepGenerator("random_unit_sphere", 2), 40, 3, 2)
+        assert out == emit_report(run_experiment(library), "json")
+        cube = tmp_path / "cube.json"
+        cube.write_text(json.dumps(run))
+        for flag in (("--dim", "2"), ("--half-width", "2")):
+            code, out, _ = run_cli(capsys, "simulate", "--config", str(config), *flag)
+            assert code == 0
+            assert "cube_l2" in out
+            assert (code, out) == run_cli(capsys, "simulate", "--config", str(cube), *flag)[:2]
 
     def test_config_unknown_key_rejected(self, capsys, tmp_path):
         config = tmp_path / "run.json"

@@ -6,7 +6,7 @@ in a traceback, never prints NaN or inf, and raises no RuntimeWarning.
 The lines are drawn from the subcommands that read a half-width, over
 d in {1, 2, 3} and half-widths from NaN through subnormals to 1e308, and
 from the three oracle modes over bands, step counts and starts at and
-beyond their limits.
+beyond their limits, and from the count flags at 0, 1 and their floors.
 """
 
 import contextlib
@@ -89,6 +89,23 @@ def test_oracle_n_when_given_must_match_the_signs():
         bare = assert_meets_contract(["oracle", "--mode", mode, "--T=1"])
         assert bare == assert_meets_contract(["oracle", "--mode", mode, "--T=1", "--n=0"])
         assert bare[0] == 0 and json.loads(bare[1].splitlines()[-1])["n"] == 0
+
+
+# each count flag at 0, 1 and either side of its floor, with the exit code it gives
+COUNT_FLAGS = [
+    *[(("fisher", "--method", "quadrature", "--nodes", n), 2) for n in ("0", "1", "15")],
+    (("fisher", "--method", "quadrature", "--nodes", "16"), 0),
+    *[(("fisher", "--method", "mc", "--samples", n), 2) for n in ("0", "1", "999")],
+    (("fisher", "--method", "mc", "--samples", "1000"), 0),
+    *[(("simulate", "--format=json", "--trials=2", "--steps", n), 0) for n in ("0", "1")],
+    (("simulate", "--format=json", "--steps=5", "--trials", "0"), 2),
+    (("simulate", "--format=json", "--steps=5", "--trials", "1"), 0),
+]
+
+
+@pytest.mark.parametrize("argv, code", COUNT_FLAGS, ids=[" ".join(a) for a, _ in COUNT_FLAGS])
+def test_count_flags_at_their_floors_meet_the_contract(argv, code):
+    assert assert_meets_contract([*argv, "--dim=2", "--half-width=2"])[0] == code
 
 
 def assert_meets_contract(argv):

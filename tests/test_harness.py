@@ -48,6 +48,18 @@ class TestStepGenerator:
         with pytest.raises(ValueError):
             StepGenerator("levy_flight", 1)
 
+    @pytest.mark.parametrize("value", ["no", "false", 1, 0, 1.0, None])
+    def test_rademacher_must_be_a_bool(self, value):
+        # "no" once drew signs, as a truthy string
+        with pytest.raises(ValueError, match="^rademacher must be true or false, not "):
+            StepGenerator("coordinate_basis_cycle", 2, rademacher=value)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+    def test_rademacher_takes_python_and_numpy_bools(self, value):
+        gen = StepGenerator("coordinate_basis_cycle", 2, rademacher=value)
+        plain = StepGenerator("coordinate_basis_cycle", 2, rademacher=bool(value))
+        assert np.array_equal(generate_steps(gen, 50, 3), generate_steps(plain, 50, 3))
+
     def test_vector_dimension_checked(self):
         with pytest.raises(ValueError):
             StepGenerator("fixed_list", 2, vectors=((1.0,),))

@@ -1,4 +1,4 @@
-"""README's examples run as written.
+"""README's examples run as written, and the package exports what it says.
 
 The python quick start and every ``driftguard`` command line run here, so
 a renamed or removed name fails the suite instead of going stale in the
@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from driftguard import cli
+import driftguard
+from driftguard import bodies, bounds, cli, harness, metropolis, oracle1d
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(), flags=re.S | re.M)
@@ -52,3 +53,44 @@ def test_quick_start_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(compile(code, str(README), "exec"), {"__name__": "readme"})
     assert "trial,discards\n" in capsys.readouterr().out
+
+
+# the package exports these modules' __all__ in this order, then __version__
+MODULES = (bodies, metropolis, bounds, oracle1d, harness)
+# every name the package exported when it listed them by hand
+LISTED_BY_HAND = (
+    "Box", "Density", "FisherMatrix", "cube_eigen_density", "dirichlet_lambda1_box",
+    "fisher_closed_form_cube", "fisher_quadrature", "fisher_monte_carlo", "fisher_operator_norm",
+    "ContainmentError", "Trajectory", "filter_run", "run_ensemble", "rejection_rate_exact_1d",
+    "rejection_rate_monte_carlo", "BoundReport", "upper_bound_general", "upper_bound_cube",
+    "isotropic_bound", "lower_bound_1d", "matching_bounds", "ValidSubsequence",
+    "signs_from_string", "reflected_walk", "dp_longest_valid", "verify_lex_optimality",
+    "verify_start_shift", "exact_chain_expectation", "exact_chain_expectation_fraction",
+    "StepGenerator", "ExperimentConfig", "RunStats", "generate_steps", "run_experiment",
+    "emit_report", "run_stats_from_json",
+)
+
+
+def test_package_exports_each_modules_all():
+    names = [name for module in MODULES for name in module.__all__]
+    assert driftguard.__all__ == [*names, "__version__"]
+    assert len(set(driftguard.__all__)) == len(driftguard.__all__)
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(driftguard, name) is getattr(module, name), name
+
+
+def test_package_keeps_every_name_it_listed_by_hand():
+    assert len(LISTED_BY_HAND) == len(set(LISTED_BY_HAND)) == 36
+    assert set(LISTED_BY_HAND) <= set(driftguard.__all__)
+    assert {"EnsembleResult", "run_experiment_ensemble", "gauss_legendre_grid"} <= set(
+        driftguard.__all__
+    )
+
+
+def test_trial_streams_stays_in_harness():
+    assert "trial_streams" not in driftguard.__all__
+    assert not hasattr(driftguard, "trial_streams")
+    from driftguard.harness import trial_streams
+
+    assert trial_streams is harness.trial_streams
