@@ -6,8 +6,8 @@ Dirichlet Laplacian on a box, which factorizes per coordinate as
     x -> T**-1 * cos(pi * x / (2 T))**2       on (-T, T).
 
 Its Fisher information matrix (the covariance of the log-density gradient)
-is available three ways: in closed form for cubes, by tensor-product
-Gauss-Legendre quadrature for d <= 3, and by Monte Carlo in any dimension.
+is available three ways: in closed form for cubes, by one Gauss-Legendre
+rule per axis, and by Monte Carlo, the last two in any dimension.
 The trace of that matrix equals four times the principal Dirichlet
 eigenvalue of the box, which is what ties step budgets to the geometry.
 """
@@ -31,7 +31,6 @@ __all__ = [
     "fisher_quadrature",
     "fisher_monte_carlo",
     "fisher_operator_norm",
-    "gauss_legendre_grid",
 ]
 
 # Newton steps of the cube quantile, and the phi below which phi - sin(phi)
@@ -41,7 +40,7 @@ _KEPLER_STEPS = 5
 _KEPLER_SERIES_CUTOFF = 1.0
 _KEPLER_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in reversed(range(9)))
 # float64 values per slab of every pass over arrays that grow with the input:
-# the quantile, the quadrature, the bound pass and the filter kernel's blocks
+# the quantile, the quadrature's axes, the bound pass and the filter kernel's blocks
 _SLAB = 1 << 16
 _SYMMETRY_TOL = 1e-12  # FisherMatrix's tolerances, relative to the largest entry
 _PSD_FLOOR = -1e-9
@@ -156,7 +155,9 @@ class Density:
     defined on interior points.  ``quantile`` maps uniforms of shape
     (..., d) to points of the same shape, each row alike alone or in a batch;
     ``sample`` feeds it ``rng.uniform(size=(n, d))``.  The dimension d is
-    the support's.
+    the support's.  The density must be a product of one factor per axis,
+    as ``cube_eigen_density``'s is: ``fisher_quadrature`` integrates each
+    axis alone and sets the off-diagonal entries to 0.
     """
 
     support: Box
@@ -331,61 +332,57 @@ def fisher_closed_form_cube(box: Box) -> FisherMatrix:
     return FisherMatrix(np.eye(box.dimension) * scale, "closed_form")
 
 
-def gauss_legendre_grid(box: Box, nodes_per_axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product Gauss-Legendre nodes and weights over the box.
+def _scaled_scores(density: Density, points: np.ndarray) -> np.ndarray:
+    """``log_gradient`` at ``points``, axis i times 2**e_i with T_i = f 2**e_i
+    (0.5 <= f < 1).  Scores scale as 1 / T_i, so this keeps their products
+    and squares in range at tiny T, and ``_unscaled`` undoes it exactly."""
+    exps = np.frexp(density.support.half_widths)[1]
+    return np.ldexp(np.asarray(density.log_gradient(points), dtype=float), exps)
 
-    Returns (points, weights) with points of shape (nodes**d, d).  Nodes are
-    strictly interior, so integrands defined only on the open box are safe.
-    """
-    nodes = _integer("nodes_per_axis", nodes_per_axis, 1)
-    base_x, base_w = np.polynomial.legendre.leggauss(nodes)
-    axis_x = [base_x * t for t in box.half_widths]
-    axis_w = [base_w * t for t in box.half_widths]
-    mesh = np.meshgrid(*axis_x, indexing="ij")
-    points = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    weights = axis_w[0]
-    with np.errstate(over="ignore"):  # FisherMatrix rejects what an inf weight gives
-        for w in axis_w[1:]:
-            weights = np.multiply.outer(weights, w)
-    return points, np.asarray(weights, dtype=float).reshape(-1)
+
+def _unscaled(density: Density, moments: np.ndarray) -> np.ndarray:
+    """d x d ``moments`` (any leading axes) of ``_scaled_scores`` scaled back to
+    the density's.  Raises ValueError when a nonzero entry underflows to zero
+    or a subnormal (T_i from ~1e153 up); an overflow is left to FisherMatrix."""
+    exps = np.frexp(density.support.half_widths)[1]
+    with np.errstate(over="ignore"):
+        unscaled = np.ldexp(moments, -(exps[:, None] + exps[None, :]))
+    if ((np.abs(unscaled) < np.finfo(float).tiny) & (moments != 0.0)).any():
+        raise ValueError("half_width too large: Fisher entries underflow")
+    return unscaled
 
 
 def fisher_quadrature(density: Density, grid_points_per_axis: int = 128) -> FisherMatrix:
-    """Fisher matrix by tensor quadrature of (score)(score)^T pi.
+    """Fisher matrix of a product density by one Gauss-Legendre rule per axis.
 
-    Only for d <= 3, with at least 16 nodes per axis.  The nodes**d grid is
-    never built whole: a slab of whole first-axis planes (the 1-d rule's
-    nodes on axis 0 times the grid of the other axes, ~_SLAB points) is
-    integrated at a time and the d x d sums are added up, so any node count
-    runs in a few MiB.  Raises if the score is non-finite at any interior
-    node.
+    The density is a product over axes (see ``Density``), so its Fisher
+    matrix is diagonal, and entry i is the 1-d integral of the squared score
+    along axis i against that axis's factor.  The rule's nodes go on the line
+    through the box centre along axis i, each weighted by the density there
+    relative to the line's largest value; entry i is the weighted mean of
+    the squared score, and every off-diagonal is exactly 0.0.  Any d runs,
+    with at least 16 nodes per axis, in slabs of ~_SLAB values.  Scores are
+    scaled and scaled back as ``fisher_monte_carlo``'s are, with its
+    underflow error.  Raises if the score is non-finite at any node.
     """
-    if density.dimension > 3:
-        raise ValueError("quadrature supports dimension at most 3")
     nodes = _integer("grid_points_per_axis", grid_points_per_axis, 16)
     hw = density.support.half_widths
     d = density.dimension
     base_x, base_w = np.polynomial.legendre.leggauss(nodes)
-    if d > 1:
-        rest_points, rest_weights = gauss_legendre_grid(Box(hw[1:]), nodes)
-    else:
-        rest_points, rest_weights = np.empty((1, 0)), np.ones(1)
-    entries = np.zeros((d, d))
-    for planes in _slabs(nodes, len(rest_weights)):
-        axis_x = base_x[planes] * hw[0]
-        points = np.empty((len(axis_x), len(rest_weights), d))
-        points[:, :, 0] = axis_x[:, None]
-        points[:, :, 1:] = rest_points
-        points = points.reshape(-1, d)
-        scores = np.asarray(density.log_gradient(points), dtype=float)
+    diagonal = np.zeros(d)
+    for axes in _slabs(d, nodes * d):
+        axis = np.arange(d)[axes]
+        row = axis - axes.start
+        lines = np.zeros((len(axis), nodes, d))
+        lines[row, :, axis] = np.multiply.outer(hw[axes], base_x)
+        scores = _scaled_scores(density, lines)
         if not np.all(np.isfinite(scores)):
             raise ValueError("log_gradient returned non-finite values at interior nodes")
-        # an inf weight or density (and inf * 0) gives NaN, which FisherMatrix rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            pi_vals = np.exp(np.asarray(density.log_density(points), dtype=float))
-            weights = np.multiply.outer(base_w[planes] * hw[0], rest_weights)
-            entries += np.einsum("k,ki,kj->ij", weights.reshape(-1) * pi_vals, scores, scores)
-    return FisherMatrix(entries, "quadrature")
+        log_pi = np.asarray(density.log_density(lines), dtype=float)
+        weights = base_w * np.exp(log_pi - np.max(log_pi, axis=1, keepdims=True))
+        own = scores[row, :, axis]
+        diagonal[axes] = np.sum(weights * own * own, axis=1) / np.sum(weights, axis=1)
+    return FisherMatrix(_unscaled(density, np.diag(diagonal)), "quadrature")
 
 
 _MC_CHUNK = 1 << 17
@@ -409,9 +406,6 @@ def fisher_monte_carlo(density: Density, samples: int, rng_seed: int) -> FisherM
     samples = _integer("samples", samples, 1000)
     seed = _integer("rng_seed", rng_seed, 0)
     d = density.dimension
-    # scores scale as 1 / T_i: a power of two near T_i per axis keeps their
-    # products and squares in range at tiny T, and scales back exactly
-    exps = np.frexp(density.support.half_widths)[1]
     total = np.zeros((d, d))
     total_sq = np.zeros((d, d))
     done = 0
@@ -420,7 +414,7 @@ def fisher_monte_carlo(density: Density, samples: int, rng_seed: int) -> FisherM
         m = min(_MC_CHUNK, samples - done)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chunk_index))))
         pts = density.sample(rng, m)
-        scores = np.ldexp(np.asarray(density.log_gradient(pts), dtype=float), exps)
+        scores = _scaled_scores(density, pts)
         # no (chunk, d, d) outer products; einsum, not `@`, whose BLAS sums vary with threads
         total += np.einsum("ki,kj->ij", scores, scores)
         squares = scores * scores
@@ -429,14 +423,8 @@ def fisher_monte_carlo(density: Density, samples: int, rng_seed: int) -> FisherM
         chunk_index += 1
     mean = total / samples
     var = np.maximum(total_sq - samples * np.square(mean), 0.0) / (samples - 1)
-    se = np.sqrt(var / samples)
-    unscale = -(exps[:, None] + exps[None, :])
-    scaled = np.stack([mean, se])
-    with np.errstate(over="ignore"):  # an overflow is left to FisherMatrix to reject
-        unscaled = np.ldexp(scaled, unscale)
-    if ((np.abs(unscaled) < np.finfo(float).tiny) & (scaled != 0.0)).any():
-        raise ValueError("half_width too large: Fisher entries underflow")
-    return FisherMatrix(unscaled[0], "monte_carlo", std_error=unscaled[1])
+    entries, se = _unscaled(density, np.stack([mean, np.sqrt(var / samples)]))
+    return FisherMatrix(entries, "monte_carlo", std_error=se)
 
 
 def fisher_operator_norm(fisher: FisherMatrix) -> float:

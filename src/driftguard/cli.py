@@ -13,6 +13,7 @@ import numpy as np
 from .bodies import (
     Box,
     _integer,
+    _number,
     cube_eigen_density,
     dirichlet_lambda1_box,
     fisher_closed_form_cube,
@@ -92,6 +93,7 @@ def _parse_generator(choice: str, dim: int, rademacher: bool) -> StepGenerator:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     settings = dict(_SIM_DEFAULTS)
+    raw = {}
     if args.config:
         raw = json.loads(Path(args.config).read_text())
         if not isinstance(raw, dict):
@@ -111,8 +113,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError(f"out must be a path string, not {settings['out']!r}")
     if settings["format"] not in REPORT_FORMATS:
         raise ValueError(f"unknown report format {settings['format']!r} (use csv|json)")
+    settings["half_width"] = _number("half_width", settings["half_width"])
     if settings["half_widths"] is not None:
         box = Box(settings["half_widths"])
+        if "dim" in raw and settings["dim"] != box.dimension:
+            raise ValueError(f"dim {settings['dim']} does not match {box.dimension} half_widths")
     else:
         box = Box.cube(settings["dim"], settings["half_width"])
     if settings["density"] != "cube_eigen":
@@ -186,7 +191,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         }
         if 2 * t + 1 <= _RATIONAL_STATE_LIMIT:
             exact = exact_chain_expectation_fraction(t, n, start)
-            record["exact"] = f"{exact.numerator}/{exact.denominator}"
+            try:
+                record["exact"] = f"{exact.numerator}/{exact.denominator}"
+            except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+                record["exact"] = None
             record["expected_discards"] = float(exact)
         else:
             record["expected_discards"] = exact_chain_expectation(t, n, start)

@@ -17,7 +17,6 @@ from driftguard.bodies import (
     fisher_monte_carlo,
     fisher_operator_norm,
     fisher_quadrature,
-    gauss_legendre_grid,
 )
 from driftguard.bounds import matching_bounds
 from helpers import (
@@ -465,9 +464,16 @@ class TestFisherQuadrature:
         with pytest.raises(ValueError):
             fisher_quadrature(cube_eigen_density(Box.cube(1, 1.0)), 8)
 
-    def test_dimension_guard(self):
-        with pytest.raises(ValueError):
-            fisher_quadrature(cube_eigen_density(Box.cube(4, 1.0)), 32)
+    @pytest.mark.parametrize(
+        "half_widths",
+        [[1.0] * 4, [3.0] * 8, [16.0] * 64, [0.5, 1.0, 2.0, 7.0, 33.0]],
+        ids=["cube4", "cube8", "cube64", "box5"],
+    )
+    def test_any_dimension_matches_per_axis_closed_form(self, half_widths):
+        fisher = fisher_quadrature(cube_eigen_density(Box(half_widths)), 128)
+        expected = math.pi**2 / np.square(half_widths)
+        assert np.max(np.abs(np.diag(fisher.entries) / expected - 1.0)) <= 1e-13
+        assert np.array_equal(fisher.entries, np.diag(np.diag(fisher.entries)))
 
     def test_non_finite_score_rejected(self):
         base = cube_eigen_density(Box.cube(1, 1.0))
@@ -490,8 +496,6 @@ class TestFisherQuadrature:
     @pytest.mark.parametrize("t", [0.005, 1e-3, 1e-6])
     @pytest.mark.parametrize("d,nodes", [(2, 128), (3, 64)])
     def test_small_cubes_match_closed_form(self, d, nodes, t):
-        # the einsum sums (i, j) and (j, i) apart, so the matrix is symmetric
-        # only to ~1e-18 of its entries, well above an absolute 1e-12 here
         closed = fisher_closed_form_cube(Box.cube(d, t)).entries
         quad = fisher_quadrature(cube_eigen_density(Box.cube(d, t)), nodes).entries
         assert np.max(np.abs(quad - closed)) <= 1e-10 * np.max(closed)
@@ -698,18 +702,3 @@ class TestOperatorNorm:
                 assert fisher_operator_norm(fisher) == pytest.approx(
                     float(np.max(np.linalg.eigvalsh(m))), rel=1e-9, abs=1e-9
                 )
-
-
-class TestGaussLegendreGrid:
-    def test_interior_and_weight_total(self):
-        box = Box(np.array([1.0, 2.0]))
-        pts, w = gauss_legendre_grid(box, 24)
-        assert pts.shape == (576, 2)
-        assert np.all(contains_interior(box, pts))
-        # weights integrate the constant 1 to the box volume
-        assert float(np.sum(w)) == pytest.approx(8.0, rel=1e-12)
-
-    def test_polynomial_exactness(self):
-        box = Box.cube(1, 1.0)
-        pts, w = gauss_legendre_grid(box, 16)
-        assert float(np.sum(w * pts[:, 0] ** 4)) == pytest.approx(2.0 / 5.0, rel=1e-12)

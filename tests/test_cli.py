@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -311,6 +312,34 @@ class TestSimulate:
         assert err.startswith(f"error: {key} must be")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [("half_width", "abc", "half_width must be a finite number, not 'abc'"),
+         ("dim", 7, "dim 7 does not match 2 half_widths")],
+    )
+    def test_config_keys_beside_half_widths_are_checked(
+        self, capsys, tmp_path, key, value, message
+    ):
+        # both ran d = 2 and exited 0 once, the key unread
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"steps": 5, "trials": 2, "half_widths": [1, 2], key: value}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_config_dim_matching_half_widths_runs_and_flags_force_the_cube(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        run = {"steps": 5, "trials": 2, "format": "json"}
+        config.write_text(json.dumps({**run, "half_widths": [1, 2]}))
+        box = run_cli(capsys, "simulate", "--config", str(config))
+        config.write_text(json.dumps({**run, "half_widths": [1, 2], "dim": 2}))
+        assert run_cli(capsys, "simulate", "--config", str(config)) == box
+        assert box[0] == 0 and "cube_l2" not in box[1]
+        config.write_text(json.dumps({**run, "half_widths": [1, 2], "dim": 7}))
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(config), "--half-width", "2")
+        assert code == 0
+        cube = "--dim 7 --half-width 2 --steps 5 --trials 2 --format json".split()
+        assert out == run_cli(capsys, "simulate", *cube)[1]
+
     def test_config_integer_half_widths_accepted(self, capsys, tmp_path):
         config = tmp_path / "run.json"
         reports = []
@@ -504,6 +533,26 @@ class TestOracle:
         assert payload["exact"] == f"{exact.numerator}/{exact.denominator}"
         assert payload["expected_discards"] == pytest.approx(float(exact), abs=1e-9)
 
+    @pytest.mark.parametrize("n, exact", [(14000, True), (15000, False), (20000, False)])
+    def test_chain_mode_exact_is_null_beyond_the_int_string_limit(self, capsys, n, exact):
+        # n = 15000 once exited 2 on CPython's default limit of 4300 digits
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run_cli(
+                capsys, "oracle", "--mode", "chain", "--T", "4", "--n", str(n), "--start", "0",
+            )
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        fraction = exact_chain_expectation_fraction(4, n, 0)
+        assert payload["expected_discards"] == float(fraction)
+        if exact:
+            assert payload["exact"] == f"{fraction.numerator}/{fraction.denominator}"
+        else:
+            assert payload["exact"] is None
+
     def test_chain_mode_large_width_is_float_only(self, capsys):
         code, out, _ = run_cli(
             capsys, "oracle", "--mode", "chain", "--T", "40", "--n", "100",
@@ -594,17 +643,17 @@ class TestFisher:
         assert (code, out, err) == (2, "", "error: half_width too large: 4 T**2 overflows\n")
 
     def test_quadrature_non_finite_exits_2(self, capsys):
-        # the quadrature weights overflow to inf, and inf * 0 is NaN
+        # scaling the scores back to 1 / T**2 would leave zero entries
         code, out, err = run_cli(
             capsys,
             "fisher", "--dim", "2", "--half-width", "1e200",
             "--method", "quadrature", "--nodes", "16",
         )
         assert (code, out) == (2, "")
-        assert err.endswith("error: entries and std_error must be finite\n")
+        assert err.endswith("error: half_width too large: Fisher entries underflow\n")
 
     def test_quadrature_small_cube_exits_0(self, capsys):
-        # entries ~4e5 whose last digits differ across the diagonal
+        # entries ~4e5, whose last digits once failed the symmetry check
         code, out, err = run_cli(
             capsys, "fisher", "--dim", "2", "--half-width", "0.005", "--method", "quadrature",
         )

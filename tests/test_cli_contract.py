@@ -91,6 +91,20 @@ def test_oracle_n_when_given_must_match_the_signs():
         assert bare[0] == 0 and json.loads(bare[1].splitlines()[-1])["n"] == 0
 
 
+@pytest.mark.parametrize("half_width", HALF_WIDTHS)
+def test_quadrature_verdict_does_not_depend_on_the_dimension(half_width):
+    # each axis is integrated alone; the tensor grid's weights, T**d, once
+    # gave d = 1, 2 and 3 different verdicts at 1e150, 1e154, 1e200 and 1e307
+    verdicts = []
+    for dim in ("1", "2", "3"):
+        code, _, err = assert_meets_contract(
+            ["fisher", "--method", "quadrature", "--nodes", "16", f"--dim={dim}",
+             f"--half-width={half_width}"]
+        )
+        verdicts.append((code, err))
+    assert verdicts == [verdicts[0]] * 3
+
+
 # each count flag at 0, 1 and either side of its floor, with the exit code it gives
 COUNT_FLAGS = [
     *[(("fisher", "--method", "quadrature", "--nodes", n), 2) for n in ("0", "1", "15")],
@@ -111,7 +125,7 @@ def test_count_flags_at_their_floors_meet_the_contract(argv, code):
 def assert_meets_contract(argv):
     """``driftguard argv`` exits 0 with finite JSON lines or 2 with one error line.
 
-    Returns the exit code and stdout."""
+    Returns the exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -125,7 +139,7 @@ def assert_meets_contract(argv):
     else:
         assert code == 2 and out.getvalue() == ""
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 # a step file's text for each way it can be wrong, read at --dim 3; the

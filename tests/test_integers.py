@@ -34,7 +34,6 @@ from driftguard import (
     run_ensemble,
     run_stats_from_json,
 )
-from driftguard.bodies import gauss_legendre_grid
 
 _BOX = Box.cube(2, 2.0)
 _DENSITY = cube_eigen_density(_BOX)
@@ -51,7 +50,6 @@ def _config(**counts):
 ENTRY_POINTS = {
     "Box.cube": ("dimension", 3, 1, lambda k: Box.cube(k, 2.0).half_widths),
     "Density.sample": ("n", 3, 0, lambda k: _DENSITY.sample(np.random.default_rng(0), k)),
-    "gauss_legendre_grid": ("nodes_per_axis", 3, 1, lambda k: gauss_legendre_grid(_BOX, k)),
     "fisher_quadrature": (
         "grid_points_per_axis", 16, 16, lambda k: fisher_quadrature(_DENSITY, k).entries
     ),

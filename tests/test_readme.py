@@ -83,9 +83,7 @@ def test_package_exports_each_modules_all():
 def test_package_keeps_every_name_it_listed_by_hand():
     assert len(LISTED_BY_HAND) == len(set(LISTED_BY_HAND)) == 36
     assert set(LISTED_BY_HAND) <= set(driftguard.__all__)
-    assert {"EnsembleResult", "run_experiment_ensemble", "gauss_legendre_grid"} <= set(
-        driftguard.__all__
-    )
+    assert {"EnsembleResult", "run_experiment_ensemble"} <= set(driftguard.__all__)
 
 
 def test_trial_streams_stays_in_harness():

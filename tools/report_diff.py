@@ -58,6 +58,7 @@ LINES = tuple(
     "fisher --dim 2 --half-width 2 --method closed",
     "fisher --dim 2 --half-width 2 --method quadrature --nodes 128",
     "fisher --dim 3 --half-width 16 --method quadrature --nodes 128",
+    "fisher --dim 8 --half-width 3 --method quadrature --nodes 128",
     "fisher --dim 2 --half-width 2 --method mc --samples 1000000 --seed 3",
 )
 
