@@ -151,7 +151,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         steps = np.zeros((args.steps, box.dimension))
         steps[:, 0] = 1.0
     for report in matching_bounds(box, steps):
-        _emit({"kind": report.kind, "value": report.value, "inputs_digest": report.inputs_digest})
+        _emit(vars(report))
     return 0
 
 

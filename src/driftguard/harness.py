@@ -206,25 +206,17 @@ def _matching_bounds(config: ExperimentConfig, steps: np.ndarray) -> list[BoundR
 
 
 def emit_report(stats: RunStats, report_format: str = "csv") -> str:
-    """Render RunStats as csv or json text; byte-stable for fixed input."""
+    """Render RunStats as csv or json text; byte-stable for fixed input.  The
+    fields are the schema: json holds every field of ``stats`` and its bound
+    reports, csv a ``name,repr(value)`` line per scalar field, in order."""
     if report_format == "json":
-        payload = {
-            "per_trial_discards": list(stats.per_trial_discards),
-            "mean": stats.mean,
-            "std_error": stats.std_error,
-            "containment_violations": stats.containment_violations,
-            "bound_reports": [
-                {"kind": b.kind, "value": b.value, "inputs_digest": b.inputs_digest}
-                for b in stats.bound_reports
-            ],
-        }
+        payload = {**vars(stats), "bound_reports": [vars(b) for b in stats.bound_reports]}
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     if report_format == "csv":
         lines = ["trial,discards"]
         lines.extend(f"{i},{c}" for i, c in enumerate(stats.per_trial_discards))
-        lines.append(f"mean,{stats.mean!r}")
-        lines.append(f"std_error,{stats.std_error!r}")
-        lines.append(f"containment_violations,{stats.containment_violations}")
+        lines.extend(f"{name},{value!r}" for name, value in vars(stats).items()
+                     if not isinstance(value, tuple))
         lines.extend(
             f'bound,{b.kind},{b.value!r},"{b.inputs_digest}"' for b in stats.bound_reports
         )
@@ -237,8 +229,13 @@ def run_stats_from_json(text: str) -> RunStats:
 
     Counts follow the integer rule and the mean, standard error and bound
     values the number rule: a string, a bool, NaN or inf raises ValueError.
+    A bound's kind and digest that are not strings raise ValueError.
     """
     obj = json.loads(text)
+    for b in obj["bound_reports"]:
+        for key in ("kind", "inputs_digest"):
+            if not isinstance(b[key], str):
+                raise ValueError(f"{key} must be a string, not {b[key]!r}")
     discards = obj["per_trial_discards"]
     return RunStats(
         per_trial_discards=tuple(_integer("per_trial_discards", x) for x in discards),

@@ -17,10 +17,11 @@ of two bodies chosen by the ensemble's width m * d.  A wide ensemble steps
 all its trials in lockstep, one vectorized filter step at a time.  A
 narrow one (``filter_run`` among them) pre-fetches: each trial assumes its
 next few steps are all accepted, decides them in one call and commits up to
-its first rejection.  Both bodies compute the same floats and decisions.
-The kernel checks 2K containment once per block of steps rather than after
-each step; the first violation it reports (step, lowest trial, accepted
-sum) is the one a per-step check would report.
+its first rejection.  Both bodies compute the same floats and decisions, by
+one accept test that ``rejection_rate_monte_carlo`` shares.  The kernel
+checks 2K containment once per block of steps rather than after each step;
+the first violation it reports (step, lowest trial, accepted sum) is the
+one a per-step check would report.
 """
 
 from __future__ import annotations
@@ -152,10 +153,7 @@ def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> Ensemble
             for j, k in enumerate(range(block.start, block.stop)):
                 np.add(state, steps[:, k].T, out=proposal)
                 log_new = density.log_density(proposal.T)
-                np.subtract(log_new, log_current, out=prob)
-                np.minimum(prob, 0.0, out=prob)
-                np.exp(prob, out=prob)
-                np.less(step_coins[j], prob, out=acc[j])
+                _accept(step_coins[j], np.subtract(log_new, log_current, out=prob), acc[j])
                 np.copyto(state, proposal, where=acc[j])
                 np.copyto(log_current, log_new, where=acc[j])
                 positions[j] = state
@@ -164,6 +162,12 @@ def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> Ensemble
     return EnsembleResult(
         origins=origins, finals=state.T.copy(), accepted=accepted, max_abs_sums=max_abs
     )
+
+
+def _accept(coins, log_ratio, out=None) -> np.ndarray:
+    """The accept test coins < exp(min(log_ratio, 0)), overwriting ``log_ratio``."""
+    np.minimum(log_ratio, 0.0, out=log_ratio)
+    return np.less(coins, np.exp(log_ratio, out=log_ratio), out=out)
 
 
 def _accept_runs(density, steps, coins, current, log_current, accepted, block) -> np.ndarray:
@@ -214,9 +218,7 @@ def _accept_runs(density, steps, coins, current, log_current, accepted, block) -
             np.add.accumulate(cand, axis=1, out=cand)  # a sequential cumsum
             logs[:, 1:] = density.log_density(cand[:, 1:])
             np.subtract(logs[:, 1:], logs[:, :-1], out=prob)
-            np.minimum(prob, 0.0, out=prob)
-            np.exp(prob, out=prob)
-            np.less(flat_coins.take(idx, mode="clip"), prob, out=ok[:, :-1])
+            _accept(flat_coins.take(idx, mode="clip"), prob, ok[:, :-1])
             np.minimum(ok.argmin(axis=1), avail, out=run)  # accepted steps to commit
             cand[:, 0] = cand[rows, run]
             logs[:, 0] = logs[rows, run]
@@ -332,8 +334,7 @@ def rejection_rate_monte_carlo(
     points = density.sample(rng, n)
     log_pi = np.asarray(density.log_density(points), dtype=float)
     log_pi_shift = np.asarray(density.log_density(points + v), dtype=float)
-    accept_prob = np.exp(np.minimum(0.0, log_pi_shift - log_pi))
-    rejected = rng.uniform(size=n) >= accept_prob
+    rejected = ~_accept(rng.uniform(size=n), log_pi_shift - log_pi)
     freq = float(np.mean(rejected))
     std_error = float(np.sqrt(freq * (1.0 - freq) / n))
     return freq, std_error

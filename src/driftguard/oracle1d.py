@@ -145,11 +145,9 @@ def verify_lex_optimality(signs: Sequence[int], half_width: int, start: int = 0)
 
 
 def verify_start_shift(signs: Sequence[int], half_width: int, start: int) -> bool:
-    """True iff longest-from-0 <= longest-from-start + |start| (via DP)."""
+    """True iff longest-from-0 <= longest-from-start + |start| (via DP, n <= _DP_LIMIT)."""
     t, s = _check_band(half_width, start)
     eps = _check_signs(signs)
-    if len(eps) > _ENUM_LIMIT:
-        raise ValueError(f"verify_start_shift is limited to n <= {_ENUM_LIMIT}")
     return dp_longest_valid(eps, t, 0) <= dp_longest_valid(eps, t, s) + abs(s)
 
 

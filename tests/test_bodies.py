@@ -575,6 +575,11 @@ class TestFisherMonteCarlo:
 
 
 class TestFisherMatrixInvariants:
+    @pytest.mark.parametrize("entries", [np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2)), 1.0])
+    def test_rejects_a_non_square_matrix(self, entries):
+        with pytest.raises(ValueError, match="^entries must be a square matrix$"):
+            FisherMatrix(entries, "closed_form")
+
     def test_rejects_asymmetry_beyond_tolerance(self):
         with pytest.raises(ValueError):
             FisherMatrix(np.array([[1.0, 1e-11], [0.0, 1.0]]), "closed_form")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import sys
@@ -8,9 +9,11 @@ import pytest
 from driftguard import (
     Box, ExperimentConfig, StepGenerator, cli, emit_report, harness, run_experiment,
 )
+from driftguard.bounds import matching_bounds
 from driftguard.cli import main
 from driftguard.oracle1d import exact_chain_expectation_fraction
 from helpers import chain_expectation_loop
+from test_metropolis import liar_density
 
 
 def run_cli(capsys, *argv):
@@ -200,6 +203,28 @@ class TestSimulate:
             '"n=7, d=2, fisher=closed_form, mean over 3 trials"\n'
             'bound,cube_l2,6.26859572733415,"n=7, T=1.5, mean over 3 trials"\n'
         )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_isotropic_generator_is_the_library_run(self, capsys, fmt):
+        code, out, err = run_cli(
+            capsys, "simulate", "--dim", "3", "--half-width", "4", "--generator", "isotropic",
+            "--steps", "200", "--trials", "20", "--seed", "1", "--format", fmt,
+        )
+        assert (code, err) == (0, "")
+        library = ExperimentConfig(Box.cube(3, 4.0), StepGenerator("isotropic_custom", 3),
+                                   200, 20, 1)
+        assert out == emit_report(run_experiment(library), fmt)
+
+    def test_containment_violation_exits_2(self, capsys, monkeypatch):
+        # a density that accepts every step lets the sums of +-1 steps leave 2K
+        monkeypatch.setattr(harness, "cube_eigen_density", lambda box: liar_density(0.5))
+        code, out, err = run_cli(
+            capsys, "simulate", "--dim", "1", "--half-width", "0.5", "--generator", "pm1",
+            "--steps", "50", "--trials", "3", "--seed", "2",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("containment violation: trial ")
+        assert " left 2K at step " in err and err.endswith("\n")
 
     def test_huge_half_width_exits_2(self, capsys):
         code, out, err = run_cli(
@@ -451,6 +476,23 @@ class TestBounds:
         assert code == 0
         by_kind = {e["kind"]: e for e in json_lines(out)}
         assert by_kind["cube_l2"]["value"] == pytest.approx(np.pi * 6.0 / 4, rel=1e-12)
+
+    def test_norms_need_the_file_prefix(self, capsys, tmp_path):
+        steps = tmp_path / "steps.txt"
+        steps.write_text("3.0 4.0\n")
+        code, out, err = run_cli(
+            capsys, "bounds", "--dim", "2", "--half-width", "2", "--norms", str(steps),
+        )
+        assert (code, out, err) == (2, "", "error: --norms expects file:<path>\n")
+
+    def test_lines_are_the_reports_fields(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--dim", "1", "--half-width", "4", "--steps", "9")
+        steps = np.zeros((9, 1))
+        steps[:, 0] = 1.0
+        reports = matching_bounds(Box.cube(1, 4.0), steps)
+        assert len(reports) == 3
+        assert (code, out) == (0, "".join(
+            json.dumps(dataclasses.asdict(r), sort_keys=True) + "\n" for r in reports))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("half_width", [2.0, 2.5])

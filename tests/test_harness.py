@@ -48,6 +48,11 @@ class TestStepGenerator:
         with pytest.raises(ValueError):
             StepGenerator("levy_flight", 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fixed_list_vectors_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="^fixed_list vectors must be finite$"):
+            StepGenerator("fixed_list", 2, vectors=[[1.0, 0.0], [0.5, bad]])
+
     @pytest.mark.parametrize("value", ["no", "false", 1, 0, 1.0, None])
     def test_rademacher_must_be_a_bool(self, value):
         # "no" once drew signs, as a truthy string
@@ -397,6 +402,18 @@ class TestReports:
         assert run_stats_from_json(record.format(**fields)).bound_reports[0].value == 2.0
         with pytest.raises(ValueError, match=f"^{key} must be a finite number"):
             run_stats_from_json(record.format(**{**fields, key: text}))
+
+    @pytest.mark.parametrize("key, value", [("kind", 5), ("inputs_digest", None),
+                                            ("kind", True), ("inputs_digest", [1])])
+    def test_json_bound_strings_must_be_strings(self, key, value):
+        # kept, a kind 5 or digest null would be written to csv as bound,5,... or "None"
+        bound = {"kind": "cube_l2", "value": 2.0, "inputs_digest": "n=1"}
+        record = {"per_trial_discards": [3, 5], "containment_violations": 0, "mean": 4.0,
+                  "std_error": 1.0, "bound_reports": [bound]}
+        assert run_stats_from_json(json.dumps(record)).bound_reports[0].kind == "cube_l2"
+        bad = json.dumps({**record, "bound_reports": [{**bound, key: value}]})
+        with pytest.raises(ValueError, match=f"^{key} must be a string, not "):
+            run_stats_from_json(bad)
 
     def test_json_is_canonical(self):
         text = emit_report(self.stats(), "json")

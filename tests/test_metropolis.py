@@ -232,6 +232,19 @@ class TestRejectionRate:
     def test_zero_step_is_zero(self):
         assert rejection_rate_exact_1d(unit_density(), 0.0) == 0.0
 
+    def test_monte_carlo_step_must_match_the_dimension(self):
+        den = cube_eigen_density(Box.cube(2, 1.0))
+        for step in ([1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]]):
+            with pytest.raises(ValueError, match="^step dimension mismatch$"):
+                rejection_rate_monte_carlo(den, step, 10, 0)
+
+    def test_monte_carlo_rate_is_pinned(self):
+        # the kernel's accept test, complemented: these bits must not move with it
+        den = cube_eigen_density(Box.cube(3, 2.0))
+        freq, se = rejection_rate_monte_carlo(den, [1, 0, 0], 100000, 5)
+        assert freq == 0.47554
+        assert se == math.sqrt(0.47554 * (1.0 - 0.47554) / 100000)
+
     def test_matches_closed_form(self):
         den = unit_density()
         for v in (0.05, 0.2, 0.3, 0.8, 1.5, -0.3, 2.0, -2.0, 7.5, 1e300):
@@ -411,6 +424,10 @@ def assert_matches_filter_loop(den, steps, seeds):
 
 
 class TestEnsembleKernel:
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one trial$"):
+            run_ensemble(unit_density(), np.zeros((0, 5, 1)), [])
+
     @pytest.mark.parametrize(
         "hw", [[2.0], [16.0, 16.0, 16.0], [1.0] * 5, [0.5, 3.0, 40.0], [0.01, 0.2]]
     )

@@ -146,6 +146,21 @@ class TestStartShift:
                         eps = tuple(1 if bits & (1 << i) else -1 for i in range(n))
                         assert verify_start_shift(eps, t, s)
 
+    def test_runs_to_the_dp_limit(self):
+        # the DP's n <= 30 applies, not the brute-force n <= 14; the greedy
+        # reflected walk, optimal by the exhaustive checks, is the oracle
+        rng = np.random.default_rng(31)
+        for n in (20, 30):
+            for _ in range(20):
+                eps = tuple(int(e) for e in rng.choice([-1, 1], size=n))
+                t = int(rng.integers(1, 5))
+                s = int(rng.integers(-t, t + 1))
+                from_0, from_s = (len(reflected_walk(eps, t, x).indices) for x in (0, s))
+                assert from_0 <= from_s + abs(s)
+                assert verify_start_shift(eps, t, s) is True
+        with pytest.raises(ValueError, match="^dp_longest_valid is limited to n <= 30$"):
+            verify_start_shift((1,) * 31, 1, 0)
+
 
 class TestKernel:
     def test_rows_stochastic(self):
