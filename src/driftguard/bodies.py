@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "Box",
@@ -72,8 +73,82 @@ def _slabs(count: int, width: int) -> Iterator[slice]:
 
 
 def _seed(name: str, value):
-    """A random seed: a SeedSequence as it is, anything else an integer of at least 0."""
-    return value if isinstance(value, np.random.SeedSequence) else _integer(name, value, 0)
+    """A random seed: a SeedSequence, or any ISeedSequence such as the ones
+    ``_trial_seeds`` hashes a slab at a time, as it is; anything else an
+    integer of at least 0."""
+    return value if isinstance(value, ISeedSequence) else _integer(name, value, 0)
+
+
+def _hash_chain(constant: int, multiplier: int, count: int) -> tuple[tuple[int, int], ...]:
+    """The (xor, multiplier) pairs of ``count`` successive SeedSequence
+    hashes: each hash xors by the running constant, then multiplies by the
+    constant times ``multiplier`` (mod 2**32), which runs on."""
+    pairs = []
+    for _ in range(count):
+        following = constant * multiplier & 0xFFFFFFFF
+        pairs.append((constant, following))
+        constant = following
+    return tuple(pairs)
+
+
+# numpy's SeedSequence constants (O'Neill's seed_seq_fe): the 20 hashes that
+# mix 5 entropy words into the 4-word pool, and the 8 that read 4 uint64 off it
+_POOL_HASHES = _hash_chain(0x43B0D7E5, 0x931E8875, 20)
+_STATE_HASHES = _hash_chain(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_LEFT, _MIX_RIGHT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hashmix(words: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
+    words = (words ^ np.uint32(pair[0])) * np.uint32(pair[1])
+    return words ^ words >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    words = _MIX_LEFT * x - _MIX_RIGHT * y
+    return words ^ words >> 16
+
+
+class _HashedSeed:
+    """``SeedSequence(entropy, spawn_key=(key,))`` whose ``generate_state(4,
+    uint64)``, all a PCG64 asks of it, is the precomputed ``words``; any other
+    request is the SeedSequence's own."""
+
+    __slots__ = ("words", "entropy", "key")
+
+    def __init__(self, words: np.ndarray, entropy: tuple[int, int], key: int):
+        self.words, self.entropy, self.key = words, entropy, key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words == 4 and np.dtype(dtype) == np.uint64:
+            return self.words.copy()
+        seed = np.random.SeedSequence(self.entropy, spawn_key=(self.key,))
+        return seed.generate_state(n_words, dtype)
+
+
+ISeedSequence.register(_HashedSeed)
+
+
+def _trial_seeds(seed: int, trials: range, key: int) -> list:
+    """One seed a trial, each bit-equal to ``SeedSequence((seed, i),
+    spawn_key=(key,))``: numpy's hash of the entropy [seed, i, 0, 0, key]
+    into its pool and the pool's ``generate_state(4, uint64)``, run as uint32
+    array operations over all of ``trials`` at once.  A seed or trial of
+    2**32 or more is more than one entropy word, so those get SeedSequences."""
+    if not trials or (seed | trials[0] | trials[-1]) >> 32:
+        return [np.random.SeedSequence((seed, i), spawn_key=(key,)) for i in trials]
+    index = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint32)
+    zero = np.zeros_like(index)
+    hashes = iter(_POOL_HASHES)
+    pool = [_hashmix(word, next(hashes)) for word in (zero + seed, index, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(hashes)))
+    for dst in range(4):  # the spawn key, the fifth entropy word
+        pool[dst] = _mix(pool[dst], _hashmix(zero + key, next(hashes)))
+    halves = [_hashmix(pool[j % 4], pair).astype(np.uint64) for j, pair in enumerate(_STATE_HASHES)]
+    words = np.stack([low | high << 32 for low, high in zip(halves[::2], halves[1::2])], axis=1)
+    return [_HashedSeed(row, (seed, i), key) for row, i in zip(words, trials)]
 
 
 def _number(name: str, value) -> float:

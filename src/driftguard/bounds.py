@@ -32,6 +32,12 @@ class BoundReport:
     value: float
     inputs_digest: str
 
+    def __post_init__(self) -> None:
+        for key in ("kind", "inputs_digest"):
+            if not isinstance(getattr(self, key), str):
+                raise ValueError(f"{key} must be a string, not {getattr(self, key)!r}")
+        object.__setattr__(self, "value", _number("value", self.value))
+
 
 def upper_bound_general(fisher: FisherMatrix, steps) -> BoundReport:
     """(1/2) * sum_j sqrt(v_j^T I v_j) over the step sequence.

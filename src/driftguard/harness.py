@@ -2,7 +2,9 @@
 
 Each trial gets its own random streams derived from (seed, trial_index) via
 SeedSequence, one stream for step generation and one for the filter, so the
-results cannot depend on scheduling.  Trials run through ``run_ensemble``
+results cannot depend on scheduling.  The seeds are hashed for a whole slab
+of trials at once (``bodies._trial_seeds``), bit-equal to the trials' own
+SeedSequences.  Trials run through ``run_ensemble``
 a slab at a time; a trial's walk depends only on its own streams, so the
 slabs, or ``filter_run`` on one trial's steps and seed, give the same walk.
 """
@@ -16,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bodies import Box, _integer, _number, _reals, _row_norms, _seed, _slabs, cube_eigen_density
+from .bodies import (Box, _integer, _number, _reals, _row_norms, _seed, _slabs, _trial_seeds,
+                     cube_eigen_density)
 from .bounds import BoundReport, _bound_pass, _bound_reports, matching_bounds
 from .metropolis import _LOCKSTEP_WIDTH, ContainmentError, EnsembleResult, run_ensemble
 
@@ -132,6 +135,17 @@ class RunStats:
     bound_reports: tuple[BoundReport, ...]
     containment_violations: int = 0
 
+    def __post_init__(self) -> None:
+        """Counts follow the integer rule and ``mean`` and ``std_error`` the
+        number rule, so each field is a plain int, float or tuple of them."""
+        discards = tuple(_integer("per_trial_discards", x) for x in self.per_trial_discards)
+        object.__setattr__(self, "per_trial_discards", discards)
+        object.__setattr__(self, "mean", _number("mean", self.mean))
+        object.__setattr__(self, "std_error", _number("std_error", self.std_error))
+        object.__setattr__(self, "bound_reports", tuple(self.bound_reports))
+        object.__setattr__(self, "containment_violations",
+                           _integer("containment_violations", self.containment_violations))
+
 
 def trial_streams(config: ExperimentConfig) -> tuple[np.ndarray, list]:
     """Every trial's steps (m, n, d) and filter seeds: ``_slab_streams`` of all trials."""
@@ -140,11 +154,10 @@ def trial_streams(config: ExperimentConfig) -> tuple[np.ndarray, list]:
 
 def _slab_streams(config: ExperimentConfig, trials: range) -> tuple[np.ndarray, list]:
     """Steps (k, n, d) and filter seeds of the k ``trials``: trial i's
-    ``SeedSequence((seed, i)).spawn(2)``, each child built from its spawn key."""
-    entropy = [(config.seed, i) for i in trials]
-    seeds = [np.random.SeedSequence(e, spawn_key=(0,)) for e in entropy]
-    steps = _draw_steps(config.generator, config.n_steps, seeds)
-    return steps, [np.random.SeedSequence(e, spawn_key=(1,)) for e in entropy]
+    ``SeedSequence((seed, i)).spawn(2)``, both children hashed for the whole
+    slab at once by ``_trial_seeds``."""
+    steps = _draw_steps(config.generator, config.n_steps, _trial_seeds(config.seed, trials, 0))
+    return steps, _trial_seeds(config.seed, trials, 1)
 
 
 def run_experiment_ensemble(config: ExperimentConfig) -> tuple[RunStats, EnsembleResult]:
@@ -179,7 +192,7 @@ def run_experiment_ensemble(config: ExperimentConfig) -> tuple[RunStats, Ensembl
                               for f in fields(EnsembleResult)))
     discards = np.asarray(result.discards, dtype=np.int64)
     stats = RunStats(
-        per_trial_discards=tuple(int(x) for x in discards),
+        per_trial_discards=discards.tolist(),
         mean=float(np.mean(discards)),
         std_error=float(np.std(discards, ddof=1) / math.sqrt(m)) if m > 1 else 0.0,
         bound_reports=bound_reports,
@@ -227,23 +240,17 @@ def emit_report(stats: RunStats, report_format: str = "csv") -> str:
 def run_stats_from_json(text: str) -> RunStats:
     """Inverse of emit_report(..., 'json'): parse(emit(stats)) == stats.
 
-    Counts follow the integer rule and the mean, standard error and bound
-    values the number rule: a string, a bool, NaN or inf raises ValueError.
-    A bound's kind and digest that are not strings raise ValueError.
+    ``RunStats`` and ``BoundReport`` check the fields: a count that is not
+    an integer, a mean, standard error or bound value that is a string, a
+    bool, NaN or inf, and a bound kind or digest that is not a string raise
+    ValueError naming the field.
     """
     obj = json.loads(text)
-    for b in obj["bound_reports"]:
-        for key in ("kind", "inputs_digest"):
-            if not isinstance(b[key], str):
-                raise ValueError(f"{key} must be a string, not {b[key]!r}")
-    discards = obj["per_trial_discards"]
     return RunStats(
-        per_trial_discards=tuple(_integer("per_trial_discards", x) for x in discards),
-        mean=_number("mean", obj["mean"]),
-        std_error=_number("std_error", obj["std_error"]),
-        bound_reports=tuple(
-            BoundReport(b["kind"], _number("value", b["value"]), b["inputs_digest"])
-            for b in obj["bound_reports"]
-        ),
-        containment_violations=_integer("containment_violations", obj["containment_violations"]),
+        per_trial_discards=obj["per_trial_discards"],
+        mean=obj["mean"],
+        std_error=obj["std_error"],
+        bound_reports=[BoundReport(b["kind"], b["value"], b["inputs_digest"])
+                       for b in obj["bound_reports"]],
+        containment_violations=obj["containment_violations"],
     )

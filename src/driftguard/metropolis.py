@@ -56,7 +56,7 @@ _LOCKSTEP_WIDTH = 2048
 # Gauss-Legendre rule for the 1-d rejection rate, built once: leggauss is ~1.5 ms
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
-SeedLike = Union[int, np.random.SeedSequence]
+SeedLike = Union[int, np.random.bit_generator.ISeedSequence]
 
 
 class ContainmentError(RuntimeError):

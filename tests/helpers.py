@@ -2,7 +2,7 @@
 
 Everything here is deliberately written against the definitions, not against
 the library code paths it checks: the Metropolis filter stepped one proposal
-at a time, step streams from their formula, subset enumeration for longest valid subsequences, a closed-form
+at a time, step streams from their formula, what a seed gives a PCG64, subset enumeration for longest valid subsequences, a closed-form
 1-d rejection rate (also in 40-digit decimal), the cube eigen-density's
 marginal CDF, direct Gauss-Legendre integration, a Monte Carlo Fisher matrix
 from explicit outer products, a plain Monte Carlo reflected walk, the
@@ -89,6 +89,18 @@ def reference_steps(gen, n, seed):
     if gen.rademacher:
         out = out * (rng.integers(0, 2, size=n) * 2.0 - 1.0)[:, None]
     return out
+
+
+def seed_fingerprint(seed):
+    """What a seed gives a PCG64: its ``generate_state(4, uint64)`` words, and
+    the first ``standard_normal``, ``integers(0, 2)`` and ``random`` draws of
+    ``np.random.default_rng(seed)``, each from a fresh generator."""
+    return (
+        seed.generate_state(4, np.uint64).tolist(),
+        np.random.default_rng(seed).standard_normal(),
+        int(np.random.default_rng(seed).integers(0, 2)),
+        np.random.default_rng(seed).random(),
+    )
 
 
 def contains_interior(box, points):

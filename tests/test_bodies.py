@@ -28,6 +28,7 @@ from helpers import (
     fisher_outer_mean,
     leggauss_integrate,
     reference_quantile,
+    seed_fingerprint,
 )
 
 
@@ -707,3 +708,33 @@ class TestOperatorNorm:
                 assert fisher_operator_norm(fisher) == pytest.approx(
                     float(np.max(np.linalg.eigvalsh(m))), rel=1e-9, abs=1e-9
                 )
+
+
+class TestTrialSeeds:
+    # _trial_seeds computes numpy's SeedSequence hash itself, so a change to
+    # that hash in numpy must fail here rather than move every report
+    @pytest.mark.parametrize("key", [0, 1])
+    @pytest.mark.parametrize("trial", [0, 1, 2**32 - 1, 2**32])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64])
+    def test_pinned_to_seed_sequence(self, seed, trial, key):
+        [hashed] = bodies._trial_seeds(seed, range(trial, trial + 1), key)
+        reference = np.random.SeedSequence((seed, trial), spawn_key=(key,))
+        assert seed_fingerprint(hashed) == seed_fingerprint(reference)
+        for request in ((4,), (4, np.uint32), (8, np.uint64), (3, np.uint64), (1,)):
+            assert np.array_equal(hashed.generate_state(*request), reference.generate_state(*request))
+            assert hashed.generate_state(*request).dtype == reference.generate_state(*request).dtype
+
+    @pytest.mark.parametrize("seed, trials", [(5, range(0, 700)), (2**32 - 1, range(9, 400, 7)),
+                                              (3, range(2**32 - 3, 2**32 + 3)), (7, range(0))])
+    def test_a_whole_range_is_per_trial_seed_sequences(self, seed, trials):
+        for key in (0, 1):
+            hashed = bodies._trial_seeds(seed, trials, key)
+            assert len(hashed) == len(trials)
+            for trial, h in zip(trials, hashed):
+                expected = np.random.SeedSequence((seed, trial), spawn_key=(key,))
+                assert np.array_equal(h.generate_state(4, np.uint64), expected.generate_state(4, np.uint64))
+
+    def test_words_are_not_shared(self):
+        [hashed] = bodies._trial_seeds(5, range(1), 0)
+        hashed.generate_state(4, np.uint64)[:] = 0
+        assert seed_fingerprint(hashed) == seed_fingerprint(np.random.SeedSequence((5, 0), spawn_key=(0,)))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from driftguard import bodies, bounds, harness
-from driftguard.bodies import Box
+from driftguard.bodies import Box, cube_eigen_density
 from driftguard.bounds import isotropic_bound, lower_bound_1d, upper_bound_cube
 from driftguard.harness import (
     ExperimentConfig,
@@ -18,8 +18,8 @@ from driftguard.harness import (
     run_stats_from_json,
     trial_streams,
 )
-from driftguard.metropolis import ContainmentError, run_ensemble
-from helpers import reference_steps
+from driftguard.metropolis import ContainmentError, filter_run, run_ensemble
+from helpers import reference_steps, seed_fingerprint
 from test_metropolis import liar_density
 
 
@@ -217,7 +217,22 @@ class TestTrialStreams:
             step_seed, filter_seed = np.random.SeedSequence((11, i)).spawn(2)
             assert row.tobytes() == generate_steps(gen, n, step_seed).tobytes()
             assert row.tobytes() == reference_steps(gen, n, step_seed).tobytes()
-            assert seed.state == filter_seed.state
+            assert seed_fingerprint(seed) == seed_fingerprint(filter_seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32])
+    def test_seeds_replay_the_ensemble(self, seed):
+        # the seeds alone must replay each trial: its origin through
+        # default_rng(s), and its walk through filter_run on its own steps
+        config = cfg(body=Box.cube(2, 3.0), generator=StepGenerator("random_unit_sphere", 2),
+                     n_steps=40, n_trials=12, seed=seed)
+        stats, result = run_experiment_ensemble(config)
+        steps, seeds = trial_streams(config)
+        density = cube_eigen_density(config.body)
+        origins = np.stack([density.sample(np.random.default_rng(s)) for s in seeds])
+        assert np.array_equal(origins, result.origins)
+        for i, seed_i in enumerate(seeds):
+            trajectory = filter_run(density, steps[i], seed_i)
+            assert trajectory.n_discarded == stats.per_trial_discards[i]
 
 
 class TestRunExperiment:
@@ -414,6 +429,37 @@ class TestReports:
         bad = json.dumps({**record, "bound_reports": [{**bound, key: value}]})
         with pytest.raises(ValueError, match=f"^{key} must be a string, not "):
             run_stats_from_json(bad)
+
+    def test_numpy_fields_are_plain_numbers(self):
+        # numpy scalars were kept, so csv wrote mean,np.float64(4.0) and
+        # json raised TypeError on the int64
+        stats = RunStats(np.array([3, 5]), np.float64(4.0), np.float32(1.0),
+                         [bounds.BoundReport("cube_l2", np.float64(2.5), "n=1")], np.int64(0))
+        assert emit_report(stats, "csv") == emit_report(self.stats(), "csv") + 'bound,cube_l2,2.5,"n=1"\n'
+        assert run_stats_from_json(emit_report(stats, "json")) == stats
+        assert type(stats.mean) is float and type(stats.bound_reports[0].value) is float
+        assert type(stats.per_trial_discards) is tuple and type(stats.bound_reports) is tuple
+        assert all(type(x) is int for x in (*stats.per_trial_discards, stats.containment_violations))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("per_trial_discards", (3, 4.5), "per_trial_discards must be an integer"),
+        ("containment_violations", True, "containment_violations must be an integer"),
+        ("mean", "4.0", "mean must be a finite number"),
+        ("std_error", np.inf, "std_error must be a finite number"),
+    ])
+    def test_fields_are_checked_when_built(self, field, value, message):
+        fields = dict(per_trial_discards=(3, 5), mean=4.0, std_error=1.0, bound_reports=(),
+                      containment_violations=0)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            RunStats(**{**fields, field: value})
+
+    @pytest.mark.parametrize("kind, value, digest, message", [
+        (5, 1.0, "n=1", "kind must be a string"), ("cube_l2", 1.0, None, "inputs_digest must be a string"),
+        ("cube_l2", float("nan"), "n=1", "value must be a finite number"),
+    ])
+    def test_bound_fields_are_checked_when_built(self, kind, value, digest, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            bounds.BoundReport(kind, value, digest)
 
     def test_json_is_canonical(self):
         text = emit_report(self.stats(), "json")

@@ -60,6 +60,10 @@ LINES = tuple(
     "fisher --dim 3 --half-width 16 --method quadrature --nodes 128",
     "fisher --dim 8 --half-width 3 --method quadrature --nodes 128",
     "fisher --dim 2 --half-width 2 --method mc --samples 1000000 --seed 3",
+    # the largest seed whose trial seeds are hashed a slab at a time, and two
+    # past it, whose trials take SeedSequences
+    *(f"simulate --dim 3 --half-width 16 --generator unit --steps 200 --trials 700"
+      f" --format json --seed {seed}" for seed in (2**32 - 1, 2**32, 2**64)),
 )
 
 
