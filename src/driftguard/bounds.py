@@ -92,11 +92,17 @@ def isotropic_bound(box: Box, n_steps: int) -> BoundReport:
 
     It holds only for that step law (``StepGenerator("isotropic_custom")``
     draws it) and ignores the steps of a run, so no report attaches it.
+    Raises ValueError when the bound overflows a float.
     """
     n = _integer("n_steps", n_steps, 0)
     lam = dirichlet_lambda1_box(box)
-    digest = f"n={n}, d={box.dimension}, lambda1={lam}"
-    return BoundReport("isotropic", math.sqrt(lam) * n, digest)
+    try:
+        value = math.sqrt(lam) * n
+    except OverflowError:  # n itself is beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError("n_steps too large: the isotropic bound overflows")
+    return BoundReport("isotropic", value, f"n={n}, d={box.dimension}, lambda1={lam}")
 
 
 def lower_bound_1d(half_width: int, n_steps: int) -> BoundReport:
@@ -104,12 +110,17 @@ def lower_bound_1d(half_width: int, n_steps: int) -> BoundReport:
 
     Computed as an exact rational, then converted.  May be negative for
     short runs; reported raw.  The digest writes T as an integer below
-    2**53 and as its float repr from there on.
+    2**53 and as its float repr from there on.  Raises ValueError when the
+    bound or T is beyond the float range.
     """
     t = _integer("half_width", half_width, 0)
     n = _integer("n_steps", n_steps, 0)
-    value = float(Fraction(n, 2 * t + 1) - t)
-    return BoundReport("lower_1d", value, f"n={n}, T={t if t < 2**53 else float(t)!r}")
+    try:
+        value = float(Fraction(n, 2 * t + 1) - t)
+        shown = t if t < 2**53 else float(t)
+    except OverflowError:
+        raise ValueError("n_steps or half_width too large: the lower_1d bound overflows") from None
+    return BoundReport("lower_1d", value, f"n={n}, T={shown!r}")
 
 
 def matching_bounds(box: Box, steps) -> list[BoundReport]:

@@ -4,9 +4,13 @@ Each trial gets its own random streams derived from (seed, trial_index) via
 SeedSequence, one stream for step generation and one for the filter, so the
 results cannot depend on scheduling.  The seeds are hashed for a whole slab
 of trials at once (``bodies._trial_seeds``), bit-equal to the trials' own
-SeedSequences.  Trials run through ``run_ensemble``
-a slab at a time; a trial's walk depends only on its own streams, so the
-slabs, or ``filter_run`` on one trial's steps and seed, give the same walk.
+SeedSequences.  Trials run through the filter kernel a slab at a time; a
+trial's walk depends only on its own streams, so the slabs, or
+``filter_run`` on one trial's steps and seed, give the same walk.  One step
+source, ``_step_chunks``, draws every kind: sign-only kinds (fixed rows
+times a fair sign) in chunks over n that the kernel filters as they come,
+their bound sums from one unsigned row; Gaussian kinds, whose signs follow
+all n * d normals, as one whole-row chunk.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ import numpy as np
 from .bodies import (Box, _integer, _number, _reals, _row_norms, _seed, _slabs, _trial_seeds,
                      cube_eigen_density)
 from .bounds import BoundReport, _bound_pass, _bound_reports, matching_bounds
-from .metropolis import _LOCKSTEP_WIDTH, ContainmentError, EnsembleResult, run_ensemble
+from .metropolis import (_LOCKSTEP_WIDTH, ContainmentError, EnsembleResult, _chunk_length,
+                         _run_chunks, run_ensemble)
 
 __all__ = [
     "StepGenerator",
@@ -36,6 +41,8 @@ __all__ = [
 
 GENERATOR_KINDS = ("fixed_list", "random_unit_sphere", "coordinate_basis_cycle", "isotropic_custom")
 REPORT_FORMATS = ("csv", "json")
+# the kinds whose steps are fixed rows times one random sign each
+_SIGN_ONLY = ("fixed_list", "coordinate_basis_cycle")
 
 
 @dataclass(frozen=True)
@@ -81,34 +88,55 @@ def generate_steps(gen: StepGenerator, n: int, rng_seed) -> np.ndarray:
 
 
 def _draw_steps(gen: StepGenerator, n: int, seeds) -> np.ndarray:
-    """Steps (k, n, d) of k trials, trial i's from ``seeds[i]``: its normals
-    (the random kinds), then its signs; then a ``_slabs`` chunk of steps at a
-    time is scaled and signed, so no temporary grows with the slab."""
+    """Steps (k, n, d) of k trials, trial i's from ``seeds[i]``: the one
+    whole-row chunk of ``_step_chunks``."""
+    empty = np.empty((len(seeds), 0, gen.dimension))
+    return next(_step_chunks(gen, n, seeds, max(n, 1)), empty)
+
+
+def _step_chunks(gen: StepGenerator, n: int, seeds, length: int):
+    """Steps of k trials, trial i's from ``seeds[i]``, as (k, c, d) chunks of
+    ``length`` steps over n (the last may be shorter).  Each trial's generator
+    draws its normals (the Gaussian kinds), then its signs; then a ``_slabs``
+    chunk of steps at a time is scaled and signed, so no temporary grows with
+    the slab.  Sign-only kinds draw nothing but one sign a step, so chunks of
+    them are the bits of one call; a Gaussian kind's signs follow all n * d
+    normals, so it comes as one chunk whatever ``length``."""
     d = gen.dimension
-    steps = np.empty((len(seeds), n, d))
-    gaussian = gen.kind in ("random_unit_sphere", "isotropic_custom")
-    if not gaussian:
-        # np.tile, not np.resize: resize concatenates n*d/size copies one by one
-        base = gen.vectors if gen.kind == "fixed_list" else np.eye(d)
-        steps[...] = np.tile(base, (-(-n // len(base)), 1))[:n]
-    signs = np.ones((len(seeds), n), dtype=np.int8)  # 1 for +, 0 for -
-    for row, sign, seed in zip(steps, signs, seeds):
-        rng = np.random.default_rng(seed)
-        if gaussian:
-            rng.standard_normal(out=row)
-        if gen.rademacher:
-            sign[...] = rng.integers(0, 2, size=n)
-    flat, flat_signs = steps.reshape(-1, d), signs.reshape(-1)
-    for rows in _slabs(len(flat), d):
-        chunk = flat[rows]
-        divisor = flat_signs[rows] * 2.0 - 1.0  # a division by -1 flips a step exactly
-        if gaussian:
-            norms = _row_norms(chunk)
-            divisor *= np.where(norms == 0.0, 1.0, norms)
-        np.divide(chunk, divisor[:, None], out=chunk)
-        if gen.kind == "isotropic_custom":
-            chunk *= math.sqrt(d)
-    return steps
+    gaussian = gen.kind not in _SIGN_ONLY
+    length = max(n, 1) if gaussian else length
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    for start in range(0, n, length):
+        c = min(length, n - start)
+        steps = np.empty((len(rngs), c, d))
+        if not gaussian:
+            steps[...] = _cycle(gen, start, c)
+        signs = np.ones((len(rngs), c), dtype=np.int8)  # 1 for +, 0 for -
+        for row, sign, rng in zip(steps, signs, rngs):
+            if gaussian:
+                rng.standard_normal(out=row)
+            if gen.rademacher:
+                sign[...] = rng.integers(0, 2, size=c)
+        flat, flat_signs = steps.reshape(-1, d), signs.reshape(-1)
+        for rows in _slabs(len(flat), d):
+            chunk = flat[rows]
+            divisor = flat_signs[rows] * 2.0 - 1.0  # a division by -1 flips a step exactly
+            if gaussian:
+                norms = _row_norms(chunk)
+                divisor *= np.where(norms == 0.0, 1.0, norms)
+            np.divide(chunk, divisor[:, None], out=chunk)
+            if gen.kind == "isotropic_custom":
+                chunk *= math.sqrt(d)
+        yield steps
+
+
+def _cycle(gen: StepGenerator, start: int, count: int) -> np.ndarray:
+    """Unsigned steps start, ..., start + count - 1 of a sign-only kind: its
+    base rows (the fixed list, or e_1, ..., e_d) cycled, as (count, d)."""
+    base = gen.vectors if gen.kind == "fixed_list" else np.eye(gen.dimension)
+    base = np.roll(base, -(start % len(base)), axis=0)
+    # np.tile, not np.resize: resize concatenates count*d/size copies one by one
+    return np.tile(base, (-(-count // len(base)), 1))[:count]
 
 
 @dataclass(frozen=True)
@@ -166,30 +194,35 @@ def run_experiment_ensemble(config: ExperimentConfig) -> tuple[RunStats, Ensembl
     Trials run in slabs of ceil(``_LOCKSTEP_WIDTH`` / d), so one slab's
     steps and coins are alive at a time; a trial's results depend only on
     its own streams, so the slabs' results, concatenated field by field, are
-    the bits of one ensemble.  Each slab adds its per-trial sums to the bound
-    pass before its kernel runs; the least (step, trial) containment error
-    of all slabs is raised after the bound reports are made.
+    the bits of one ensemble.  A sign-only kind's slab is streamed in
+    ``_chunk_length`` chunks of steps, and its trials' bound sums are one
+    unsigned row's, as a sign leaves each step's norm as it is.  A Gaussian
+    kind's slab is its whole rows, which add their per-trial sums to the
+    bound pass before its kernel runs.  The least (step, trial) containment
+    error of all slabs is raised after the bound reports are made.
     """
     density = cube_eigen_density(config.body)
+    gen = config.generator
     m, n, d = config.n_trials, config.n_steps, config.body.dimension
     size = min(m, -(-_LOCKSTEP_WIDTH // d))
     sums = np.empty(m)
     units, parts, escapes = [], [], []
+    if gen.kind in _SIGN_ONLY:
+        sums[:], unit = _bound_pass(config.body, _cycle(gen, 0, n))
+        units.append(unit)
     for start in range(0, m, size):
         rows = slice(start, min(start + size, m))
-        steps, filter_seeds = _slab_streams(config, range(m)[rows])
-        sums[rows], unit = _bound_pass(config.body, steps)
-        units.append(unit)
         try:
-            parts.append(run_ensemble(density, steps, filter_seeds))
+            parts.append(_run_slab(config, density, range(m)[rows], sums[rows], units))
         except ContainmentError as exc:
             escapes.append((exc.step, start + exc.trial, exc.accepted_sum))
-        del steps  # before the next slab's are built
     bound_reports = tuple(_bound_reports(config.body, sums, all(units), n))
     if escapes:  # a later slab's violation may come at an earlier step
         raise ContainmentError(*min(escapes, key=lambda escape: escape[:2]))
-    result = EnsembleResult(*(np.concatenate([getattr(part, f.name) for part in parts])
-                              for f in fields(EnsembleResult)))
+    # one slab's result as it is: a concatenation would copy its (m, n) accept flags
+    result = parts[0] if len(parts) == 1 else EnsembleResult(
+        *(np.concatenate([getattr(part, f.name) for part in parts])
+          for f in fields(EnsembleResult)))
     discards = np.asarray(result.discards, dtype=np.int64)
     stats = RunStats(
         per_trial_discards=discards.tolist(),
@@ -199,6 +232,23 @@ def run_experiment_ensemble(config: ExperimentConfig) -> tuple[RunStats, Ensembl
         containment_violations=0,
     )
     return stats, result
+
+
+def _run_slab(config: ExperimentConfig, density, trials: range, sums, units) -> EnsembleResult:
+    """The ensemble of one slab of ``trials``, whose steps are freed on return.
+    A sign-only kind's steps are drawn and filtered in ``_chunk_length``
+    chunks; a Gaussian kind's whole rows first write their per-trial bound
+    ``sums`` (the slab's view) and append whether ``lower_1d`` attaches to
+    ``units``."""
+    gen, n = config.generator, config.n_steps
+    if gen.kind in _SIGN_ONLY:
+        length = _chunk_length(len(trials) * gen.dimension)
+        chunks = _step_chunks(gen, n, _trial_seeds(config.seed, trials, 0), length)
+        return _run_chunks(density, _trial_seeds(config.seed, trials, 1), n, chunks)
+    steps, filter_seeds = _slab_streams(config, trials)
+    sums[...], unit = _bound_pass(config.body, steps)
+    units.append(unit)
+    return run_ensemble(density, steps, filter_seeds)
 
 
 def run_experiment(config: ExperimentConfig) -> RunStats:

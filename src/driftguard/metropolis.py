@@ -10,12 +10,15 @@ support, so their difference cannot leave 2K.
 The acceptance ratio is computed in log space and one uniform coin is
 consumed per step whether or not the proposal can be rejected, which keeps
 the random stream independent of the data.  There is one kernel,
-``run_ensemble``, no trial's arithmetic depending on another's, and
-``filter_run`` is its one-trial case.  It draws every trial's origin in
-one batched inverse-CDF pass and runs the steps in blocks, each through one
-of two bodies chosen by the ensemble's width m * d.  A wide ensemble steps
-all its trials in lockstep, one vectorized filter step at a time.  A
-narrow one (``filter_run`` among them) pre-fetches: each trial assumes its
+``_run_chunks``, no trial's arithmetic depending on another's: it draws
+every trial's origin in one batched inverse-CDF pass, then takes the steps
+as chunks over n, drawing each chunk's coins when it reaches it, so a
+streamed run holds one chunk of steps and coins (the harness streams
+sign-only walks so).  ``run_ensemble`` is its one-chunk case and
+``filter_run`` that with one trial.  The kernel runs the steps in blocks,
+each through one of two bodies chosen by the ensemble's width m * d.  A
+wide ensemble steps all its trials in lockstep, one vectorized filter step
+at a time.  A narrow one (``filter_run`` among them) pre-fetches: each trial assumes its
 next few steps are all accepted, decides them in one call and commits up to
 its first rejection.  Both bodies compute the same floats and decisions, by
 one accept test that ``rejection_rate_monte_carlo`` shares.  The kernel
@@ -31,6 +34,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from . import bodies
 from .bodies import Density, _integer, _number, _reals, _seed, _slabs
 
 __all__ = [
@@ -112,9 +116,10 @@ def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> Ensemble
     axis-major (d, m) state.  Narrow ones take ``_accept_runs``, which
     commits each trial's run of accepted steps a window at a time.  Both
     make the same floats and decisions, as ``log_density`` gives each point
-    one float whatever the layout.
+    one float whatever the layout.  This is ``_run_chunks`` with all n steps
+    as one chunk.
     """
-    steps = np.ascontiguousarray(_reals("steps", steps))  # the windows read it as (m * n, d)
+    steps = np.ascontiguousarray(_reals("steps", steps))  # the windows read it as (m * c, d)
     if steps.ndim != 3 or steps.shape[2] != density.dimension:
         raise ValueError("steps must have shape (m, n, d)")
     m, n, d = steps.shape
@@ -122,13 +127,36 @@ def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> Ensemble
         raise ValueError("need at least one trial")
     if len(seeds) != m:
         raise ValueError("need one seed per trial")
+    return _run_chunks(density, seeds, n, [steps])
+
+
+def _chunk_length(width: int) -> int:
+    """Steps in each chunk ``_run_chunks`` takes from a stream ``width``
+    (trials * d) lanes wide: whole kernel blocks (``_slabs(n, width)``'s),
+    at least ``_SLAB // 16`` steps, so that a trial's draw of a chunk's signs
+    or coins is long enough for the call's own cost not to show, and an odd
+    number of blocks.  An even count of power-of-two blocks (32 steps at
+    2048 lanes) puts the trials' rows a multiple of 4 KiB apart, on the same
+    cache sets: 2000 trials of 2e4 +-1 steps ran ~10% slower so."""
+    block = max(1, bodies._SLAB // max(1, width))
+    return block * (max(1, -(-(bodies._SLAB // 16) // block)) | 1)
+
+
+def _run_chunks(density: Density, seeds, n: int, chunks) -> EnsembleResult:
+    """``run_ensemble`` of m trials with their n steps as (m, c, d) chunks, in order.
+
+    The origins, filter generators and walk state are set up once.  Each
+    C-contiguous float chunk is filtered as it comes, and each trial's c
+    coins are drawn when it is reached; numpy draws the same coins in
+    pieces as in one call.  A chunk of whole kernel blocks
+    (``_chunk_length``) runs the blocks one pass would; any chunking gives
+    the same floats and decisions, as each block resumes from the walk's
+    state.  Beyond a chunk, only the (m, n) accept flags grow with n.
+    """
+    m, d = len(seeds), density.dimension
     speculative = m * d <= _SPECULATIVE_WIDTH
     gens = [np.random.default_rng(_seed("seeds", s)) for s in seeds]
     origins = density.quantile(np.concatenate([g.uniform(size=(1, d)) for g in gens]))
-    # trial-major (m, n), filled in place: random(out=row) gives uniform(size=n)'s doubles
-    coins = np.empty((m, n))
-    for g, row in zip(gens, coins):
-        g.random(out=row)
     hw = density.support.half_widths
     with np.errstate(over="ignore"):  # inf for T near 9e307, where no finite |sum| exceeds it
         limit = (2.0 * hw + _CONTAINMENT_TOL * hw)[:, None]
@@ -140,25 +168,34 @@ def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> Ensemble
     max_abs = np.zeros(m)
     proposal = np.empty((d, m))
     prob = np.empty(m)
-    for block in _slabs(n, m * d):
-        if not np.isfinite(steps[:, block]).all():
-            raise ValueError("steps have non-finite entries")
-        if speculative:
-            positions = _accept_runs(density, steps, coins, state.T, log_current, accepted, block)
-        else:
-            positions = np.empty((block.stop - block.start, d, m))
-            # the block's coins and decisions, step-major (b, m)
-            step_coins = np.ascontiguousarray(coins[:, block].T)
-            acc = np.empty(step_coins.shape, dtype=bool)
-            for j, k in enumerate(range(block.start, block.stop)):
-                np.add(state, steps[:, k].T, out=proposal)
-                log_new = density.log_density(proposal.T)
-                _accept(step_coins[j], np.subtract(log_new, log_current, out=prob), acc[j])
-                np.copyto(state, proposal, where=acc[j])
-                np.copyto(log_current, log_new, where=acc[j])
-                positions[j] = state
-            accepted[:, block] = acc.T
-        _check_containment(positions, first, limit, max_abs, block.start)
+    done = 0  # steps of every trial filtered so far
+    for steps in chunks:
+        c = steps.shape[1]
+        # trial-major (m, c), filled in place: random(out=row) gives uniform(size=c)'s doubles
+        coins = np.empty((m, c))
+        for g, row in zip(gens, coins):
+            g.random(out=row)
+        for block in _slabs(c, m * d):
+            if not np.isfinite(steps[:, block]).all():
+                raise ValueError("steps have non-finite entries")
+            if speculative:
+                acc, positions = _accept_runs(density, steps, coins, state.T, log_current, block)
+            else:
+                positions = np.empty((block.stop - block.start, d, m))
+                # the block's coins and decisions, step-major (b, m)
+                step_coins = np.ascontiguousarray(coins[:, block].T)
+                acc = np.empty(step_coins.shape, dtype=bool)
+                for j, k in enumerate(range(block.start, block.stop)):
+                    np.add(state, steps[:, k].T, out=proposal)
+                    log_new = density.log_density(proposal.T)
+                    _accept(step_coins[j], np.subtract(log_new, log_current, out=prob), acc[j])
+                    np.copyto(state, proposal, where=acc[j])
+                    np.copyto(log_current, log_new, where=acc[j])
+                    positions[j] = state
+                acc = acc.T
+            accepted[:, done + block.start : done + block.stop] = acc
+            _check_containment(positions, first, limit, max_abs, done + block.start)
+        done += c
     return EnsembleResult(
         origins=origins, finals=state.T.copy(), accepted=accepted, max_abs_sums=max_abs
     )
@@ -170,8 +207,8 @@ def _accept(coins, log_ratio, out=None) -> np.ndarray:
     return np.less(coins, np.exp(log_ratio, out=log_ratio), out=out)
 
 
-def _accept_runs(density, steps, coins, current, log_current, accepted, block) -> np.ndarray:
-    """Filter the ``block`` slice of every trial's steps, a window of accept runs at a time.
+def _accept_runs(density, steps, coins, current, log_current, block) -> tuple:
+    """Filter a chunk's ``block`` of every trial's steps, a window of accept runs at a time.
 
     Pre-fetching Metropolis (Brockwell 2006): each trial assumes its next
     ``_WINDOW`` steps are all accepted, builds those candidates as one
@@ -179,23 +216,23 @@ def _accept_runs(density, steps, coins, current, log_current, accepted, block) -
     decides the whole (m, W) window with one ``log_density`` call, and
     commits its steps up to and including the first rejection.  Windows
     are clipped at the block end, and each trial keeps its own step
-    pointer.  ``coins`` is trial-major (m, n); ``current``, ``log_current``
-    and ``accepted`` are updated in place.
+    pointer.  ``steps`` is the (m, c, d) chunk and ``coins`` its trial-major
+    (m, c) coins; ``current`` and ``log_current`` are updated in place.
 
-    Returns the block's axis-major (b, d, m) positions, rebuilt from
-    ``accepted`` by one sequential cumsum down the steps from the block's
-    start.  A discarded step adds -0.0, the exact additive identity (+0.0
-    would turn a -0.0 coordinate into 0.0), so each row is the float the
-    walk held.
+    Returns the block's (m, b) decisions and its axis-major (b, d, m)
+    positions, rebuilt from the decisions by one sequential cumsum down the
+    steps from the block's start.  A discarded step adds -0.0, the exact
+    additive identity (+0.0 would turn a -0.0 coordinate into 0.0), so each
+    row is the float the walk held.
     """
-    m, n, d = steps.shape
+    m, c, d = steps.shape
     start, stop = block.start, block.stop
-    flat_steps = steps.reshape(m * n, d)
-    flat_coins = coins.reshape(m * n)
+    flat_steps = steps.reshape(m * c, d)
+    flat_coins = coins.reshape(m * c)
     rows = np.arange(m)
     offsets = np.arange(_WINDOW)
-    head = rows * n + start  # each trial's next step, as a flat index
-    end = rows * n + stop
+    head = rows * c + start  # each trial's next step, as a flat index into the chunk
+    end = rows * c + stop
     last = (end - 1)[:, None]
     idx = np.empty((m, _WINDOW), dtype=np.intp)
     run = np.empty(m, dtype=np.intp)
@@ -207,7 +244,7 @@ def _accept_runs(density, steps, coins, current, log_current, accepted, block) -
     prob = np.empty((m, _WINDOW))
     # the last column stays False, so a fully accepted window's argmin is W
     ok = np.zeros((m, _WINDOW + 1), dtype=bool)
-    rejected = []  # flat indices of the committed rejections
+    rejected = []  # flat chunk indices of the committed rejections
     # candidates past a window's first rejection, or past its block end, are
     # never committed: their overflow and the NaN of -inf - -inf do not matter
     with np.errstate(over="ignore", invalid="ignore"):
@@ -226,14 +263,15 @@ def _accept_runs(density, steps, coins, current, log_current, accepted, block) -
             hit = run < avail  # the window's first rejection is committed too
             rejected.append(head[hit])
             head += hit
-    accepted[:, block] = True
-    accepted.reshape(m * n)[np.concatenate(rejected)] = False
+    acc = np.ones((m, stop - start), dtype=bool)
+    trial, step = np.divmod(np.concatenate(rejected), c)
+    acc[trial, step - start] = False
     moves = steps[:, block].transpose(1, 2, 0).copy()  # a copy, not a view, even at m = 1
-    np.copyto(moves, -0.0, where=~accepted[:, block].T[:, None])
+    np.copyto(moves, -0.0, where=~acc.T[:, None])
     moves[0] += current.T  # the sums run from the block's start, as cumsum([current, ...])
     current[...] = cand[:, 0]
     log_current[...] = logs[:, 0]
-    return np.cumsum(moves, axis=0, out=moves)
+    return acc, np.cumsum(moves, axis=0, out=moves)
 
 
 def _check_containment(positions, origins, limit, max_abs, start) -> None:

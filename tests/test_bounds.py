@@ -373,6 +373,14 @@ class TestIsotropicBound:
         with pytest.raises(ValueError):
             isotropic_bound(Box.cube(1, 1.0), -1)
 
+    @pytest.mark.parametrize("box, n", [(Box.cube(1, 1.0), 10**400), (Box.cube(1, 1e-150), 10**300)],
+                             ids=["n=1e400", "T=1e-150,n=1e300"])
+    def test_overflow_raises_value_error(self, box, n):
+        # n beyond the float range raised OverflowError; a finite n whose
+        # bound is inf raised the report's own non-finite value error
+        with pytest.raises(ValueError, match="^n_steps too large: the isotropic bound overflows$"):
+            isotropic_bound(box, n)
+
 
 class TestLowerBound1d:
     def test_t2_n100(self):
@@ -400,6 +408,15 @@ class TestLowerBound1d:
             lower_bound_1d(-1, 10)
         with pytest.raises(ValueError):
             lower_bound_1d(1, -10)
+
+    # n / (2T + 1) beyond the float range, the bound's -T, and T's digest
+    # alone (the last bound is -0.5 to a float)
+    @pytest.mark.parametrize("t, n", [(1, 10**400), (10**400, 5), (10**400, 2 * 10**800)],
+                             ids=["n=1e400", "T=1e400", "T=1e400,n=2e800"])
+    def test_overflow_raises_value_error(self, t, n):
+        message = "^n_steps or half_width too large: the lower_1d bound overflows$"
+        with pytest.raises(ValueError, match=message):
+            lower_bound_1d(t, n)
 
 
 class TestOrderingAndMonotonicity:

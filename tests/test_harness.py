@@ -1,12 +1,13 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from driftguard import bodies, bounds, harness
+from driftguard import bodies, bounds, harness, metropolis
 from driftguard.bodies import Box, cube_eigen_density
-from driftguard.bounds import isotropic_bound, lower_bound_1d, upper_bound_cube
+from driftguard.bounds import isotropic_bound, lower_bound_1d, matching_bounds, upper_bound_cube
 from driftguard.harness import (
     ExperimentConfig,
     RunStats,
@@ -18,9 +19,9 @@ from driftguard.harness import (
     run_stats_from_json,
     trial_streams,
 )
-from driftguard.metropolis import ContainmentError, filter_run, run_ensemble
-from helpers import reference_steps, seed_fingerprint
-from test_metropolis import liar_density
+from driftguard.metropolis import ContainmentError, EnsembleResult, filter_run, run_ensemble
+from helpers import filter_loop, reference_steps, seed_fingerprint
+from test_metropolis import BODIES, liar_density
 
 
 def cfg(**overrides):
@@ -233,6 +234,94 @@ class TestTrialStreams:
         for i, seed_i in enumerate(seeds):
             trajectory = filter_run(density, steps[i], seed_i)
             assert trajectory.n_discarded == stats.per_trial_discards[i]
+
+
+class TestStreamedChunks:
+    """Sign-only walks are drawn and filtered a chunk of steps at a time.
+
+    ``bodies._SLAB`` = 64 cuts n = 90 steps of 3 trials into chunks of 21
+    steps at d = 1 (one block), 6 at d = 8 (three) and 5 at d = 64 (five);
+    each reference runs first, at the default budget, where every walk here
+    is one chunk.
+    """
+
+    SLAB = 64
+
+    @pytest.mark.parametrize("draw", ["integers", "random", "standard_normal"])
+    def test_split_draws_are_one_call(self, draw):
+        # the chunks rest on numpy drawing the same values in pieces of any
+        # length, odd or even, as in one call; a change to how a generator
+        # buffers its words would move reports, and fails here instead
+        lengths = [1, 2, 3, 1000, 4095, 4096, 7, 1, 6]
+        seed = np.random.SeedSequence((7, 3))
+
+        def values(rng, size):
+            if draw == "integers":
+                return rng.integers(0, 2, size=size)
+            if draw == "random":
+                out = np.empty(size)
+                rng.random(out=out)  # as the kernel fills a chunk's coins
+                return out
+            return rng.standard_normal(size=size)
+
+        whole = values(np.random.default_rng(seed), sum(lengths))
+        rng = np.random.default_rng(seed)
+        pieces = np.concatenate([values(rng, size) for size in lengths])
+        assert pieces.dtype == whole.dtype
+        assert pieces.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("body", BODIES)
+    @pytest.mark.parametrize("rademacher", [True, False])
+    @pytest.mark.parametrize(
+        "box",
+        [Box.cube(1, 3.0), Box(np.linspace(1.5, 6.0, 8)), Box(np.geomspace(1.0, 8.0, 64))],
+        ids=["d1", "d8", "d64"],
+    )
+    def test_fixed_list_chunks_are_one_pass(self, monkeypatch, body, rademacher, box):
+        d, m, n = box.dimension, 3, 90
+        monkeypatch.setattr(metropolis, "_SPECULATIVE_WIDTH", 0 if body == "lockstep" else 1 << 62)
+        vectors = np.random.default_rng(d).normal(size=(5, d)) * 0.7
+        vectors[2] = 0.0  # a zero step, which a sign turns into -0.0
+        config = cfg(body=box, generator=StepGenerator("fixed_list", d, rademacher, vectors),
+                     n_steps=n, n_trials=m, seed=13)
+        density = cube_eigen_density(box)
+        steps, seeds = trial_streams(config)
+        one_pass = run_ensemble(density, steps, seeds)
+        report = emit_report(run_experiment(config), "json")
+        monkeypatch.setattr(bodies, "_SLAB", self.SLAB)
+        assert n > 2 * metropolis._chunk_length(m * d)  # three chunks or more
+        stats, result = run_experiment_ensemble(config)
+        assert emit_report(stats, "json") == report
+        assert stats.bound_reports == tuple(matching_bounds(box, steps))
+        for field in dataclasses.fields(EnsembleResult):
+            got, expected = getattr(result, field.name), getattr(one_pass, field.name)
+            assert got.tobytes() == expected.tobytes(), field.name
+        for i in range(m):
+            loop = filter_loop(density, steps[i], seeds[i])
+            assert np.array_equal(result.accepted[i], loop.accepted)
+            assert result.origins[i].tobytes() == loop.origin.tobytes()
+            assert result.finals[i].tobytes() == loop.final.tobytes()
+            assert result.max_abs_sums[i] == np.max(np.abs(loop.sums))
+        assert 0 < np.count_nonzero(~result.accepted) < m * n  # both decisions occur
+
+    @pytest.mark.parametrize("body", BODIES)
+    def test_escape_in_a_later_chunk_is_the_one_pass_escape(self, monkeypatch, body):
+        # liars accept every +-1 step, so a sum leaves 2K = 12 in the fourth
+        # 21-step chunk or later
+        t = 6.0
+        monkeypatch.setattr(metropolis, "_SPECULATIVE_WIDTH", 0 if body == "lockstep" else 1 << 62)
+        config = cfg(body=Box.cube(1, t), generator=StepGenerator("coordinate_basis_cycle", 1),
+                     n_steps=400, n_trials=3, seed=2)
+        with pytest.raises(ContainmentError) as one_pass:
+            run_ensemble(liar_density(t), *trial_streams(config))
+        monkeypatch.setattr(bodies, "_SLAB", self.SLAB)
+        monkeypatch.setattr(harness, "cube_eigen_density", lambda box: liar_density(t))
+        with pytest.raises(ContainmentError) as chunked:
+            run_experiment(config)
+        assert one_pass.value.step >= 3 * metropolis._chunk_length(3)
+        got, expected = chunked.value, one_pass.value
+        assert (got.step, got.trial) == (expected.step, expected.trial)
+        assert got.accepted_sum.tobytes() == expected.accepted_sum.tobytes()
 
 
 class TestRunExperiment:

@@ -27,6 +27,7 @@ from driftguard.harness import (
 from driftguard.metropolis import EnsembleResult, run_ensemble
 from driftguard.oracle1d import dp_longest_valid, exact_chain_expectation
 from helpers import leggauss_integrate
+from test_metropolis import liar_density
 
 MIB = 1 << 20
 
@@ -235,6 +236,22 @@ class TestTrialSlabs:
         extra = 8 * bodies._SLAB * 8  # eight path buffers' worth
         assert slab + m * n + extra < m * n * d * 8
         assert peak_bytes(lambda: run_experiment(config)) <= slab + m * n + extra
+
+
+class TestStreamedMemory:
+    def test_long_pm1_run_holds_its_flags_and_a_few_chunks(self, monkeypatch):
+        # one slab of 16 trials: the bound pass takes one unsigned row, and
+        # the kernel a 4096-step chunk of steps and coins at a time, so the
+        # peak is the (m, n) accept flags, 1 byte a trial-step, plus buffers
+        # of a few k * c = _SLAB values; whole rows of steps and coins took
+        # ~17 bytes a trial-step.  The density is a liar with a support too
+        # wide to leave: it accepts every step, so the kernel runs fewer
+        # windows under tracemalloc, and buffers do not depend on decisions.
+        m, n, d = 16, 400_000, 1
+        monkeypatch.setattr(harness, "cube_eigen_density", lambda box: liar_density(1e6))
+        config = ExperimentConfig(Box.cube(d, 8.0), StepGenerator("coordinate_basis_cycle", d),
+                                  n, m, 1)
+        assert peak_bytes(lambda: run_experiment(config)) <= m * n + 16 * bodies._SLAB * 8
 
 
 class TestOracleState:

@@ -64,6 +64,12 @@ LINES = tuple(
     # past it, whose trials take SeedSequences
     *(f"simulate --dim 3 --half-width 16 --generator unit --steps 200 --trials 700"
       f" --format json --seed {seed}" for seed in (2**32 - 1, 2**32, 2**64)),
+    # pm1 walks at d > 1 whose n spans several chunks of streamed steps and
+    # coins: 20 trials in lockstep (7 chunks), 8 pre-fetching (5 chunks)
+    "simulate --dim 8 --half-width 5 --generator pm1 --steps 30000 --trials 20"
+    " --format json --seed 1",
+    "simulate --dim 4 --half-width 5 --generator pm1 --steps 30000 --trials 8"
+    " --format json --seed 2",
 )
 
 
