@@ -7,10 +7,12 @@ of trials at once (``bodies._trial_seeds``), bit-equal to the trials' own
 SeedSequences.  Trials run through the filter kernel a slab at a time; a
 trial's walk depends only on its own streams, so the slabs, or
 ``filter_run`` on one trial's steps and seed, give the same walk.  One step
-source, ``_step_chunks``, draws every kind: sign-only kinds (fixed rows
-times a fair sign) in chunks over n that the kernel filters as they come,
-their bound sums from one unsigned row; Gaussian kinds, whose signs follow
-all n * d normals, as one whole-row chunk.
+source, ``_slab_steps``, is the only code that tells the kinds apart: it
+gives a slab's rows for the bound pass and its chunks for the kernel.  A
+sign-only kind (fixed rows times a fair sign) gives one unsigned row, whose
+norms are every trial's, and chunks over n drawn as the kernel filters
+them; a Gaussian kind, whose signs follow all n * d normals, gives its
+whole rows, as one chunk.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .bodies import (Box, _integer, _number, _reals, _row_norms, _seed, _slabs, 
                      cube_eigen_density)
 from .bounds import BoundReport, _bound_pass, _bound_reports, matching_bounds
 from .metropolis import (_LOCKSTEP_WIDTH, ContainmentError, EnsembleResult, _chunk_length,
-                         _run_chunks, run_ensemble)
+                         _run_chunks)
 
 __all__ = [
     "StepGenerator",
@@ -87,6 +89,20 @@ def generate_steps(gen: StepGenerator, n: int, rng_seed) -> np.ndarray:
     return _draw_steps(gen, _integer("n", n, 0), [_seed("rng_seed", rng_seed)])[0]
 
 
+def _slab_steps(gen: StepGenerator, n: int, seeds) -> tuple:
+    """The steps of k trials, trial i's from ``seeds[i]``, as the rows the
+    bound pass reads and the (k, c, d) chunks the kernel filters.  A sign
+    leaves a norm as it is, so a sign-only kind's rows are its one unsigned
+    (n, d) row, every trial's norms, and its chunks are ``_chunk_length``
+    steps, drawn as the kernel reaches them.  A Gaussian kind's rows are its
+    whole (k, n, d) steps, and they are its one chunk."""
+    if gen.kind not in _SIGN_ONLY:
+        steps = _draw_steps(gen, n, seeds)
+        return steps, [steps]
+    length = _chunk_length(len(seeds) * gen.dimension)
+    return _cycle(gen, 0, n), _step_chunks(gen, n, seeds, length)
+
+
 def _draw_steps(gen: StepGenerator, n: int, seeds) -> np.ndarray:
     """Steps (k, n, d) of k trials, trial i's from ``seeds[i]``: the one
     whole-row chunk of ``_step_chunks``."""
@@ -101,10 +117,9 @@ def _step_chunks(gen: StepGenerator, n: int, seeds, length: int):
     chunk of steps at a time is scaled and signed, so no temporary grows with
     the slab.  Sign-only kinds draw nothing but one sign a step, so chunks of
     them are the bits of one call; a Gaussian kind's signs follow all n * d
-    normals, so it comes as one chunk whatever ``length``."""
+    normals, so it takes ``length`` >= n, one chunk."""
     d = gen.dimension
     gaussian = gen.kind not in _SIGN_ONLY
-    length = max(n, 1) if gaussian else length
     rngs = [np.random.default_rng(seed) for seed in seeds]
     for start in range(0, n, length):
         c = min(length, n - start)
@@ -176,14 +191,10 @@ class RunStats:
 
 
 def trial_streams(config: ExperimentConfig) -> tuple[np.ndarray, list]:
-    """Every trial's steps (m, n, d) and filter seeds: ``_slab_streams`` of all trials."""
-    return _slab_streams(config, range(config.n_trials))
-
-
-def _slab_streams(config: ExperimentConfig, trials: range) -> tuple[np.ndarray, list]:
-    """Steps (k, n, d) and filter seeds of the k ``trials``: trial i's
-    ``SeedSequence((seed, i)).spawn(2)``, both children hashed for the whole
-    slab at once by ``_trial_seeds``."""
+    """Every trial's steps (m, n, d) and filter seeds: trial i's
+    ``SeedSequence((seed, i)).spawn(2)``, hashed for all trials at once by
+    ``_trial_seeds``."""
+    trials = range(config.n_trials)
     steps = _draw_steps(config.generator, config.n_steps, _trial_seeds(config.seed, trials, 0))
     return steps, _trial_seeds(config.seed, trials, 1)
 
@@ -191,31 +202,31 @@ def _slab_streams(config: ExperimentConfig, trials: range) -> tuple[np.ndarray, 
 def run_experiment_ensemble(config: ExperimentConfig) -> tuple[RunStats, EnsembleResult]:
     """run_experiment, also returning the raw ensemble for further checks.
 
-    Trials run in slabs of ceil(``_LOCKSTEP_WIDTH`` / d), so one slab's
-    steps and coins are alive at a time; a trial's results depend only on
-    its own streams, so the slabs' results, concatenated field by field, are
-    the bits of one ensemble.  A sign-only kind's slab is streamed in
-    ``_chunk_length`` chunks of steps, and its trials' bound sums are one
-    unsigned row's, as a sign leaves each step's norm as it is.  A Gaussian
-    kind's slab is its whole rows, which add their per-trial sums to the
-    bound pass before its kernel runs.  The least (step, trial) containment
-    error of all slabs is raised after the bound reports are made.
+    Trials run in slabs of ceil(``_LOCKSTEP_WIDTH`` / d); a trial's results
+    depend only on its own streams, so the slabs' results, concatenated
+    field by field, are the bits of one ensemble.  Each slab takes its rows
+    and chunks from ``_slab_steps``, writes its trials' bound sums from the
+    rows and drops them, then filters the chunks; its steps are dropped
+    before the next slab's are drawn, so one slab's steps and coins are
+    alive at a time.  The least (step, trial) containment error of all
+    slabs is raised after the bound reports are made.
     """
     density = cube_eigen_density(config.body)
-    gen = config.generator
     m, n, d = config.n_trials, config.n_steps, config.body.dimension
     size = min(m, -(-_LOCKSTEP_WIDTH // d))
     sums = np.empty(m)
     units, parts, escapes = [], [], []
-    if gen.kind in _SIGN_ONLY:
-        sums[:], unit = _bound_pass(config.body, _cycle(gen, 0, n))
-        units.append(unit)
     for start in range(0, m, size):
-        rows = slice(start, min(start + size, m))
+        trials = range(start, min(start + size, m))
+        rows, chunks = _slab_steps(config.generator, n, _trial_seeds(config.seed, trials, 0))
+        sums[start : trials.stop], unit = _bound_pass(config.body, rows)
+        units.append(unit)
+        del rows  # a sign-only slab's kernel holds a chunk, not the unsigned row
         try:
-            parts.append(_run_slab(config, density, range(m)[rows], sums[rows], units))
+            parts.append(_run_chunks(density, _trial_seeds(config.seed, trials, 1), n, chunks))
         except ContainmentError as exc:
             escapes.append((exc.step, start + exc.trial, exc.accepted_sum))
+        del chunks  # before the next slab's steps are drawn
     bound_reports = tuple(_bound_reports(config.body, sums, all(units), n))
     if escapes:  # a later slab's violation may come at an earlier step
         raise ContainmentError(*min(escapes, key=lambda escape: escape[:2]))
@@ -232,23 +243,6 @@ def run_experiment_ensemble(config: ExperimentConfig) -> tuple[RunStats, Ensembl
         containment_violations=0,
     )
     return stats, result
-
-
-def _run_slab(config: ExperimentConfig, density, trials: range, sums, units) -> EnsembleResult:
-    """The ensemble of one slab of ``trials``, whose steps are freed on return.
-    A sign-only kind's steps are drawn and filtered in ``_chunk_length``
-    chunks; a Gaussian kind's whole rows first write their per-trial bound
-    ``sums`` (the slab's view) and append whether ``lower_1d`` attaches to
-    ``units``."""
-    gen, n = config.generator, config.n_steps
-    if gen.kind in _SIGN_ONLY:
-        length = _chunk_length(len(trials) * gen.dimension)
-        chunks = _step_chunks(gen, n, _trial_seeds(config.seed, trials, 0), length)
-        return _run_chunks(density, _trial_seeds(config.seed, trials, 1), n, chunks)
-    steps, filter_seeds = _slab_streams(config, trials)
-    sums[...], unit = _bound_pass(config.body, steps)
-    units.append(unit)
-    return run_ensemble(density, steps, filter_seeds)
 
 
 def run_experiment(config: ExperimentConfig) -> RunStats:

@@ -13,18 +13,19 @@ the random stream independent of the data.  There is one kernel,
 ``_run_chunks``, no trial's arithmetic depending on another's: it draws
 every trial's origin in one batched inverse-CDF pass, then takes the steps
 as chunks over n, drawing each chunk's coins when it reaches it, so a
-streamed run holds one chunk of steps and coins (the harness streams
-sign-only walks so).  ``run_ensemble`` is its one-chunk case and
-``filter_run`` that with one trial.  The kernel runs the steps in blocks,
-each through one of two bodies chosen by the ensemble's width m * d.  A
-wide ensemble steps all its trials in lockstep, one vectorized filter step
-at a time.  A narrow one (``filter_run`` among them) pre-fetches: each trial assumes its
-next few steps are all accepted, decides them in one call and commits up to
-its first rejection.  Both bodies compute the same floats and decisions, by
-one accept test that ``rejection_rate_monte_carlo`` shares.  The kernel
-checks 2K containment once per block of steps rather than after each step;
-the first violation it reports (step, lowest trial, accepted sum) is the
-one a per-step check would report.
+streamed run holds one chunk of steps and coins.  The harness filters
+every slab through it, whatever the step kind; ``run_ensemble`` is its
+one-chunk case and ``filter_run`` that with one trial.  The kernel runs
+the steps in blocks, each through one of two bodies chosen by the
+ensemble's width m * d.  A wide ensemble steps all its trials in lockstep,
+one vectorized filter step at a time.  A narrow one (``filter_run`` among
+them) pre-fetches: each trial assumes its next few steps are all accepted,
+decides them in one call and commits up to its first rejection.  Both
+bodies compute the same floats and decisions, by one accept test that
+``rejection_rate_monte_carlo`` shares.  The kernel checks 2K containment
+once per block of steps rather than after each step; the first violation
+it reports (step, lowest trial, accepted sum) is the one a per-step check
+would report.
 """
 
 from __future__ import annotations

@@ -237,20 +237,20 @@ class TestSimulate:
         # the density is built before the filter runs, so no run is
         # wasted and no overflow warning precedes the error line
         runs = []
-        monkeypatch.setattr(harness, "run_ensemble", lambda *args: runs.append(args))
+        monkeypatch.setattr(harness, "_run_chunks", lambda *args: runs.append(args))
         code, out, err = run_cli(
             capsys, "simulate", "--half-width", "1e308", "--steps", "3", "--trials", "2"
         )
         assert (code, out, err) == (2, "", "error: half_widths too large: 2 T overflows\n")
         assert runs == []
 
-    def test_huge_half_width_fails_before_the_streams(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("generator", ["unit", "pm1"])
+    def test_huge_half_width_fails_before_the_streams(self, capsys, monkeypatch, generator):
         # no trial slab's steps are built for a half-width the density rejects
         calls = []
-        monkeypatch.setattr(harness, "_slab_streams", lambda *args: calls.append(args))
-        code, out, err = run_cli(
-            capsys, "simulate", "--half-width", "1e308", "--steps", "3", "--trials", "2"
-        )
+        monkeypatch.setattr(harness, "_slab_steps", lambda *args: calls.append(args))
+        code, out, err = run_cli(capsys, "simulate", "--half-width", "1e308", "--steps", "3",
+                                 "--trials", "2", "--generator", generator)
         assert (code, out, calls) == (2, "", [])
         assert err == "error: half_widths too large: 2 T overflows\n"
 
@@ -385,14 +385,14 @@ class TestSimulate:
         assert (code, out, runs) == (2, "", [])
         assert "xml" in err
 
-    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
-        def too_big(config, trials):
+    @pytest.mark.parametrize("generator", ["unit", "pm1"])
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch, generator):
+        def too_big(gen, n, seeds):
             raise MemoryError("Unable to allocate 44.7 GiB for an array")
 
-        monkeypatch.setattr(harness, "_slab_streams", too_big)
-        code, out, err = run_cli(
-            capsys, "simulate", "--dim", "3", "--steps", "1000000", "--trials", "2000"
-        )
+        monkeypatch.setattr(harness, "_slab_steps", too_big)
+        code, out, err = run_cli(capsys, "simulate", "--dim", "3", "--steps", "1000000",
+                                 "--trials", "2000", "--generator", generator)
         assert (code, out) == (2, "")
         assert err == "error: out of memory: Unable to allocate 44.7 GiB for an array\n"
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from driftguard import bodies, bounds, harness, metropolis
-from driftguard.bodies import Box, cube_eigen_density
+from driftguard.bodies import Box, _trial_seeds, cube_eigen_density
 from driftguard.bounds import isotropic_bound, lower_bound_1d, matching_bounds, upper_bound_cube
 from driftguard.harness import (
     ExperimentConfig,
@@ -211,10 +211,11 @@ class TestTrialStreams:
             vectors[1] = 0.0
         gen = StepGenerator(kind, d, rademacher, vectors)
         k, n = 5, 60
-        steps, seeds = harness._slab_streams(cfg(body=Box.cube(d, 4.0), generator=gen,
-                                                 n_steps=n, n_trials=9, seed=11), range(3, 3 + k))
+        trials = range(3, 3 + k)
+        steps = harness._draw_steps(gen, n, _trial_seeds(11, trials, 0))
+        seeds = _trial_seeds(11, trials, 1)
         assert steps.shape == (k, n, d) and len(seeds) == k
-        for i, row, seed in zip(range(3, 3 + k), steps, seeds):
+        for i, row, seed in zip(trials, steps, seeds):
             step_seed, filter_seed = np.random.SeedSequence((11, i)).spawn(2)
             assert row.tobytes() == generate_steps(gen, n, step_seed).tobytes()
             assert row.tobytes() == reference_steps(gen, n, step_seed).tobytes()

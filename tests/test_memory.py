@@ -14,7 +14,8 @@ import pytest
 
 
 from driftguard import bodies, bounds, harness, metropolis
-from driftguard.bodies import Box, FisherMatrix, _slabs, cube_eigen_density, fisher_quadrature
+from driftguard.bodies import (Box, FisherMatrix, _slabs, _trial_seeds, cube_eigen_density,
+                              fisher_quadrature)
 from driftguard.bounds import matching_bounds, upper_bound_general
 from driftguard.harness import (
     ExperimentConfig,
@@ -148,8 +149,8 @@ class TestStreamMemory:
         # beyond the 9.6 MB of steps: the slab's int8 signs and a few chunks
         # of _SLAB values, not even the slab's (k, n) norms or float signs
         k, n, d = 100, 4000, 3
-        config = ExperimentConfig(Box.cube(d, 4.0), StepGenerator(kind, d), n, k, 1)
-        extra = peak_bytes(lambda: harness._slab_streams(config, range(k))) - k * n * d * 8
+        gen, seeds = StepGenerator(kind, d), _trial_seeds(1, range(k), 0)
+        extra = peak_bytes(lambda: harness._draw_steps(gen, n, seeds)) - k * n * d * 8
         assert extra < k * n + 4 * bodies._SLAB * 8
 
 
@@ -252,6 +253,15 @@ class TestStreamedMemory:
         config = ExperimentConfig(Box.cube(d, 8.0), StepGenerator("coordinate_basis_cycle", d),
                                   n, m, 1)
         assert peak_bytes(lambda: run_experiment(config)) <= m * n + 16 * bodies._SLAB * 8
+
+    def test_bound_row_is_dropped_before_the_kernel(self, monkeypatch):
+        # the unsigned (n, d) bound row is 3.2 MB here: kept alive beside the
+        # accept flags, it would exceed eight path buffers' worth of slack
+        m, n, d = 16, 400_000, 1
+        monkeypatch.setattr(harness, "cube_eigen_density", lambda box: liar_density(1e6))
+        config = ExperimentConfig(Box.cube(d, 8.0), StepGenerator("coordinate_basis_cycle", d),
+                                  n, m, 1)
+        assert peak_bytes(lambda: run_experiment(config)) <= m * n + 8 * bodies._SLAB * 8
 
 
 class TestOracleState:

@@ -4,7 +4,8 @@
 
 The before side is ``git archive <rev>`` unpacked into a temporary directory
 (``bench_pairs.unpack``); the after side is this checkout's working tree.
-Each line of ``LINES`` runs as ``python -m driftguard.cli`` on both sides,
+Each line of ``LINES``, and ``FILE_LINE`` on a step file written to the
+temporary directory, runs as ``python -m driftguard.cli`` on both sides,
 with that side's ``src`` on PYTHONPATH, one process at a time.  A line is
 ``same`` when its exit code, stdout and stderr bytes match on both sides and
 ``differs`` otherwise; the script prints one of them per line and exits 1 if
@@ -70,7 +71,18 @@ LINES = tuple(
     " --format json --seed 1",
     "simulate --dim 4 --half-width 5 --generator pm1 --steps 30000 --trials 8"
     " --format json --seed 2",
+    # n = 0 through the one slab path: three unit slabs, and one pm1 slab
+    # whose empty bound row still attaches lower_1d
+    "simulate --dim 3 --half-width 16 --generator unit --steps 0 --trials 2000"
+    " --format json --seed 1",
+    "simulate --dim 1 --half-width 8 --generator pm1 --steps 0 --trials 16"
+    " --format json --seed 1",
 )
+# a step file (fixed_list, the other sign-only kind), with a zero row: main
+# writes it once, and both sides read it by the same path over several chunks
+STEP_FILE = "0.5 -0.25\n0 0\n1.5 0.75\n-0.125 1\n0.25 0.5\n"
+FILE_LINE = ("simulate --dim 2 --half-width 3 --generator file:{path} --steps 20000"
+             " --trials 30 --format json --seed 1")
 
 
 def run_line(tree: Path, line: str) -> tuple[int, bytes, bytes]:
@@ -95,7 +107,10 @@ def main(argv=None) -> int:
     p.add_argument("--before", required=True, help="git revision of the before side")
     args = p.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        verdicts = compare(unpack(args.before, Path(tmp)), ROOT, LINES)
+        steps = Path(tmp) / "steps.txt"
+        steps.write_text(STEP_FILE)
+        lines = LINES + (FILE_LINE.format(path=steps),)
+        verdicts = compare(unpack(args.before, Path(tmp) / "before"), ROOT, lines)
     return 0 if all(verdicts) else 1
 
 
