@@ -21,7 +21,7 @@ from .bodies import (
     fisher_operator_norm,
     fisher_quadrature,
 )
-from .bounds import lower_bound_1d, matching_bounds
+from .bounds import _bound_pass, _bound_reports, lower_bound_1d, matching_bounds
 from .harness import (
     REPORT_FORMATS,
     ExperimentConfig,
@@ -144,13 +144,18 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.norms:
         if not args.norms.startswith("file:"):
             raise ValueError("--norms expects file:<path>")
-        steps = _load_step_file(args.norms[len("file:"):], box.dimension)
+        reports = matching_bounds(box, _load_step_file(args.norms[len("file:"):], box.dimension))
     else:
         if args.steps < 0:
             raise ValueError(f"--steps must be nonnegative, not {args.steps}")
-        steps = np.zeros((args.steps, box.dimension))
-        steps[:, 0] = 1.0
-    for report in matching_bounds(box, steps):
+        try:
+            n = float(args.steps)
+        except OverflowError:
+            raise ValueError("--steps too large: the bounds overflow") from None
+        # --steps N is N rows of e_1: one row's pass, its sum times N (exact below 2**53)
+        row, unit = _bound_pass(box, np.eye(1, box.dimension))
+        reports = _bound_reports(box, row * n, unit, args.steps)
+    for report in reports:
         _emit(vars(report))
     return 0
 

@@ -13,12 +13,21 @@ sign-only kind (fixed rows times a fair sign) gives one unsigned row, whose
 norms are every trial's, and chunks over n drawn as the kernel filters
 them; a Gaussian kind, whose signs follow all n * d normals, gives its
 whole rows, as one chunk.
+
+A run splits its trials into contiguous shards, one per CPU the process
+may run on (at most one per slab), and forks a child process for every
+shard but the first, which the calling process runs itself.  Each shard
+runs the slab loop over its own trials, so each process holds one slab;
+the results, merged in trial order, are the bits of one process's run.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import threading
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -112,37 +121,43 @@ def _draw_steps(gen: StepGenerator, n: int, seeds) -> np.ndarray:
 
 def _step_chunks(gen: StepGenerator, n: int, seeds, length: int):
     """Steps of k trials, trial i's from ``seeds[i]``, as (k, c, d) chunks of
-    ``length`` steps over n (the last may be shorter).  Each trial's generator
-    draws its normals (the Gaussian kinds), then its signs; then a ``_slabs``
-    chunk of steps at a time is scaled and signed, so no temporary grows with
-    the slab.  Sign-only kinds draw nothing but one sign a step, so chunks of
-    them are the bits of one call; a Gaussian kind's signs follow all n * d
-    normals, so it takes ``length`` >= n, one chunk."""
-    d = gen.dimension
-    gaussian = gen.kind not in _SIGN_ONLY
+    ``length`` steps over n (the last may be shorter).  Sign-only kinds draw
+    nothing but one sign a step, so chunks of them are the bits of one call;
+    a Gaussian kind's signs follow all n * d normals, so it takes ``length``
+    >= n, one chunk.  A chunk is made by ``_draw_chunk`` and held by no name
+    here, so the caller's drop of it frees it before the next is drawn."""
     rngs = [np.random.default_rng(seed) for seed in seeds]
     for start in range(0, n, length):
-        c = min(length, n - start)
-        steps = np.empty((len(rngs), c, d))
-        if not gaussian:
-            steps[...] = _cycle(gen, start, c)
-        signs = np.ones((len(rngs), c), dtype=np.int8)  # 1 for +, 0 for -
-        for row, sign, rng in zip(steps, signs, rngs):
-            if gaussian:
-                rng.standard_normal(out=row)
-            if gen.rademacher:
-                sign[...] = rng.integers(0, 2, size=c)
-        flat, flat_signs = steps.reshape(-1, d), signs.reshape(-1)
-        for rows in _slabs(len(flat), d):
-            chunk = flat[rows]
-            divisor = flat_signs[rows] * 2.0 - 1.0  # a division by -1 flips a step exactly
-            if gaussian:
-                norms = _row_norms(chunk)
-                divisor *= np.where(norms == 0.0, 1.0, norms)
-            np.divide(chunk, divisor[:, None], out=chunk)
-            if gen.kind == "isotropic_custom":
-                chunk *= math.sqrt(d)
-        yield steps
+        yield _draw_chunk(gen, rngs, start, min(length, n - start))
+
+
+def _draw_chunk(gen: StepGenerator, rngs: list, start: int, c: int) -> np.ndarray:
+    """Steps start, ..., start + c - 1 of the trials whose generators are
+    ``rngs``, as (k, c, d).  Each trial's generator draws its normals (the
+    Gaussian kinds), then its signs; then a ``_slabs`` chunk of steps at a
+    time is scaled and signed, so no temporary grows with the slab."""
+    d = gen.dimension
+    gaussian = gen.kind not in _SIGN_ONLY
+    steps = np.empty((len(rngs), c, d))
+    if not gaussian:
+        steps[...] = _cycle(gen, start, c)
+    signs = np.ones((len(rngs), c), dtype=np.int8)  # 1 for +, 0 for -
+    for row, sign, rng in zip(steps, signs, rngs):
+        if gaussian:
+            rng.standard_normal(out=row)
+        if gen.rademacher:
+            sign[...] = rng.integers(0, 2, size=c)
+    flat, flat_signs = steps.reshape(-1, d), signs.reshape(-1)
+    for rows in _slabs(len(flat), d):
+        chunk = flat[rows]
+        divisor = flat_signs[rows] * 2.0 - 1.0  # a division by -1 flips a step exactly
+        if gaussian:
+            norms = _row_norms(chunk)
+            divisor *= np.where(norms == 0.0, 1.0, norms)
+        np.divide(chunk, divisor[:, None], out=chunk)
+        if gen.kind == "isotropic_custom":
+            chunk *= math.sqrt(d)
+    return steps
 
 
 def _cycle(gen: StepGenerator, start: int, count: int) -> np.ndarray:
@@ -204,30 +219,26 @@ def run_experiment_ensemble(config: ExperimentConfig) -> tuple[RunStats, Ensembl
 
     Trials run in slabs of ceil(``_LOCKSTEP_WIDTH`` / d); a trial's results
     depend only on its own streams, so the slabs' results, concatenated
-    field by field, are the bits of one ensemble.  Each slab takes its rows
-    and chunks from ``_slab_steps``, writes its trials' bound sums from the
-    rows and drops them, then filters the chunks; its steps are dropped
-    before the next slab's are drawn, so one slab's steps and coins are
-    alive at a time.  The least (step, trial) containment error of all
-    slabs is raised after the bound reports are made.
+    field by field, are the bits of one ensemble.  The trials are split into
+    k contiguous near-equal shards, k = min(``_cpus()``, slabs): shard 0
+    runs in this process and each other shard in a forked child
+    (``_fork_map``), so no process holds more than one slab's steps and
+    coins, and k = 1 forks nothing.  Each shard runs ``_run_trials``, the
+    slab loop over its trials.  The least (step, trial) containment error of
+    all slabs is raised after the bound reports are made; any other error
+    is the lowest shard's, the one a single process meets first.
     """
     density = cube_eigen_density(config.body)
     m, n, d = config.n_trials, config.n_steps, config.body.dimension
     size = min(m, -(-_LOCKSTEP_WIDTH // d))
-    sums = np.empty(m)
-    units, parts, escapes = [], [], []
-    for start in range(0, m, size):
-        trials = range(start, min(start + size, m))
-        rows, chunks = _slab_steps(config.generator, n, _trial_seeds(config.seed, trials, 0))
-        sums[start : trials.stop], unit = _bound_pass(config.body, rows)
-        units.append(unit)
-        del rows  # a sign-only slab's kernel holds a chunk, not the unsigned row
-        try:
-            parts.append(_run_chunks(density, _trial_seeds(config.seed, trials, 1), n, chunks))
-        except ContainmentError as exc:
-            escapes.append((exc.step, start + exc.trial, exc.accepted_sum))
-        del chunks  # before the next slab's steps are drawn
-    bound_reports = tuple(_bound_reports(config.body, sums, all(units), n))
+    k = min(_cpus(), -(-m // size))
+    shards = [range(m * i // k, m * (i + 1) // k) for i in range(k)]
+    outcomes = _fork_map(lambda trials: _run_trials(config, density, trials, size), shards)
+    sums = np.concatenate([outcome[0] for outcome in outcomes])
+    unit = all(outcome[1] for outcome in outcomes)
+    parts = [part for outcome in outcomes for part in outcome[2]]
+    escapes = [escape for outcome in outcomes for escape in outcome[3]]
+    bound_reports = tuple(_bound_reports(config.body, sums, unit, n))
     if escapes:  # a later slab's violation may come at an earlier step
         raise ContainmentError(*min(escapes, key=lambda escape: escape[:2]))
     # one slab's result as it is: a concatenation would copy its (m, n) accept flags
@@ -243,6 +254,110 @@ def run_experiment_ensemble(config: ExperimentConfig) -> tuple[RunStats, Ensembl
         containment_violations=0,
     )
     return stats, result
+
+
+def _run_trials(config: ExperimentConfig, density, trials: range, size: int) -> tuple:
+    """The slab loop over ``trials``, in slabs of ``size``: their bound sums,
+    whether ``lower_1d`` attaches to all of them, their ``EnsembleResult``
+    parts in trial order, and each slab's containment escape as (step,
+    trial, accepted sum).  Each slab takes its rows and chunks from
+    ``_slab_steps``, writes its trials' bound sums from the rows and drops
+    them, then filters the chunks; its steps are dropped before the next
+    slab's are drawn, so one slab's steps and coins are alive at a time.
+    """
+    n = config.n_steps
+    sums = np.empty(len(trials))
+    units, parts, escapes = [], [], []
+    for start in range(trials.start, trials.stop, size):
+        slab = range(start, min(start + size, trials.stop))
+        rows, chunks = _slab_steps(config.generator, n, _trial_seeds(config.seed, slab, 0))
+        sums[start - trials.start : slab.stop - trials.start], unit = _bound_pass(config.body, rows)
+        units.append(unit)
+        del rows  # a sign-only slab's kernel holds a chunk, not the unsigned row
+        try:
+            parts.append(_run_chunks(density, _trial_seeds(config.seed, slab, 1), n, chunks))
+        except ContainmentError as exc:
+            escapes.append((exc.step, start + exc.trial, exc.accepted_sum))
+        del chunks  # before the next slab's steps are drawn
+    return sums, all(units), parts, escapes
+
+
+def _cpus() -> int:
+    """The processes a run may split its trials over: the CPUs this process
+    may run on (``taskset`` bounds them), or 1 without ``os.fork`` or while
+    other Python threads run, since a forked child has only the forking
+    thread and a lock another thread held would stay locked in it."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0)) if threading.active_count() == 1 else 1
+
+
+def _fork_map(fn, items: list) -> list:
+    """``[fn(item) for item in items]``, each item after the first in a forked child.
+
+    This process runs ``fn(items[0])`` and then reads the children's results
+    in order.  The first failure in item order is raised: the exception
+    ``fn`` raised, or ``ChildProcessError`` naming the exit status of a child
+    that ended without a result.  Every child is killed and reaped before
+    this returns or raises, ``KeyboardInterrupt`` included.
+    """
+    children = []  # (pid, read end of its pipe) of each child forked
+    reaped = set()
+    try:
+        for item in items[1:]:
+            children.append(_fork(fn, item))
+        results = [fn(items[0])]
+        for shard, (pid, pipe) in enumerate(children, 1):
+            payload = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped.add(pid)
+            if status != 0 or not payload:
+                how = f"signal {-status}" if status < 0 else f"exit status {status}"
+                raise ChildProcessError(f"trial shard {shard} ended without a result ({how})")
+            result = pickle.loads(payload)  # bytes a child of this process wrote
+            if isinstance(result, BaseException):
+                raise result
+            results.append(result)
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if pid not in reaped:
+                import signal  # 1 ms of import that only a failed run needs, so not at startup
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork(fn, item) -> tuple:
+    """Fork a child that pickles ``fn(item)``, or the exception it raised,
+    to a pipe; returns its pid and the pipe's read end.  The child always
+    leaves by ``os._exit``, so it runs no atexit handler and flushes no stdio
+    buffer it shares with this process; it exits 1 if it could not send its
+    outcome (an unpicklable exception, or ``KeyboardInterrupt``)."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            try:
+                outcome = fn(item)
+            except Exception as exc:
+                outcome = exc
+            payload = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            with open(write, "wb") as pipe:
+                pipe.write(payload)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, open(read, "rb")
 
 
 def run_experiment(config: ExperimentConfig) -> RunStats:

@@ -174,8 +174,8 @@ def _run_chunks(density: Density, seeds, n: int, chunks) -> EnsembleResult:
         c = steps.shape[1]
         # trial-major (m, c), filled in place: random(out=row) gives uniform(size=c)'s doubles
         coins = np.empty((m, c))
-        for g, row in zip(gens, coins):
-            g.random(out=row)
+        for i, g in enumerate(gens):
+            g.random(out=coins[i])
         for block in _slabs(c, m * d):
             if not np.isfinite(steps[:, block]).all():
                 raise ValueError("steps have non-finite entries")
@@ -197,6 +197,7 @@ def _run_chunks(density: Density, seeds, n: int, chunks) -> EnsembleResult:
             accepted[:, done + block.start : done + block.stop] = acc
             _check_containment(positions, first, limit, max_abs, done + block.start)
         done += c
+        del steps, coins  # before the next chunk is drawn, so one chunk is alive
     return EnsembleResult(
         origins=origins, finals=state.T.copy(), accepted=accepted, max_abs_sums=max_abs
     )

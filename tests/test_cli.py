@@ -1,7 +1,12 @@
 import dataclasses
 import hashlib
 import json
+import os
+import signal
+import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,6 +242,7 @@ class TestSimulate:
         # the density is built before the filter runs, so no run is
         # wasted and no overflow warning precedes the error line
         runs = []
+        monkeypatch.setattr(harness, "_cpus", lambda: 1)  # a child's calls are not seen here
         monkeypatch.setattr(harness, "_run_chunks", lambda *args: runs.append(args))
         code, out, err = run_cli(
             capsys, "simulate", "--half-width", "1e308", "--steps", "3", "--trials", "2"
@@ -248,6 +254,7 @@ class TestSimulate:
     def test_huge_half_width_fails_before_the_streams(self, capsys, monkeypatch, generator):
         # no trial slab's steps are built for a half-width the density rejects
         calls = []
+        monkeypatch.setattr(harness, "_cpus", lambda: 1)  # a child's calls are not seen here
         monkeypatch.setattr(harness, "_slab_steps", lambda *args: calls.append(args))
         code, out, err = run_cli(capsys, "simulate", "--half-width", "1e308", "--steps", "3",
                                  "--trials", "2", "--generator", generator)
@@ -397,6 +404,59 @@ class TestSimulate:
         assert err == "error: out of memory: Unable to allocate 44.7 GiB for an array\n"
 
 
+class TestTrialShardFailures:
+    # 2000 trials at d = 3 are three slabs, here over two processes; each
+    # failure happens in the child's shard alone, and the parent reports it
+    ARGV = ("simulate", "--dim", "3", "--steps", "20", "--trials", "2000")
+
+    def fail_in_the_child(self, monkeypatch, failure):
+        parent, draw = os.getpid(), harness._slab_steps
+
+        def slab_steps(gen, n, seeds):
+            if os.getpid() != parent:
+                failure()
+            return draw(gen, n, seeds)
+
+        monkeypatch.setattr(harness, "_cpus", lambda: 2)
+        monkeypatch.setattr(harness, "_slab_steps", slab_steps)
+
+    def test_value_error(self, capsys, monkeypatch):
+        def failure():
+            raise ValueError("steps have non-finite entries")
+
+        self.fail_in_the_child(monkeypatch, failure)
+        assert run_cli(capsys, *self.ARGV) == (2, "", "error: steps have non-finite entries\n")
+
+    def test_memory_error(self, capsys, monkeypatch):
+        def failure():
+            raise MemoryError("Unable to allocate 44.7 GiB for an array")
+
+        self.fail_in_the_child(monkeypatch, failure)
+        assert run_cli(capsys, *self.ARGV) == (
+            2, "", "error: out of memory: Unable to allocate 44.7 GiB for an array\n")
+
+    @pytest.mark.parametrize("failure, how", [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), f"signal {int(signal.SIGKILL)}"),
+        (lambda: os._exit(3), "exit status 3"),
+    ])
+    def test_death_without_a_result(self, capsys, monkeypatch, failure, how):
+        self.fail_in_the_child(monkeypatch, failure)
+        assert run_cli(capsys, *self.ARGV) == (
+            2, "", f"error: trial shard 1 ended without a result ({how})\n")
+
+
+def test_cli_import_loads_no_process_pool():
+    # trial shards are forked with os.fork and sent back by pickle, already
+    # loaded; multiprocessing alone would add ~12 ms to every start, and
+    # signal (1 ms) is imported only to kill a child a failed run left
+    src = Path(harness.__file__).resolve().parent.parent
+    code = ("import sys, driftguard.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent', 'signal')))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+
+
 class TestBounds:
     def test_four_kinds_for_integer_t(self, capsys):
         code, out, _ = run_cli(
@@ -485,14 +545,34 @@ class TestBounds:
         )
         assert (code, out, err) == (2, "", "error: --norms expects file:<path>\n")
 
-    def test_lines_are_the_reports_fields(self, capsys):
-        code, out, _ = run_cli(capsys, "bounds", "--dim", "1", "--half-width", "4", "--steps", "9")
-        steps = np.zeros((9, 1))
+    # --steps N is N rows of e_1, which the command no longer builds
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("n", [0, 1, 7, 9, 10**6])
+    def test_lines_are_the_reports_fields(self, capsys, dim, n):
+        code, out, _ = run_cli(capsys, "bounds", "--dim", str(dim), "--half-width", "4",
+                               "--steps", str(n))
+        steps = np.zeros((n, dim))
         steps[:, 0] = 1.0
-        reports = matching_bounds(Box.cube(1, 4.0), steps)
-        assert len(reports) == 3
+        reports = matching_bounds(Box.cube(dim, 4.0), steps)
+        assert len(reports) == (3 if dim == 1 else 2)
         assert (code, out) == (0, "".join(
             json.dumps(dataclasses.asdict(r), sort_keys=True) + "\n" for r in reports))
+
+    def test_huge_step_count_is_its_closed_form(self, capsys):
+        # 10**12 rows of e_1 took 7.3 TiB and exited 2 "out of memory"
+        n = 10**12
+        code, out, err = run_cli(capsys, "bounds", "--dim", "1", "--half-width", "4",
+                                 "--steps", str(n))
+        assert (code, err) == (0, "")
+        values = [(e["kind"], e["value"]) for e in json_lines(out)]
+        upper = ((0.5 * np.pi) / 4.0) * n
+        assert values == [("general_fisher", upper), ("cube_l2", upper),
+                          ("lower_1d", float(Fraction(n, 9) - 4))]
+
+    def test_step_count_beyond_floats_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--dim", "1", "--half-width", "4",
+                                 "--steps", str(10**400))
+        assert (code, out, err) == (2, "", "error: --steps too large: the bounds overflow\n")
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("half_width", [2.0, 2.5])

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -363,11 +365,13 @@ class TestRunExperiment:
     # at T = 2.5 each slab of two trials reports its first escape as (step,
     # trial): with seed 1 the last slab holds the least step, and with seed 6
     # the first and last slabs tie at step 9, and the lower trial wins
+    # and shards of 3 (k = 2) or 1 (k = 3) slabs merge their escapes alike
+    @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize(
         "seed, per_slab",
         [(1, [(15, 1), (23, 3), (5, 5)]), (6, [(9, 1), (41, 3), (9, 5)])],
     )
-    def test_containment_names_the_unslabbed_violation(self, monkeypatch, seed, per_slab):
+    def test_containment_names_the_unslabbed_violation(self, monkeypatch, seed, per_slab, k):
         t = 2.5
         config = cfg(body=Box.cube(1, t), generator=StepGenerator("coordinate_basis_cycle", 1),
                      n_steps=60, n_trials=6, seed=seed)
@@ -382,12 +386,95 @@ class TestRunExperiment:
             run_ensemble(liar_density(t), steps, seeds)
         monkeypatch.setattr(harness, "cube_eigen_density", lambda box: liar_density(t))
         monkeypatch.setattr(harness, "_LOCKSTEP_WIDTH", 2)
+        monkeypatch.setattr(harness, "_cpus", lambda: k)
         with pytest.raises(ContainmentError) as slabbed:
             run_experiment(config)
         assert (slabbed.value.step, slabbed.value.trial) == min(per_slab)
         assert (unslabbed.value.step, unslabbed.value.trial) == min(per_slab)
         assert str(slabbed.value) == str(unslabbed.value)
         assert str(slabbed.value).startswith(f"trial {min(per_slab)[1]} accepted sum ")
+
+
+class TestTrialShards:
+    # (box, generator, trials, steps, lanes): ceil(lanes / d) trials a slab
+    # make 4, 3, 5 and 2 slabs, and k = 3 forks two children where it can
+    RUNS = [
+        (Box.cube(3, 16.0), StepGenerator("random_unit_sphere", 3), 40, 150, 30),
+        (Box([2.0, 5.0, 0.75]), StepGenerator("isotropic_custom", 3), 25, 100, 30),
+        (Box.cube(2, 3.0), StepGenerator("coordinate_basis_cycle", 2), 50, 300, 20),
+        (Box.cube(2, 3.0), StepGenerator("fixed_list", 2, vectors=((0.5, -1.0), (0.0, 0.0))),
+         21, 200, 22),
+    ]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("box, gen, m, n, lanes", RUNS)
+    def test_shards_give_the_one_process_bits(self, monkeypatch, box, gen, m, n, lanes, k):
+        config = ExperimentConfig(box, gen, n, m, 8)
+        monkeypatch.setattr(harness, "_LOCKSTEP_WIDTH", lanes)
+        monkeypatch.setattr(harness, "_cpus", lambda: 1)
+        stats, expected = run_experiment_ensemble(config)
+        monkeypatch.setattr(harness, "_cpus", lambda: k)
+        sharded, result = run_experiment_ensemble(config)
+        for fmt in ("json", "csv"):
+            assert emit_report(sharded, fmt) == emit_report(stats, fmt)
+        for field in dataclasses.fields(EnsembleResult):
+            got, want = getattr(result, field.name), getattr(expected, field.name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    def test_one_slab_forks_nothing(self, monkeypatch):
+        def fork():
+            raise AssertionError("a one-slab run forked")
+
+        monkeypatch.setattr(harness, "_cpus", lambda: 3)
+        monkeypatch.setattr(harness.os, "fork", fork)
+        run_experiment(cfg(n_trials=16, n_steps=50))
+
+    def test_interrupt_kills_and_reaps_the_children(self, monkeypatch):
+        # the children would sleep for a minute; the interrupt in this
+        # process's shard kills them, and the autouse fixture sees none left
+        parent = os.getpid()
+
+        def slab_steps(gen, n, seeds):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(harness, "_slab_steps", slab_steps)
+        monkeypatch.setattr(harness, "_LOCKSTEP_WIDTH", 1)
+        monkeypatch.setattr(harness, "_cpus", lambda: 3)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(cfg(body=Box.cube(1, 2.5), n_trials=6, n_steps=10))
+        assert time.monotonic() - start < 30
+
+    # six one-trial slabs; a slab whose trial is in ``failing`` raises
+    # ValueError naming it, so each shard's error is its first failing trial's
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("failing, escapes", [
+        ({3, 5}, False), ({1, 4}, False), ({5}, False), ({0, 1, 2, 3, 4, 5}, False),
+        ({4}, True),  # every slab's sums leave 2K: the ValueError still wins
+    ])
+    def test_an_error_is_the_one_process_error(self, monkeypatch, failing, escapes, k):
+        draw = harness._slab_steps
+
+        def slab_steps(gen, n, seeds):
+            trial = seeds[0].entropy[1]
+            if trial in failing:
+                raise ValueError(f"trial {trial} failed")
+            return draw(gen, n, seeds)
+
+        config = cfg(body=Box.cube(1, 2.5), generator=StepGenerator("coordinate_basis_cycle", 1),
+                     n_steps=60, n_trials=6)
+        if escapes:
+            monkeypatch.setattr(harness, "cube_eigen_density", lambda box: liar_density(2.5))
+        monkeypatch.setattr(harness, "_slab_steps", slab_steps)
+        monkeypatch.setattr(harness, "_LOCKSTEP_WIDTH", 1)
+        monkeypatch.setattr(harness, "_cpus", lambda: 1)
+        with pytest.raises(ValueError, match=f"^trial {min(failing)} failed$"):
+            run_experiment(config)
+        monkeypatch.setattr(harness, "_cpus", lambda: k)
+        with pytest.raises(ValueError, match=f"^trial {min(failing)} failed$"):
+            run_experiment(config)
 
 
 class TestBoundAttachment:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 
-from driftguard import bodies, bounds, harness, metropolis
+from driftguard import bodies, bounds, cli, harness, metropolis
 from driftguard.bodies import (Box, FisherMatrix, _slabs, _trial_seeds, cube_eigen_density,
                               fisher_quadrature)
 from driftguard.bounds import matching_bounds, upper_bound_general
@@ -229,7 +229,8 @@ class TestTrialSlabs:
     # the whole (m, n, d) step tensor alone is m * n * d * 8 = 14.4 MB at
     # n = 300; at n = 1000 two slabs' steps alive at once exceed the bound
     @pytest.mark.parametrize("n", [300, 1000])
-    def test_peak_is_one_slab_of_steps_and_coins(self, n):
+    def test_peak_is_one_slab_of_steps_and_coins(self, monkeypatch, n):
+        monkeypatch.setattr(harness, "_cpus", lambda: 1)  # tracemalloc sees this process only
         m, d = 2000, 3
         config = ExperimentConfig(Box.cube(d, 16.0), StepGenerator("random_unit_sphere", d), n, m, 1)
         trials = -(-metropolis._LOCKSTEP_WIDTH // d)
@@ -249,6 +250,7 @@ class TestStreamedMemory:
         # wide to leave: it accepts every step, so the kernel runs fewer
         # windows under tracemalloc, and buffers do not depend on decisions.
         m, n, d = 16, 400_000, 1
+        monkeypatch.setattr(harness, "_cpus", lambda: 1)  # tracemalloc sees this process only
         monkeypatch.setattr(harness, "cube_eigen_density", lambda box: liar_density(1e6))
         config = ExperimentConfig(Box.cube(d, 8.0), StepGenerator("coordinate_basis_cycle", d),
                                   n, m, 1)
@@ -258,10 +260,31 @@ class TestStreamedMemory:
         # the unsigned (n, d) bound row is 3.2 MB here: kept alive beside the
         # accept flags, it would exceed eight path buffers' worth of slack
         m, n, d = 16, 400_000, 1
+        monkeypatch.setattr(harness, "_cpus", lambda: 1)  # tracemalloc sees this process only
         monkeypatch.setattr(harness, "cube_eigen_density", lambda box: liar_density(1e6))
         config = ExperimentConfig(Box.cube(d, 8.0), StepGenerator("coordinate_basis_cycle", d),
                                   n, m, 1)
         assert peak_bytes(lambda: run_experiment(config)) <= m * n + 8 * bodies._SLAB * 8
+
+    def test_wide_pm1_run_holds_one_chunk(self, monkeypatch):
+        # 200 trials in lockstep over two chunks of 4251 steps, each 27 MB of
+        # steps and coins: drawing the second while the first was alive (the
+        # kernel's and the step source's names held it) peaked at 50.7 MiB
+        m, n, d = 200, 2 * metropolis._chunk_length(600), 3
+        monkeypatch.setattr(harness, "_cpus", lambda: 1)  # tracemalloc sees this process only
+        monkeypatch.setattr(harness, "cube_eigen_density", lambda box: liar_density(1e6, d))
+        config = ExperimentConfig(Box.cube(d, 8.0), StepGenerator("coordinate_basis_cycle", d),
+                                  n, m, 1)
+        chunk = m * (n // 2) * (d + 1) * 8
+        assert peak_bytes(lambda: run_experiment(config)) <= m * n + chunk + 8 * bodies._SLAB * 8
+
+
+class TestBoundsCommand:
+    def test_steps_build_no_step_array(self, capsys):
+        # 10**6 rows of e_1 at d = 3 took 24 MB, and 10**12 of them 22 TiB
+        argv = ["bounds", "--dim", "3", "--half-width", "16", "--steps", str(10**6)]
+        assert peak_bytes(lambda: cli.main(argv)) < MIB
+        assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 class TestOracleState:
