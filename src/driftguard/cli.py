@@ -34,14 +34,13 @@ from .oracle1d import (
     _DP_LIMIT,
     _ENUM_LIMIT,
     _RATIONAL_STATE_LIMIT,
-    _check_band,
     dp_longest_valid,
     exact_chain_expectation,
     exact_chain_expectation_fraction,
+    exhaustive_failures,
     reflected_walk,
     signs_from_string,
     verify_lex_optimality,
-    verify_start_shift,
 )
 
 _SIM_DEFAULTS = {
@@ -206,21 +205,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         _emit(record)
         return 0
     # exhaustive: argparse allows no other --mode
-    if n > _ENUM_LIMIT:
-        raise ValueError(f"exhaustive mode is limited to n <= {_ENUM_LIMIT}")
-    _check_band(t, 0)
     starts = [args.start] if args.start is not None else list(range(-t, t + 1))
-    failures = 0
-    for bits in range(1 << n):
-        eps = tuple(1 if bits & (1 << i) else -1 for i in range(n))
-        for start in starts:
-            if not (verify_lex_optimality(eps, t, start) and verify_start_shift(eps, t, start)):
-                failures += 1
-                signs = "".join("+" if e > 0 else "-" for e in eps)
-                _emit(dict(mode="exhaustive", T=t, start=start, signs=signs, ok=False))
-    instances = len(starts) << n
-    _emit({"mode": "exhaustive", "T": t, "n": n, "instances": instances, "failures": failures})
-    return 0 if failures == 0 else 2
+    failures = exhaustive_failures(n, t, starts)
+    for eps, start in failures:
+        signs = "".join("+" if e > 0 else "-" for e in eps)
+        _emit(dict(mode="exhaustive", T=t, start=start, signs=signs, ok=False))
+    _emit({"mode": "exhaustive", "T": t, "n": n, "instances": len(starts) << n,
+           "failures": len(failures)})
+    return 0 if not failures else 2
 
 
 def _cmd_fisher(args: argparse.Namespace) -> int:

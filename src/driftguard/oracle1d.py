@@ -3,7 +3,8 @@
 Given a sign string and an integer band radius T, the greedy reflected walk
 keeps exactly the steps it can take without leaving [-T, T].  Its kept index
 set is the longest valid subsequence, and the lexicographically smallest
-one at that.  Both claims are checked here by brute force on small inputs,
+one at that.  Both claims are checked here by brute force for n <= 14, one
+array scan trying every subset of a batch of sign strings level by level,
 and the walk's discard count is computed in closed form via its Markov chain
 (exact rationals while the state space is small, its eigenmodes beyond).
 """
@@ -18,7 +19,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .bodies import _integer
+from .bodies import _integer, _slabs
 
 __all__ = [
     "ValidSubsequence",
@@ -27,6 +28,7 @@ __all__ = [
     "dp_longest_valid",
     "verify_lex_optimality",
     "verify_start_shift",
+    "exhaustive_failures",
     "exact_chain_expectation",
     "exact_chain_expectation_fraction",
 ]
@@ -107,48 +109,87 @@ def dp_longest_valid(signs: Sequence[int], half_width: int, start: int = 0) -> i
     return max(best)
 
 
-def _subsequence_valid(eps: tuple[int, ...], combo: tuple[int, ...], t: int, s: int) -> bool:
-    height = s
-    for i in combo:
-        height += eps[i]
-        if height > t or height < -t:
-            return False
-    return True
+def _lexmin_longest(signs: np.ndarray, t: int, start: int) -> tuple[list[int], list[tuple]]:
+    """Longest valid length and lex-smallest (1-based) witness of each row of
+    ``signs``, an (S, n) int8 array of +-1, by trying every subset.
 
-
-def _enumerate_longest_lexmin(
-    eps: tuple[int, ...], t: int, s: int
-) -> tuple[int, tuple[int, ...]]:
-    """Longest length and lex-smallest witness, by scanning every subset.
-
-    combinations() yields index tuples in lexicographic order, so within a
-    length the first valid one is the lex-minimum.
+    Levels m = n, ..., 0 take the m-subsets in combinations() order, so a row's
+    first valid subset at its first level with one is its lex-minimum.  Heights
+    run in uint8 from -lo, where [lo, hi] is the band about the start clamped
+    to [-n, n], so any T fits; one below the band wraps past 2n (for n < 85).
     """
-    n = len(eps)
-    for m in range(n, 0, -1):
-        for combo in itertools.combinations(range(n), m):
-            if _subsequence_valid(eps, combo, t, s):
-                return m, tuple(i + 1 for i in combo)
-    return 0, ()
+    count, n = signs.shape
+    hi, lo = min(t - start, n), max(-t - start, -n)
+    steps = signs.astype(np.uint8)  # -1 wraps to 255, which adds as -1 mod 256
+    lengths, witnesses = [0] * count, [()] * count
+    todo = np.arange(count)
+    for m in range(n, -1, -1):
+        combos = list(itertools.combinations(range(1, n + 1), m))
+        columns = np.array(combos, dtype=np.intp).reshape(len(combos), m) - 1
+        left = []
+        for slab in _slabs(todo.size, len(combos)):
+            rows = todo[slab]
+            chunk = steps[rows]
+            height = np.full((rows.size, len(combos)), -lo, dtype=np.uint8)
+            peak = height.copy()
+            for j in range(m):
+                height += chunk[:, columns[:, j]]
+                np.maximum(peak, height, out=peak)
+            valid = peak <= hi - lo
+            found = valid.any(axis=1)
+            first = valid.argmax(axis=1)  # the lex-first valid subset
+            for row, c in zip(rows[found].tolist(), first[found].tolist()):
+                lengths[row], witnesses[row] = m, combos[c]
+            left.append(rows[~found])
+        todo = np.concatenate(left)
+        if not todo.size:
+            break
+    return lengths, witnesses
 
 
 def verify_lex_optimality(signs: Sequence[int], half_width: int, start: int = 0) -> bool:
-    """True iff the reflected walk is a longest valid subsequence and the
-    lexicographically smallest one, against exhaustive enumeration."""
+    """True iff the reflected walk is the lexicographically smallest of the
+    longest valid subsequences, found by trying every subset (n <= 14)."""
     t, s = _check_band(half_width, start)
     eps = _check_signs(signs)
     if len(eps) > _ENUM_LIMIT:
         raise ValueError(f"verify_lex_optimality is limited to n <= {_ENUM_LIMIT}")
-    walk = reflected_walk(eps, t, s)
-    length, lexmin = _enumerate_longest_lexmin(eps, t, s)
-    return len(walk.indices) == length and walk.indices == lexmin
+    _, witnesses = _lexmin_longest(np.array(eps, dtype=np.int8).reshape(1, -1), t, s)
+    return reflected_walk(eps, t, s).indices == witnesses[0]
 
 
 def verify_start_shift(signs: Sequence[int], half_width: int, start: int) -> bool:
-    """True iff longest-from-0 <= longest-from-start + |start| (via DP, n <= _DP_LIMIT)."""
+    """True iff longest-from-0 <= longest-from-start + |start|, by DP (n <= 30);
+    ``exhaustive_failures`` checks it on its subset scan's lengths instead."""
     t, s = _check_band(half_width, start)
     eps = _check_signs(signs)
     return dp_longest_valid(eps, t, 0) <= dp_longest_valid(eps, t, s) + abs(s)
+
+
+def exhaustive_failures(n: int, half_width: int, starts: Sequence[int]) -> list[tuple]:
+    """The (signs, start) instances, over all 2**n sign strings and ``starts``,
+    where ``verify_lex_optimality`` or ``verify_start_shift`` would be False.
+
+    String b has sign +1 at position i + 1 iff bit i of b is set; failures
+    come string by string, and within one in the order of ``starts``.  One
+    ``_lexmin_longest`` scan of every string per start (and from 0) gives the
+    lengths and witnesses; the walk is ``reflected_walk``, run per instance.
+    """
+    n = _integer("n", n, 0)
+    if n > _ENUM_LIMIT:
+        raise ValueError(f"exhaustive mode is limited to n <= {_ENUM_LIMIT}")
+    t, _ = _check_band(half_width, 0)
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    signs = (2 * bits - 1).astype(np.int8)
+    scans = {s: _lexmin_longest(signs, *_check_band(t, s)) for s in dict.fromkeys((*starts, 0))}
+    failures = []
+    for b, eps in enumerate(map(tuple, signs.tolist())):
+        for s in starts:
+            lengths, witnesses = scans[s]
+            if (reflected_walk(eps, t, s).indices != witnesses[b]
+                    or scans[0][0][b] > lengths[b] + abs(s)):
+                failures.append((eps, s))
+    return failures
 
 
 def _start_weights(start: StartDistribution, width: int, t: int) -> tuple[list[int], int]:

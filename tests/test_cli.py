@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from driftguard import (
-    Box, ExperimentConfig, StepGenerator, cli, emit_report, harness, run_experiment,
+    Box, ExperimentConfig, StepGenerator, cli, emit_report, harness, oracle1d, run_experiment,
 )
 from driftguard.bounds import matching_bounds
 from driftguard.cli import main
@@ -702,8 +702,10 @@ class TestOracle:
         assert summary["instances"] == 16 * 3
 
     def test_exhaustive_reports_each_counterexample(self, capsys, monkeypatch):
-        # the oracle finds none, so a shift check that fails on "+-" from 1 stands in
-        monkeypatch.setattr(cli, "verify_start_shift", lambda eps, t, s: (eps, s) != ((1, -1), 1))
+        # the oracle finds none, so a walk that keeps nothing of "+-" from 1 stands in
+        walk = oracle1d.reflected_walk
+        monkeypatch.setattr(oracle1d, "reflected_walk", lambda eps, t, s: (
+            oracle1d.ValidSubsequence((), s) if (eps, s) == ((1, -1), 1) else walk(eps, t, s)))
         code, out, err = run_cli(capsys, "oracle", "--mode", "exhaustive", "--T", "1", "--n", "2")
         assert (code, err) == (2, "")
         assert out == (

@@ -14,6 +14,7 @@ import io
 import itertools
 import json
 import math
+import time
 import warnings
 
 import pytest
@@ -34,7 +35,8 @@ HALF_WIDTHS = (
     "1e-6", "1e-3", "0.005", "0.5", "1", "16", "1e150", "1e154", "1e200", "1e307", "1e308",
 )
 # 2T + 1 = 65 states is the last in rationals; n = 14 the last exhaustive and
-# n = 30 the last DP, so exhaustive runs only at n <= 4 (cheap) or n >= 15 (refused)
+# n = 30 the last DP, so the grid's exhaustive lines run at n <= 4 or are refused
+# at n >= 15; the cost-ceiling test below runs it at n = 12 and 14
 ORACLE_TS = ("-1", "0", "1", "2", "32", "33", "40")
 ORACLE_NS = (-1, 0, 1, 4, 15, 31)
 ORACLE_STARTS = (None, "0", "-1", "1", "41", "-41")
@@ -72,9 +74,28 @@ def test_oracle_grid_meets_the_contract(mode):
         assert_meets_contract(argv)
 
 
+# exhaustive mode's cost ceilings: n = 14 is the last n it takes, and T = 0
+# sends every string down every level of the subset scan.  Each takes a few
+# seconds on 2 cores; n = 14 took 38-45 s when each instance enumerated its
+# subsets in Python, so the budgets are generous and still catch that
+@pytest.mark.parametrize("t, n, budget", [(2, 14, 30.0), (0, 12, 10.0)])
+def test_exhaustive_runs_within_a_wall_budget(t, n, budget):
+    began = time.perf_counter()
+    code, out, _ = assert_meets_contract(
+        ["oracle", "--mode", "exhaustive", f"--T={t}", f"--n={n}"])
+    assert time.perf_counter() - began < budget
+    summary = json.loads(out.splitlines()[-1])
+    assert (code, summary["instances"], summary["failures"]) == (0, (2 * t + 1) << n, 0)
+
+
 def test_oracle_at_a_wide_band_meets_the_contract():
     assert_meets_contract(["oracle", "--mode", "chain", "--T=1000000", "--n=10", "--start=0"])
     assert_meets_contract(["oracle", "--mode", "single", "--T=1000000", "--n=2", "--signs=++"])
+    # the subset scan runs its heights from the start, so a band past int64 is exact
+    for start in (f"--start={2**70}", f"--start={-(2**70) + 3}", "--start=0"):
+        code, out, _ = assert_meets_contract(
+            ["oracle", "--mode", "exhaustive", f"--T={2**70}", "--n=8", start])
+        assert (code, json.loads(out)["failures"]) == (0, 0)
 
 
 def test_oracle_n_when_given_must_match_the_signs():

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftguard import bodies, cli, oracle1d
 from driftguard.oracle1d import (
+    ValidSubsequence,
+    _lexmin_longest,
     _spectral_expectation,
     dp_longest_valid,
     exact_chain_expectation,
@@ -18,9 +22,11 @@ from driftguard.oracle1d import (
 from helpers import (
     chain_expectation_loop,
     enumerate_longest,
+    exhaustive_longest_table,
     is_valid_for,
     mc_reflected_discards,
     reflected_kernel_matrix,
+    signs_of_bits,
 )
 
 sign_lists = st.lists(st.sampled_from([-1, 1]), min_size=0, max_size=12)
@@ -129,6 +135,130 @@ class TestLexOptimality:
                     for bits in range(1 << n):
                         eps = tuple(1 if bits & (1 << i) else -1 for i in range(n))
                         assert verify_lex_optimality(eps, t, s)
+
+
+def all_signs(n):
+    """Every sign string of length n, string b in row b, as the scan takes them."""
+    rows = [signs_of_bits(b, n) for b in range(1 << n)]
+    return np.array(rows, dtype=np.int8).reshape(1 << n, n)
+
+
+class TestLexminLongest:
+    """The subset scan against the helpers' table and the DP, string by string."""
+
+    def test_matches_the_independent_table_and_the_dp(self):
+        for n in range(0, 11):
+            signs = all_signs(n)
+            rows = signs.tolist()
+            for t in (0, 1, 2, 3):
+                for s in range(-t, t + 1):
+                    lengths, witnesses = _lexmin_longest(signs, t, s)
+                    table_lengths, table_witnesses = exhaustive_longest_table(n, t, s)
+                    assert lengths == table_lengths.tolist(), (n, t, s)
+                    assert witnesses == table_witnesses, (n, t, s)
+                    assert lengths == [dp_longest_valid(r, t, s) for r in rows], (n, t, s)
+
+    def test_no_steps(self):
+        for t, s in ((0, 0), (1, -1), (2**70, 2**70)):
+            assert _lexmin_longest(all_signs(0), t, s) == ([0], [()])
+
+    def test_zero_band_keeps_nothing(self):
+        lengths, witnesses = _lexmin_longest(all_signs(6), 0, 0)
+        assert lengths == [0] * 64 and witnesses == [()] * 64
+
+    @pytest.mark.parametrize("t, s", [(5, 0), (6, -1), (8, 2), (9, 3), (2**70, -(2**70) + 5)])
+    def test_a_band_the_walk_cannot_leave_keeps_everything(self, t, s):
+        # T >= |start| + n: every height any subset reaches is in the band
+        lengths, witnesses = _lexmin_longest(all_signs(5), t, s)
+        assert lengths == [5] * 32 and witnesses == [(1, 2, 3, 4, 5)] * 32
+
+    @pytest.mark.parametrize("s", [2**70, 2**70 - 1, 2**70 - 3, 0, -(2**70) + 2])
+    def test_a_band_beyond_int64_is_exact(self, s):
+        # heights run from the start, so T = 2**70 needs no wide dtype
+        t = 2**70
+        signs = all_signs(7)
+        lengths, witnesses = _lexmin_longest(signs, t, s)
+        for row, length, witness in zip(signs.tolist(), lengths, witnesses):
+            assert (length, witness) == enumerate_longest(tuple(row), t, s)
+            assert length == dp_longest_valid(row, t, s)
+        assert verify_lex_optimality((1,) * 7, t, s)
+
+    def test_rows_resolve_alike_in_any_slab_size(self, monkeypatch):
+        signs = all_signs(9)
+        whole = _lexmin_longest(signs, 2, -1)
+        monkeypatch.setattr(bodies, "_SLAB", 7)
+        assert _lexmin_longest(signs, 2, -1) == whole
+
+
+def strict_walk(signs, half_width, start=0):
+    """A wrong greedy: it keeps only steps that end strictly inside the band."""
+    height, kept = start, []
+    for k, e in enumerate(signs, start=1):
+        if abs(height + e) < half_width:
+            height += e
+            kept.append(k)
+    return ValidSubsequence(tuple(kept), start)
+
+
+class TestPlantedCounterexample:
+    @pytest.mark.parametrize("t, n, start", [(2, 6, None), (1, 5, None), (3, 7, -2)])
+    def test_each_failure_is_reported_as_the_per_instance_loop_reports_it(
+        self, capsys, monkeypatch, t, n, start
+    ):
+        # the per-instance loop: the walk against enumerate_longest, then the DP shift check
+        starts = [start] if start is not None else list(range(-t, t + 1))
+        expected = []
+        for b in range(1 << n):
+            eps = signs_of_bits(b, n)
+            for s in starts:
+                walk = strict_walk(eps, t, s)
+                if not (enumerate_longest(eps, t, s) == (len(walk.indices), walk.indices)
+                        and verify_start_shift(eps, t, s)):
+                    signs = "".join("+" if e > 0 else "-" for e in eps)
+                    expected.append(json.dumps(
+                        dict(mode="exhaustive", T=t, start=s, signs=signs, ok=False),
+                        sort_keys=True))
+        monkeypatch.setattr(oracle1d, "reflected_walk", strict_walk)
+        argv = ["oracle", "--mode", "exhaustive", f"--T={t}", f"--n={n}"]
+        if start is not None:
+            argv.append(f"--start={start}")
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert 0 < len(expected) < len(starts) << n
+        assert (code, err, lines[:-1]) == (2, "", expected)
+        assert json.loads(lines[-1]) == dict(
+            mode="exhaustive", T=t, n=n, instances=len(starts) << n, failures=len(expected))
+
+    def test_the_shift_check_reads_the_scans_lengths(self, monkeypatch):
+        # a scan that finds one step too many from 0 breaks the inequality from
+        # every other start where it is tight; the witnesses still match the walk
+        scan = oracle1d._lexmin_longest
+
+        def longer_from_0(signs, t, s):
+            lengths, witnesses = scan(signs, t, s)
+            return [x + (s == 0) for x in lengths], witnesses
+
+        monkeypatch.setattr(oracle1d, "_lexmin_longest", longer_from_0)
+        t, n = 2, 6
+        expected = [
+            (eps, s)
+            for eps in (signs_of_bits(b, n) for b in range(1 << n))
+            for s in range(-t, t + 1)
+            if s and dp_longest_valid(eps, t, 0) + 1 > dp_longest_valid(eps, t, s) + abs(s)
+        ]
+        assert 0 < len(expected) < 4 << n
+        assert oracle1d.exhaustive_failures(n, t, range(-t, t + 1)) == expected
+
+    def test_bad_input_is_rejected(self):
+        for n, t, starts, message in (
+            (15, 1, [0], "^exhaustive mode is limited to n <= 14$"),
+            (-1, 1, [0], "^n must be at least 0$"),
+            (3, -1, [], "^half_width must be at least 0$"),
+            (3, 1, [0, 2], r"^start 2 outside band \[-1, 1\]$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                oracle1d.exhaustive_failures(n, t, starts)
 
 
 class TestStartShift:

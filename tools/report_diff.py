@@ -43,6 +43,10 @@ LINES = tuple(
     "oracle --mode chain --T 2 --n 1000 --start 0",
     "oracle --mode chain --T 1000 --n 100000 --start 0",
     "oracle --mode exhaustive --T 2 --n 8",
+    # T = 0 sends every string down every level of the subset scan; T = 3 from
+    # its edge runs a wider band from one start
+    "oracle --mode exhaustive --T 0 --n 10",
+    "oracle --mode exhaustive --T 3 --n 12 --start -3",
     "oracle --mode single --T 1 --n 4 --signs=+--+",
     "oracle --mode single --T 1000000 --n 2 --signs=++",
     "oracle --mode chain --T 1000000 --n 10 --start 0",
