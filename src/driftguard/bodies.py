@@ -66,10 +66,14 @@ def _integer(name: str, value, minimum: Optional[int] = None) -> int:
 
 
 def _slabs(count: int, width: int) -> Iterator[slice]:
-    """Slices tiling range(count), each of as many items of ``width`` values
-    as fit in ``_SLAB`` (at least one item, and a width of 0 counts as 1)."""
-    size = max(1, _SLAB // max(1, width))
+    """Slices tiling range(count), each of ``_slab_items(width)`` items."""
+    size = _slab_items(width)
     return (slice(i, min(i + size, count)) for i in range(0, count, size))
+
+
+def _slab_items(width: int) -> int:
+    """Items of ``width`` values that fit in ``_SLAB``: at least 1, and width 0 counts as 1."""
+    return max(1, _SLAB // max(1, width))
 
 
 def _seed(name: str, value):

@@ -16,9 +16,11 @@ whole rows, as one chunk.
 
 A run splits its trials into contiguous shards, one per CPU the process
 may run on (at most one per slab), and forks a child process for every
-shard but the first, which the calling process runs itself.  Each shard
-runs the slab loop over its own trials, so each process holds one slab;
-the results, merged in trial order, are the bits of one process's run.
+shard but the first, which the calling process runs itself.  Each process
+holds one slab at a time, and each slab gives one record: its trials' bound
+sums and their results or escape.  The run's records, merged once in trial
+order, are the bits of one process's run; ``run_experiment`` reads the
+discard counts off them and never joins their (m, n) accept flags.
 """
 
 from __future__ import annotations
@@ -215,71 +217,67 @@ def trial_streams(config: ExperimentConfig) -> tuple[np.ndarray, list]:
 
 
 def run_experiment_ensemble(config: ExperimentConfig) -> tuple[RunStats, EnsembleResult]:
-    """run_experiment, also returning the raw ensemble for further checks.
+    """run_experiment, also returning the raw ensemble for further checks:
+    the slabs' results concatenated field by field, the bits of one
+    ensemble, since a trial's results depend only on its own streams."""
+    stats, parts = _run(config)
+    return stats, EnsembleResult(*(np.concatenate([getattr(part, f.name) for part in parts])
+                                   for f in fields(EnsembleResult)))
 
-    Trials run in slabs of ceil(``_LOCKSTEP_WIDTH`` / d); a trial's results
-    depend only on its own streams, so the slabs' results, concatenated
-    field by field, are the bits of one ensemble.  The trials are split into
-    k contiguous near-equal shards, k = min(``_cpus()``, slabs): shard 0
-    runs in this process and each other shard in a forked child
-    (``_fork_map``), so no process holds more than one slab's steps and
-    coins, and k = 1 forks nothing.  Each shard runs ``_run_trials``, the
-    slab loop over its trials.  The least (step, trial) containment error of
-    all slabs is raised after the bound reports are made; any other error
-    is the lowest shard's, the one a single process meets first.
+
+def _run(config: ExperimentConfig) -> tuple[RunStats, tuple]:
+    """The run's statistics and its slabs' ``EnsembleResult``s in trial order.
+
+    Trials run in slabs of ceil(``_LOCKSTEP_WIDTH`` / d), each by
+    ``_run_slab``, split into k contiguous near-equal shards, k =
+    min(``_cpus()``, slabs): shard 0 runs in this process and each other in
+    a forked child (``_fork_map``), so a process holds one slab's steps and
+    coins, and k = 1 forks nothing.  The slab records are merged once: the
+    bound reports are made, then the least (step, trial) containment error
+    of all slabs is raised, then the discard counts are read off the slabs'
+    results.  Any other error is the lowest shard's, the one a single
+    process meets first.
     """
     density = cube_eigen_density(config.body)
-    m, n, d = config.n_trials, config.n_steps, config.body.dimension
+    m, d = config.n_trials, config.body.dimension
     size = min(m, -(-_LOCKSTEP_WIDTH // d))
     k = min(_cpus(), -(-m // size))
     shards = [range(m * i // k, m * (i + 1) // k) for i in range(k)]
-    outcomes = _fork_map(lambda trials: _run_trials(config, density, trials, size), shards)
-    sums = np.concatenate([outcome[0] for outcome in outcomes])
-    unit = all(outcome[1] for outcome in outcomes)
-    parts = [part for outcome in outcomes for part in outcome[2]]
-    escapes = [escape for outcome in outcomes for escape in outcome[3]]
-    bound_reports = tuple(_bound_reports(config.body, sums, unit, n))
+
+    def run_shard(trials: range) -> list:
+        return [_run_slab(config, density, range(start, min(start + size, trials.stop)))
+                for start in range(trials.start, trials.stop, size)]
+
+    sums, units, parts, escapes = zip(*(record for shard in _fork_map(run_shard, shards)
+                                        for record in shard))
+    bound_reports = _bound_reports(config.body, np.concatenate(sums), all(units), config.n_steps)
+    escapes = [escape for escape in escapes if escape is not None]
     if escapes:  # a later slab's violation may come at an earlier step
         raise ContainmentError(*min(escapes, key=lambda escape: escape[:2]))
-    # one slab's result as it is: a concatenation would copy its (m, n) accept flags
-    result = parts[0] if len(parts) == 1 else EnsembleResult(
-        *(np.concatenate([getattr(part, f.name) for part in parts])
-          for f in fields(EnsembleResult)))
-    discards = np.asarray(result.discards, dtype=np.int64)
-    stats = RunStats(
+    discards = np.concatenate([part.discards for part in parts])
+    return RunStats(
         per_trial_discards=discards.tolist(),
         mean=float(np.mean(discards)),
         std_error=float(np.std(discards, ddof=1) / math.sqrt(m)) if m > 1 else 0.0,
         bound_reports=bound_reports,
-        containment_violations=0,
-    )
-    return stats, result
+    ), parts
 
 
-def _run_trials(config: ExperimentConfig, density, trials: range, size: int) -> tuple:
-    """The slab loop over ``trials``, in slabs of ``size``: their bound sums,
-    whether ``lower_1d`` attaches to all of them, their ``EnsembleResult``
-    parts in trial order, and each slab's containment escape as (step,
-    trial, accepted sum).  Each slab takes its rows and chunks from
-    ``_slab_steps``, writes its trials' bound sums from the rows and drops
-    them, then filters the chunks; its steps are dropped before the next
-    slab's are drawn, so one slab's steps and coins are alive at a time.
-    """
+def _run_slab(config: ExperimentConfig, density, slab: range) -> tuple:
+    """The record of the trials ``slab``: their bound sums, whether
+    ``lower_1d`` attaches, and their ``EnsembleResult``, or None and their
+    containment escape as (step, trial in the run, accepted sum).  The rows
+    from ``_slab_steps`` are dropped once the bound pass has read them, and
+    the chunks when this returns, so one slab's steps and coins are alive."""
     n = config.n_steps
-    sums = np.empty(len(trials))
-    units, parts, escapes = [], [], []
-    for start in range(trials.start, trials.stop, size):
-        slab = range(start, min(start + size, trials.stop))
-        rows, chunks = _slab_steps(config.generator, n, _trial_seeds(config.seed, slab, 0))
-        sums[start - trials.start : slab.stop - trials.start], unit = _bound_pass(config.body, rows)
-        units.append(unit)
-        del rows  # a sign-only slab's kernel holds a chunk, not the unsigned row
-        try:
-            parts.append(_run_chunks(density, _trial_seeds(config.seed, slab, 1), n, chunks))
-        except ContainmentError as exc:
-            escapes.append((exc.step, start + exc.trial, exc.accepted_sum))
-        del chunks  # before the next slab's steps are drawn
-    return sums, all(units), parts, escapes
+    rows, chunks = _slab_steps(config.generator, n, _trial_seeds(config.seed, slab, 0))
+    sums, unit = _bound_pass(config.body, rows)
+    sums = np.broadcast_to(sums, len(slab))  # a sign-only row's sum is every trial's
+    del rows  # a sign-only slab's kernel holds a chunk, not the unsigned row
+    try:
+        return sums, unit, _run_chunks(density, _trial_seeds(config.seed, slab, 1), n, chunks), None
+    except ContainmentError as exc:
+        return sums, unit, None, (exc.step, slab.start + exc.trial, exc.accepted_sum)
 
 
 def _cpus() -> int:
@@ -363,13 +361,13 @@ def _fork(fn, item) -> tuple:
 def run_experiment(config: ExperimentConfig) -> RunStats:
     """Run n_trials seeded trials and aggregate discard counts and bounds.
 
-    Containment is checked once per block of steps, and a
-    violation raises ContainmentError naming the first step and lowest
-    trial that left the doubled box, rather than being counted; so a
-    returned RunStats always has containment_violations = 0.
+    The counts are read off each slab's results, so the trials' accept
+    flags are never joined.  Containment is checked once per block of
+    steps, and a violation raises ContainmentError naming the first step
+    and lowest trial that left the doubled box, rather than being counted;
+    so a returned RunStats always has containment_violations = 0.
     """
-    stats, _ = run_experiment_ensemble(config)
-    return stats
+    return _run(config)[0]
 
 
 def _matching_bounds(config: ExperimentConfig, steps: np.ndarray) -> list[BoundReport]:
@@ -399,17 +397,13 @@ def emit_report(stats: RunStats, report_format: str = "csv") -> str:
 def run_stats_from_json(text: str) -> RunStats:
     """Inverse of emit_report(..., 'json'): parse(emit(stats)) == stats.
 
-    ``RunStats`` and ``BoundReport`` check the fields: a count that is not
-    an integer, a mean, standard error or bound value that is a string, a
-    bool, NaN or inf, and a bound kind or digest that is not a string raise
-    ValueError naming the field.
+    The keys read are the fields of ``RunStats`` and ``BoundReport``: a
+    missing one raises KeyError, others are ignored.  The dataclasses check
+    the values: a count that is not an integer, a mean, standard error or
+    bound value that is a string, a bool, NaN or inf, and a bound kind or
+    digest that is not a string raise ValueError naming the field.
     """
     obj = json.loads(text)
-    return RunStats(
-        per_trial_discards=obj["per_trial_discards"],
-        mean=obj["mean"],
-        std_error=obj["std_error"],
-        bound_reports=[BoundReport(b["kind"], b["value"], b["inputs_digest"])
-                       for b in obj["bound_reports"]],
-        containment_violations=obj["containment_violations"],
-    )
+    obj["bound_reports"] = [BoundReport(**{f.name: b[f.name] for f in fields(BoundReport)})
+                            for b in obj["bound_reports"]]
+    return RunStats(**{f.name: obj[f.name] for f in fields(RunStats)})

@@ -133,13 +133,14 @@ def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> Ensemble
 
 def _chunk_length(width: int) -> int:
     """Steps in each chunk ``_run_chunks`` takes from a stream ``width``
-    (trials * d) lanes wide: whole kernel blocks (``_slabs(n, width)``'s),
-    at least ``_SLAB // 16`` steps, so that a trial's draw of a chunk's signs
-    or coins is long enough for the call's own cost not to show, and an odd
-    number of blocks.  An even count of power-of-two blocks (32 steps at
-    2048 lanes) puts the trials' rows a multiple of 4 KiB apart, on the same
-    cache sets: 2000 trials of 2e4 +-1 steps ran ~10% slower so."""
-    block = max(1, bodies._SLAB // max(1, width))
+    (trials * d) lanes wide: whole kernel blocks of ``_slab_items(width)``
+    steps, at least ``_SLAB // 16`` steps, so that a trial's draw of a
+    chunk's signs or coins is long enough for the call's own cost not to
+    show, and an odd number of blocks.  An even count of power-of-two
+    blocks (32 steps at 2048 lanes) puts the trials' rows a multiple of
+    4 KiB apart, on the same cache sets: 2000 trials of 2e4 +-1 steps ran
+    ~10% slower so."""
+    block = bodies._slab_items(width)
     return block * (max(1, -(-(bodies._SLAB // 16) // block)) | 1)
 
 

@@ -266,6 +266,18 @@ class TestStreamedMemory:
                                   n, m, 1)
         assert peak_bytes(lambda: run_experiment(config)) <= m * n + 8 * bodies._SLAB * 8
 
+    def test_slabs_accept_flags_are_not_joined(self, monkeypatch):
+        # four slabs of 16 trials: the discard counts are read off each
+        # slab's results, so the slabs' (16, n) accept flags are never
+        # copied into one (m, n) array, which held them twice (12.9 MB)
+        m, n, d = 64, 100_000, 1
+        monkeypatch.setattr(harness, "_LOCKSTEP_WIDTH", 16)
+        monkeypatch.setattr(harness, "_cpus", lambda: 1)  # tracemalloc sees this process only
+        monkeypatch.setattr(harness, "cube_eigen_density", lambda box: liar_density(1e6))
+        config = ExperimentConfig(Box.cube(d, 8.0), StepGenerator("coordinate_basis_cycle", d),
+                                  n, m, 1)
+        assert peak_bytes(lambda: run_experiment(config)) <= m * n + 8 * bodies._SLAB * 8
+
     def test_wide_pm1_run_holds_one_chunk(self, monkeypatch):
         # 200 trials in lockstep over two chunks of 4251 steps, each 27 MB of
         # steps and coins: drawing the second while the first was alive (the

@@ -423,6 +423,20 @@ def assert_matches_filter_loop(den, steps, seeds):
             assert ens.max_abs_sums[i] == max_abs
 
 
+class TestChunkLength:
+    # a chunk is whole kernel blocks of bodies._slab_items(width) steps, at
+    # least _SLAB // 16 steps and an odd number of blocks, written out here
+    @pytest.mark.parametrize("slab", [None, 7, 1000, 1 << 12])
+    def test_is_the_written_out_formula(self, monkeypatch, slab):
+        if slab is not None:
+            monkeypatch.setattr(bodies, "_SLAB", slab)
+        for width in range(1, 4097):
+            block = max(1, bodies._SLAB // max(1, width))
+            expected = block * (max(1, -(-(bodies._SLAB // 16) // block)) | 1)
+            assert metropolis._chunk_length(width) == expected, width
+            assert bodies._slab_items(width) == block, width
+
+
 class TestEnsembleKernel:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError, match="^need at least one trial$"):

@@ -10,6 +10,13 @@ with that side's ``src`` on PYTHONPATH, one process at a time.  A line is
 ``same`` when its exit code, stdout and stderr bytes match on both sides and
 ``differs`` otherwise; the script prints one of them per line and exits 1 if
 any line differs.
+
+Then ``PINNED`` (the four ``SHAPES`` at seed 1, json) runs on the working
+tree twice more, on every CPU this process may use and pinned to one of them
+(``os.sched_setaffinity`` in the child), which checks through the CLI that
+the trials split over forked shards give the bytes of one process.  Each
+line prints ``same`` or ``differs`` in the same way; a process allowed one
+CPU prints a note and skips this pass.
 """
 
 from __future__ import annotations
@@ -82,6 +89,7 @@ LINES = tuple(
     "simulate --dim 1 --half-width 8 --generator pm1 --steps 0 --trials 16"
     " --format json --seed 1",
 )
+PINNED = tuple(f"simulate {shape} --format json --seed 1" for shape in SHAPES)
 # a step file (fixed_list, the other sign-only kind), with a zero row: main
 # writes it once, and both sides read it by the same path over several chunks
 STEP_FILE = "0.5 -0.25\n0 0\n1.5 0.75\n-0.125 1\n0.25 0.5\n"
@@ -89,11 +97,13 @@ FILE_LINE = ("simulate --dim 2 --half-width 3 --generator file:{path} --steps 20
              " --trials 30 --format json --seed 1")
 
 
-def run_line(tree: Path, line: str) -> tuple[int, bytes, bytes]:
-    """Exit code, stdout and stderr of ``driftguard <line>`` run from ``tree``."""
+def run_line(tree: Path, line: str, cpu=None) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of ``driftguard <line>`` run from ``tree``,
+    on CPU ``cpu`` alone when it is given."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    pin = None if cpu is None else lambda: os.sched_setaffinity(0, {cpu})
     proc = subprocess.run([sys.executable, "-m", "driftguard.cli", *line.split()],
-                          cwd=tree, env=env, capture_output=True)
+                          cwd=tree, env=env, capture_output=True, preexec_fn=pin)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -106,6 +116,20 @@ def compare(before: Path, after: Path, lines) -> list[bool]:
     return verdicts
 
 
+def compare_one_cpu(tree: Path, lines) -> list[bool]:
+    """Whether each line gives the same outputs on all of this process's
+    CPUs as pinned to one, printed as it goes; none with one CPU."""
+    cpus = os.sched_getaffinity(0)
+    if len(cpus) == 1:
+        print("note: this process may use one CPU, so the one-CPU pass is skipped", flush=True)
+        return []
+    verdicts = []
+    for line in lines:
+        verdicts.append(run_line(tree, line) == run_line(tree, line, cpu=min(cpus)))
+        print(f"{'same' if verdicts[-1] else 'differs'}  one CPU: {line}", flush=True)
+    return verdicts
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--before", required=True, help="git revision of the before side")
@@ -115,6 +139,7 @@ def main(argv=None) -> int:
         steps.write_text(STEP_FILE)
         lines = LINES + (FILE_LINE.format(path=steps),)
         verdicts = compare(unpack(args.before, Path(tmp) / "before"), ROOT, lines)
+    verdicts += compare_one_cpu(ROOT, PINNED)
     return 0 if all(verdicts) else 1
 
 
