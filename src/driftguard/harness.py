@@ -18,9 +18,12 @@ A run splits its trials into contiguous shards, one per CPU the process
 may run on (at most one per slab), and forks a child process for every
 shard but the first, which the calling process runs itself.  Each process
 holds one slab at a time, and each slab gives one record: its trials' bound
-sums and their results or escape.  The run's records, merged once in trial
-order, are the bits of one process's run; ``run_experiment`` reads the
-discard counts off them and never joins their (m, n) accept flags.
+sums and their results or escape.  A child pickles its shard's records
+straight into a pipe and the calling process unpickles them from it, so no
+record is also held as its pickled bytes.  The run's records, merged once
+in trial order, are the bits of one process's run; ``run_experiment``
+reads the discard counts off them and never joins their (m, n) accept
+flags.
 """
 
 from __future__ import annotations
@@ -105,32 +108,22 @@ def _slab_steps(gen: StepGenerator, n: int, seeds) -> tuple:
     bound pass reads and the (k, c, d) chunks the kernel filters.  A sign
     leaves a norm as it is, so a sign-only kind's rows are its one unsigned
     (n, d) row, every trial's norms, and its chunks are ``_chunk_length``
-    steps, drawn as the kernel reaches them.  A Gaussian kind's rows are its
-    whole (k, n, d) steps, and they are its one chunk."""
+    steps, each drawn by ``_draw_chunk`` as the kernel reaches it and held
+    by no name here, so the kernel's drop of a chunk frees it before the
+    next is drawn.  A Gaussian kind's signs follow all n * d normals, so its
+    rows are its whole (k, n, d) steps, and they are its one chunk."""
     if gen.kind not in _SIGN_ONLY:
         steps = _draw_steps(gen, n, seeds)
         return steps, [steps]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     length = _chunk_length(len(seeds) * gen.dimension)
-    return _cycle(gen, 0, n), _step_chunks(gen, n, seeds, length)
+    return _cycle(gen, 0, n), (_draw_chunk(gen, rngs, start, min(length, n - start))
+                               for start in range(0, n, length))
 
 
 def _draw_steps(gen: StepGenerator, n: int, seeds) -> np.ndarray:
-    """Steps (k, n, d) of k trials, trial i's from ``seeds[i]``: the one
-    whole-row chunk of ``_step_chunks``."""
-    empty = np.empty((len(seeds), 0, gen.dimension))
-    return next(_step_chunks(gen, n, seeds, max(n, 1)), empty)
-
-
-def _step_chunks(gen: StepGenerator, n: int, seeds, length: int):
-    """Steps of k trials, trial i's from ``seeds[i]``, as (k, c, d) chunks of
-    ``length`` steps over n (the last may be shorter).  Sign-only kinds draw
-    nothing but one sign a step, so chunks of them are the bits of one call;
-    a Gaussian kind's signs follow all n * d normals, so it takes ``length``
-    >= n, one chunk.  A chunk is made by ``_draw_chunk`` and held by no name
-    here, so the caller's drop of it frees it before the next is drawn."""
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    for start in range(0, n, length):
-        yield _draw_chunk(gen, rngs, start, min(length, n - start))
+    """Steps (k, n, d) of k trials, trial i's from ``seeds[i]``."""
+    return _draw_chunk(gen, [np.random.default_rng(seed) for seed in seeds], 0, n)
 
 
 def _draw_chunk(gen: StepGenerator, rngs: list, start: int, c: int) -> np.ndarray:
@@ -293,11 +286,12 @@ def _cpus() -> int:
 def _fork_map(fn, items: list) -> list:
     """``[fn(item) for item in items]``, each item after the first in a forked child.
 
-    This process runs ``fn(items[0])`` and then reads the children's results
-    in order.  The first failure in item order is raised: the exception
-    ``fn`` raised, or ``ChildProcessError`` naming the exit status of a child
-    that ended without a result.  Every child is killed and reaped before
-    this returns or raises, ``KeyboardInterrupt`` included.
+    This process runs ``fn(items[0])`` and then unpickles the children's
+    results in order, straight from their pipes.  The first failure in item
+    order is raised: the exception ``fn`` raised, or ``ChildProcessError``
+    naming the exit status of a child that ended without a whole result.
+    Every child is killed and reaped before this returns or raises,
+    ``KeyboardInterrupt`` included.
     """
     children = []  # (pid, read end of its pipe) of each child forked
     reaped = set()
@@ -306,13 +300,15 @@ def _fork_map(fn, items: list) -> list:
             children.append(_fork(fn, item))
         results = [fn(items[0])]
         for shard, (pid, pipe) in enumerate(children, 1):
-            payload = pipe.read()
+            try:
+                result, whole = pickle.load(pipe), True  # a child of this process wrote it
+            except (EOFError, pickle.UnpicklingError):  # no record, or part of one
+                whole = False
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             reaped.add(pid)
-            if status != 0 or not payload:
+            if status != 0 or not whole:
                 how = f"signal {-status}" if status < 0 else f"exit status {status}"
                 raise ChildProcessError(f"trial shard {shard} ended without a result ({how})")
-            result = pickle.loads(payload)  # bytes a child of this process wrote
             if isinstance(result, BaseException):
                 raise result
             results.append(result)
@@ -329,10 +325,11 @@ def _fork_map(fn, items: list) -> list:
 
 def _fork(fn, item) -> tuple:
     """Fork a child that pickles ``fn(item)``, or the exception it raised,
-    to a pipe; returns its pid and the pipe's read end.  The child always
-    leaves by ``os._exit``, so it runs no atexit handler and flushes no stdio
-    buffer it shares with this process; it exits 1 if it could not send its
-    outcome (an unpicklable exception, or ``KeyboardInterrupt``)."""
+    straight into a pipe; returns its pid and the pipe's read end.  The
+    child always leaves by ``os._exit``, so it runs no atexit handler and
+    flushes no stdio buffer it shares with this process; it exits 1 if it
+    could not send its outcome (an unpicklable exception, or
+    ``KeyboardInterrupt``)."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -348,9 +345,8 @@ def _fork(fn, item) -> tuple:
                 outcome = fn(item)
             except Exception as exc:
                 outcome = exc
-            payload = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
             with open(write, "wb") as pipe:
-                pipe.write(payload)
+                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
             os._exit(code)

@@ -420,6 +420,16 @@ class TestTrialShardFailures:
         monkeypatch.setattr(harness, "_cpus", lambda: 2)
         monkeypatch.setattr(harness, "_slab_steps", slab_steps)
 
+    def extend_the_childs_record(self, monkeypatch, *extra):
+        parent, run_slab = os.getpid(), harness._run_slab
+
+        def slab(config, density, trials):
+            record = run_slab(config, density, trials)
+            return record + extra if os.getpid() != parent else record
+
+        monkeypatch.setattr(harness, "_cpus", lambda: 2)
+        monkeypatch.setattr(harness, "_run_slab", slab)
+
     def test_value_error(self, capsys, monkeypatch):
         def failure():
             raise ValueError("steps have non-finite entries")
@@ -443,6 +453,50 @@ class TestTrialShardFailures:
         self.fail_in_the_child(monkeypatch, failure)
         assert run_cli(capsys, *self.ARGV) == (
             2, "", f"error: trial shard 1 ended without a result ({how})\n")
+
+    def test_unpicklable_exception(self, capsys, monkeypatch):
+        # the child cannot send its outcome, so it exits 1 with nothing sent
+        def failure():
+            raise ValueError("a lambda cannot be pickled", lambda: None)
+
+        self.fail_in_the_child(monkeypatch, failure)
+        assert run_cli(capsys, *self.ARGV) == (
+            2, "", "error: trial shard 1 ended without a result (exit status 1)\n")
+
+    def test_death_mid_record(self, capsys, monkeypatch):
+        # the child's record ends with 4 MB of array data, already in the
+        # pipe, and then an object that kills the child as it is pickled:
+        # the parent unpickles part of a record and reports the signal
+        class Killer:
+            def __reduce__(self):
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        self.extend_the_childs_record(monkeypatch, np.arange(1 << 19, dtype=float), Killer())
+        assert run_cli(capsys, *self.ARGV) == (
+            2, "", f"error: trial shard 1 ended without a result (signal {int(signal.SIGKILL)})\n")
+
+    def test_death_mid_array(self, capsys, monkeypatch):
+        # the child is killed while it waits to write the rest of an 8 MB
+        # array into the full pipe, so its record stops inside the array
+        class KillingPipe:  # the read end; pickle fills a large array with readinto
+            def __init__(self, pid, pipe):
+                self.pid, self.pipe = pid, pipe
+                self.read, self.readline, self.close = pipe.read, pipe.readline, pipe.close
+
+            def readinto(self, buffer):
+                os.kill(self.pid, signal.SIGKILL)
+                return self.pipe.readinto(buffer)
+
+        fork = harness._fork
+
+        def killing_fork(fn, item):
+            pid, pipe = fork(fn, item)
+            return pid, KillingPipe(pid, pipe)
+
+        self.extend_the_childs_record(monkeypatch, np.zeros(1 << 20))
+        monkeypatch.setattr(harness, "_fork", killing_fork)
+        assert run_cli(capsys, *self.ARGV) == (
+            2, "", f"error: trial shard 1 ended without a result (signal {int(signal.SIGKILL)})\n")
 
 
 def test_cli_import_loads_no_process_pool():

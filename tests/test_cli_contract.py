@@ -6,7 +6,8 @@ in a traceback, never prints NaN or inf, and raises no RuntimeWarning.
 The lines are drawn from the subcommands that read a half-width, over
 d in {1, 2, 3} and half-widths from NaN through subnormals to 1e308, and
 from the three oracle modes over bands, step counts and starts at and
-beyond their limits, and from the count flags at 0, 1 and their floors.
+beyond their limits, from the count flags at 0, 1 and their floors, and
+from each ``simulate --config`` key at an edge value or of a wrong type.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ import time
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from driftguard import cli
@@ -141,6 +142,31 @@ COUNT_FLAGS = [
 @pytest.mark.parametrize("argv, code", COUNT_FLAGS, ids=[" ".join(a) for a, _ in COUNT_FLAGS])
 def test_count_flags_at_their_floors_meet_the_contract(argv, code):
     assert assert_meets_contract([*argv, "--dim=2", "--half-width=2"])[0] == code
+
+
+# one config key at a time, at an edge value or of a wrong type, laid over a
+# small json run; "file:" names a step file that does not exist
+CONFIG_VALUES = (
+    None, True, False, 0, -1, 8, 2.5, -0.0, math.nan, 1e308, 5e-324,
+    "", "pm1", "json", "1", "file:no-such-steps.txt",
+    [], [2.0], [1, 2, 3], [[1.0]], [[1, 2], [3]], {}, {"dim": 1},
+)
+
+
+# 11 keys times 23 values, few enough that hypothesis runs each pair and stops
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(sorted(cli._SIM_DEFAULTS)), value=st.sampled_from(CONFIG_VALUES))
+def test_config_keys_meet_the_contract(tmp_path, monkeypatch, key, value):
+    # a run of 1e308 trials is a cost ceiling, not this contract, and a
+    # nonempty out string is a path the report goes to instead of stdout
+    assume(not (key in ("steps", "trials", "dim") and isinstance(value, (int, float))
+                and abs(value) > 8))
+    assume(not (key == "out" and isinstance(value, str) and value))
+    monkeypatch.chdir(tmp_path)  # where the missing step file is looked for
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"steps": 5, "trials": 2, "format": "json", key: value}))
+    assert_meets_contract(["simulate", "--config", str(config)])
 
 
 def assert_meets_contract(argv):

@@ -328,11 +328,26 @@ class TestStreamedChunks:
 
 
 class TestRunExperiment:
-    def test_zero_steps(self):
-        stats = run_experiment(cfg(n_steps=0, n_trials=4))
+    @pytest.mark.parametrize("kind, d", [
+        pytest.param(kind, d, id=kind) for kind, d in [
+            ("fixed_list", 1), ("coordinate_basis_cycle", 3),
+            ("random_unit_sphere", 2), ("isotropic_custom", 3)]])
+    def test_zero_steps(self, kind, d):
+        # every kind's n = 0 draw is one empty chunk, float64 and d wide
+        vectors = np.ones((1, d)) if kind == "fixed_list" else None
+        gen = StepGenerator(kind, d, vectors=vectors)
+        config = cfg(body=Box.cube(d, 4.0), generator=gen, n_steps=0, n_trials=4)
+        stats = run_experiment(config)
         assert stats.mean == 0.0
         assert stats.per_trial_discards == (0, 0, 0, 0)
         assert stats.containment_violations == 0
+        one = generate_steps(gen, 0, 5)
+        assert (one.dtype, one.shape) == (np.float64, (0, d))
+        slab = harness._draw_steps(gen, 0, _trial_seeds(5, range(4), 0))
+        assert (slab.dtype, slab.shape) == (np.float64, (4, 0, d))
+        steps = trial_streams(config)[0]
+        assert (steps.dtype, steps.shape) == (np.float64, (4, 0, d))
+        assert stats.bound_reports == tuple(matching_bounds(config.body, steps))
 
     def test_mean_and_se_recomputable(self):
         stats = run_experiment(cfg(n_trials=12, n_steps=300))

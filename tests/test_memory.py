@@ -278,6 +278,18 @@ class TestStreamedMemory:
                                   n, m, 1)
         assert peak_bytes(lambda: run_experiment(config)) <= m * n + 8 * bodies._SLAB * 8
 
+    def test_child_shards_record_is_unpickled_from_its_pipe(self, monkeypatch):
+        # two slabs of 16 trials over two processes: the child's record,
+        # 6.4 MB of accept flags, is unpickled straight from the pipe; read
+        # into one bytes first, it was held twice and the peak was 19.2 MB
+        m, n, d = 32, 400_000, 1
+        monkeypatch.setattr(harness, "_LOCKSTEP_WIDTH", 16)
+        monkeypatch.setattr(harness, "_cpus", lambda: 2)  # tracemalloc sees the parent only
+        monkeypatch.setattr(harness, "cube_eigen_density", lambda box: liar_density(1e6))
+        config = ExperimentConfig(Box.cube(d, 8.0), StepGenerator("coordinate_basis_cycle", d),
+                                  n, m, 1)
+        assert peak_bytes(lambda: run_experiment(config)) <= m * n + 8 * bodies._SLAB * 8
+
     def test_wide_pm1_run_holds_one_chunk(self, monkeypatch):
         # 200 trials in lockstep over two chunks of 4251 steps, each 27 MB of
         # steps and coins: drawing the second while the first was alive (the
