@@ -145,24 +145,21 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             raise ValueError("--norms expects file:<path>")
         reports = matching_bounds(box, _load_step_file(args.norms[len("file:"):], box.dimension))
     else:
-        if args.steps < 0:
-            raise ValueError(f"--steps must be nonnegative, not {args.steps}")
+        steps = _integer("--steps", args.steps, 0)
         try:
-            n = float(args.steps)
+            n = float(steps)
         except OverflowError:
             raise ValueError("--steps too large: the bounds overflow") from None
         # --steps N is N rows of e_1: one row's pass, its sum times N (exact below 2**53)
         row, unit = _bound_pass(box, np.eye(1, box.dimension))
-        reports = _bound_reports(box, row * n, unit, args.steps)
+        reports = _bound_reports(box, row * n, unit, steps)
     for report in reports:
         _emit(vars(report))
     return 0
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    t, n = args.T, args.n or 0  # single mode reads n off --signs
-    if n < 0:
-        raise ValueError(f"--n must be nonnegative, not {n}")
+    t, n = args.T, _integer("--n", args.n or 0, 0)  # single mode reads n off --signs
     if args.mode == "single":
         if not args.signs:
             raise ValueError("--signs is required in single mode")

@@ -8,11 +8,11 @@ SeedSequences.  Trials run through the filter kernel a slab at a time; a
 trial's walk depends only on its own streams, so the slabs, or
 ``filter_run`` on one trial's steps and seed, give the same walk.  One step
 source, ``_slab_steps``, is the only code that tells the kinds apart: it
-gives a slab's rows for the bound pass and its chunks for the kernel.  A
-sign-only kind (fixed rows times a fair sign) gives one unsigned row, whose
-norms are every trial's, and chunks over n drawn as the kernel filters
-them; a Gaussian kind, whose signs follow all n * d normals, gives its
-whole rows, as one chunk.
+gives a slab's bound sums and its chunks for the kernel.  A sign-only kind
+(fixed rows times a fair sign) sums one unsigned row, whose norms are every
+trial's, and gives chunks over n drawn as the kernel filters them; a
+Gaussian kind, whose signs follow all n * d normals, sums its whole rows
+and gives them as one chunk.
 
 A run splits its trials into contiguous shards, one per CPU the process
 may run on (at most one per slab), and forks a child process for every
@@ -103,22 +103,23 @@ def generate_steps(gen: StepGenerator, n: int, rng_seed) -> np.ndarray:
     return _draw_steps(gen, _integer("n", n, 0), [_seed("rng_seed", rng_seed)])[0]
 
 
-def _slab_steps(gen: StepGenerator, n: int, seeds) -> tuple:
-    """The steps of k trials, trial i's from ``seeds[i]``, as the rows the
-    bound pass reads and the (k, c, d) chunks the kernel filters.  A sign
-    leaves a norm as it is, so a sign-only kind's rows are its one unsigned
-    (n, d) row, every trial's norms, and its chunks are ``_chunk_length``
-    steps, each drawn by ``_draw_chunk`` as the kernel reaches it and held
-    by no name here, so the kernel's drop of a chunk frees it before the
-    next is drawn.  A Gaussian kind's signs follow all n * d normals, so its
-    rows are its whole (k, n, d) steps, and they are its one chunk."""
+def _slab_steps(body: Box, gen: StepGenerator, n: int, seeds) -> tuple:
+    """The steps of k trials, trial i's from ``seeds[i]``, as ``_bound_pass``'
+    (k,) sums and flag in ``body`` and the (k, c, d) chunks the kernel filters.
+    A sign leaves a norm as it is, so a sign-only kind's pass reads its one
+    unsigned (n, d) row, dropped before any chunk is drawn, whose sum is every
+    trial's; its chunks of ``_chunk_length`` steps are drawn by ``_draw_chunk``
+    as the kernel reaches them and held by no name here, so each is freed
+    before the next.  A Gaussian kind's signs follow all n * d normals, so its
+    pass reads its whole (k, n, d) steps, which are its one chunk."""
     if gen.kind not in _SIGN_ONLY:
         steps = _draw_steps(gen, n, seeds)
-        return steps, [steps]
+        return (*_bound_pass(body, steps), [steps])
+    sums, unit = _bound_pass(body, _cycle(gen, 0, n))
     rngs = [np.random.default_rng(seed) for seed in seeds]
     length = _chunk_length(len(seeds) * gen.dimension)
-    return _cycle(gen, 0, n), (_draw_chunk(gen, rngs, start, min(length, n - start))
-                               for start in range(0, n, length))
+    return np.broadcast_to(sums, len(seeds)), unit, (
+        _draw_chunk(gen, rngs, start, min(length, n - start)) for start in range(0, n, length))
 
 
 def _draw_steps(gen: StepGenerator, n: int, seeds) -> np.ndarray:
@@ -259,14 +260,12 @@ def _run(config: ExperimentConfig) -> tuple[RunStats, tuple]:
 def _run_slab(config: ExperimentConfig, density, slab: range) -> tuple:
     """The record of the trials ``slab``: their bound sums, whether
     ``lower_1d`` attaches, and their ``EnsembleResult``, or None and their
-    containment escape as (step, trial in the run, accepted sum).  The rows
-    from ``_slab_steps`` are dropped once the bound pass has read them, and
-    the chunks when this returns, so one slab's steps and coins are alive."""
+    containment escape as (step, trial in the run, accepted sum).  The
+    chunks from ``_slab_steps`` are dropped when this returns, so one slab's
+    steps and coins are alive."""
     n = config.n_steps
-    rows, chunks = _slab_steps(config.generator, n, _trial_seeds(config.seed, slab, 0))
-    sums, unit = _bound_pass(config.body, rows)
-    sums = np.broadcast_to(sums, len(slab))  # a sign-only row's sum is every trial's
-    del rows  # a sign-only slab's kernel holds a chunk, not the unsigned row
+    sums, unit, chunks = _slab_steps(config.body, config.generator, n,
+                                     _trial_seeds(config.seed, slab, 0))
     try:
         return sums, unit, _run_chunks(density, _trial_seeds(config.seed, slab, 1), n, chunks), None
     except ContainmentError as exc:

@@ -394,7 +394,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("generator", ["unit", "pm1"])
     def test_out_of_memory_exits_2(self, capsys, monkeypatch, generator):
-        def too_big(gen, n, seeds):
+        def too_big(body, gen, n, seeds):
             raise MemoryError("Unable to allocate 44.7 GiB for an array")
 
         monkeypatch.setattr(harness, "_slab_steps", too_big)
@@ -412,10 +412,10 @@ class TestTrialShardFailures:
     def fail_in_the_child(self, monkeypatch, failure):
         parent, draw = os.getpid(), harness._slab_steps
 
-        def slab_steps(gen, n, seeds):
+        def slab_steps(body, gen, n, seeds):
             if os.getpid() != parent:
                 failure()
-            return draw(gen, n, seeds)
+            return draw(body, gen, n, seeds)
 
         monkeypatch.setattr(harness, "_cpus", lambda: 2)
         monkeypatch.setattr(harness, "_slab_steps", slab_steps)
@@ -571,6 +571,12 @@ class TestBounds:
         )
         assert (code, out) == (2, "")
         assert "--steps" in err
+
+    def test_negative_steps_message(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bounds", "--dim", "1", "--half-width", "2", "--steps", "-1"
+        )
+        assert (code, out, err) == (2, "", "error: --steps must be at least 0\n")
 
     def test_values_match_closed_forms(self, capsys):
         _, out, _ = run_cli(

@@ -327,6 +327,38 @@ class TestStreamedChunks:
         assert got.accepted_sum.tobytes() == expected.accepted_sum.tobytes()
 
 
+class TestSlabSteps:
+    """The step source's contract: a slab's sums are ``_bound_pass``' on its
+    signed steps, whose norms a sign leaves as they are, so a sign-only
+    kind's one unsigned row gives every trial the row's sum; and its chunks,
+    joined along n, are those steps."""
+
+    @pytest.mark.parametrize("kind", [*harness.GENERATOR_KINDS, "pm1 at d = 1"])
+    @pytest.mark.parametrize("chunks", [0, 3])
+    def test_sums_and_chunks_are_the_signed_steps(self, kind, chunks):
+        # a non-cube box, and a fixed list of unequal norms with a zero row;
+        # pm1 at d = 1 on an integer band attaches lower_1d
+        box, vectors = Box([2.0, 5.0, 0.75]), None
+        if kind == "fixed_list":
+            vectors = [[0.5, -0.25, 1.0], [0.0, 0.0, 0.0], [1.5, 0.75, -2.0], [-0.125, 1.0, 0.25]]
+        if kind == "pm1 at d = 1":
+            box, kind = Box.cube(1, 3.0), "coordinate_basis_cycle"
+        gen = StepGenerator(kind, box.dimension, vectors=vectors)
+        k, d = 3, gen.dimension
+        length = metropolis._chunk_length(k * d)
+        n = chunks * length - 5 if chunks else 0  # a short last chunk
+        seeds = _trial_seeds(4, range(2, 2 + k), 0)
+        steps = harness._draw_steps(gen, n, seeds)
+        expected_sums, expected_unit = bounds._bound_pass(box, steps)
+        sums, unit, parts = harness._slab_steps(box, gen, n, seeds)
+        assert sums.shape == (k,)
+        assert sums.tobytes() == expected_sums.tobytes()
+        assert unit == expected_unit
+        joined = np.concatenate([np.empty((k, 0, d)), *parts], axis=1)
+        assert joined.shape == steps.shape
+        assert joined.tobytes() == steps.tobytes()
+
+
 class TestRunExperiment:
     @pytest.mark.parametrize("kind, d", [
         pytest.param(kind, d, id=kind) for kind, d in [
@@ -449,7 +481,7 @@ class TestTrialShards:
         # process's shard kills them, and the autouse fixture sees none left
         parent = os.getpid()
 
-        def slab_steps(gen, n, seeds):
+        def slab_steps(body, gen, n, seeds):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             time.sleep(60)
@@ -472,11 +504,11 @@ class TestTrialShards:
     def test_an_error_is_the_one_process_error(self, monkeypatch, failing, escapes, k):
         draw = harness._slab_steps
 
-        def slab_steps(gen, n, seeds):
+        def slab_steps(body, gen, n, seeds):
             trial = seeds[0].entropy[1]
             if trial in failing:
                 raise ValueError(f"trial {trial} failed")
-            return draw(gen, n, seeds)
+            return draw(body, gen, n, seeds)
 
         config = cfg(body=Box.cube(1, 2.5), generator=StepGenerator("coordinate_basis_cycle", 1),
                      n_steps=60, n_trials=6)

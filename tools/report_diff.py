@@ -4,8 +4,8 @@
 
 The before side is ``git archive <rev>`` unpacked into a temporary directory
 (``bench_pairs.unpack``); the after side is this checkout's working tree.
-Each line of ``LINES``, and ``FILE_LINE`` on a step file written to the
-temporary directory, runs as ``python -m driftguard.cli`` on both sides,
+Each line of ``LINES``, and of ``FILE_LINES`` on a step file written to
+the temporary directory, runs as ``python -m driftguard.cli`` on both sides,
 with that side's ``src`` on PYTHONPATH, one process at a time.  A line is
 ``same`` when its exit code, stdout and stderr bytes match on both sides and
 ``differs`` otherwise; the script prints one of them per line and exits 1 if
@@ -90,11 +90,15 @@ LINES = tuple(
     " --format json --seed 1",
 )
 PINNED = tuple(f"simulate {shape} --format json --seed 1" for shape in SHAPES)
-# a step file (fixed_list, the other sign-only kind), with a zero row: main
-# writes it once, and both sides read it by the same path over several chunks
+# a step file (fixed_list, the other sign-only kind) of unequal row norms
+# with a zero row: main writes it once, and both sides read it by the same
+# path, in one slab over several chunks, and in three slabs of 1024 trials,
+# each given its unsigned row's sum, whose mean over all trials is reported
 STEP_FILE = "0.5 -0.25\n0 0\n1.5 0.75\n-0.125 1\n0.25 0.5\n"
-FILE_LINE = ("simulate --dim 2 --half-width 3 --generator file:{path} --steps 20000"
-             " --trials 30 --format json --seed 1")
+FILE_LINES = tuple(
+    f"simulate --dim 2 --half-width 3 --generator file:{{path}} {shape} --format json --seed 1"
+    for shape in ("--steps 20000 --trials 30", "--steps 300 --trials 3000")
+)
 
 
 def run_line(tree: Path, line: str, cpu=None) -> tuple[int, bytes, bytes]:
@@ -137,7 +141,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         steps = Path(tmp) / "steps.txt"
         steps.write_text(STEP_FILE)
-        lines = LINES + (FILE_LINE.format(path=steps),)
+        lines = LINES + tuple(line.format(path=steps) for line in FILE_LINES)
         verdicts = compare(unpack(args.before, Path(tmp) / "before"), ROOT, lines)
     verdicts += compare_one_cpu(ROOT, PINNED)
     return 0 if all(verdicts) else 1
