@@ -5,8 +5,8 @@ keeps exactly the steps it can take without leaving [-T, T].  Its kept index
 set is the longest valid subsequence, and the lexicographically smallest
 one at that.  Both claims are checked here by brute force for n <= 14, one
 array scan trying every subset of a batch of sign strings level by level,
-and the walk's discard count is computed in closed form via its Markov chain
-(exact rationals while the state space is small, its eigenmodes beyond).
+and the walk's expected discard count is computed in closed form (exactly from
+its second moment while the band has at most 65 states, its eigenmodes beyond).
 """
 
 from __future__ import annotations
@@ -230,9 +230,11 @@ def exact_chain_expectation_fraction(
 ) -> Fraction:
     """Exact expected discard count over n steps of the reflected walk.
 
-    Evolves integer state weights over an implicit denominator 2^k, so no
-    per-step rational normalization is needed.  Limited to 2T+1 <= 65
-    states; beyond that use exact_chain_expectation.
+    Each step adds 1 to E[h^2] and each discard takes N = 2T+1 off it, so
+    E = (n + E[h_0^2] - E[h_n^2]) / N.  A blocked step holds, so h_n is the
+    free walk's i - n + 2r folded with period 2N (the method of images), and
+    E[h_n^2] needs Pascal's row n summed by r mod N: O(n) big-int steps.
+    Limited to N <= 65 states; beyond that use exact_chain_expectation.
     """
     t, _ = _check_band(half_width, 0)
     n = _integer("n_steps", n_steps, 0)
@@ -240,15 +242,21 @@ def exact_chain_expectation_fraction(
     if width > _RATIONAL_STATE_LIMIT:
         raise ValueError(f"rational arithmetic is limited to {_RATIONAL_STATE_LIMIT} states")
     weights, denom = _start_weights(start, width, t)
-    # expected discards at step k: (w_top + w_bottom) / (2 * denom * 2^k);
-    # acc accumulates sum_k c_k * 2^(n-1-k) so one division happens at the end
-    acc = 0
-    for _ in range(n):
-        acc = (acc << 1) + weights[0] + weights[-1]
-        # each state takes a half-step from both neighbours; a blocked one stays put
-        padded = [weights[0], *weights, weights[-1]]
-        weights = [a + b for a, b in zip(padded, padded[2:])]
-    return Fraction(acc, denom << n)
+    # C(n, j) by j mod N for j < n - j; C(n, n - j) = C(n, j) gives the rest
+    half, c = [0] * width, 1
+    for j in range((n + 1) // 2):
+        half[j % width] += c
+        c = c * (n - j) // (j + 1)
+    sums = [a + half[(n - r) % width] for r, a in enumerate(half)]
+    if n % 2 == 0:
+        sums[n // 2 % width] += c  # the middle term C(n, n/2)
+    period = 2 * width
+    squares = [(min(y, period - 1 - y) - t) ** 2 for y in range(period)]
+    # denom * 2^n * E[h_n^2]; squares[i] is (i - T)^2 for a state i
+    end = sum(b * sum(w * squares[(i - n + 2 * r) % period] for i, w in enumerate(weights) if w)
+              for r, b in enumerate(sums))
+    first = sum(w * squares[i] for i, w in enumerate(weights))
+    return Fraction(((n * denom + first) << n) - end, (width * denom) << n)
 
 
 def exact_chain_expectation(

@@ -6,8 +6,9 @@ at a time, step streams from their formula, what a seed gives a PCG64, subset en
 1-d rejection rate (also in 40-digit decimal), the cube eigen-density's
 marginal CDF, direct Gauss-Legendre integration, a Monte Carlo Fisher matrix
 from explicit outer products, a plain Monte Carlo reflected walk, the
-reflected chain stepped one transition at a time (and its rational kernel
-matrix), and a 40-digit decimal quantile of the cube eigen-density.
+reflected chain stepped one transition at a time (in floats, and in integer
+weights over 2^k for the exact expectation) and its rational kernel matrix,
+and a 40-digit decimal quantile of the cube eigen-density.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from driftguard.metropolis import ContainmentError
+from driftguard.oracle1d import _start_weights
 
 
 class LoopRun(NamedTuple):
@@ -303,6 +305,25 @@ def chain_expectation_loop(probs, n):
         nxt[-1] += 0.5 * probs[-1]
         probs = nxt
     return float(expected)
+
+
+def chain_fraction_loop(t, n, start):
+    """Exact expected discards of the reflected walk, by stepping integer
+    state weights n times over an implicit denominator 2^k.
+
+    ``start`` is parsed as the library parses it.  The discard chance at step
+    k is (w_bottom + w_top) / (2 * denom * 2^k); acc sums each numerator times
+    2^(n-1-k), so one division happens at the end.
+    """
+    width = 2 * t + 1
+    weights, denom = _start_weights(start, width, t)
+    acc = 0
+    for _ in range(n):
+        acc = (acc << 1) + weights[0] + weights[-1]
+        # each state takes a half-step from both neighbours; a blocked one stays put
+        padded = [weights[0], *weights, weights[-1]]
+        weights = [a + b for a, b in zip(padded, padded[2:])]
+    return Fraction(acc, denom << n)
 
 
 _PI_40 = decimal.Decimal("3.141592653589793238462643383279502884197169399")

@@ -89,6 +89,17 @@ def test_exhaustive_runs_within_a_wall_budget(t, n, budget):
     assert (code, summary["instances"], summary["failures"]) == (0, (2 * t + 1) << n, 0)
 
 
+# the exact chain's cost ceiling: 65 states is the last it takes in rationals,
+# and its O(n) big-int steps take 1.4-1.9 s at n = 1e5 on 2 cores, where stepping
+# every state took 13-19 s; its p/q has too many digits to print
+def test_exact_chain_runs_within_a_wall_budget():
+    began = time.perf_counter()
+    code, out, _ = assert_meets_contract(
+        ["oracle", "--mode", "chain", "--T=32", "--n=100000", "--start=0"])
+    assert time.perf_counter() - began < 10.0
+    assert code == 0 and json.loads(out)["exact"] is None
+
+
 def test_oracle_at_a_wide_band_meets_the_contract():
     assert_meets_contract(["oracle", "--mode", "chain", "--T=1000000", "--n=10", "--start=0"])
     assert_meets_contract(["oracle", "--mode", "single", "--T=1000000", "--n=2", "--signs=++"])

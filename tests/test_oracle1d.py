@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftguard import bodies, cli, oracle1d
+from driftguard import bodies, bounds, cli, oracle1d
 from driftguard.oracle1d import (
     ValidSubsequence,
     _lexmin_longest,
@@ -21,6 +21,7 @@ from driftguard.oracle1d import (
 )
 from helpers import (
     chain_expectation_loop,
+    chain_fraction_loop,
     enumerate_longest,
     exhaustive_longest_table,
     is_valid_for,
@@ -326,6 +327,40 @@ class TestExactChain:
 
     def test_t0_discards_everything(self):
         assert exact_chain_expectation_fraction(0, 25, 0) == Fraction(25)
+
+    @pytest.mark.parametrize("t", range(8))
+    def test_matches_the_integer_step_loop(self, t):
+        # the second-moment identity against stepping the chain's weights
+        width = 2 * t + 1
+        rng = np.random.default_rng(t)
+        for n in [*range(41), 100, 257, 300]:
+            weights = rng.integers(1, 10, width)
+            rational = [Fraction(int(w), int(weights.sum())) for w in weights]
+            # float64 entries at k / 64, which sum to exactly 1
+            dyadic = list(rng.multinomial(64, np.full(width, 1.0 / width)) / 64.0)
+            for start in ["uniform", *range(-t, t + 1), rational, dyadic]:
+                assert exact_chain_expectation_fraction(t, n, start) == chain_fraction_loop(
+                    t, n, start
+                ), (n, start)
+
+    @pytest.mark.parametrize("n, start", [(10_000, 0), (3000, 32), (3000, -32)])
+    def test_matches_the_integer_step_loop_at_the_rational_limit(self, n, start):
+        assert exact_chain_expectation_fraction(32, n, start) == chain_fraction_loop(32, n, start)
+
+    @pytest.mark.parametrize("t", [3, 32, 33, 100])
+    def test_within_the_second_moment_bounds(self, t):
+        # E = (n + E[h_0^2] - E[h_n^2]) / (2T+1) and 0 <= h^2 <= T^2; the
+        # spectral sum beyond 65 states carries an absolute error
+        slack = 0.0 if 2 * t + 1 <= 65 else 1e-12
+        width = 2 * t + 1
+        rational = [Fraction(i + 1, width * (width + 1) // 2) for i in range(width)]
+        for n in (0, 1, 50, 5000):
+            lower = Fraction(n - t * t, width)
+            upper = Fraction(n + t * t, width)
+            assert float(lower) >= bounds.lower_bound_1d(t, n).value
+            for start in ("uniform", -t, 0, t // 2, t, rational):
+                value = exact_chain_expectation(t, n, start)
+                assert float(lower) - slack <= value <= float(upper) + slack, (n, start)
 
     def test_start_zero_above_lower_bound_and_matches_mc(self):
         exact = exact_chain_expectation_fraction(2, 1000, 0)

@@ -48,6 +48,11 @@ LINES = tuple(
     "bounds --dim 1 --half-width 4 --steps 10000",
     "bounds --dim 3 --half-width 16 --steps 1000",
     "oracle --mode chain --T 2 --n 1000 --start 0",
+    # the exact chain at its last rational band, from a point, the uniform
+    # default and an edge
+    "oracle --mode chain --T 32 --n 10000 --start 0",
+    "oracle --mode chain --T 32 --n 3000",
+    "oracle --mode chain --T 31 --n 5000 --start -31",
     "oracle --mode chain --T 1000 --n 100000 --start 0",
     "oracle --mode exhaustive --T 2 --n 8",
     # T = 0 sends every string down every level of the subset scan; T = 3 from
