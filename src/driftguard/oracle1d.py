@@ -3,15 +3,14 @@
 Given a sign string and an integer band radius T, the greedy reflected walk
 keeps exactly the steps it can take without leaving [-T, T].  Its kept index
 set is the longest valid subsequence, and the lexicographically smallest
-one at that.  Both claims are checked here by brute force for n <= 14, one
-array scan trying every subset of a batch of sign strings level by level,
+one at that.  Both claims are checked here by one DP over (step, height)
+on a batch of sign strings (lengths for n <= 30, witnesses for n <= 14),
 and the walk's expected discard count is computed in closed form (exactly from
 its second moment while the band has at most 65 states, its eigenmodes beyond).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,79 +87,74 @@ def reflected_walk(signs: Sequence[int], half_width: int, start: int = 0) -> Val
 
 
 def dp_longest_valid(signs: Sequence[int], half_width: int, start: int = 0) -> int:
-    """Length of the longest band-valid subsequence, by DP over the heights n steps reach."""
+    """Length of the longest band-valid subsequence, by the (step, height) DP (n <= 30)."""
     t, s = _check_band(half_width, start)
     eps = _check_signs(signs)
     if len(eps) > _DP_LIMIT:
         raise ValueError(f"dp_longest_valid is limited to n <= {_DP_LIMIT}")
-    low = max(-t, s - len(eps))
-    width = min(t, s + len(eps)) - low + 1
-    best = [-1] * width
-    best[s - low] = 0
-    for e in eps:
-        nxt = best.copy()
-        for h in range(width):
-            if best[h] < 0:
-                continue
-            h2 = h + e
-            if 0 <= h2 < width and best[h] + 1 > nxt[h2]:
-                nxt[h2] = best[h] + 1
-        best = nxt
-    return max(best)
+    (length,), _ = _lexmin_longest(np.array(eps, dtype=np.int8).reshape(1, -1), t, [s])[s]
+    return length
 
 
-def _lexmin_longest(signs: np.ndarray, t: int, start: int) -> tuple[list[int], list[tuple]]:
-    """Longest valid length and lex-smallest (1-based) witness of each row of
-    ``signs``, an (S, n) int8 array of +-1, by trying every subset.
+def _lexmin_longest(signs: np.ndarray, t: int, starts: Sequence[int]) -> dict:
+    """{start: (lengths, witnesses)}: each row of ``signs``, an (S, n) int8
+    array of +-1, with its longest valid length and lex-smallest (1-based)
+    witness from each of ``starts``, by one DP over (step, height).
 
-    Levels m = n, ..., 0 take the m-subsets in combinations() order, so a row's
-    first valid subset at its first level with one is its lex-minimum.  Heights
-    run in uint8 from -lo, where [lo, hi] is the band about the start clamped
-    to [-n, n], so any T fits; one below the band wraps past 2n (for n < 85).
+    Backward, L[j][h] = max(L[j+1][h], 1 + L[j+1][h + e_j]) is the longest
+    from step j at height h, in int8 with a -128 column beyond each side of
+    the heights [lo, hi].  Forward, a start's walk takes each step j with
+    1 + L[j+1][h + e_j] = L[j][h], the earliest that keep the optimum, so
+    the lex-minimum.  Starts whose reach [s - n, s + n] overlaps share a
+    table; heights are offsets from lo, so any T fits.  O(S n (hi - lo)).
     """
     count, n = signs.shape
-    hi, lo = min(t - start, n), max(-t - start, -n)
-    steps = signs.astype(np.uint8)  # -1 wraps to 255, which adds as -1 mod 256
-    lengths, witnesses = [0] * count, [()] * count
-    todo = np.arange(count)
-    for m in range(n, -1, -1):
-        combos = list(itertools.combinations(range(1, n + 1), m))
-        columns = np.array(combos, dtype=np.intp).reshape(len(combos), m) - 1
-        left = []
-        for slab in _slabs(todo.size, len(combos)):
-            rows = todo[slab]
-            chunk = steps[rows]
-            height = np.full((rows.size, len(combos)), -lo, dtype=np.uint8)
-            peak = height.copy()
-            for j in range(m):
-                height += chunk[:, columns[:, j]]
-                np.maximum(peak, height, out=peak)
-            valid = peak <= hi - lo
-            found = valid.any(axis=1)
-            first = valid.argmax(axis=1)  # the lex-first valid subset
-            for row, c in zip(rows[found].tolist(), first[found].tolist()):
-                lengths[row], witnesses[row] = m, combos[c]
-            left.append(rows[~found])
-        todo = np.concatenate(left)
-        if not todo.size:
-            break
-    return lengths, witnesses
+    scans = {s: ([], []) for s in sorted(set(starts))}
+    groups = []
+    for s in scans:
+        if not groups or s - groups[-1][-1] > 2 * n:
+            groups.append([])
+        groups[-1].append(s)
+    for group in groups:
+        lo = max(-t, group[0] - n)
+        width = min(t, group[-1] + n) - lo + 3
+        for slab in _slabs(count, (n + 1) * width):
+            chunk = signs[slab]
+            best = np.full((n + 1, len(chunk), width), -128, dtype=np.int8)
+            best[n, :, 1:-1] = 0
+            for j in range(n - 1, -1, -1):
+                step = np.where(chunk[:, j, None] > 0, best[j + 1, :, 2:], best[j + 1, :, :-2])
+                np.maximum(best[j + 1, :, 1:-1], step + 1, out=best[j, :, 1:-1])
+            flat = best.reshape(n + 1, -1)
+            for s in group:
+                at = np.arange(len(chunk)) * width + (s - lo + 1)
+                lengths = flat[0, at].tolist()
+                taken = np.empty((len(chunk), n), dtype=bool)
+                for j in range(n):
+                    to = at + chunk[:, j]
+                    taken[:, j] = flat[j + 1, to] + 1 == flat[j, at]
+                    at = np.where(taken[:, j], to, at)
+                kept = (np.nonzero(taken)[1] + 1).tolist()  # row by row, in order
+                ends = np.cumsum(lengths).tolist()
+                scans[s][0].extend(lengths)
+                scans[s][1].extend(tuple(kept[e - k:e]) for k, e in zip(lengths, ends))
+    return scans
 
 
 def verify_lex_optimality(signs: Sequence[int], half_width: int, start: int = 0) -> bool:
     """True iff the reflected walk is the lexicographically smallest of the
-    longest valid subsequences, found by trying every subset (n <= 14)."""
+    longest valid subsequences, found by the (step, height) DP (n <= 14)."""
     t, s = _check_band(half_width, start)
     eps = _check_signs(signs)
     if len(eps) > _ENUM_LIMIT:
         raise ValueError(f"verify_lex_optimality is limited to n <= {_ENUM_LIMIT}")
-    _, witnesses = _lexmin_longest(np.array(eps, dtype=np.int8).reshape(1, -1), t, s)
-    return reflected_walk(eps, t, s).indices == witnesses[0]
+    _, (witness,) = _lexmin_longest(np.array(eps, dtype=np.int8).reshape(1, -1), t, [s])[s]
+    return reflected_walk(eps, t, s).indices == witness
 
 
 def verify_start_shift(signs: Sequence[int], half_width: int, start: int) -> bool:
     """True iff longest-from-0 <= longest-from-start + |start|, by DP (n <= 30);
-    ``exhaustive_failures`` checks it on its subset scan's lengths instead."""
+    ``exhaustive_failures`` reads the same lengths off one batched DP instead."""
     t, s = _check_band(half_width, start)
     eps = _check_signs(signs)
     return dp_longest_valid(eps, t, 0) <= dp_longest_valid(eps, t, s) + abs(s)
@@ -172,8 +166,9 @@ def exhaustive_failures(n: int, half_width: int, starts: Sequence[int]) -> list[
 
     String b has sign +1 at position i + 1 iff bit i of b is set; failures
     come string by string, and within one in the order of ``starts``.  One
-    ``_lexmin_longest`` scan of every string per start (and from 0) gives the
-    lengths and witnesses; the walk is ``reflected_walk``, run per instance.
+    ``_lexmin_longest`` DP, O(2**n n) work per height the starts can reach,
+    gives the lengths and witnesses from each start and from 0; the walk is
+    ``reflected_walk``, run per instance.
     """
     n = _integer("n", n, 0)
     if n > _ENUM_LIMIT:
@@ -181,7 +176,7 @@ def exhaustive_failures(n: int, half_width: int, starts: Sequence[int]) -> list[
     t, _ = _check_band(half_width, 0)
     bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
     signs = (2 * bits - 1).astype(np.int8)
-    scans = {s: _lexmin_longest(signs, *_check_band(t, s)) for s in dict.fromkeys((*starts, 0))}
+    scans = _lexmin_longest(signs, t, [_check_band(t, s)[1] for s in (*starts, 0)])
     failures = []
     for b, eps in enumerate(map(tuple, signs.tolist())):
         for s in starts:

@@ -2,13 +2,14 @@
 
 Everything here is deliberately written against the definitions, not against
 the library code paths it checks: the Metropolis filter stepped one proposal
-at a time, step streams from their formula, what a seed gives a PCG64, subset enumeration for longest valid subsequences, a closed-form
-1-d rejection rate (also in 40-digit decimal), the cube eigen-density's
-marginal CDF, direct Gauss-Legendre integration, a Monte Carlo Fisher matrix
-from explicit outer products, a plain Monte Carlo reflected walk, the
-reflected chain stepped one transition at a time (in floats, and in integer
-weights over 2^k for the exact expectation) and its rational kernel matrix,
-and a 40-digit decimal quantile of the cube eigen-density.
+at a time, step streams from their formula, what a seed gives a PCG64, subset
+enumeration for longest valid subsequences and a per-height loop for their
+length, a closed-form 1-d rejection rate (also in 40-digit decimal), the cube
+eigen-density's marginal CDF, direct Gauss-Legendre integration, a Monte Carlo
+Fisher matrix from explicit outer products, a plain Monte Carlo reflected walk,
+the reflected chain stepped one transition at a time (in floats, and in
+integer weights over 2^k for the exact expectation) and its rational kernel
+matrix, and a 40-digit decimal quantile of the cube eigen-density.
 """
 
 from __future__ import annotations
@@ -174,6 +175,28 @@ def enumerate_longest(eps, t, start):
             if ok:
                 return m, tuple(i + 1 for i in combo)
     return 0, ()
+
+
+def longest_valid_loop(eps, t, start):
+    """Longest band-valid subsequence length, one height at a time.
+
+    best[h] is the longest kept count ending at height low + h after the
+    steps so far, -1 where unreachable; heights span what n steps reach.
+    """
+    low = max(-t, start - len(eps))
+    width = min(t, start + len(eps)) - low + 1
+    best = [-1] * width
+    best[start - low] = 0
+    for e in eps:
+        nxt = best.copy()
+        for h in range(width):
+            if best[h] < 0:
+                continue
+            h2 = h + e
+            if 0 <= h2 < width and best[h] + 1 > nxt[h2]:
+                nxt[h2] = best[h] + 1
+        best = nxt
+    return max(best)
 
 
 def exhaustive_longest_table(n, t, start):

@@ -76,9 +76,10 @@ def test_oracle_grid_meets_the_contract(mode):
 
 
 # exhaustive mode's cost ceilings: n = 14 is the last n it takes, and T = 0
-# sends every string down every level of the subset scan.  Each takes a few
-# seconds on 2 cores; n = 14 took 38-45 s when each instance enumerated its
-# subsets in Python, so the budgets are generous and still catch that
+# keeps no step of any string.  With the (step, height) DP each takes under a
+# second on 2 cores; n = 14 took 2-3 s when one scan tried every subset and
+# 38-45 s when each instance enumerated its subsets in Python, so the budgets
+# are generous and still catch the last
 @pytest.mark.parametrize("t, n, budget", [(2, 14, 30.0), (0, 12, 10.0)])
 def test_exhaustive_runs_within_a_wall_budget(t, n, budget):
     began = time.perf_counter()
@@ -103,7 +104,8 @@ def test_exact_chain_runs_within_a_wall_budget():
 def test_oracle_at_a_wide_band_meets_the_contract():
     assert_meets_contract(["oracle", "--mode", "chain", "--T=1000000", "--n=10", "--start=0"])
     assert_meets_contract(["oracle", "--mode", "single", "--T=1000000", "--n=2", "--signs=++"])
-    # the subset scan runs its heights from the start, so a band past int64 is exact
+    # the DP's heights are offsets from its table's lowest, so a band past int64
+    # is exact, and its starts 2**70 and 0 (for the shift check) get a table each
     for start in (f"--start={2**70}", f"--start={-(2**70) + 3}", "--start=0"):
         code, out, _ = assert_meets_contract(
             ["oracle", "--mode", "exhaustive", f"--T={2**70}", "--n=8", start])

@@ -26,7 +26,7 @@ from driftguard.harness import (
     trial_streams,
 )
 from driftguard.metropolis import EnsembleResult, run_ensemble
-from driftguard.oracle1d import dp_longest_valid, exact_chain_expectation
+from driftguard.oracle1d import _lexmin_longest, dp_longest_valid, exact_chain_expectation
 from helpers import leggauss_integrate
 from test_metropolis import liar_density
 
@@ -319,3 +319,12 @@ class TestOracleState:
 
     def test_point_start_that_cannot_reach_an_edge_builds_no_states(self):
         assert peak_bytes(lambda: exact_chain_expectation(10**6, 10, 0)) < MIB
+
+    def test_lexmin_dp_gives_starts_of_disjoint_reach_a_table_each(self):
+        # starts at both edges of T = 2**70 and at 0 reach disjoint heights, so
+        # each gets its own table of 15 heights; one table over all three
+        # would span 2**71 heights a string
+        t, starts = 2**70, [-(2**70), 0, 2**70]
+        bits = (np.arange(64)[:, None] >> np.arange(14)) & 1
+        signs = (2 * bits - 1).astype(np.int8)
+        assert peak_bytes(lambda: _lexmin_longest(signs, t, starts)) < MIB

@@ -25,6 +25,7 @@ from helpers import (
     enumerate_longest,
     exhaustive_longest_table,
     is_valid_for,
+    longest_valid_loop,
     mc_reflected_discards,
     reflected_kernel_matrix,
     signs_of_bits,
@@ -116,6 +117,16 @@ class TestDpLongestValid:
             expected, _ = enumerate_longest(eps, t, start)
             assert dp_longest_valid(eps, t, start) == expected
 
+    def test_matches_the_height_loop_up_to_the_limit(self):
+        # past the enumeration's n <= 14, the per-height loop is the oracle
+        rng = np.random.default_rng(1530)
+        for n in range(15, 31):
+            for _ in range(12):
+                eps = tuple(int(e) for e in rng.choice([-1, 1], size=n))
+                t = int(rng.integers(0, 7))
+                start = int(rng.integers(-t, t + 1))
+                assert dp_longest_valid(eps, t, start) == longest_valid_loop(eps, t, start)
+
 
 class TestLexOptimality:
     def test_two_ups(self):
@@ -139,56 +150,65 @@ class TestLexOptimality:
 
 
 def all_signs(n):
-    """Every sign string of length n, string b in row b, as the scan takes them."""
+    """Every sign string of length n, string b in row b, as exhaustive_failures takes them."""
     rows = [signs_of_bits(b, n) for b in range(1 << n)]
     return np.array(rows, dtype=np.int8).reshape(1 << n, n)
 
 
 class TestLexminLongest:
-    """The subset scan against the helpers' table and the DP, string by string."""
+    """The DP against the helpers' table and height loop, string by string."""
 
-    def test_matches_the_independent_table_and_the_dp(self):
+    def test_matches_the_independent_table_and_the_loop(self):
         for n in range(0, 11):
             signs = all_signs(n)
             rows = signs.tolist()
             for t in (0, 1, 2, 3):
                 for s in range(-t, t + 1):
-                    lengths, witnesses = _lexmin_longest(signs, t, s)
+                    lengths, witnesses = _lexmin_longest(signs, t, [s])[s]
                     table_lengths, table_witnesses = exhaustive_longest_table(n, t, s)
                     assert lengths == table_lengths.tolist(), (n, t, s)
                     assert witnesses == table_witnesses, (n, t, s)
-                    assert lengths == [dp_longest_valid(r, t, s) for r in rows], (n, t, s)
+                    assert lengths == [longest_valid_loop(r, t, s) for r in rows], (n, t, s)
 
     def test_no_steps(self):
         for t, s in ((0, 0), (1, -1), (2**70, 2**70)):
-            assert _lexmin_longest(all_signs(0), t, s) == ([0], [()])
+            assert _lexmin_longest(all_signs(0), t, [s]) == {s: ([0], [()])}
 
     def test_zero_band_keeps_nothing(self):
-        lengths, witnesses = _lexmin_longest(all_signs(6), 0, 0)
+        lengths, witnesses = _lexmin_longest(all_signs(6), 0, [0])[0]
         assert lengths == [0] * 64 and witnesses == [()] * 64
 
     @pytest.mark.parametrize("t, s", [(5, 0), (6, -1), (8, 2), (9, 3), (2**70, -(2**70) + 5)])
     def test_a_band_the_walk_cannot_leave_keeps_everything(self, t, s):
-        # T >= |start| + n: every height any subset reaches is in the band
-        lengths, witnesses = _lexmin_longest(all_signs(5), t, s)
+        # T >= |start| + n: every height any subsequence reaches is in the band
+        lengths, witnesses = _lexmin_longest(all_signs(5), t, [s])[s]
         assert lengths == [5] * 32 and witnesses == [(1, 2, 3, 4, 5)] * 32
 
     @pytest.mark.parametrize("s", [2**70, 2**70 - 1, 2**70 - 3, 0, -(2**70) + 2])
     def test_a_band_beyond_int64_is_exact(self, s):
-        # heights run from the start, so T = 2**70 needs no wide dtype
+        # heights are offsets from the table's lowest, so T = 2**70 needs no wide dtype
         t = 2**70
         signs = all_signs(7)
-        lengths, witnesses = _lexmin_longest(signs, t, s)
+        lengths, witnesses = _lexmin_longest(signs, t, [s])[s]
         for row, length, witness in zip(signs.tolist(), lengths, witnesses):
             assert (length, witness) == enumerate_longest(tuple(row), t, s)
-            assert length == dp_longest_valid(row, t, s)
+            assert length == longest_valid_loop(row, t, s)
         assert verify_lex_optimality((1,) * 7, t, s)
+
+    @pytest.mark.parametrize("t, starts", [
+        (3, [3, -1, 0, -3, 2, 0]),  # one table of the whole band at n = 6
+        (2**70, [2**70, -(2**70), 0]),  # disjoint reach: one table would span 2**71 heights
+    ])
+    def test_starts_answer_as_they_do_alone(self, t, starts):
+        signs = all_signs(6)
+        assert _lexmin_longest(signs, t, starts) == {
+            s: _lexmin_longest(signs, t, [s])[s] for s in starts}
 
     def test_rows_resolve_alike_in_any_slab_size(self, monkeypatch):
         signs = all_signs(9)
-        whole = _lexmin_longest(signs, 2, -1)
+        whole = _lexmin_longest(signs, 2, [-1, 2])
         monkeypatch.setattr(bodies, "_SLAB", 7)
-        assert _lexmin_longest(signs, 2, -1) == whole
+        assert _lexmin_longest(signs, 2, [-1, 2]) == whole
 
 
 def strict_walk(signs, half_width, start=0):
@@ -232,13 +252,15 @@ class TestPlantedCounterexample:
             mode="exhaustive", T=t, n=n, instances=len(starts) << n, failures=len(expected))
 
     def test_the_shift_check_reads_the_scans_lengths(self, monkeypatch):
-        # a scan that finds one step too many from 0 breaks the inequality from
-        # every other start where it is tight; the witnesses still match the walk
+        # a DP that finds one step too many from 0 breaks the inequality from
+        # every other start where it is tight; the witnesses still match the
+        # walk, and the expectation comes from the height loop, not the DP
         scan = oracle1d._lexmin_longest
 
-        def longer_from_0(signs, t, s):
-            lengths, witnesses = scan(signs, t, s)
-            return [x + (s == 0) for x in lengths], witnesses
+        def longer_from_0(signs, t, starts):
+            scans = scan(signs, t, starts)
+            lengths, witnesses = scans[0]
+            return {**scans, 0: ([x + 1 for x in lengths], witnesses)}
 
         monkeypatch.setattr(oracle1d, "_lexmin_longest", longer_from_0)
         t, n = 2, 6
@@ -246,7 +268,7 @@ class TestPlantedCounterexample:
             (eps, s)
             for eps in (signs_of_bits(b, n) for b in range(1 << n))
             for s in range(-t, t + 1)
-            if s and dp_longest_valid(eps, t, 0) + 1 > dp_longest_valid(eps, t, s) + abs(s)
+            if s and longest_valid_loop(eps, t, 0) + 1 > longest_valid_loop(eps, t, s) + abs(s)
         ]
         assert 0 < len(expected) < 4 << n
         assert oracle1d.exhaustive_failures(n, t, range(-t, t + 1)) == expected

@@ -55,11 +55,19 @@ LINES = tuple(
     "oracle --mode chain --T 31 --n 5000 --start -31",
     "oracle --mode chain --T 1000 --n 100000 --start 0",
     "oracle --mode exhaustive --T 2 --n 8",
-    # T = 0 sends every string down every level of the subset scan; T = 3 from
-    # its edge runs a wider band from one start
+    # T = 0 keeps no step; T = 3 from its edge runs a wider band from one
+    # start; n = 14 is the last n exhaustive takes; at T = 6 all 13 starts
+    # share one DP table, and at T = 2**70 the start and 0 reach disjoint
+    # heights, so each gets its own
     "oracle --mode exhaustive --T 0 --n 10",
     "oracle --mode exhaustive --T 3 --n 12 --start -3",
+    "oracle --mode exhaustive --T 2 --n 14",
+    "oracle --mode exhaustive --T 6 --n 12",
+    f"oracle --mode exhaustive --T {2**70} --n 10 --start {2**70}",
     "oracle --mode single --T 1 --n 4 --signs=+--+",
+    # the last n with lex_minimal (14) and with longest_valid (30)
+    "oracle --mode single --T 2 --start -1 --signs=++-+--++++-+-+",
+    "oracle --mode single --T 3 --start 2 --signs=+-++-+++--+-+++--+-++++--+-+-+",
     "oracle --mode single --T 1000000 --n 2 --signs=++",
     "oracle --mode chain --T 1000000 --n 10 --start 0",
     "simulate --dim 3 --half-width 4 --generator isotropic --steps 500 --trials 50"
