@@ -10,12 +10,21 @@ is available three ways: in closed form for cubes, by one Gauss-Legendre
 rule per axis, and by Monte Carlo, the last two in any dimension.
 The trace of that matrix equals four times the principal Dirichlet
 eigenvalue of the box, which is what ties step budgets to the geometry.
+
+Independent work runs over processes here too: ``_fork_map`` runs a list
+of items, each after the first in a forked child, and ``_cpus`` decides
+how many processes may run at once.  The Monte Carlo estimator splits its
+chunks over them, and ``harness`` its trial shards.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import pickle
 import sys
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -43,6 +52,11 @@ _KEPLER_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in reversed(r
 # float64 values per slab of every pass over arrays that grow with the input:
 # the quantile, the quadrature's axes, the bound pass and the filter kernel's blocks
 _SLAB = 1 << 16
+# cgroup CPU quota files: v2's "quota period" (quota "max" is no cap), and
+# v1's quota and period in microseconds (quota -1 is no cap)
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+_CFS_QUOTA = "/sys/fs/cgroup/cpu/cpu.cfs_quota_us"
+_CFS_PERIOD = "/sys/fs/cgroup/cpu/cpu.cfs_period_us"
 _SYMMETRY_TOL = 1e-12  # FisherMatrix's tolerances, relative to the largest entry
 _PSD_FLOOR = -1e-9
 
@@ -188,6 +202,112 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(sums, out=sums)
 
 
+def _cpus() -> int:
+    """The processes a run may split its work over: the CPUs this process
+    may run on (``taskset`` bounds them), at most a cgroup CPU quota rounded
+    up (``_cpu_quota``), or 1 without ``os.fork`` or while other Python
+    threads run, since a forked child has only the forking thread and a
+    lock another thread held would stay locked in it."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if threading.active_count() != 1:
+        return 1
+    cpus, quota = len(os.sched_getaffinity(0)), _cpu_quota()
+    return cpus if quota is None else min(cpus, quota)
+
+
+def _cpu_quota() -> Optional[int]:
+    """The CPUs the cgroup's quota allows, rounded up, or None for no cap:
+    v2's ``_CPU_MAX`` if it can be read, else v1's ``_CFS_QUOTA`` over
+    ``_CFS_PERIOD``.  A quota of "max" or -1, or files that cannot be read
+    or parsed, set no cap."""
+    for paths in ((_CPU_MAX,), (_CFS_QUOTA, _CFS_PERIOD)):
+        words = []
+        try:
+            for path in paths:
+                with open(path) as file:
+                    words += file.read().split()
+        except OSError:
+            continue
+        try:
+            quota, period = map(int, words)
+        except ValueError:  # "max", or not two numbers
+            return None
+        return -(-quota // period) if quota > 0 and period > 0 else None
+    return None
+
+
+def _fork_map(fn, items: list, noun: str) -> list:
+    """``[fn(item) for item in items]``, each item after the first in a forked child.
+
+    This process runs ``fn(items[0])`` and then unpickles the children's
+    results in order, straight from their pipes.  The first failure in item
+    order is raised: the exception ``fn`` raised, or ``ChildProcessError``
+    naming the item (``noun`` and its index) and the exit status of a child
+    that ended without a whole result.  Every child is killed and reaped
+    before this returns or raises, ``KeyboardInterrupt`` included.
+    """
+    children = []  # (pid, read end of its pipe) of each child forked
+    reaped = set()
+    try:
+        for item in items[1:]:
+            children.append(_fork(fn, item))
+        results = [fn(items[0])]
+        for index, (pid, pipe) in enumerate(children, 1):
+            try:
+                result, whole = pickle.load(pipe), True  # a child of this process wrote it
+            except (EOFError, pickle.UnpicklingError):  # no record, or part of one
+                whole = False
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped.add(pid)
+            if status != 0 or not whole:
+                how = f"signal {-status}" if status < 0 else f"exit status {status}"
+                raise ChildProcessError(f"{noun} {index} ended without a result ({how})")
+            if isinstance(result, BaseException):
+                raise result
+            results.append(result)
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if pid not in reaped:
+                import signal  # 1 ms of import that only a failed run needs, so not at startup
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork(fn, item) -> tuple:
+    """Fork a child that pickles ``fn(item)``, or the exception it raised,
+    straight into a pipe; returns its pid and the pipe's read end.  The
+    child always leaves by ``os._exit``, so it runs no atexit handler and
+    flushes no stdio buffer it shares with this process; it exits 1 if it
+    could not send its outcome (an unpicklable exception, or
+    ``KeyboardInterrupt``)."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            try:
+                outcome = fn(item)
+            except Exception as exc:
+                outcome = exc
+            with open(write, "wb") as pipe:
+                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box prod_i [-T_i, T_i] centered at the origin.
@@ -268,11 +388,15 @@ def cube_eigen_density(box: Box) -> Density:
     as Kepler's equation phi - sin(phi) = 2 pi v at eccentricity 1, with
     v = min(u, 1 - u) and x = T_i (phi / pi - 1) mirrored for u > 1/2: five
     Newton steps from the edge asymptote (12 pi v)**(1/3) reach ~2 ulp(T_i).
-    It is elementwise, so a batch equals its rows mapped one at a time, and
-    clips samples (u = 0 included) strictly inside the box.  Raises
-    ValueError when pi / T_i or 2 T_i overflows (T_i above ~9e307, where the
-    density would be flat), ``quantile`` on a uniform outside [0, 1] (NaN
-    included), and all three on inputs that are not ints or floats (``_reals``).
+    Below phi = 1, where phi - sin(phi) cancels, a step sums its series
+    instead, computed for those elements alone (~5% of uniform draws), into
+    buffers made once per slab of rows.  Each element gets the same
+    arithmetic wherever it sits, so a batch equals its rows mapped one at a
+    time.  ``quantile`` clips samples (u = 0 included) strictly inside the
+    box.  Raises ValueError when pi / T_i or 2 T_i overflows (T_i above
+    ~9e307, where the density would be flat), ``quantile`` on a uniform
+    outside [0, 1] (NaN included), and all three on inputs that are not
+    ints or floats (``_reals``).
     """
     hw = box.half_widths
     d = box.dimension
@@ -319,15 +443,24 @@ def cube_eigen_density(box: Box) -> Density:
                 raise ValueError("uniforms must lie in [0, 1]")
             mean_anomaly = 2.0 * np.pi * np.minimum(v, 1.0 - v)
             phi = np.cbrt(6.0 * mean_anomaly)  # below the root: phi - sin(phi) <= phi**3 / 6
+            resid, slope, small = np.empty_like(phi), np.empty_like(phi), np.empty(phi.shape, bool)
             for _ in range(_KEPLER_STEPS):
-                phi_sq = phi * phi
-                series = phi * phi_sq * np.polyval(_KEPLER_SERIES, phi_sq)
-                direct = phi - np.sin(phi)
-                resid = np.where(phi < _KEPLER_SERIES_CUTOFF, series, direct) - mean_anomaly
-                # 1 - cos(phi) without cancellation; 0 only at phi = 0, the root for u = 0, 1
-                slope = 2.0 * np.sin(0.5 * phi) ** 2
-                step = np.divide(resid, slope, out=np.zeros_like(resid), where=slope > 0.0)
-                phi = np.clip(phi - step, 0.0, np.pi)
+                np.subtract(phi, np.sin(phi, out=resid), out=resid)
+                # the series only where it is taken, each element by the same arithmetic
+                near = np.flatnonzero(np.less(phi, _KEPLER_SERIES_CUTOFF, out=small))
+                if near.size:
+                    edge = phi.take(near)
+                    edge_sq = edge * edge
+                    resid.put(near, edge * edge_sq * np.polyval(_KEPLER_SERIES, edge_sq))
+                resid -= mean_anomaly
+                # 1 - cos(phi) without cancellation; 0 only at phi ~ 0, the root for
+                # u = 0, 1, where no step is taken: the residual over inf is 0
+                np.sin(np.multiply(0.5, phi, out=slope), out=slope)
+                np.multiply(np.square(slope, out=slope), 2.0, out=slope)
+                if not slope.all():
+                    slope[slope == 0.0] = np.inf
+                resid /= slope
+                np.clip(np.subtract(phi, resid, out=phi), 0.0, np.pi, out=phi)
             x[rows] = hw * np.copysign(1.0 - phi / np.pi, v - 0.5)
         return np.clip(x, inner_lo, inner_hi, out=x).reshape(u.shape)
 
@@ -431,6 +564,17 @@ def _unscaled(density: Density, moments: np.ndarray) -> np.ndarray:
     return unscaled
 
 
+@functools.lru_cache(maxsize=8)
+def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Legendre rule of ``nodes`` points on [-1, 1], (nodes,
+    weights) as read-only arrays, built once per node count: ``leggauss``
+    runs LAPACK (~16 ms at 128 nodes) and leaves the BLAS threads busy."""
+    rule = np.polynomial.legendre.leggauss(nodes)
+    for array in rule:
+        array.setflags(write=False)
+    return rule
+
+
 def fisher_quadrature(density: Density, grid_points_per_axis: int = 128) -> FisherMatrix:
     """Fisher matrix of a product density by one Gauss-Legendre rule per axis.
 
@@ -447,7 +591,7 @@ def fisher_quadrature(density: Density, grid_points_per_axis: int = 128) -> Fish
     nodes = _integer("grid_points_per_axis", grid_points_per_axis, 16)
     hw = density.support.half_widths
     d = density.dimension
-    base_x, base_w = np.polynomial.legendre.leggauss(nodes)
+    base_x, base_w = _leggauss(nodes)
     diagonal = np.zeros(d)
     for axes in _slabs(d, nodes * d):
         axis = np.arange(d)[axes]
@@ -470,9 +614,14 @@ _MC_CHUNK = 1 << 17
 def fisher_monte_carlo(density: Density, samples: int, rng_seed: int) -> FisherMatrix:
     """Fisher matrix as a sample mean of score outer products.
 
-    Samples are drawn in fixed-size chunks, each from its own substream
+    Samples are drawn in chunks of ``_MC_CHUNK``, each from its own substream
     SeedSequence((rng_seed, chunk_index)), so the result does not depend on
-    how the chunks are scheduled.  Requires at least 1000 samples.
+    how the chunks are scheduled.  The chunks split into k = min(``_cpus()``,
+    chunks) contiguous shards, each after the first in a forked child
+    (``_fork_map``), so a process holds one chunk's samples at a time and
+    one chunk forks nothing; each chunk gives its sums of score products
+    and of their squares, which are added in chunk order, the bits of one
+    process's loop.  Requires at least 1000 samples.
 
     ``std_error`` is the textbook sample standard error of each entry.  It
     is not a valid error bar on the diagonal: for the cube eigen-density the
@@ -485,21 +634,28 @@ def fisher_monte_carlo(density: Density, samples: int, rng_seed: int) -> FisherM
     samples = _integer("samples", samples, 1000)
     seed = _integer("rng_seed", rng_seed, 0)
     d = density.dimension
+    chunks = -(-samples // _MC_CHUNK)
+    k = min(_cpus(), chunks)
+
+    def run_shard(indices: range) -> list:
+        sums = []
+        for chunk in indices:
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chunk))))
+            start = chunk * _MC_CHUNK
+            scores = _scaled_scores(density, density.sample(rng, min(_MC_CHUNK, samples - start)))
+            # no (chunk, d, d) outer products; einsum, not `@`, whose BLAS sums vary with threads
+            squares = scores * scores
+            sums.append((np.einsum("ki,kj->ij", scores, scores),
+                         np.einsum("ki,kj->ij", squares, squares)))
+        return sums
+
     total = np.zeros((d, d))
     total_sq = np.zeros((d, d))
-    done = 0
-    chunk_index = 0
-    while done < samples:
-        m = min(_MC_CHUNK, samples - done)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chunk_index))))
-        pts = density.sample(rng, m)
-        scores = _scaled_scores(density, pts)
-        # no (chunk, d, d) outer products; einsum, not `@`, whose BLAS sums vary with threads
-        total += np.einsum("ki,kj->ij", scores, scores)
-        squares = scores * scores
-        total_sq += np.einsum("ki,kj->ij", squares, squares)
-        done += m
-        chunk_index += 1
+    shards = [range(chunks * i // k, chunks * (i + 1) // k) for i in range(k)]
+    for shard in _fork_map(run_shard, shards, "Monte Carlo shard"):
+        for outer, outer_sq in shard:
+            total += outer
+            total_sq += outer_sq
     mean = total / samples
     var = np.maximum(total_sq - samples * np.square(mean), 0.0) / (samples - 1)
     entries, se = _unscaled(density, np.stack([mean, np.sqrt(var / samples)]))

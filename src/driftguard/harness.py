@@ -15,8 +15,10 @@ Gaussian kind, whose signs follow all n * d normals, sums its whole rows
 and gives them as one chunk.
 
 A run splits its trials into contiguous shards, one per CPU the process
-may run on (at most one per slab), and forks a child process for every
-shard but the first, which the calling process runs itself.  Each process
+may run on (at most one per slab, and at most a cgroup CPU quota:
+``bodies._cpus``), and forks a child process for every shard but the
+first, which the calling process runs itself (``bodies._fork_map``, which
+the Monte Carlo Fisher estimator shares).  Each process
 holds one slab at a time, and each slab gives one record: its trials' bound
 sums and their results or escape.  A child pickles its shard's records
 straight into a pipe and the calling process unpickles them from it, so no
@@ -30,16 +32,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import pickle
-import threading
 from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from .bodies import (Box, _integer, _number, _reals, _row_norms, _seed, _slabs, _trial_seeds,
-                     cube_eigen_density)
+from .bodies import (Box, _cpus, _fork_map, _integer, _number, _reals, _row_norms, _seed, _slabs,
+                     _trial_seeds, cube_eigen_density)
 from .bounds import BoundReport, _bound_pass, _bound_reports, matching_bounds
 from .metropolis import (_LOCKSTEP_WIDTH, ContainmentError, EnsembleResult, _chunk_length,
                          _run_chunks)
@@ -242,8 +241,8 @@ def _run(config: ExperimentConfig) -> tuple[RunStats, tuple]:
         return [_run_slab(config, density, range(start, min(start + size, trials.stop)))
                 for start in range(trials.start, trials.stop, size)]
 
-    sums, units, parts, escapes = zip(*(record for shard in _fork_map(run_shard, shards)
-                                        for record in shard))
+    records = (record for shard in _fork_map(run_shard, shards, "trial shard") for record in shard)
+    sums, units, parts, escapes = zip(*records)
     bound_reports = _bound_reports(config.body, np.concatenate(sums), all(units), config.n_steps)
     escapes = [escape for escape in escapes if escape is not None]
     if escapes:  # a later slab's violation may come at an earlier step
@@ -270,87 +269,6 @@ def _run_slab(config: ExperimentConfig, density, slab: range) -> tuple:
         return sums, unit, _run_chunks(density, _trial_seeds(config.seed, slab, 1), n, chunks), None
     except ContainmentError as exc:
         return sums, unit, None, (exc.step, slab.start + exc.trial, exc.accepted_sum)
-
-
-def _cpus() -> int:
-    """The processes a run may split its trials over: the CPUs this process
-    may run on (``taskset`` bounds them), or 1 without ``os.fork`` or while
-    other Python threads run, since a forked child has only the forking
-    thread and a lock another thread held would stay locked in it."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0)) if threading.active_count() == 1 else 1
-
-
-def _fork_map(fn, items: list) -> list:
-    """``[fn(item) for item in items]``, each item after the first in a forked child.
-
-    This process runs ``fn(items[0])`` and then unpickles the children's
-    results in order, straight from their pipes.  The first failure in item
-    order is raised: the exception ``fn`` raised, or ``ChildProcessError``
-    naming the exit status of a child that ended without a whole result.
-    Every child is killed and reaped before this returns or raises,
-    ``KeyboardInterrupt`` included.
-    """
-    children = []  # (pid, read end of its pipe) of each child forked
-    reaped = set()
-    try:
-        for item in items[1:]:
-            children.append(_fork(fn, item))
-        results = [fn(items[0])]
-        for shard, (pid, pipe) in enumerate(children, 1):
-            try:
-                result, whole = pickle.load(pipe), True  # a child of this process wrote it
-            except (EOFError, pickle.UnpicklingError):  # no record, or part of one
-                whole = False
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            reaped.add(pid)
-            if status != 0 or not whole:
-                how = f"signal {-status}" if status < 0 else f"exit status {status}"
-                raise ChildProcessError(f"trial shard {shard} ended without a result ({how})")
-            if isinstance(result, BaseException):
-                raise result
-            results.append(result)
-        return results
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            if pid not in reaped:
-                import signal  # 1 ms of import that only a failed run needs, so not at startup
-
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _fork(fn, item) -> tuple:
-    """Fork a child that pickles ``fn(item)``, or the exception it raised,
-    straight into a pipe; returns its pid and the pipe's read end.  The
-    child always leaves by ``os._exit``, so it runs no atexit handler and
-    flushes no stdio buffer it shares with this process; it exits 1 if it
-    could not send its outcome (an unpicklable exception, or
-    ``KeyboardInterrupt``)."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read)
-            try:
-                outcome = fn(item)
-            except Exception as exc:
-                outcome = exc
-            with open(write, "wb") as pipe:
-                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write)
-    return pid, open(read, "rb")
 
 
 def run_experiment(config: ExperimentConfig) -> RunStats:

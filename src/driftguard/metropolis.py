@@ -58,8 +58,8 @@ _WINDOW = 16
 # numpy calls are amortised; the harness runs trials in slabs this wide
 _LOCKSTEP_WIDTH = 2048
 
-# Gauss-Legendre rule for the 1-d rejection rate, built once: leggauss is ~1.5 ms
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+# nodes of the 1-d rejection rate's Gauss-Legendre rule
+_GL_NODES = 64
 
 SeedLike = Union[int, np.random.bit_generator.ISeedSequence]
 
@@ -351,8 +351,9 @@ def rejection_rate_exact_1d(density: Density, step: float) -> float:
     if v >= 2.0 * float(density.support.half_widths[0]):
         return 1.0
     # v * mean of pi on (0, v/2): the halved weights sum to 1, so no overflow
-    x = (0.25 * v) * (1.0 + _GL_NODES)
-    mean_pi = float(np.sum((0.5 * _GL_WEIGHTS) * np.exp(density.log_density(x[:, None]))))
+    nodes, weights = bodies._leggauss(_GL_NODES)
+    x = (0.25 * v) * (1.0 + nodes)
+    mean_pi = float(np.sum((0.5 * weights) * np.exp(density.log_density(x[:, None]))))
     return min(v * mean_pi, 1.0)
 
 

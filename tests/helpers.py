@@ -9,7 +9,11 @@ eigen-density's marginal CDF, direct Gauss-Legendre integration, a Monte Carlo
 Fisher matrix from explicit outer products, a plain Monte Carlo reflected walk,
 the reflected chain stepped one transition at a time (in floats, and in
 integer weights over 2^k for the exact expectation) and its rational kernel
-matrix, and a 40-digit decimal quantile of the cube eigen-density.
+matrix, and a 40-digit decimal quantile of the cube eigen-density.  Two
+are the library's own earlier forms, kept as written as bit-for-bit
+references: the serial loop over Monte Carlo Fisher chunks, and the cube
+quantile's Newton solve that computes both Kepler branches and picks one
+with ``np.where``.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from driftguard import bodies
+from driftguard.bodies import (_KEPLER_SERIES, _KEPLER_SERIES_CUTOFF, _KEPLER_STEPS, FisherMatrix,
+                               _integer, _scaled_scores, _slabs, _unscaled)
 from driftguard.metropolis import ContainmentError
 from driftguard.oracle1d import _start_weights
 
@@ -266,6 +273,60 @@ def fisher_outer_mean(density, samples, seed, chunk):
     mean = total / samples
     var = np.maximum(total_sq - samples * np.square(mean), 0.0) / (samples - 1)
     return mean, np.sqrt(var / samples)
+
+
+def fisher_monte_carlo_serial(density, samples, rng_seed):
+    """``bodies.fisher_monte_carlo`` as one process's loop over its chunks
+    of ``bodies._MC_CHUNK`` samples, adding each chunk's sums as it goes."""
+    samples = _integer("samples", samples, 1000)
+    seed = _integer("rng_seed", rng_seed, 0)
+    d = density.dimension
+    total = np.zeros((d, d))
+    total_sq = np.zeros((d, d))
+    done = 0
+    chunk_index = 0
+    while done < samples:
+        m = min(bodies._MC_CHUNK, samples - done)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chunk_index))))
+        pts = density.sample(rng, m)
+        scores = _scaled_scores(density, pts)
+        # no (chunk, d, d) outer products; einsum, not `@`, whose BLAS sums vary with threads
+        total += np.einsum("ki,kj->ij", scores, scores)
+        squares = scores * scores
+        total_sq += np.einsum("ki,kj->ij", squares, squares)
+        done += m
+        chunk_index += 1
+    mean = total / samples
+    var = np.maximum(total_sq - samples * np.square(mean), 0.0) / (samples - 1)
+    entries, se = _unscaled(density, np.stack([mean, np.sqrt(var / samples)]))
+    return FisherMatrix(entries, "monte_carlo", std_error=se)
+
+
+def kepler_quantile_where(box, u):
+    """``cube_eigen_density(box).quantile(u)`` with every Newton step
+    computing both the series and phi - sin(phi) on the whole slab and
+    picking one per element with ``np.where``."""
+    hw = box.half_widths
+    d = box.dimension
+    inner_lo, inner_hi = np.nextafter(-hw, 0.0), np.nextafter(hw, 0.0)
+    u = np.asarray(u, dtype=float)
+    flat = u.reshape(-1, d)
+    x = np.empty_like(flat)
+    for rows in _slabs(len(flat), d):
+        v = flat[rows]
+        mean_anomaly = 2.0 * np.pi * np.minimum(v, 1.0 - v)
+        phi = np.cbrt(6.0 * mean_anomaly)  # below the root: phi - sin(phi) <= phi**3 / 6
+        for _ in range(_KEPLER_STEPS):
+            phi_sq = phi * phi
+            series = phi * phi_sq * np.polyval(_KEPLER_SERIES, phi_sq)
+            direct = phi - np.sin(phi)
+            resid = np.where(phi < _KEPLER_SERIES_CUTOFF, series, direct) - mean_anomaly
+            # 1 - cos(phi) without cancellation; 0 only at phi = 0, the root for u = 0, 1
+            slope = 2.0 * np.sin(0.5 * phi) ** 2
+            step = np.divide(resid, slope, out=np.zeros_like(resid), where=slope > 0.0)
+            phi = np.clip(phi - step, 0.0, np.pi)
+        x[rows] = hw * np.copysign(1.0 - phi / np.pi, v - 0.5)
+    return np.clip(x, inner_lo, inner_hi, out=x).reshape(u.shape)
 
 
 def leggauss_integrate(fn, half_widths, nodes):

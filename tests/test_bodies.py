@@ -1,12 +1,17 @@
 import decimal
 import math
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftguard import bodies
+from driftguard import bodies, cli
 from driftguard.bodies import (
     Box,
     Density,
@@ -19,13 +24,16 @@ from driftguard.bodies import (
     fisher_quadrature,
 )
 from driftguard.bounds import matching_bounds
+from driftguard.metropolis import rejection_rate_exact_1d
 from helpers import (
     contains_interior,
     contains_scaled,
     cube_coordinate_cdf,
     direction_information,
     finite_difference_score,
+    fisher_monte_carlo_serial,
     fisher_outer_mean,
+    kepler_quantile_where,
     leggauss_integrate,
     reference_quantile,
     seed_fingerprint,
@@ -343,6 +351,26 @@ class TestCubeEigenDensity:
         monkeypatch.setattr(bodies, "_SLAB", 7)
         assert np.array_equal(den.quantile(u), whole)
 
+    # the edges: 0, 1, 1/2 and its neighbours, the least subnormal, a tiny
+    # uniform, the largest below 1, and three where phi crosses the series
+    # cutoff (phi = 1 near u = 0.0252) during the Newton solve
+    QUANTILE_EDGES = [0.0, 1.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 5e-324,
+                      1e-300, 1.0 - 2.0**-53, 0.02520, 0.02524, 0.02530]
+
+    @pytest.mark.parametrize("d", [1, 3, 64])
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 8.0, 16.0, 1e200])
+    def test_quantile_is_the_where_loop_bit_for_bit(self, t, d):
+        # the series is computed only where it is taken, each element by
+        # the arithmetic np.where picked for it, so the same float
+        box = Box.cube(d, t)
+        rng = np.random.default_rng(33)
+        near_edges = np.concatenate([rng.uniform(0.0, 0.05, 5000),
+                                     1.0 - rng.uniform(0.0, 0.05, 5000)])
+        for u in (rng.uniform(size=(-(-10**5 // d), d)), np.resize(near_edges, (10**4 // d, d)),
+                  np.resize(self.QUANTILE_EDGES, (len(self.QUANTILE_EDGES), d))):
+            got, want = cube_eigen_density(box).quantile(u), kepler_quantile_where(box, u)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_quantile_rejects_uniforms_outside_unit_interval(self):
         den = cube_eigen_density(Box.cube(1, 2.0))
         for bad in (1.5, -0.5, math.nan, math.inf):
@@ -508,6 +536,42 @@ class TestFisherQuadrature:
         assert np.allclose(fisher.entries, expected, atol=1e-8)
 
 
+class TestGaussLegendreRule:
+    def test_one_rule_per_node_count(self, monkeypatch):
+        built = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting(nodes):
+            built.append(nodes)
+            return leggauss(nodes)
+
+        bodies._leggauss.cache_clear()
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        den = cube_eigen_density(Box.cube(3, 2.0))
+        first = fisher_quadrature(den, 128)
+        assert np.array_equal(fisher_quadrature(den, 128).entries, first.entries)
+        line = cube_eigen_density(Box.cube(1, 8.0))
+        rates = [rejection_rate_exact_1d(line, v) for v in (0.5, 1.0, 3.0, 7.5, 12.0)]
+        assert rates == [rejection_rate_exact_1d(line, v) for v in (0.5, 1.0, 3.0, 7.5, 12.0)]
+        assert sorted(built) == [64, 128]
+
+    @pytest.mark.parametrize("nodes", [16, 64, 128])
+    def test_rule_is_read_only(self, nodes):
+        for array in bodies._leggauss(nodes):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_cli_import_builds_no_rule(self):
+        src = Path(bodies.__file__).resolve().parent.parent
+        code = ("import driftguard.cli; from driftguard import bodies;"
+                " print(bodies._leggauss.cache_info().currsize)")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "0\n"
+
+
 class TestFisherMonteCarlo:
     def test_d1_t1_within_three_se(self):
         closed = fisher_closed_form_cube(Box.cube(1, 1.0))
@@ -573,6 +637,114 @@ class TestFisherMonteCarlo:
         assert mc.estimator_kind == "monte_carlo"
         assert mc.std_error.shape == (2, 2)
         assert np.all(mc.std_error >= 0.0)
+
+
+class TestFisherMonteCarloShards:
+    # chunks of 1000 samples: 1, 2 and 7 chunks, the last two with a part
+    # chunk, split over 1, 2 and 3 processes
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("samples", [1000, 1500, 6500])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_shards_give_the_serial_bits(self, monkeypatch, d, samples, k):
+        monkeypatch.setattr(bodies, "_MC_CHUNK", 1000)
+        monkeypatch.setattr(bodies, "_cpus", lambda: k)
+        den = cube_eigen_density(Box(np.linspace(0.5, 3.0, d)))
+        got = fisher_monte_carlo(den, samples, 17)
+        want = fisher_monte_carlo_serial(den, samples, 17)
+        assert np.array_equal(got.entries, want.entries)
+        assert np.array_equal(got.std_error, want.std_error)
+
+    def test_one_chunk_forks_nothing(self, monkeypatch):
+        def fork():
+            raise AssertionError("a one-chunk estimate forked")
+
+        monkeypatch.setattr(bodies, "_cpus", lambda: 3)
+        monkeypatch.setattr(os, "fork", fork)
+        fisher_monte_carlo(cube_eigen_density(Box.cube(2, 1.0)), bodies._MC_CHUNK, 4)
+
+    def test_a_shard_error_is_raised(self, monkeypatch):
+        # a score that fails in the child's chunks alone reaches the caller
+        parent, scores = os.getpid(), bodies._scaled_scores
+
+        def failing(density, points):
+            if os.getpid() != parent:
+                raise ValueError("log_gradient failed in a child")
+            return scores(density, points)
+
+        monkeypatch.setattr(bodies, "_MC_CHUNK", 1000)
+        monkeypatch.setattr(bodies, "_cpus", lambda: 2)
+        monkeypatch.setattr(bodies, "_scaled_scores", failing)
+        with pytest.raises(ValueError, match="^log_gradient failed in a child$"):
+            fisher_monte_carlo(cube_eigen_density(Box.cube(2, 1.0)), 2000, 4)
+
+    def test_child_killed_mid_result(self, monkeypatch, capsys):
+        # the child's result ends with 4 MB of array data, already in the
+        # pipe, and then an object that kills the child as it is pickled:
+        # the CLI reports the shard with one error line, and the autouse
+        # fixture sees no child left
+        class Killer:
+            def __reduce__(self):
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        fork = bodies._fork
+
+        def killing_fork(fn, item):
+            return fork(lambda chunks: fn(chunks) + [np.arange(1 << 19, dtype=float), Killer()],
+                        item)
+
+        monkeypatch.setattr(bodies, "_MC_CHUNK", 1000)
+        monkeypatch.setattr(bodies, "_cpus", lambda: 2)
+        monkeypatch.setattr(bodies, "_fork", killing_fork)
+        code = cli.main(["fisher", "--dim", "2", "--half-width", "2", "--method", "mc",
+                         "--samples", "2000", "--seed", "3"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == ("error: Monte Carlo shard 1 ended without a result"
+                                f" (signal {int(signal.SIGKILL)})\n")
+
+
+class TestCpus:
+    # four CPUs in the affinity mask, and quota files written per test
+    @pytest.fixture
+    def cgroup(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        paths = {name: tmp_path / name for name in ("cpu.max", "quota", "period")}
+        monkeypatch.setattr(bodies, "_CPU_MAX", str(paths["cpu.max"]))
+        monkeypatch.setattr(bodies, "_CFS_QUOTA", str(paths["quota"]))
+        monkeypatch.setattr(bodies, "_CFS_PERIOD", str(paths["period"]))
+
+        def write(**texts):
+            for name, text in texts.items():
+                paths[name.replace("_", ".")].write_text(text)
+
+        return write
+
+    @pytest.mark.parametrize("texts, cpus", [
+        ({}, 4),  # no quota files
+        ({"cpu_max": "max 100000\n"}, 4),
+        ({"cpu_max": "50000 100000\n"}, 1),
+        ({"cpu_max": "150000 100000\n"}, 2),  # 1.5 CPUs round up
+        ({"cpu_max": "800000 100000\n"}, 4),  # above the mask
+        ({"quota": "-1\n", "period": "100000\n"}, 4),
+        ({"quota": "250000\n", "period": "100000\n"}, 3),
+        ({"quota": "100000\n", "period": "100000\n"}, 1),
+        ({"quota": "100000\n"}, 4),  # no period file
+        ({"cpu_max": "max 100000\n", "quota": "100000\n", "period": "100000\n"}, 4),
+        ({"cpu_max": "200000 100000\n", "quota": "100000\n", "period": "100000\n"}, 2),
+        ({"cpu_max": "garbage\n"}, 4),
+        ({"cpu_max": "100000 0\n"}, 4),
+    ])
+    def test_a_quota_caps_the_mask(self, cgroup, texts, cpus):
+        cgroup(**texts)
+        assert bodies._cpus() == cpus
+
+    def test_a_directory_is_no_quota(self, cgroup, monkeypatch, tmp_path):
+        monkeypatch.setattr(bodies, "_CPU_MAX", str(tmp_path))
+        assert bodies._cpus() == 4
+
+    def test_another_thread_means_one(self, cgroup, monkeypatch):
+        monkeypatch.setattr(bodies.threading, "active_count", lambda: 2)
+        assert bodies._cpus() == 1
 
 
 class TestFisherMatrixInvariants:

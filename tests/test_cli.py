@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from driftguard import (
-    Box, ExperimentConfig, StepGenerator, cli, emit_report, harness, oracle1d, run_experiment,
+    Box, ExperimentConfig, StepGenerator, bodies, cli, emit_report, harness, oracle1d,
+    run_experiment,
 )
 from driftguard.bounds import matching_bounds
 from driftguard.cli import main
@@ -487,14 +488,14 @@ class TestTrialShardFailures:
                 os.kill(self.pid, signal.SIGKILL)
                 return self.pipe.readinto(buffer)
 
-        fork = harness._fork
+        fork = bodies._fork
 
         def killing_fork(fn, item):
             pid, pipe = fork(fn, item)
             return pid, KillingPipe(pid, pipe)
 
         self.extend_the_childs_record(monkeypatch, np.zeros(1 << 20))
-        monkeypatch.setattr(harness, "_fork", killing_fork)
+        monkeypatch.setattr(bodies, "_fork", killing_fork)
         assert run_cli(capsys, *self.ARGV) == (
             2, "", f"error: trial shard 1 ended without a result (signal {int(signal.SIGKILL)})\n")
 

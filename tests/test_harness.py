@@ -473,7 +473,7 @@ class TestTrialShards:
             raise AssertionError("a one-slab run forked")
 
         monkeypatch.setattr(harness, "_cpus", lambda: 3)
-        monkeypatch.setattr(harness.os, "fork", fork)
+        monkeypatch.setattr(os, "fork", fork)
         run_experiment(cfg(n_trials=16, n_steps=50))
 
     def test_interrupt_kills_and_reaps_the_children(self, monkeypatch):

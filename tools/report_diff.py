@@ -11,10 +11,11 @@ with that side's ``src`` on PYTHONPATH, one process at a time.  A line is
 ``differs`` otherwise; the script prints one of them per line and exits 1 if
 any line differs.
 
-Then ``PINNED`` (the four ``SHAPES`` at seed 1, json) runs on the working
-tree twice more, on every CPU this process may use and pinned to one of them
-(``os.sched_setaffinity`` in the child), which checks through the CLI that
-the trials split over forked shards give the bytes of one process.  Each
+Then ``PINNED`` (the four ``SHAPES`` at seed 1, json, and a Monte Carlo
+Fisher of 8 chunks) runs on the working tree twice more, on every CPU this
+process may use and pinned to one of them (``os.sched_setaffinity`` in the
+child), which checks through the CLI that trials and Monte Carlo chunks
+split over forked shards give the bytes of one process.  Each
 line prints ``same`` or ``differs`` in the same way; a process allowed one
 CPU prints a note and skips this pass.
 """
@@ -102,7 +103,10 @@ LINES = tuple(
     "simulate --dim 1 --half-width 8 --generator pm1 --steps 0 --trials 16"
     " --format json --seed 1",
 )
-PINNED = tuple(f"simulate {shape} --format json --seed 1" for shape in SHAPES)
+# the Monte Carlo Fisher's 8 chunks split over forked shards as the trials do
+PINNED = tuple(f"simulate {shape} --format json --seed 1" for shape in SHAPES) + (
+    "fisher --dim 2 --half-width 2 --method mc --samples 1000000 --seed 3",
+)
 # a step file (fixed_list, the other sign-only kind) of unequal row norms
 # with a zero row: main writes it once, and both sides read it by the same
 # path, in one slab over several chunks, and in three slabs of 1024 trials,
