@@ -414,16 +414,18 @@ def cube_eigen_density(box: Box) -> Density:
         if x.shape[-1:] != (d,):
             raise ValueError(f"points have shape {x.shape}, expected (..., {d})")
         rows = x.reshape(-1, d)
+        n = len(rows)
         # axis-major terms: reducing axis 0 adds whole rows, so each sum runs in
         # axis order whatever x's layout; a lone point is taken twice, as numpy
-        # sums one row pairwise.  No float is a zero of cos, so no log(0).
-        terms = np.empty((d, len(rows) + (len(rows) == 1)))
+        # sums one row pairwise.  At d = 1 the one term is the sum.  No float is
+        # a zero of cos, so no log(0); a term is at most 0, so an axis outside
+        # the box, set to -inf, makes its point's sum -inf.
+        terms = np.empty((d, n + (n == 1 and d > 1)))
         np.multiply(rows, half_freq, out=terms.T)
         np.log(np.abs(np.cos(terms, out=terms), out=terms), out=terms)
-        vals = log_norm + 2.0 * np.add.reduce(terms, axis=0)[: len(rows)]
-        inside = np.less(np.abs(rows), hw)
-        if not np.logical_and.reduce(inside, axis=None):
-            vals[~np.logical_and.reduce(inside, axis=1)] = -np.inf
+        np.copyto(terms, -np.inf, where=~np.less(np.abs(rows), hw).T)
+        vals = terms[0] if d == 1 else np.add.reduce(terms, axis=0)[:n]
+        np.add(np.multiply(vals, 2.0, out=vals), log_norm, out=vals)
         return float(vals[0]) if x.ndim == 1 else vals.reshape(x.shape[:-1])
 
     def log_gradient(points: ArrayLike) -> np.ndarray:

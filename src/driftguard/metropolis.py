@@ -20,8 +20,10 @@ the steps in blocks, each through one of two bodies chosen by the
 ensemble's width m * d.  A wide ensemble steps all its trials in lockstep,
 one vectorized filter step at a time.  A narrow one (``filter_run`` among
 them) pre-fetches: each trial assumes its next few steps are all accepted,
-decides them in one call and commits up to its first rejection.  Both
-bodies compute the same floats and decisions, by one accept test that
+decides them in one call and commits up to its first rejection; its
+windows read a copy of the block padded by coins of 1.0, which no accept
+test passes, so none is clipped at the block end.  Both bodies compute
+the same floats and decisions, by one accept test that
 ``rejection_rate_monte_carlo`` shares.  The kernel checks 2K containment
 once per block of steps rather than after each step; the first violation
 it reports (step, lowest trial, accepted sum) is the one a per-step check
@@ -120,7 +122,7 @@ def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> Ensemble
     one float whatever the layout.  This is ``_run_chunks`` with all n steps
     as one chunk.
     """
-    steps = np.ascontiguousarray(_reals("steps", steps))  # the windows read it as (m * c, d)
+    steps = _reals("steps", steps)
     if steps.ndim != 3 or steps.shape[2] != density.dimension:
         raise ValueError("steps must have shape (m, n, d)")
     m, n, d = steps.shape
@@ -148,7 +150,7 @@ def _run_chunks(density: Density, seeds, n: int, chunks) -> EnsembleResult:
     """``run_ensemble`` of m trials with their n steps as (m, c, d) chunks, in order.
 
     The origins, filter generators and walk state are set up once.  Each
-    C-contiguous float chunk is filtered as it comes, and each trial's c
+    float chunk is filtered as it comes, and each trial's c
     coins are drawn when it is reached; numpy draws the same coins in
     pieces as in one call.  A chunk of whole kernel blocks
     (``_chunk_length``) runs the blocks one pass would; any chunking gives
@@ -216,65 +218,78 @@ def _accept_runs(density, steps, coins, current, log_current, block) -> tuple:
     Pre-fetching Metropolis (Brockwell 2006): each trial assumes its next
     ``_WINDOW`` steps are all accepted, builds those candidates as one
     sequential cumsum from ``current`` (the floats the per-step loop makes),
-    decides the whole (m, W) window with one ``log_density`` call, and
-    commits its steps up to and including the first rejection.  Windows
-    are clipped at the block end, and each trial keeps its own step
-    pointer.  ``steps`` is the (m, c, d) chunk and ``coins`` its trial-major
-    (m, c) coins; ``current`` and ``log_current`` are updated in place.
+    decides the whole (W, m) window with one ``log_density`` call on a
+    contiguous step-major block, and commits its steps up to and including
+    the first rejection.  Each trial's steps and coins are copied into one
+    row padded by W steps of 0.0 and coins of 1.0, which no accept test
+    passes, so no window is clipped: a trial stops at its block end, is
+    held there by a ``np.minimum``, and its rejections there are dropped.
+    A round moves a trial at most W steps, so the block end is looked for
+    once per ceil(max steps left / W) rounds.  ``steps`` is the (m, c, d)
+    chunk and ``coins`` its trial-major (m, c) coins; ``current`` and
+    ``log_current`` are updated in place.
 
     Returns the block's (m, b) decisions and its axis-major (b, d, m)
-    positions, rebuilt from the decisions by one sequential cumsum down the
-    steps from the block's start.  A discarded step adds -0.0, the exact
+    positions, a view of the padded steps, rebuilt in place from the
+    decisions by one sequential cumsum along each trial's steps from the
+    block's start.  A discarded step adds -0.0, the exact
     additive identity (+0.0 would turn a -0.0 coordinate into 0.0), so each
     row is the float the walk held.
     """
-    m, c, d = steps.shape
-    start, stop = block.start, block.stop
-    flat_steps = steps.reshape(m * c, d)
-    flat_coins = coins.reshape(m * c)
+    m, _, d = steps.shape
+    w, b = _WINDOW, block.stop - block.start
+    span = b + w  # a trial's padded row
+    padded = np.zeros((m, span, d))
+    padded[:, :b] = steps[:, block]
+    padded_coins = np.ones((m, span))
+    padded_coins[:, :b] = coins[:, block]
+    flat_steps = padded.reshape(m * span, d)
+    flat_coins = padded_coins.reshape(m * span)
+    head = np.arange(0, m * span, span)  # each trial's next step, as a flat index
+    end = head + b
+    offsets = np.arange(w)[:, None]
     rows = np.arange(m)
-    offsets = np.arange(_WINDOW)
-    head = rows * c + start  # each trial's next step, as a flat index into the chunk
-    end = rows * c + stop
-    last = (end - 1)[:, None]
-    idx = np.empty((m, _WINDOW), dtype=np.intp)
+    idx = np.empty((w, m), dtype=np.intp)
     run = np.empty(m, dtype=np.intp)
-    # column 0 holds the committed state, the window's candidates follow it
-    cand = np.empty((m, _WINDOW + 1, d))
-    logs = np.empty((m, _WINDOW + 1))
-    cand[:, 0] = current
-    logs[:, 0] = log_current
-    prob = np.empty((m, _WINDOW))
-    # the last column stays False, so a fully accepted window's argmin is W
-    ok = np.zeros((m, _WINDOW + 1), dtype=bool)
-    rejected = []  # flat chunk indices of the committed rejections
+    hit = np.empty(m, dtype=bool)
+    # step-major: row 0 holds the committed state, the window's candidates follow it
+    cand = np.empty((w + 1, m, d))
+    logs = np.empty((w + 1, m))
+    cand[0] = current
+    logs[0] = log_current
+    window, window_logs, last_logs = cand[1:], logs[1:], logs[:-1]
+    window_coins, prob = np.empty((w, m)), np.empty((w, m))
+    # the last row stays False, so a fully accepted window's argmin is W
+    ok = np.zeros((w + 1, m), dtype=bool)
+    window_ok = ok[:-1]
+    # True at each trial's committed rejections; a fully accepted window
+    # writes False at the step after it, which no round has decided yet
+    rejected = np.zeros(m * span, dtype=bool)
     # candidates past a window's first rejection, or past its block end, are
     # never committed: their overflow and the NaN of -inf - -inf do not matter
     with np.errstate(over="ignore", invalid="ignore"):
-        while np.maximum.reduce(avail := np.minimum(end - head, _WINDOW)) > 0:
-            np.add(head[:, None], offsets, out=idx)
-            np.minimum(idx, last, out=idx)  # a window past the block end repeats its last step
-            cand[:, 1:] = flat_steps.take(idx, axis=0, mode="clip")
-            np.add.accumulate(cand, axis=1, out=cand)  # a sequential cumsum
-            logs[:, 1:] = density.log_density(cand[:, 1:])
-            np.subtract(logs[:, 1:], logs[:, :-1], out=prob)
-            _accept(flat_coins.take(idx, mode="clip"), prob, ok[:, :-1])
-            np.minimum(ok.argmin(axis=1), avail, out=run)  # accepted steps to commit
-            cand[:, 0] = cand[rows, run]
-            logs[:, 0] = logs[rows, run]
-            head += run
-            hit = run < avail  # the window's first rejection is committed too
-            rejected.append(head[hit])
-            head += hit
-    acc = np.ones((m, stop - start), dtype=bool)
-    trial, step = np.divmod(np.concatenate(rejected), c)
-    acc[trial, step - start] = False
-    moves = steps[:, block].transpose(1, 2, 0).copy()  # a copy, not a view, even at m = 1
-    np.copyto(moves, -0.0, where=~acc.T[:, None])
-    moves[0] += current.T  # the sums run from the block's start, as cumsum([current, ...])
-    current[...] = cand[:, 0]
-    log_current[...] = logs[:, 0]
-    return acc, np.cumsum(moves, axis=0, out=moves)
+        while (left := int(np.subtract(end, head).max())) > 0:
+            for _ in range(-(-left // w)):
+                # every index is in range, and "clip" takes into out= unbuffered
+                flat_steps.take(np.add(head, offsets, out=idx), axis=0, out=window, mode="clip")
+                np.add.accumulate(cand, axis=0, out=cand)  # a sequential cumsum
+                window_logs[...] = density.log_density(window)
+                np.subtract(window_logs, last_logs, out=prob)
+                _accept(flat_coins.take(idx, out=window_coins, mode="clip"), prob, window_ok)
+                ok.argmin(axis=0, out=run)  # accepted steps to commit
+                cand[0] = cand[run, rows]
+                logs[0] = logs[run, rows]
+                np.less(run, w, out=hit)  # the window's first rejection is committed too
+                rejected.put(np.add(head, run, out=head), hit)
+                # a trial at its block end rejects its padding there, and stays
+                np.minimum(np.add(head, hit, out=head), end, out=head)
+    rejected = rejected.reshape(m, span)[:, :b]
+    moves = padded[:, :b]
+    np.copyto(moves, -0.0, where=rejected[:, :, None])
+    moves[:, 0] += current  # the sums run from the block's start, as cumsum([current, ...])
+    current[...] = cand[0]
+    log_current[...] = logs[0]
+    return ~rejected, np.cumsum(moves, axis=1, out=moves).transpose(1, 2, 0)
 
 
 def _check_containment(positions, origins, limit, max_abs, start) -> None:

@@ -175,32 +175,46 @@ class TestCubeEigenDensity:
         for i in range(40):
             assert batch[i] == den.log_density(pts[i])
 
-    @pytest.mark.parametrize("d", [1, 3, 8, 64, 256])
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 64, 256])
     def test_log_density_sums_axes_in_order_whatever_the_layout(self, d):
         # numpy sums a contiguous row pairwise from 8 terms on, so at d >= 8
         # a sum that followed the memory layout would differ in the last bits
         box = Box(np.linspace(0.5, 4.0, d))
+        hw = box.half_widths
         den = cube_eigen_density(box)
         pts = den.sample(np.random.default_rng(d), 60)
-        pts[7, -1] = box.half_widths[-1]  # on the boundary
-        pts[9, 0] = -2.0 * box.half_widths[0]  # outside
+        pts[7, -1] = hw[-1]  # on the boundary
+        pts[8, 0] = -hw[0]
+        pts[9, 0] = -2.0 * hw[0]  # outside
+        pts[10, -1] = np.nextafter(hw[-1], 0.0)  # the last float inside
+        pts[11, 0] = np.nextafter(-hw[0], 0.0)
+        pts[12] = -0.0
+        pts[13, d // 2] = 1e300  # far outside
         log_norm = den.log_density(np.zeros(d))  # every term is log(1) = 0 there
         expected = []
         for point in pts:
-            terms = np.log(np.abs(np.cos(point * (np.pi / (2.0 * box.half_widths)))))
+            terms = np.log(np.abs(np.cos(point * (np.pi / (2.0 * hw)))))
             total = terms[0]
             for term in terms[1:]:
                 total += term
-            inside = np.all(np.abs(point) < box.half_widths)
+            inside = np.all(np.abs(point) < hw)
             expected.append(log_norm + 2.0 * total if inside else -math.inf)
+        expected = np.array(expected).view(np.int64)
         spaced = np.zeros((60, 2 * d))
         spaced[:, ::2] = pts
+        # the pre-fetching round's candidates: rows 1: of a step-major (W + 1, m, d) block
+        window = np.empty((7, 10, d))
+        window[1:] = pts.reshape(6, 10, d)
         layouts = [pts, np.asfortranarray(pts), spaced[:, ::2], spaced[::-1, ::2][::-1],
-                   pts.reshape(6, 10, d), np.asfortranarray(pts.reshape(6, 10, d))]
+                   pts.reshape(6, 10, d), np.asfortranarray(pts.reshape(6, 10, d)), window[1:]]
         for points in layouts:
-            assert np.array_equal(den.log_density(points).reshape(-1), expected)
-        assert [den.log_density(point) for point in pts] == expected
-        assert [den.log_density(point[None])[0] for point in pts] == expected
+            assert np.array_equal(den.log_density(points).reshape(-1).view(np.int64), expected)
+        lone = [[den.log_density(point) for point in pts],
+                [den.log_density(point[None])[0] for point in pts],
+                [den.log_density(spaced[i : i + 1, ::2])[0] for i in range(60)],
+                [den.log_density(pts[i].reshape(1, 1, d))[0, 0] for i in range(60)]]
+        for values in lone:
+            assert np.array_equal(np.array(values).view(np.int64), expected)
 
     def test_log_density_rejects_points_of_another_dimension(self):
         den = cube_eigen_density(Box.cube(2, 1.0))

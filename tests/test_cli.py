@@ -69,6 +69,22 @@ PINNED_REPORTS = [
         ("--dim", "3", "--generator", "unit", "--steps", "200", "--trials", "2500"),
         "c26040f9193f7d3f8e892c28131182364dba0c130ac270cd4f0dd12518547c04",
     ),
+    # the pre-fetching body: long accept runs, short ones, and windows at d >= 8
+    (
+        ("--dim", "1", "--half-width", "64", "--generator", "pm1", "--trials", "4",
+         "--steps", "20000"),
+        "b619c183e84000ec0c1c64f881fe590511f475da44ccb6fccf049783a7575a1c",
+    ),
+    (
+        ("--dim", "4", "--half-width", "2", "--generator", "unit", "--trials", "8",
+         "--steps", "5000"),
+        "a42d31aa5ca79e0c099f6062f73cbd494a1ad3e68607d9f1f44d6d7bfe85f0e1",
+    ),
+    (
+        ("--dim", "64", "--half-width", "16", "--generator", "pm1", "--trials", "2",
+         "--steps", "2000"),
+        "e55ae795194834a24b2bbdc553d9562f083b7a208f8e8b87427d39d6200b8960",
+    ),
 ]
 
 

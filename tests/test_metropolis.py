@@ -565,13 +565,98 @@ class TestEnsembleKernel:
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_steps_are_read_not_written(self, m):
-        # at m = 1 a block of steps, moved step-major, is still a contiguous
-        # view: the window body must sum its positions in a copy of it
+        # at m = 1 a block of steps is a contiguous view: the window body
+        # must sum its positions in its padded copy of the block
         steps = np.random.default_rng(m).normal(size=(m, 50, 2))
         steps.setflags(write=False)
         for body in BODIES:
             with block_budget(12), kernel_body(body):
                 run_ensemble(cube_eigen_density(Box.cube(2, 4.0)), steps, list(range(m)))
+
+
+WINDOWS = (1, 2, 16, 64)
+
+
+def signed_zero_density(value):
+    """Log density 0 at -0.0 and ``value`` at any other point, from an origin
+    of -0.0: a walk of -0.0 steps accepts every step, while a 0.0 padding
+    step read past a block end turns its -0.0 into +0.0, a log ratio of
+    ``value`` (+inf or NaN) that no coin of 1.0 may accept."""
+
+    def log_density(x):
+        x = np.asarray(x, dtype=float)[..., 0]
+        out = np.where(np.signbit(x) & (x == 0.0), 0.0, value)
+        return float(out) if out.ndim == 0 else out
+
+    return Density(
+        support=Box.cube(1, 1.0),
+        log_density=log_density,
+        log_gradient=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        quantile=lambda u: np.full_like(u, -0.0),
+    )
+
+
+class TestPaddedWindows:
+    """The pre-fetching body's rows padded past each block end, against filter_loop."""
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("m, d, block", [(1, 1, 7), (3, 2, 5), (4, 1, 37), (2, 3, 64)])
+    def test_windows_match_filter_loop(self, window, m, d, block):
+        # blocks shorter than a window, longer, and a multiple of none but 1
+        # or of all; m = 1 as filter_run runs it
+        den = cube_eigen_density(Box.cube(d, 1.5))
+        steps = np.random.default_rng(window).normal(size=(m, 150, d))
+        with block_budget(m * d * block), kernel_body("speculative", window):
+            assert_matches_filter_loop(den, steps, list(range(m)))
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_a_trial_that_rejects_every_step_beside_ones_that_accept_every_step(self, window):
+        # a step of 0.0 keeps the density, one of 3T always leaves the box
+        steps = np.zeros((3, 100, 1))
+        steps[1] = 3.0
+        with block_budget(3 * 37), kernel_body("speculative", window):
+            assert_matches_filter_loop(unit_density(), steps, [4, 5, 6])
+            accepted = run_ensemble(unit_density(), steps, [4, 5, 6]).accepted
+        assert accepted[[0, 2]].all() and not accepted[1].any()
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_an_escape_in_a_blocks_last_window(self, window):
+        # blocks of 20 steps, every one accepted: step 39 ends the block
+        # [20, 40) and lies in its last window whatever W is
+        steps = np.zeros((2, 60, 1))
+        steps[1, 38] = 0.9
+        steps[1, 39] = 0.5  # the sum 1.4 leaves 2K = [-1, 1]
+        steps[0, 41] = -2.0
+        with block_budget(2 * 20), kernel_body("speculative", window):
+            assert_matches_filter_loop(liar_density(), steps, [1, 2])
+            with pytest.raises(ContainmentError, match=r"^trial 1 accepted sum \[1.4\] .* step 39$"):
+                run_ensemble(liar_density(), steps, [1, 2])
+
+    def test_any_layout_of_steps_gives_the_same_bits(self):
+        # neither body needs a C-contiguous chunk, so none is copied into one
+        den = cube_eigen_density(Box.cube(2, 1.5))
+        steps = np.random.default_rng(3).normal(size=(3, 80, 2))
+        spaced = np.zeros((3, 160, 2))
+        spaced[:, ::2] = steps
+        for body in BODIES:
+            with block_budget(3 * 2 * 9), kernel_body(body, 4):
+                runs = [run_ensemble(den, x, [7, 8, 9])
+                        for x in (steps, np.asfortranarray(steps), spaced[:, ::2])]
+            for run in runs[1:]:
+                for field in dataclasses.fields(run):
+                    assert np.array_equal(getattr(run, field.name), getattr(runs[0], field.name))
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_a_padding_coin_is_never_accepted(self, window, value):
+        # blocks of 7 steps: an accepted padding step would leave the walk at
+        # +0.0, where the next block's steps are all rejected
+        den, steps = signed_zero_density(value), np.full((3, 50, 1), -0.0)
+        with block_budget(3 * 7), kernel_body("speculative", window):
+            assert_matches_filter_loop(den, steps, [1, 2, 3])
+            ens = run_ensemble(den, steps, [1, 2, 3])
+        assert ens.accepted.all()
+        assert np.signbit(ens.finals).all()
 
 
 class TestStationarity:

@@ -96,6 +96,12 @@ LINES = tuple(
     " --format json --seed 1",
     "simulate --dim 4 --half-width 5 --generator pm1 --steps 30000 --trials 8"
     " --format json --seed 2",
+    # pre-fetching rounds whose windows are mostly accepted (T = 64), and
+    # rounds that accept few steps (unit steps on T = 2)
+    "simulate --dim 1 --half-width 64 --generator pm1 --steps 100000 --trials 16"
+    " --format json --seed 1",
+    "simulate --dim 4 --half-width 2 --generator unit --steps 50000 --trials 8"
+    " --format json --seed 1",
     # n = 0 through the one slab path: three unit slabs, and one pm1 slab
     # whose empty bound row still attaches lower_1d
     "simulate --dim 3 --half-width 16 --generator unit --steps 0 --trials 2000"
