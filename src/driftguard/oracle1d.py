@@ -92,14 +92,30 @@ def dp_longest_valid(signs: Sequence[int], half_width: int, start: int = 0) -> i
     eps = _check_signs(signs)
     if len(eps) > _DP_LIMIT:
         raise ValueError(f"dp_longest_valid is limited to n <= {_DP_LIMIT}")
-    (length,), _ = _lexmin_longest(np.array(eps, dtype=np.int8).reshape(1, -1), t, [s])[s]
-    return length
+    lengths, _ = _lexmin_longest(np.array(eps, dtype=np.int8).reshape(1, -1), t, [s])[s]
+    return int(lengths[0])
+
+
+def _reflected_walks(signs: np.ndarray, t: int, start: int) -> np.ndarray:
+    """(S, n) kept flags of ``reflected_walk`` on each row of ``signs``, an
+    (S, n) int8 array of +-1, one vectorised step per position.  Heights are
+    offsets from ``start`` in the band clipped to +-(n + 1), so any T fits."""
+    count, n = signs.shape
+    lo, hi = max(-t - start, -n - 1), min(t - start, n + 1)
+    kept = np.empty((count, n), dtype=bool)
+    height = np.zeros(count, dtype=np.int64)
+    for j, column in enumerate(signs.T):
+        step = height + column
+        kept[:, j] = (lo <= step) & (step <= hi)
+        height = np.where(kept[:, j], step, height)
+    return kept
 
 
 def _lexmin_longest(signs: np.ndarray, t: int, starts: Sequence[int]) -> dict:
-    """{start: (lengths, witnesses)}: each row of ``signs``, an (S, n) int8
-    array of +-1, with its longest valid length and lex-smallest (1-based)
-    witness from each of ``starts``, by one DP over (step, height).
+    """{start: (lengths, taken)}: each row of ``signs``, an (S, n) int8 array
+    of +-1, with its longest valid length (an (S,) int array) and the (S, n)
+    bool flags of its lex-smallest longest witness from each of ``starts``,
+    by one DP over (step, height).
 
     Backward, L[j][h] = max(L[j+1][h], 1 + L[j+1][h + e_j]) is the longest
     from step j at height h, in int8 with a -128 column beyond each side of
@@ -109,7 +125,8 @@ def _lexmin_longest(signs: np.ndarray, t: int, starts: Sequence[int]) -> dict:
     table; heights are offsets from lo, so any T fits.  O(S n (hi - lo)).
     """
     count, n = signs.shape
-    scans = {s: ([], []) for s in sorted(set(starts))}
+    scans = {s: (np.empty(count, dtype=np.int64), np.empty((count, n), dtype=bool))
+             for s in sorted(set(starts))}
     groups = []
     for s in scans:
         if not groups or s - groups[-1][-1] > 2 * n:
@@ -127,17 +144,13 @@ def _lexmin_longest(signs: np.ndarray, t: int, starts: Sequence[int]) -> dict:
                 np.maximum(best[j + 1, :, 1:-1], step + 1, out=best[j, :, 1:-1])
             flat = best.reshape(n + 1, -1)
             for s in group:
+                lengths, taken = scans[s][0][slab], scans[s][1][slab]
                 at = np.arange(len(chunk)) * width + (s - lo + 1)
-                lengths = flat[0, at].tolist()
-                taken = np.empty((len(chunk), n), dtype=bool)
+                lengths[:] = flat[0, at]
                 for j in range(n):
                     to = at + chunk[:, j]
                     taken[:, j] = flat[j + 1, to] + 1 == flat[j, at]
                     at = np.where(taken[:, j], to, at)
-                kept = (np.nonzero(taken)[1] + 1).tolist()  # row by row, in order
-                ends = np.cumsum(lengths).tolist()
-                scans[s][0].extend(lengths)
-                scans[s][1].extend(tuple(kept[e - k:e]) for k, e in zip(lengths, ends))
     return scans
 
 
@@ -148,8 +161,8 @@ def verify_lex_optimality(signs: Sequence[int], half_width: int, start: int = 0)
     eps = _check_signs(signs)
     if len(eps) > _ENUM_LIMIT:
         raise ValueError(f"verify_lex_optimality is limited to n <= {_ENUM_LIMIT}")
-    _, (witness,) = _lexmin_longest(np.array(eps, dtype=np.int8).reshape(1, -1), t, [s])[s]
-    return reflected_walk(eps, t, s).indices == witness
+    _, (taken,) = _lexmin_longest(np.array(eps, dtype=np.int8).reshape(1, -1), t, [s])[s]
+    return reflected_walk(eps, t, s).indices == tuple((np.flatnonzero(taken) + 1).tolist())
 
 
 def verify_start_shift(signs: Sequence[int], half_width: int, start: int) -> bool:
@@ -167,24 +180,22 @@ def exhaustive_failures(n: int, half_width: int, starts: Sequence[int]) -> list[
     String b has sign +1 at position i + 1 iff bit i of b is set; failures
     come string by string, and within one in the order of ``starts``.  One
     ``_lexmin_longest`` DP, O(2**n n) work per height the starts can reach,
-    gives the lengths and witnesses from each start and from 0; the walk is
-    ``reflected_walk``, run per instance.
+    gives the lengths and taken rows from each start and from 0, and
+    ``_reflected_walks`` the greedy's kept rows from each start, so a start
+    fails a string where its rows differ or the shift inequality does not hold.
     """
     n = _integer("n", n, 0)
     if n > _ENUM_LIMIT:
         raise ValueError(f"exhaustive mode is limited to n <= {_ENUM_LIMIT}")
     t, _ = _check_band(half_width, 0)
+    starts = [_check_band(t, s)[1] for s in starts]
     bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
     signs = (2 * bits - 1).astype(np.int8)
-    scans = _lexmin_longest(signs, t, [_check_band(t, s)[1] for s in (*starts, 0)])
-    failures = []
-    for b, eps in enumerate(map(tuple, signs.tolist())):
-        for s in starts:
-            lengths, witnesses = scans[s]
-            if (reflected_walk(eps, t, s).indices != witnesses[b]
-                    or scans[0][0][b] > lengths[b] + abs(s)):
-                failures.append((eps, s))
-    return failures
+    scans = _lexmin_longest(signs, t, [*starts, 0])
+    fails = {s: (_reflected_walks(signs, t, s) != scans[s][1]).any(axis=1)
+             | (scans[0][0] - scans[s][0] > min(abs(s), n + 1)) for s in set(starts)}
+    bad = np.array([fails[s] for s in starts], dtype=bool).reshape(len(starts), 1 << n)
+    return [(tuple(signs[b].tolist()), starts[i]) for b, i in zip(*np.nonzero(bad.T))]
 
 
 def _start_weights(start: StartDistribution, width: int, t: int) -> tuple[list[int], int]:

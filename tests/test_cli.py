@@ -780,9 +780,9 @@ class TestOracle:
 
     def test_exhaustive_reports_each_counterexample(self, capsys, monkeypatch):
         # the oracle finds none, so a walk that keeps nothing of "+-" from 1 stands in
-        walk = oracle1d.reflected_walk
-        monkeypatch.setattr(oracle1d, "reflected_walk", lambda eps, t, s: (
-            oracle1d.ValidSubsequence((), s) if (eps, s) == ((1, -1), 1) else walk(eps, t, s)))
+        walks = oracle1d._reflected_walks
+        monkeypatch.setattr(oracle1d, "_reflected_walks", lambda signs, t, s: walks(signs, t, s)
+                            & ~((signs == (1, -1)).all(axis=1, keepdims=True) & (s == 1)))
         code, out, err = run_cli(capsys, "oracle", "--mode", "exhaustive", "--T", "1", "--n", "2")
         assert (code, err) == (2, "")
         assert out == (

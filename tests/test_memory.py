@@ -26,7 +26,8 @@ from driftguard.harness import (
     trial_streams,
 )
 from driftguard.metropolis import EnsembleResult, run_ensemble
-from driftguard.oracle1d import _lexmin_longest, dp_longest_valid, exact_chain_expectation
+from driftguard.oracle1d import (_lexmin_longest, dp_longest_valid, exact_chain_expectation,
+                                 exhaustive_failures)
 from helpers import leggauss_integrate
 from test_metropolis import liar_density
 
@@ -328,3 +329,8 @@ class TestOracleState:
         bits = (np.arange(64)[:, None] >> np.arange(14)) & 1
         signs = (2 * bits - 1).astype(np.int8)
         assert peak_bytes(lambda: _lexmin_longest(signs, t, starts)) < MIB
+
+    def test_exhaustive_compares_flag_rows_not_witness_tuples(self):
+        # one witness tuple per string and start peaked at ~16 MiB; the DP's
+        # taken rows and the greedy's kept rows are one bool per step
+        assert peak_bytes(lambda: exhaustive_failures(14, 2, range(-2, 3))) < 8 * MIB

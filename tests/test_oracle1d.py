@@ -10,6 +10,7 @@ from driftguard import bodies, bounds, cli, oracle1d
 from driftguard.oracle1d import (
     ValidSubsequence,
     _lexmin_longest,
+    _reflected_walks,
     _spectral_expectation,
     dp_longest_valid,
     exact_chain_expectation,
@@ -155,6 +156,41 @@ def all_signs(n):
     return np.array(rows, dtype=np.int8).reshape(1 << n, n)
 
 
+def indices(rows):
+    """Each row of kept or taken flags as its 1-based index tuple."""
+    return [tuple((np.flatnonzero(row) + 1).tolist()) for row in rows]
+
+
+def read(scans):
+    """``_lexmin_longest``'s {start: (lengths, taken)} as lists of lengths and witnesses."""
+    return {s: (lengths.tolist(), indices(taken)) for s, (lengths, taken) in scans.items()}
+
+
+class TestReflectedWalks:
+    """The batched greedy against ``reflected_walk``, string by string."""
+
+    def test_keeps_what_the_walk_keeps_on_every_string(self):
+        for n in range(0, 13):
+            signs = all_signs(n)
+            rows = signs.tolist()
+            for t in (0, 1, 2, 3):
+                for s in range(-t, t + 1):
+                    kept = _reflected_walks(signs, t, s)
+                    assert kept.shape == signs.shape and kept.dtype == bool, (n, t, s)
+                    assert indices(kept) == [reflected_walk(r, t, s).indices for r in rows], (
+                        n, t, s)
+
+    @pytest.mark.parametrize("n", [0, 8])
+    @pytest.mark.parametrize("s", [2**70, -(2**70), 0])
+    def test_a_band_beyond_int64_is_exact(self, n, s):
+        # heights are offsets from the start, so T = 2**70 needs no wide dtype
+        t = 2**70
+        signs = all_signs(n)
+        kept = _reflected_walks(signs, t, s)
+        assert kept.shape == signs.shape and kept.dtype == bool
+        assert indices(kept) == [reflected_walk(r, t, s).indices for r in signs.tolist()]
+
+
 class TestLexminLongest:
     """The DP against the helpers' table and height loop, string by string."""
 
@@ -164,7 +200,7 @@ class TestLexminLongest:
             rows = signs.tolist()
             for t in (0, 1, 2, 3):
                 for s in range(-t, t + 1):
-                    lengths, witnesses = _lexmin_longest(signs, t, [s])[s]
+                    lengths, witnesses = read(_lexmin_longest(signs, t, [s]))[s]
                     table_lengths, table_witnesses = exhaustive_longest_table(n, t, s)
                     assert lengths == table_lengths.tolist(), (n, t, s)
                     assert witnesses == table_witnesses, (n, t, s)
@@ -172,16 +208,16 @@ class TestLexminLongest:
 
     def test_no_steps(self):
         for t, s in ((0, 0), (1, -1), (2**70, 2**70)):
-            assert _lexmin_longest(all_signs(0), t, [s]) == {s: ([0], [()])}
+            assert read(_lexmin_longest(all_signs(0), t, [s])) == {s: ([0], [()])}
 
     def test_zero_band_keeps_nothing(self):
-        lengths, witnesses = _lexmin_longest(all_signs(6), 0, [0])[0]
+        lengths, witnesses = read(_lexmin_longest(all_signs(6), 0, [0]))[0]
         assert lengths == [0] * 64 and witnesses == [()] * 64
 
     @pytest.mark.parametrize("t, s", [(5, 0), (6, -1), (8, 2), (9, 3), (2**70, -(2**70) + 5)])
     def test_a_band_the_walk_cannot_leave_keeps_everything(self, t, s):
         # T >= |start| + n: every height any subsequence reaches is in the band
-        lengths, witnesses = _lexmin_longest(all_signs(5), t, [s])[s]
+        lengths, witnesses = read(_lexmin_longest(all_signs(5), t, [s]))[s]
         assert lengths == [5] * 32 and witnesses == [(1, 2, 3, 4, 5)] * 32
 
     @pytest.mark.parametrize("s", [2**70, 2**70 - 1, 2**70 - 3, 0, -(2**70) + 2])
@@ -189,7 +225,7 @@ class TestLexminLongest:
         # heights are offsets from the table's lowest, so T = 2**70 needs no wide dtype
         t = 2**70
         signs = all_signs(7)
-        lengths, witnesses = _lexmin_longest(signs, t, [s])[s]
+        lengths, witnesses = read(_lexmin_longest(signs, t, [s]))[s]
         for row, length, witness in zip(signs.tolist(), lengths, witnesses):
             assert (length, witness) == enumerate_longest(tuple(row), t, s)
             assert length == longest_valid_loop(row, t, s)
@@ -201,14 +237,14 @@ class TestLexminLongest:
     ])
     def test_starts_answer_as_they_do_alone(self, t, starts):
         signs = all_signs(6)
-        assert _lexmin_longest(signs, t, starts) == {
-            s: _lexmin_longest(signs, t, [s])[s] for s in starts}
+        assert read(_lexmin_longest(signs, t, starts)) == {
+            s: read(_lexmin_longest(signs, t, [s]))[s] for s in starts}
 
     def test_rows_resolve_alike_in_any_slab_size(self, monkeypatch):
         signs = all_signs(9)
-        whole = _lexmin_longest(signs, 2, [-1, 2])
+        whole = read(_lexmin_longest(signs, 2, [-1, 2]))
         monkeypatch.setattr(bodies, "_SLAB", 7)
-        assert _lexmin_longest(signs, 2, [-1, 2]) == whole
+        assert read(_lexmin_longest(signs, 2, [-1, 2])) == whole
 
 
 def strict_walk(signs, half_width, start=0):
@@ -219,6 +255,14 @@ def strict_walk(signs, half_width, start=0):
             height += e
             kept.append(k)
     return ValidSubsequence(tuple(kept), start)
+
+
+def strict_walks(signs, half_width, start):
+    """``strict_walk`` on each row of ``signs``, as the batched walk's kept flags."""
+    kept = np.zeros(signs.shape, dtype=bool)
+    for row, eps in zip(kept, signs.tolist()):
+        row[[k - 1 for k in strict_walk(eps, half_width, start).indices]] = True
+    return kept
 
 
 class TestPlantedCounterexample:
@@ -239,7 +283,7 @@ class TestPlantedCounterexample:
                     expected.append(json.dumps(
                         dict(mode="exhaustive", T=t, start=s, signs=signs, ok=False),
                         sort_keys=True))
-        monkeypatch.setattr(oracle1d, "reflected_walk", strict_walk)
+        monkeypatch.setattr(oracle1d, "_reflected_walks", strict_walks)
         argv = ["oracle", "--mode", "exhaustive", f"--T={t}", f"--n={n}"]
         if start is not None:
             argv.append(f"--start={start}")
@@ -253,14 +297,14 @@ class TestPlantedCounterexample:
 
     def test_the_shift_check_reads_the_scans_lengths(self, monkeypatch):
         # a DP that finds one step too many from 0 breaks the inequality from
-        # every other start where it is tight; the witnesses still match the
+        # every other start where it is tight; the taken rows still match the
         # walk, and the expectation comes from the height loop, not the DP
         scan = oracle1d._lexmin_longest
 
         def longer_from_0(signs, t, starts):
             scans = scan(signs, t, starts)
-            lengths, witnesses = scans[0]
-            return {**scans, 0: ([x + 1 for x in lengths], witnesses)}
+            lengths, taken = scans[0]
+            return {**scans, 0: (lengths + 1, taken)}
 
         monkeypatch.setattr(oracle1d, "_lexmin_longest", longer_from_0)
         t, n = 2, 6

@@ -57,12 +57,14 @@ LINES = tuple(
     "oracle --mode chain --T 1000 --n 100000 --start 0",
     "oracle --mode exhaustive --T 2 --n 8",
     # T = 0 keeps no step; T = 3 from its edge runs a wider band from one
-    # start; n = 14 is the last n exhaustive takes; at T = 6 all 13 starts
-    # share one DP table, and at T = 2**70 the start and 0 reach disjoint
-    # heights, so each gets its own
+    # start; n = 14 is the last n exhaustive takes, and at T = 20 its 41
+    # starts share one table built in 163 slabs of strings; at T = 6 all 13
+    # starts share one DP table, and at T = 2**70 the start and 0 reach
+    # disjoint heights, so each gets its own
     "oracle --mode exhaustive --T 0 --n 10",
     "oracle --mode exhaustive --T 3 --n 12 --start -3",
     "oracle --mode exhaustive --T 2 --n 14",
+    "oracle --mode exhaustive --T 20 --n 14",
     "oracle --mode exhaustive --T 6 --n 12",
     f"oracle --mode exhaustive --T {2**70} --n 10 --start {2**70}",
     "oracle --mode single --T 1 --n 4 --signs=+--+",
