@@ -161,7 +161,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     t, n = args.T, _integer("--n", args.n or 0, 0)  # single mode reads n off --signs
     if args.mode == "single":
-        if not args.signs:
+        if args.signs is None:
             raise ValueError("--signs is required in single mode")
         eps = signs_from_string(args.signs)
         if args.n not in (None, len(eps)):

@@ -20,12 +20,11 @@ may run on (at most one per slab, and at most a cgroup CPU quota:
 first, which the calling process runs itself (``bodies._fork_map``, which
 the Monte Carlo Fisher estimator shares).  Each process
 holds one slab at a time, and each slab gives one record: its trials' bound
-sums and their results or escape.  A child pickles its shard's records
-straight into a pipe and the calling process unpickles them from it, so no
-record is also held as its pickled bytes.  The run's records, merged once
-in trial order, are the bits of one process's run; ``run_experiment``
-reads the discard counts off them and never joins their (m, n) accept
-flags.
+sums and their discard counts or escape, so no slab's accept flags outlive
+it.  A child pickles its shard's records straight into a pipe and the
+calling process unpickles them from it, so no record is also held as its
+pickled bytes.  The run's records, merged once in trial order, are the
+bits of one process's run.
 """
 
 from __future__ import annotations
@@ -37,19 +36,16 @@ from typing import Optional
 
 import numpy as np
 
-from .bodies import (Box, _cpus, _fork_map, _integer, _number, _reals, _row_norms, _seed, _slabs,
+from .bodies import (Box, _cpus, _fork_map, _integer, _number, _reals, _row_norms, _slabs,
                      _trial_seeds, cube_eigen_density)
 from .bounds import BoundReport, _bound_pass, _bound_reports, matching_bounds
-from .metropolis import (_LOCKSTEP_WIDTH, ContainmentError, EnsembleResult, _chunk_length,
-                         _run_chunks)
+from .metropolis import _LOCKSTEP_WIDTH, ContainmentError, _chunk_length, _run_chunks
 
 __all__ = [
     "StepGenerator",
     "ExperimentConfig",
     "RunStats",
-    "generate_steps",
     "run_experiment",
-    "run_experiment_ensemble",
     "emit_report",
     "run_stats_from_json",
 ]
@@ -95,11 +91,6 @@ class StepGenerator:
             object.__setattr__(self, "vectors", vecs)
         elif self.vectors is not None:
             raise ValueError("vectors only apply to fixed_list generators")
-
-
-def generate_steps(gen: StepGenerator, n: int, rng_seed) -> np.ndarray:
-    """n signed step vectors, shape (n, d), deterministic given the seed."""
-    return _draw_steps(gen, _integer("n", n, 0), [_seed("rng_seed", rng_seed)])[0]
 
 
 def _slab_steps(body: Box, gen: StepGenerator, n: int, seeds) -> tuple:
@@ -209,27 +200,19 @@ def trial_streams(config: ExperimentConfig) -> tuple[np.ndarray, list]:
     return steps, _trial_seeds(config.seed, trials, 1)
 
 
-def run_experiment_ensemble(config: ExperimentConfig) -> tuple[RunStats, EnsembleResult]:
-    """run_experiment, also returning the raw ensemble for further checks:
-    the slabs' results concatenated field by field, the bits of one
-    ensemble, since a trial's results depend only on its own streams."""
-    stats, parts = _run(config)
-    return stats, EnsembleResult(*(np.concatenate([getattr(part, f.name) for part in parts])
-                                   for f in fields(EnsembleResult)))
-
-
-def _run(config: ExperimentConfig) -> tuple[RunStats, tuple]:
-    """The run's statistics and its slabs' ``EnsembleResult``s in trial order.
+def run_experiment(config: ExperimentConfig) -> RunStats:
+    """Run n_trials seeded trials and aggregate discard counts and bounds.
 
     Trials run in slabs of ceil(``_LOCKSTEP_WIDTH`` / d), each by
     ``_run_slab``, split into k contiguous near-equal shards, k =
     min(``_cpus()``, slabs): shard 0 runs in this process and each other in
-    a forked child (``_fork_map``), so a process holds one slab's steps and
-    coins, and k = 1 forks nothing.  The slab records are merged once: the
-    bound reports are made, then the least (step, trial) containment error
-    of all slabs is raised, then the discard counts are read off the slabs'
-    results.  Any other error is the lowest shard's, the one a single
-    process meets first.
+    a forked child (``_fork_map``), so a process holds one slab's steps,
+    coins and accept flags, and k = 1 forks nothing.  The slab records are
+    merged once: the bound reports are made, then the least (step, trial)
+    containment escape of all slabs is raised as ContainmentError, rather
+    than counted, so a returned RunStats always has containment_violations
+    = 0; then the slabs' discard counts are joined.  Any other error is the
+    lowest shard's, the one a single process meets first.
     """
     density = cube_eigen_density(config.body)
     m, d = config.n_trials, config.body.dimension
@@ -242,45 +225,34 @@ def _run(config: ExperimentConfig) -> tuple[RunStats, tuple]:
                 for start in range(trials.start, trials.stop, size)]
 
     records = (record for shard in _fork_map(run_shard, shards, "trial shard") for record in shard)
-    sums, units, parts, escapes = zip(*records)
+    sums, units, discards, escapes = zip(*records)
     bound_reports = _bound_reports(config.body, np.concatenate(sums), all(units), config.n_steps)
     escapes = [escape for escape in escapes if escape is not None]
     if escapes:  # a later slab's violation may come at an earlier step
         raise ContainmentError(*min(escapes, key=lambda escape: escape[:2]))
-    discards = np.concatenate([part.discards for part in parts])
+    discards = np.concatenate(discards)
     return RunStats(
         per_trial_discards=discards.tolist(),
         mean=float(np.mean(discards)),
         std_error=float(np.std(discards, ddof=1) / math.sqrt(m)) if m > 1 else 0.0,
         bound_reports=bound_reports,
-    ), parts
+    )
 
 
 def _run_slab(config: ExperimentConfig, density, slab: range) -> tuple:
     """The record of the trials ``slab``: their bound sums, whether
-    ``lower_1d`` attaches, and their ``EnsembleResult``, or None and their
+    ``lower_1d`` attaches, and their (k,) discard counts, or None and their
     containment escape as (step, trial in the run, accepted sum).  The
-    chunks from ``_slab_steps`` are dropped when this returns, so one slab's
-    steps and coins are alive."""
+    chunks from ``_slab_steps`` and the kernel's accept flags are dropped
+    when this returns, so one slab's steps, coins and flags are alive."""
     n = config.n_steps
     sums, unit, chunks = _slab_steps(config.body, config.generator, n,
                                      _trial_seeds(config.seed, slab, 0))
+    seeds = _trial_seeds(config.seed, slab, 1)
     try:
-        return sums, unit, _run_chunks(density, _trial_seeds(config.seed, slab, 1), n, chunks), None
+        return sums, unit, _run_chunks(density, seeds, n, chunks).discards, None
     except ContainmentError as exc:
         return sums, unit, None, (exc.step, slab.start + exc.trial, exc.accepted_sum)
-
-
-def run_experiment(config: ExperimentConfig) -> RunStats:
-    """Run n_trials seeded trials and aggregate discard counts and bounds.
-
-    The counts are read off each slab's results, so the trials' accept
-    flags are never joined.  Containment is checked once per block of
-    steps, and a violation raises ContainmentError naming the first step
-    and lowest trial that left the doubled box, rather than being counted;
-    so a returned RunStats always has containment_violations = 0.
-    """
-    return _run(config)[0]
 
 
 def _matching_bounds(config: ExperimentConfig, steps: np.ndarray) -> list[BoundReport]:

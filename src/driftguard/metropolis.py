@@ -14,20 +14,19 @@ the random stream independent of the data.  There is one kernel,
 every trial's origin in one batched inverse-CDF pass, then takes the steps
 as chunks over n, drawing each chunk's coins when it reaches it, so a
 streamed run holds one chunk of steps and coins.  The harness filters
-every slab through it, whatever the step kind; ``run_ensemble`` is its
-one-chunk case and ``filter_run`` that with one trial.  The kernel runs
-the steps in blocks, each through one of two bodies chosen by the
-ensemble's width m * d.  A wide ensemble steps all its trials in lockstep,
-one vectorized filter step at a time.  A narrow one (``filter_run`` among
-them) pre-fetches: each trial assumes its next few steps are all accepted,
-decides them in one call and commits up to its first rejection; its
-windows read a copy of the block padded by coins of 1.0, which no accept
-test passes, so none is clipped at the block end.  Both bodies compute
-the same floats and decisions, by one accept test that
-``rejection_rate_monte_carlo`` shares.  The kernel checks 2K containment
-once per block of steps rather than after each step; the first violation
-it reports (step, lowest trial, accepted sum) is the one a per-step check
-would report.
+every slab through it, whatever the step kind, and keeps the slab's
+discard counts; ``run_ensemble`` is its one-chunk case and ``filter_run``
+that with one trial.  The kernel runs the steps in blocks, each through
+one of two bodies chosen by the ensemble's width m * d.  A wide ensemble
+steps all its trials in lockstep, one vectorized filter step at a time.
+A narrow one (``filter_run`` among them) pre-fetches: each trial assumes
+its next few steps are all accepted, decides them in one call and commits
+up to its first rejection; its windows read a copy of the block padded by
+coins of 1.0, which no accept test passes, so none is clipped at the
+block end.  Both bodies compute the same floats and decisions, by one
+accept test.  The kernel checks 2K containment once per block of steps
+rather than after each step; the first violation it reports (step, lowest
+trial, accepted sum) is the one a per-step check would report.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import bodies
-from .bodies import Density, _integer, _number, _reals, _seed, _slabs
+from .bodies import Density, _number, _reals, _seed, _slabs
 
 __all__ = [
     "ContainmentError",
@@ -47,7 +46,6 @@ __all__ = [
     "filter_run",
     "run_ensemble",
     "rejection_rate_exact_1d",
-    "rejection_rate_monte_carlo",
 ]
 
 # slack for the 2K containment assertion, per unit of half-width
@@ -94,10 +92,6 @@ class EnsembleResult:
     @property
     def discards(self) -> np.ndarray:
         return self.accepted.shape[1] - self.accepted.sum(axis=1)
-
-    @property
-    def accepted_sums(self) -> np.ndarray:
-        return self.finals - self.origins
 
 
 def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> EnsembleResult:
@@ -371,27 +365,3 @@ def rejection_rate_exact_1d(density: Density, step: float) -> float:
     mean_pi = float(np.sum((0.5 * weights) * np.exp(density.log_density(x[:, None]))))
     return min(v * mean_pi, 1.0)
 
-
-def rejection_rate_monte_carlo(
-    density: Density, step, n_steps: int, rng_seed: SeedLike
-) -> tuple[float, float]:
-    """Monte Carlo discard frequency of one filter step from stationarity.
-
-    ``step`` is d finite ints or floats, read by ``bodies._reals``.  Draws
-    ``n_steps`` independent stationary points, proposes x + step from each
-    with a fresh coin, and returns (frequency, standard error).
-    """
-    v = _reals("step", step)
-    if v.shape != (density.dimension,):
-        raise ValueError("step dimension mismatch")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("step has non-finite entries")
-    n = _integer("n_steps", n_steps, 1)
-    rng = np.random.default_rng(_seed("rng_seed", rng_seed))
-    points = density.sample(rng, n)
-    log_pi = np.asarray(density.log_density(points), dtype=float)
-    log_pi_shift = np.asarray(density.log_density(points + v), dtype=float)
-    rejected = ~_accept(rng.uniform(size=n), log_pi_shift - log_pi)
-    freq = float(np.mean(rejected))
-    std_error = float(np.sqrt(freq * (1.0 - freq) / n))
-    return freq, std_error

@@ -5,6 +5,7 @@ keeps exactly the steps it can take without leaving [-T, T].  Its kept index
 set is the longest valid subsequence, and the lexicographically smallest
 one at that.  Both claims are checked here by one DP over (step, height)
 on a batch of sign strings (lengths for n <= 30, witnesses for n <= 14),
+whose lengths also check the start-shift inequality in exhaustive mode,
 and the walk's expected discard count is computed in closed form (exactly from
 its second moment while the band has at most 65 states, its eigenmodes beyond).
 """
@@ -26,7 +27,6 @@ __all__ = [
     "reflected_walk",
     "dp_longest_valid",
     "verify_lex_optimality",
-    "verify_start_shift",
     "exhaustive_failures",
     "exact_chain_expectation",
     "exact_chain_expectation_fraction",
@@ -165,17 +165,11 @@ def verify_lex_optimality(signs: Sequence[int], half_width: int, start: int = 0)
     return reflected_walk(eps, t, s).indices == tuple((np.flatnonzero(taken) + 1).tolist())
 
 
-def verify_start_shift(signs: Sequence[int], half_width: int, start: int) -> bool:
-    """True iff longest-from-0 <= longest-from-start + |start|, by DP (n <= 30);
-    ``exhaustive_failures`` reads the same lengths off one batched DP instead."""
-    t, s = _check_band(half_width, start)
-    eps = _check_signs(signs)
-    return dp_longest_valid(eps, t, 0) <= dp_longest_valid(eps, t, s) + abs(s)
-
-
 def exhaustive_failures(n: int, half_width: int, starts: Sequence[int]) -> list[tuple]:
     """The (signs, start) instances, over all 2**n sign strings and ``starts``,
-    where ``verify_lex_optimality`` or ``verify_start_shift`` would be False.
+    where ``verify_lex_optimality`` would be False or the start-shift
+    inequality fails: the longest valid length from 0 exceeds the longest
+    from the start plus |start|.
 
     String b has sign +1 at position i + 1 iff bit i of b is set; failures
     come string by string, and within one in the order of ``starts``.  One

@@ -9,15 +9,19 @@ eigen-density's marginal CDF, direct Gauss-Legendre integration, a Monte Carlo
 Fisher matrix from explicit outer products, a plain Monte Carlo reflected walk,
 the reflected chain stepped one transition at a time (in floats, and in
 integer weights over 2^k for the exact expectation) and its rational kernel
-matrix, and a 40-digit decimal quantile of the cube eigen-density.  Two
-are the library's own earlier forms, kept as written as bit-for-bit
-references: the serial loop over Monte Carlo Fisher chunks, and the cube
-quantile's Newton solve that computes both Kepler branches and picks one
-with ``np.where``.
+matrix, a 40-digit decimal quantile of the cube eigen-density, and a
+Monte Carlo one-step rejection rate.  Two are the library's own earlier
+forms, kept as written as bit-for-bit references: the serial loop over
+Monte Carlo Fisher chunks, and the cube quantile's Newton solve that
+computes both Kepler branches and picks one with ``np.where``.  One runs
+the library's own slab path in this process to show what a run keeps
+none of: ``run_experiment_ensemble``, every trial's accept flags, origin,
+final point and running max.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import decimal
 import itertools
 import math
@@ -26,10 +30,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from driftguard import bodies
+from driftguard import bodies, harness
 from driftguard.bodies import (_KEPLER_SERIES, _KEPLER_SERIES_CUTOFF, _KEPLER_STEPS, FisherMatrix,
-                               _integer, _scaled_scores, _slabs, _unscaled)
-from driftguard.metropolis import ContainmentError
+                               _integer, _scaled_scores, _slabs, _trial_seeds, _unscaled)
+from driftguard.metropolis import ContainmentError, EnsembleResult, _run_chunks
 from driftguard.oracle1d import _start_weights
 
 
@@ -99,6 +103,30 @@ def reference_steps(gen, n, seed):
     if gen.rademacher:
         out = out * (rng.integers(0, 2, size=n) * 2.0 - 1.0)[:, None]
     return out
+
+
+def run_experiment_ensemble(config):
+    """``harness.run_experiment(config)`` and the ensemble of its trials.
+
+    Each slab of ceil(``harness._LOCKSTEP_WIDTH`` / d) trials, the width
+    read at call time, is drawn by ``harness._slab_steps`` and filtered by
+    ``metropolis._run_chunks`` in this process, as a run's slabs are; the
+    slabs' results are joined field by field.  The run comes first, so its
+    error, not a slab's, is the one raised.
+    """
+    stats = harness.run_experiment(config)
+    m, d = config.n_trials, config.body.dimension
+    size = min(m, -(-harness._LOCKSTEP_WIDTH // d))
+    density = harness.cube_eigen_density(config.body)
+    parts = []
+    for start in range(0, m, size):
+        slab = range(start, min(start + size, m))
+        _, _, chunks = harness._slab_steps(config.body, config.generator, config.n_steps,
+                                           _trial_seeds(config.seed, slab, 0))
+        parts.append(_run_chunks(density, _trial_seeds(config.seed, slab, 1), config.n_steps,
+                                 chunks))
+    return stats, EnsembleResult(*(np.concatenate([getattr(part, f.name) for part in parts])
+                                   for f in dataclasses.fields(EnsembleResult)))
 
 
 def seed_fingerprint(seed):
@@ -252,6 +280,24 @@ def closed_rejection_1d(t, v):
     if v >= 2.0 * t:
         return 1.0
     return v / (2.0 * t) + math.sin(math.pi * v / (2.0 * t)) / math.pi
+
+
+def rejection_rate_monte_carlo(density, step, n, seed):
+    """Monte Carlo discard frequency of one filter step from stationarity,
+    as (frequency, standard error).
+
+    From ``np.random.default_rng(seed)`` it draws n stationary points
+    (``density.sample``), then n uniform coins; the proposal x + step from
+    each point is rejected unless its coin is below
+    exp(min(log pi(x + step) - log pi(x), 0)).
+    """
+    rng = np.random.default_rng(seed)
+    points = density.sample(rng, n)
+    coins = rng.uniform(size=n)
+    log_ratio = (density.log_density(points + np.asarray(step, dtype=float))
+                 - density.log_density(points))
+    freq = float(np.mean(~(coins < np.exp(np.minimum(log_ratio, 0.0)))))
+    return freq, math.sqrt(freq * (1.0 - freq) / n)
 
 
 def fisher_outer_mean(density, samples, seed, chunk):

@@ -33,14 +33,15 @@ from driftguard.harness import (
     StepGenerator,
     emit_report,
     run_experiment,
-    run_experiment_ensemble,
 )
-from driftguard.metropolis import rejection_rate_exact_1d, rejection_rate_monte_carlo
+from driftguard.metropolis import rejection_rate_exact_1d
 from driftguard.oracle1d import exact_chain_expectation_fraction, reflected_walk
 from helpers import (
     cube_coordinate_cdf,
     exhaustive_longest_table,
     mc_reflected_discards,
+    rejection_rate_monte_carlo,
+    run_experiment_ensemble,
     signs_of_bits,
 )
 
@@ -154,9 +155,7 @@ def test_criterion_03_rejection_identity_quad_vs_mc():
         worst_z = 0.0
         for i, v in enumerate((0.05, 0.1, 0.2, 0.4)):
             quad = rejection_rate_exact_1d(density, v)
-            freq, se = rejection_rate_monte_carlo(
-                density, [v], 1_000_000, rng_seed=7000 + i
-            )
+            freq, se = rejection_rate_monte_carlo(density, [v], 1_000_000, 7000 + i)
             z = abs(quad - freq) / se
             worst_z = max(worst_z, z)
             assert abs(quad - freq) <= 3.0 * se

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -86,6 +87,56 @@ PINNED_REPORTS = [
         "e55ae795194834a24b2bbdc553d9562f083b7a208f8e8b87427d39d6200b8960",
     ),
 ]
+
+
+# sha256 of the stdout of every bounds and oracle line of tools/report_diff.py
+# but `oracle --mode exhaustive --T 20 --n 14` (~0.7 s): each exits 0, and a
+# line whose bytes move must be re-pinned, as the reports above must
+PINNED_LINES = [
+    ("bounds --dim 1 --half-width 4 --steps 10000",
+     "d080bcede688746e594c276cb0fdd3c4d38c2f8a154f0c870bb0548bc7779f3e"),
+    ("bounds --dim 3 --half-width 16 --steps 1000",
+     "f71bc720d17c3b3283f4ab67dc47164dd0e819d1b1f0bf7970b4cc7490a4f9a0"),
+    ("oracle --mode chain --T 2 --n 1000 --start 0",
+     "110ebce8cf3ed472c2d82777fe0ec5b50a08e8c794798b5ee7fa9916671925e5"),
+    ("oracle --mode chain --T 32 --n 10000 --start 0",
+     "d0ff1827edb2c9fcf694625cf6cc3beddf546a736e223f2bdae862382ce7ad35"),
+    ("oracle --mode chain --T 32 --n 3000",
+     "75b75bc1647c768624c2d1c358595145556ff45bbb2f5157be1155e0e13d8ca9"),
+    ("oracle --mode chain --T 31 --n 5000 --start -31",
+     "8b33df786bd375b9cce906e7a7183fadb332d35f3384a0304ccdfaf6f88ac52c"),
+    ("oracle --mode chain --T 1000 --n 100000 --start 0",
+     "c60bda30a827be0ddd1644b8da549de921976271991ca5d231d63b0dbbfb3445"),
+    ("oracle --mode exhaustive --T 2 --n 8",
+     "b3fbfeb50310e3e0dc52e58031e4f8fbcb88ad5b482a6e4e86e2b58d58f9dc2f"),
+    ("oracle --mode exhaustive --T 0 --n 10",
+     "3be2324292639f78b324b7c08dcd565fa3af22b4e11e36f9224863fee651c55d"),
+    ("oracle --mode exhaustive --T 3 --n 12 --start -3",
+     "fc0bf30506a87d29bc562efdb404b3ebea51fb923bf2152353823bfed0d6e6ac"),
+    ("oracle --mode exhaustive --T 2 --n 14",
+     "eeeab03056c7ef23a10d6b1ca1360a6e69820ba1864620ff20c490a2b6b8347f"),
+    ("oracle --mode exhaustive --T 6 --n 12",
+     "3fd6ec173ce60a1b9b941193a466effce951575be97751d534572612ab74bdbb"),
+    (f"oracle --mode exhaustive --T {2**70} --n 10 --start {2**70}",
+     "63ab9d095bef6f5a8967f9ea7a39fa82bca16054f707ec3badbc2459122295bd"),
+    ("oracle --mode single --T 1 --n 4 --signs=+--+",
+     "a8d36aad51b59fe17d206af35a3a44792dbf2b5cbc4fec5f9f4103a4d74520b3"),
+    ("oracle --mode single --T 2 --start -1 --signs=++-+--++++-+-+",
+     "15d8fa5fac8c47aa2afc8555d05a4fb0912a16a0063858da9c7f94b70924610e"),
+    ("oracle --mode single --T 3 --start 2 --signs=+-++-+++--+-+++--+-++++--+-+-+",
+     "0ffd36ac81e097ac2d526af4a8a31706321b9071fd284339060e1eee100ba32e"),
+    ("oracle --mode single --T 1000000 --n 2 --signs=++",
+     "8f79f90ade1a36de496b86f263a1567e045d723fc047aeeeb04d1a81ac99c648"),
+    ("oracle --mode chain --T 1000000 --n 10 --start 0",
+     "caf63504991aaed5b4574133efb0c317f6265b5ff477fed3f30b1935502fe52d"),
+]
+
+
+@pytest.mark.parametrize("line, digest", PINNED_LINES, ids=[line for line, _ in PINNED_LINES])
+def test_pinned_line_bytes(capsys, line, digest):
+    code, out, err = run_cli(capsys, *shlex.split(line))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSimulate:
@@ -701,6 +752,16 @@ class TestOracle:
         assert payload["discards"] == 1
         assert payload["longest_valid"] == 1
         assert payload["lex_minimal"] is True
+
+    def test_single_mode_takes_no_signs(self, capsys):
+        # an empty --signs is the valid 0-step string, not a missing flag
+        code, out, err = run_cli(capsys, "oracle", "--mode", "single", "--T", "1", "--signs=")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["kept_indices"] == []
+        assert (payload["discards"], payload["longest_valid"], payload["lex_minimal"]) == (0, 0, True)
+        code, out, err = run_cli(capsys, "oracle", "--mode", "single", "--T", "1")
+        assert (code, out, err) == (2, "", "error: --signs is required in single mode\n")
 
     def test_single_mode_with_start(self, capsys):
         code, out, _ = run_cli(

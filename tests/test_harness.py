@@ -15,14 +15,12 @@ from driftguard.harness import (
     RunStats,
     StepGenerator,
     emit_report,
-    generate_steps,
     run_experiment,
-    run_experiment_ensemble,
     run_stats_from_json,
     trial_streams,
 )
 from driftguard.metropolis import ContainmentError, EnsembleResult, filter_run, run_ensemble
-from helpers import filter_loop, reference_steps, seed_fingerprint
+from helpers import filter_loop, reference_steps, run_experiment_ensemble, seed_fingerprint
 from test_metropolis import BODIES, liar_density
 
 
@@ -66,7 +64,8 @@ class TestStepGenerator:
     def test_rademacher_takes_python_and_numpy_bools(self, value):
         gen = StepGenerator("coordinate_basis_cycle", 2, rademacher=value)
         plain = StepGenerator("coordinate_basis_cycle", 2, rademacher=bool(value))
-        assert np.array_equal(generate_steps(gen, 50, 3), generate_steps(plain, 50, 3))
+        draw = harness._draw_steps
+        assert np.array_equal(draw(gen, 50, [3]), draw(plain, 50, [3]))
 
     def test_vector_dimension_checked(self):
         with pytest.raises(ValueError):
@@ -76,7 +75,7 @@ class TestStepGenerator:
         gen = StepGenerator(
             "fixed_list", 2, rademacher=False, vectors=((0.5, 0.0), (0.0, -0.25))
         )
-        steps = generate_steps(gen, 5, rng_seed=0)
+        steps = harness._draw_steps(gen, 5, [0])[0]
         expected = np.array(
             [[0.5, 0.0], [0.0, -0.25], [0.5, 0.0], [0.0, -0.25], [0.5, 0.0]]
         )
@@ -95,7 +94,7 @@ class TestStepGenerator:
         if rademacher:
             signs = np.random.default_rng(4).integers(0, 2, size=n) * 2.0 - 1.0
             expected = expected * signs[:, None]
-        steps = generate_steps(gen, n, rng_seed=4)
+        steps = harness._draw_steps(gen, n, [4])[0]
         assert steps.shape == (n, 2) and steps.dtype == np.float64
         assert steps.tobytes() == expected.tobytes()
 
@@ -109,7 +108,8 @@ class TestStepGenerator:
             assert isinstance(gen.vectors, np.ndarray)
             assert gen.vectors.dtype == np.float64 and gen.vectors.shape == (3, 2)
             assert not gen.vectors.flags.writeable
-            assert np.array_equal(generate_steps(gen, 8, 1), generate_steps(gens[0], 8, 1))
+            assert np.array_equal(harness._draw_steps(gen, 8, [1]),
+                                  harness._draw_steps(gens[0], 8, [1]))
         with pytest.raises(TypeError):
             hash(gens[0])
 
@@ -129,27 +129,27 @@ class TestStepGenerator:
 
     def test_fixed_list_signs_flip_entire_vector(self):
         gen = StepGenerator("fixed_list", 2, vectors=((0.5, 0.25),))
-        steps = generate_steps(gen, 200, rng_seed=3)
+        steps = harness._draw_steps(gen, 200, [3])[0]
         ratios = steps / np.array([0.5, 0.25])
         assert np.all(ratios[:, 0] == ratios[:, 1])
         assert set(np.unique(ratios)) == {-1.0, 1.0}
 
     def test_coordinate_cycle_pattern(self):
         gen = StepGenerator("coordinate_basis_cycle", 3, rademacher=False)
-        steps = generate_steps(gen, 7, rng_seed=0)
+        steps = harness._draw_steps(gen, 7, [0])[0]
         eye = np.eye(3)
         for k in range(7):
             assert np.array_equal(steps[k], eye[k % 3])
 
     def test_sphere_steps_are_unit(self):
         gen = StepGenerator("random_unit_sphere", 4, rademacher=False)
-        steps = generate_steps(gen, 500, rng_seed=11)
+        steps = harness._draw_steps(gen, 500, [11])[0]
         norms = np.linalg.norm(steps, axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-12)
 
     def test_isotropic_second_moment(self):
         gen = StepGenerator("isotropic_custom", 3, rademacher=False)
-        steps = generate_steps(gen, 100_000, rng_seed=21)
+        steps = harness._draw_steps(gen, 100_000, [21])[0]
         second = steps[:, :, None] * steps[:, None, :]
         mean = second.mean(axis=0)
         se = second.std(axis=0, ddof=1) / np.sqrt(len(steps))
@@ -157,20 +157,20 @@ class TestStepGenerator:
 
     def test_rademacher_sign_fairness(self):
         gen = StepGenerator("coordinate_basis_cycle", 1)
-        steps = generate_steps(gen, 100_000, rng_seed=2)
+        steps = harness._draw_steps(gen, 100_000, [2])[0]
         frac_plus = float(np.mean(steps[:, 0] > 0))
         assert abs(frac_plus - 0.5) <= 3.0 * 0.5 / np.sqrt(len(steps))
 
     def test_deterministic(self):
         gen = StepGenerator("random_unit_sphere", 2)
-        a = generate_steps(gen, 50, rng_seed=9)
-        b = generate_steps(gen, 50, rng_seed=9)
+        a = harness._draw_steps(gen, 50, [9])[0]
+        b = harness._draw_steps(gen, 50, [9])[0]
         assert np.array_equal(a, b)
 
     def test_negative_count(self):
-        gen = StepGenerator("coordinate_basis_cycle", 1)
-        with pytest.raises(ValueError):
-            generate_steps(gen, -1, rng_seed=0)
+        # a run's step count is checked where it enters, by its configuration
+        with pytest.raises(ValueError, match="^n_steps must be at least 0$"):
+            cfg(generator=StepGenerator("coordinate_basis_cycle", 1), n_steps=-1)
 
 
 class TestExperimentConfig:
@@ -219,7 +219,7 @@ class TestTrialStreams:
         assert steps.shape == (k, n, d) and len(seeds) == k
         for i, row, seed in zip(trials, steps, seeds):
             step_seed, filter_seed = np.random.SeedSequence((11, i)).spawn(2)
-            assert row.tobytes() == generate_steps(gen, n, step_seed).tobytes()
+            assert row.tobytes() == harness._draw_steps(gen, n, [step_seed])[0].tobytes()
             assert row.tobytes() == reference_steps(gen, n, step_seed).tobytes()
             assert seed_fingerprint(seed) == seed_fingerprint(filter_seed)
 
@@ -359,6 +359,24 @@ class TestSlabSteps:
         assert joined.tobytes() == steps.tobytes()
 
 
+class TestSlabRecord:
+    @pytest.mark.parametrize("kind", harness.GENERATOR_KINDS)
+    def test_record_is_the_slabs_discard_counts(self, kind):
+        # a slab sends home its bound sums and its trials' (k,) discard
+        # counts, which are one ensemble's on the same streams, not its flags
+        box = Box([2.0, 5.0, 0.75])
+        vectors = [[0.5, -0.25, 1.0], [0.0, 0.0, 0.0]] if kind == "fixed_list" else None
+        gen = StepGenerator(kind, box.dimension, vectors=vectors)
+        config = ExperimentConfig(box, gen, 300, 6, 9)
+        density, slab = cube_eigen_density(box), range(2, 5)
+        _, _, discards, escape = harness._run_slab(config, density, slab)
+        steps = harness._draw_steps(gen, 300, _trial_seeds(9, slab, 0))
+        expected = run_ensemble(density, steps, _trial_seeds(9, slab, 1)).discards
+        assert escape is None
+        assert (discards.dtype, discards.shape) == (expected.dtype, (3,))
+        assert discards.tobytes() == expected.tobytes()
+
+
 class TestRunExperiment:
     @pytest.mark.parametrize("kind, d", [
         pytest.param(kind, d, id=kind) for kind, d in [
@@ -373,7 +391,7 @@ class TestRunExperiment:
         assert stats.mean == 0.0
         assert stats.per_trial_discards == (0, 0, 0, 0)
         assert stats.containment_violations == 0
-        one = generate_steps(gen, 0, 5)
+        one = harness._draw_steps(gen, 0, [5])[0]
         assert (one.dtype, one.shape) == (np.float64, (0, d))
         slab = harness._draw_steps(gen, 0, _trial_seeds(5, range(4), 0))
         assert (slab.dtype, slab.shape) == (np.float64, (4, 0, d))
@@ -459,14 +477,11 @@ class TestTrialShards:
         config = ExperimentConfig(box, gen, n, m, 8)
         monkeypatch.setattr(harness, "_LOCKSTEP_WIDTH", lanes)
         monkeypatch.setattr(harness, "_cpus", lambda: 1)
-        stats, expected = run_experiment_ensemble(config)
+        stats = run_experiment(config)
         monkeypatch.setattr(harness, "_cpus", lambda: k)
-        sharded, result = run_experiment_ensemble(config)
+        sharded = run_experiment(config)
         for fmt in ("json", "csv"):
             assert emit_report(sharded, fmt) == emit_report(stats, fmt)
-        for field in dataclasses.fields(EnsembleResult):
-            got, want = getattr(result, field.name), getattr(expected, field.name)
-            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
     def test_one_slab_forks_nothing(self, monkeypatch):
         def fork():

@@ -25,12 +25,10 @@ from driftguard import (
     exact_chain_expectation_fraction,
     fisher_monte_carlo,
     fisher_quadrature,
-    generate_steps,
     isotropic_bound,
     lower_bound_1d,
     filter_run,
     reflected_walk,
-    rejection_rate_monte_carlo,
     run_ensemble,
     run_stats_from_json,
 )
@@ -58,12 +56,8 @@ ENTRY_POINTS = {
     "lower_bound_1d T": ("half_width", 3, 0, lambda k: lower_bound_1d(k, 10)),
     "lower_bound_1d n": ("n_steps", 3, 0, lambda k: lower_bound_1d(2, k)),
     "StepGenerator": ("dimension", 3, 1, lambda k: StepGenerator("random_unit_sphere", k)),
-    "generate_steps": ("n", 3, 0, lambda k: generate_steps(_GENERATOR, k, 0)),
     "ExperimentConfig n_trials": ("n_trials", 3, 1, lambda k: _config(n_trials=k)),
     "ExperimentConfig n_steps": ("n_steps", 3, 0, lambda k: _config(n_steps=k)),
-    "rejection_rate_monte_carlo": (
-        "n_steps", 3, 1, lambda k: rejection_rate_monte_carlo(_DENSITY, [0.5, 0.5], k, 0)
-    ),
     "reflected_walk T": ("half_width", 3, 0, lambda k: reflected_walk(_SIGNS, k, 1)),
     "reflected_walk start": ("start", 3, None, lambda k: reflected_walk(_SIGNS, 4, k)),
     "dp_longest_valid T": ("half_width", 3, 0, lambda k: dp_longest_valid(_SIGNS, k)),
@@ -72,12 +66,8 @@ ENTRY_POINTS = {
     "chain_float T": ("half_width", 40, 0, lambda k: exact_chain_expectation(k, 9, 0)),
     "chain_float n": ("n_steps", 3, 0, lambda k: exact_chain_expectation(40, k, "uniform")),
     "ExperimentConfig seed": ("seed", 3, 0, lambda k: _config(seed=k)),
-    "generate_steps seed": ("rng_seed", 3, 0, lambda k: generate_steps(_GENERATOR, 3, k)),
     "run_ensemble seed": ("seeds", 3, 0, lambda k: run_ensemble(_DENSITY, _STEPS[None], [k])),
     "filter_run seed": ("rng_seed", 3, 0, lambda k: filter_run(_DENSITY, _STEPS, k)),
-    "rejection_rate_monte_carlo seed": (
-        "rng_seed", 3, 0, lambda k: rejection_rate_monte_carlo(_DENSITY, [0.5, 0.5], 3, k)
-    ),
     "fisher_monte_carlo seed": ("rng_seed", 3, 0, lambda k: fisher_monte_carlo(_DENSITY, 1000, k)),
 }
 

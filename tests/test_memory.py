@@ -22,13 +22,12 @@ from driftguard.harness import (
     StepGenerator,
     emit_report,
     run_experiment,
-    run_experiment_ensemble,
     trial_streams,
 )
 from driftguard.metropolis import EnsembleResult, run_ensemble
 from driftguard.oracle1d import (_lexmin_longest, dp_longest_valid, exact_chain_expectation,
                                  exhaustive_failures)
-from helpers import leggauss_integrate
+from helpers import leggauss_integrate, run_experiment_ensemble
 from test_metropolis import liar_density
 
 MIB = 1 << 20
@@ -268,28 +267,32 @@ class TestStreamedMemory:
         assert peak_bytes(lambda: run_experiment(config)) <= m * n + 8 * bodies._SLAB * 8
 
     def test_slabs_accept_flags_are_not_joined(self, monkeypatch):
-        # four slabs of 16 trials: the discard counts are read off each
-        # slab's results, so the slabs' (16, n) accept flags are never
-        # copied into one (m, n) array, which held them twice (12.9 MB)
+        # four slabs of 16 trials: each slab's record is its (16,) discard
+        # counts, so one slab's (16, n) accept flags are alive at a time
+        # (4.5 MB peak); records that carried each slab's flags held all m * n
+        # (9.3 MB), and joining them into one (m, n) array held them twice
+        # (12.9 MB)
         m, n, d = 64, 100_000, 1
         monkeypatch.setattr(harness, "_LOCKSTEP_WIDTH", 16)
         monkeypatch.setattr(harness, "_cpus", lambda: 1)  # tracemalloc sees this process only
         monkeypatch.setattr(harness, "cube_eigen_density", lambda box: liar_density(1e6))
         config = ExperimentConfig(Box.cube(d, 8.0), StepGenerator("coordinate_basis_cycle", d),
                                   n, m, 1)
-        assert peak_bytes(lambda: run_experiment(config)) <= m * n + 8 * bodies._SLAB * 8
+        assert peak_bytes(lambda: run_experiment(config)) <= 16 * n + 8 * bodies._SLAB * 8
 
     def test_child_shards_record_is_unpickled_from_its_pipe(self, monkeypatch):
-        # two slabs of 16 trials over two processes: the child's record,
-        # 6.4 MB of accept flags, is unpickled straight from the pipe; read
-        # into one bytes first, it was held twice and the peak was 19.2 MB
+        # two slabs of 16 trials over two processes: the child's record is
+        # its slab's discard counts, unpickled straight from the pipe, so the
+        # parent holds its own slab's 6.4 MB of accept flags (9.3 MB peak);
+        # a record of the child's flags too peaked at 12.9 MB, and read into
+        # one bytes first it was held twice and the peak was 19.2 MB
         m, n, d = 32, 400_000, 1
         monkeypatch.setattr(harness, "_LOCKSTEP_WIDTH", 16)
         monkeypatch.setattr(harness, "_cpus", lambda: 2)  # tracemalloc sees the parent only
         monkeypatch.setattr(harness, "cube_eigen_density", lambda box: liar_density(1e6))
         config = ExperimentConfig(Box.cube(d, 8.0), StepGenerator("coordinate_basis_cycle", d),
                                   n, m, 1)
-        assert peak_bytes(lambda: run_experiment(config)) <= m * n + 8 * bodies._SLAB * 8
+        assert peak_bytes(lambda: run_experiment(config)) <= 16 * n + 8 * bodies._SLAB * 8
 
     def test_wide_pm1_run_holds_one_chunk(self, monkeypatch):
         # 200 trials in lockstep over two chunks of 4251 steps, each 27 MB of

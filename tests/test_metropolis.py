@@ -16,7 +16,6 @@ from driftguard.metropolis import (
     ContainmentError,
     filter_run,
     rejection_rate_exact_1d,
-    rejection_rate_monte_carlo,
     run_ensemble,
 )
 from helpers import (
@@ -26,6 +25,7 @@ from helpers import (
     direction_information,
     filter_loop,
     reference_rejection_1d,
+    rejection_rate_monte_carlo,
 )
 
 
@@ -232,14 +232,8 @@ class TestRejectionRate:
     def test_zero_step_is_zero(self):
         assert rejection_rate_exact_1d(unit_density(), 0.0) == 0.0
 
-    def test_monte_carlo_step_must_match_the_dimension(self):
-        den = cube_eigen_density(Box.cube(2, 1.0))
-        for step in ([1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]]):
-            with pytest.raises(ValueError, match="^step dimension mismatch$"):
-                rejection_rate_monte_carlo(den, step, 10, 0)
-
     def test_monte_carlo_rate_is_pinned(self):
-        # the kernel's accept test, complemented: these bits must not move with it
+        # the accept test from its definition, complemented: these bits must not move
         den = cube_eigen_density(Box.cube(3, 2.0))
         freq, se = rejection_rate_monte_carlo(den, [1, 0, 0], 100000, 5)
         assert freq == 0.47554
@@ -300,22 +294,6 @@ class TestRejectionRate:
         assert rejection_rate_exact_1d(unit_density(), np.float64(1.5)) == (
             rejection_rate_exact_1d(unit_density(), 1.5)
         )
-        for v in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="non-finite"):
-                rejection_rate_monte_carlo(unit_density(), [v], 100, 0)
-            with pytest.raises(ValueError, match="non-finite"):
-                rejection_rate_monte_carlo(cube_eigen_density(Box.cube(2, 1.0)), [0.1, v], 100, 0)
-
-    def test_monte_carlo_step_entries_follow_the_number_rule(self):
-        den = cube_eigen_density(Box.cube(1, 2.0))
-        for step in (["1.5"], [True], np.array([True]), [b"1"]):
-            with pytest.raises(ValueError, match="^step must be ints or floats, not"):
-                rejection_rate_monte_carlo(den, step, 1000, 0)
-        with pytest.raises(ValueError, match="^step must be ints or floats, not"):
-            rejection_rate_monte_carlo(cube_eigen_density(Box.cube(2, 2.0)), [0.5, "1"], 1000, 0)
-        expected = rejection_rate_monte_carlo(den, [1.5], 1000, 0)
-        for step in ([np.float64(1.5)], np.array([1.5]), (1.5,), np.array([1.5], dtype=np.float32)):
-            assert rejection_rate_monte_carlo(den, step, 1000, 0) == expected
 
     def test_monte_carlo_rejection_bound(self):
         # empirical rejection frequency <= half the information length + 3 SE
@@ -344,7 +322,7 @@ class TestEnsembleEquivalence:
         for i, seed in enumerate(seeds):
             loop = filter_loop(den, steps[i], seed)
             assert np.array_equal(loop.accepted, ens.accepted[i])
-            assert np.array_equal(loop.sums[-1], ens.accepted_sums[i])
+            assert np.array_equal(loop.sums[-1], ens.finals[i] - ens.origins[i])
             assert float(np.max(np.abs(loop.sums))) == float(ens.max_abs_sums[i])
             assert filter_run(den, steps[i], seed).n_discarded == int(ens.discards[i])
 

@@ -18,7 +18,6 @@ from driftguard.oracle1d import (
     reflected_walk,
     signs_from_string,
     verify_lex_optimality,
-    verify_start_shift,
 )
 from helpers import (
     chain_expectation_loop,
@@ -278,7 +277,7 @@ class TestPlantedCounterexample:
             for s in starts:
                 walk = strict_walk(eps, t, s)
                 if not (enumerate_longest(eps, t, s) == (len(walk.indices), walk.indices)
-                        and verify_start_shift(eps, t, s)):
+                        and dp_longest_valid(eps, t, 0) <= dp_longest_valid(eps, t, s) + abs(s)):
                     signs = "".join("+" if e > 0 else "-" for e in eps)
                     expected.append(json.dumps(
                         dict(mode="exhaustive", T=t, start=s, signs=signs, ok=False),
@@ -329,11 +328,18 @@ class TestPlantedCounterexample:
 
 
 class TestStartShift:
+    """The start-shift inequality: the longest valid length from 0 is at
+    most the longest from s plus |s|."""
+
     def test_zero_shift(self):
-        assert verify_start_shift((1, -1, 1), 2, 0)
+        # s = 0 is equality; every step of +-+ fits in T = 2
+        eps = (1, -1, 1)
+        assert dp_longest_valid(eps, 2, 0) == 3 == len(reflected_walk(eps, 2).indices)
 
     def test_three_ups(self):
-        assert verify_start_shift((1, 1, 1), 1, 1)
+        # tight: from 0 one up fits in T = 1, and from 1 none does
+        from_0, from_1 = dp_longest_valid((1, 1, 1), 1, 0), dp_longest_valid((1, 1, 1), 1, 1)
+        assert (from_0, from_1) == (1, 0) and from_0 <= from_1 + 1
 
     def test_exhaustive_small(self):
         for n in range(0, 8):
@@ -341,7 +347,7 @@ class TestStartShift:
                 for s in range(-t, t + 1):
                     for bits in range(1 << n):
                         eps = tuple(1 if bits & (1 << i) else -1 for i in range(n))
-                        assert verify_start_shift(eps, t, s)
+                        assert dp_longest_valid(eps, t, 0) <= dp_longest_valid(eps, t, s) + abs(s)
 
     def test_runs_to_the_dp_limit(self):
         # the DP's n <= 30 applies, not the brute-force n <= 14; the greedy
@@ -354,9 +360,9 @@ class TestStartShift:
                 s = int(rng.integers(-t, t + 1))
                 from_0, from_s = (len(reflected_walk(eps, t, x).indices) for x in (0, s))
                 assert from_0 <= from_s + abs(s)
-                assert verify_start_shift(eps, t, s) is True
+                assert [dp_longest_valid(eps, t, x) for x in (0, s)] == [from_0, from_s]
         with pytest.raises(ValueError, match="^dp_longest_valid is limited to n <= 30$"):
-            verify_start_shift((1,) * 31, 1, 0)
+            dp_longest_valid((1,) * 31, 1, 0)
 
 
 class TestKernel:
