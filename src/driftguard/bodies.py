@@ -419,11 +419,13 @@ def cube_eigen_density(box: Box) -> Density:
         # axis order whatever x's layout; a lone point is taken twice, as numpy
         # sums one row pairwise.  At d = 1 the one term is the sum.  No float is
         # a zero of cos, so no log(0); a term is at most 0, so an axis outside
-        # the box, set to -inf, makes its point's sum -inf.
+        # the box, set to -inf, makes its point's sum -inf.  cos runs inside
+        # the box alone, as cos(inf) would warn; NaN is outside too.
+        inside = np.less(np.abs(rows), hw).T
         terms = np.empty((d, n + (n == 1 and d > 1)))
         np.multiply(rows, half_freq, out=terms.T)
-        np.log(np.abs(np.cos(terms, out=terms), out=terms), out=terms)
-        np.copyto(terms, -np.inf, where=~np.less(np.abs(rows), hw).T)
+        np.log(np.abs(np.cos(terms, out=terms, where=inside), out=terms), out=terms)
+        np.copyto(terms, -np.inf, where=~inside)
         vals = terms[0] if d == 1 else np.add.reduce(terms, axis=0)[:n]
         np.add(np.multiply(vals, 2.0, out=vals), log_norm, out=vals)
         return float(vals[0]) if x.ndim == 1 else vals.reshape(x.shape[:-1])

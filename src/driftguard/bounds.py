@@ -1,6 +1,6 @@
 """Closed-form bounds on the expected number of discarded steps.
 
-All four calculators return a BoundReport so downstream reports carry the
+All three calculators return a BoundReport so downstream reports carry the
 bound kind and the inputs it was computed from next to the value.
 ``matching_bounds`` is the one rule for which of them apply to a run; one
 pass of scaled step norms serves both of its upper bounds.
@@ -15,20 +15,18 @@ from fractions import Fraction
 import numpy as np
 
 from .bodies import Box, FisherMatrix, _integer, _number, _reals, _row_norms, _slabs
-from .bodies import dirichlet_lambda1_box
 
 __all__ = [
     "BoundReport",
     "upper_bound_general",
     "upper_bound_cube",
-    "isotropic_bound",
     "lower_bound_1d",
     "matching_bounds",
 ]
 
 @dataclass(frozen=True)
 class BoundReport:
-    kind: str  # general_fisher | cube_l2 | isotropic | lower_1d
+    kind: str  # general_fisher | cube_l2 | lower_1d
     value: float
     inputs_digest: str
 
@@ -85,24 +83,6 @@ def _cube_factor(half_width: float) -> tuple[float, float]:
     if not math.isfinite(factor):
         raise ValueError("half_width too small: pi / (2 T) overflows")
     return t, factor
-
-
-def isotropic_bound(box: Box, n_steps: int) -> BoundReport:
-    """sqrt(lambda_1(K)) * n for isotropic steps with unit covariance.
-
-    It holds only for that step law (``StepGenerator("isotropic_custom")``
-    draws it) and ignores the steps of a run, so no report attaches it.
-    Raises ValueError when the bound overflows a float.
-    """
-    n = _integer("n_steps", n_steps, 0)
-    lam = dirichlet_lambda1_box(box)
-    try:
-        value = math.sqrt(lam) * n
-    except OverflowError:  # n itself is beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError("n_steps too large: the isotropic bound overflows")
-    return BoundReport("isotropic", value, f"n={n}, d={box.dimension}, lambda1={lam}")
 
 
 def lower_bound_1d(half_width: int, n_steps: int) -> BoundReport:

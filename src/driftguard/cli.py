@@ -139,13 +139,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    if args.norms is not None and args.steps is not None:
+        raise ValueError("--steps does not apply with --norms, whose file gives the steps")
     box = Box.cube(args.dim, args.half_width)
-    if args.norms:
+    if args.norms is not None:
         if not args.norms.startswith("file:"):
             raise ValueError("--norms expects file:<path>")
         reports = matching_bounds(box, _load_step_file(args.norms[len("file:"):], box.dimension))
     else:
-        steps = _integer("--steps", args.steps, 0)
+        steps = _integer("--steps", args.steps or 0, 0)
         try:
             n = float(steps)
         except OverflowError:
@@ -159,6 +161,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    if args.signs is not None and args.mode != "single":
+        raise ValueError(f"--signs does not apply with --mode {args.mode}, only with single")
     t, n = args.T, _integer("--n", args.n or 0, 0)  # single mode reads n off --signs
     if args.mode == "single":
         if args.signs is None:
@@ -253,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="print the bound reports that apply to the steps")
     p_bounds.add_argument("--dim", type=int, required=True)
     p_bounds.add_argument("--half-width", dest="half_width", type=float, required=True)
-    p_bounds.add_argument("--steps", type=int, default=0)
+    p_bounds.add_argument("--steps", type=int, help="N rows of e_1 (default 0)")
     p_bounds.add_argument("--norms", help="file:<path> of step vectors, one per line")
     p_bounds.set_defaults(func=_cmd_bounds)
 

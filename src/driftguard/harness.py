@@ -20,8 +20,8 @@ may run on (at most one per slab, and at most a cgroup CPU quota:
 first, which the calling process runs itself (``bodies._fork_map``, which
 the Monte Carlo Fisher estimator shares).  Each process
 holds one slab at a time, and each slab gives one record: its trials' bound
-sums and their discard counts or escape, so no slab's accept flags outlive
-it.  A child pickles its shard's records straight into a pipe and the
+sums and their discard counts or escape.  A slab's walk counts each chunk's
+accept flags as it comes, so no (k, n) flags are ever built.  A child pickles its shard's records straight into a pipe and the
 calling process unpickles them from it, so no record is also held as its
 pickled bytes.  The run's records, merged once in trial order, are the
 bits of one process's run.
@@ -39,7 +39,7 @@ import numpy as np
 from .bodies import (Box, _cpus, _fork_map, _integer, _number, _reals, _row_norms, _slabs,
                      _trial_seeds, cube_eigen_density)
 from .bounds import BoundReport, _bound_pass, _bound_reports, matching_bounds
-from .metropolis import _LOCKSTEP_WIDTH, ContainmentError, _chunk_length, _run_chunks
+from .metropolis import _LOCKSTEP_WIDTH, ContainmentError, _chunk_length, _Walk
 
 __all__ = [
     "StepGenerator",
@@ -206,8 +206,8 @@ def run_experiment(config: ExperimentConfig) -> RunStats:
     Trials run in slabs of ceil(``_LOCKSTEP_WIDTH`` / d), each by
     ``_run_slab``, split into k contiguous near-equal shards, k =
     min(``_cpus()``, slabs): shard 0 runs in this process and each other in
-    a forked child (``_fork_map``), so a process holds one slab's steps,
-    coins and accept flags, and k = 1 forks nothing.  The slab records are
+    a forked child (``_fork_map``), so a process holds one slab's chunk of
+    steps, coins and accept flags at a time, and k = 1 forks nothing.  The slab records are
     merged once: the bound reports are made, then the least (step, trial)
     containment escape of all slabs is raised as ContainmentError, rather
     than counted, so a returned RunStats always has containment_violations
@@ -242,17 +242,20 @@ def run_experiment(config: ExperimentConfig) -> RunStats:
 def _run_slab(config: ExperimentConfig, density, slab: range) -> tuple:
     """The record of the trials ``slab``: their bound sums, whether
     ``lower_1d`` attaches, and their (k,) discard counts, or None and their
-    containment escape as (step, trial in the run, accepted sum).  The
-    chunks from ``_slab_steps`` and the kernel's accept flags are dropped
-    when this returns, so one slab's steps, coins and flags are alive."""
-    n = config.n_steps
-    sums, unit, chunks = _slab_steps(config.body, config.generator, n,
+    containment escape as (step, trial in the run, accepted sum).  Each
+    chunk from ``_slab_steps`` is filtered by one ``_Walk`` and its accept
+    flags counted as they come, so one chunk's steps, coins and flags are
+    alive; no name here holds a chunk while the next is drawn."""
+    sums, unit, chunks = _slab_steps(config.body, config.generator, config.n_steps,
                                      _trial_seeds(config.seed, slab, 0))
-    seeds = _trial_seeds(config.seed, slab, 1)
+    walk = _Walk(density, _trial_seeds(config.seed, slab, 1))
+    discards = np.zeros(len(slab), dtype=np.int64)
     try:
-        return sums, unit, _run_chunks(density, seeds, n, chunks).discards, None
+        for accepted in map(walk.run, chunks):
+            discards += accepted.shape[1] - accepted.sum(axis=1)
     except ContainmentError as exc:
         return sums, unit, None, (exc.step, slab.start + exc.trial, exc.accepted_sum)
+    return sums, unit, discards, None
 
 
 def _matching_bounds(config: ExperimentConfig, steps: np.ndarray) -> list[BoundReport]:

@@ -9,24 +9,26 @@ support, so their difference cannot leave 2K.
 
 The acceptance ratio is computed in log space and one uniform coin is
 consumed per step whether or not the proposal can be rejected, which keeps
-the random stream independent of the data.  There is one kernel,
-``_run_chunks``, no trial's arithmetic depending on another's: it draws
-every trial's origin in one batched inverse-CDF pass, then takes the steps
-as chunks over n, drawing each chunk's coins when it reaches it, so a
-streamed run holds one chunk of steps and coins.  The harness filters
-every slab through it, whatever the step kind, and keeps the slab's
-discard counts; ``run_ensemble`` is its one-chunk case and ``filter_run``
-that with one trial.  The kernel runs the steps in blocks, each through
-one of two bodies chosen by the ensemble's width m * d.  A wide ensemble
-steps all its trials in lockstep, one vectorized filter step at a time.
-A narrow one (``filter_run`` among them) pre-fetches: each trial assumes
-its next few steps are all accepted, decides them in one call and commits
-up to its first rejection; its windows read a copy of the block padded by
-coins of 1.0, which no accept test passes, so none is clipped at the
-block end.  Both bodies compute the same floats and decisions, by one
-accept test.  The kernel checks 2K containment once per block of steps
-rather than after each step; the first violation it reports (step, lowest
-trial, accepted sum) is the one a per-step check would report.
+the random stream independent of the data.  There is one kernel, the walk
+``_Walk``, no trial's arithmetic depending on another's: it draws every
+trial's origin in one batched inverse-CDF pass, then filters the steps as
+the chunks over n it is given, drawing each chunk's coins when it reaches
+it, and returns each chunk's accept flags; it keeps only each trial's
+point and running max, so a streamed run holds one chunk of steps, coins
+and flags.  The harness runs every slab through it, whatever the step
+kind, and counts each chunk's discards as it comes; ``run_ensemble`` is
+its one-chunk case and ``filter_run`` that with one trial.  The kernel
+runs the steps in blocks, each through one of two bodies chosen by the
+ensemble's width m * d.  A wide ensemble steps all its trials in
+lockstep, one vectorized filter step at a time.  A narrow one
+(``filter_run`` among them) pre-fetches: each trial assumes its next few
+steps are all accepted, decides them in one call and commits up to its
+first rejection; its windows read a copy of the block padded by coins of
+1.0, which no accept test passes, so none is clipped at the block end.
+Both bodies compute the same floats and decisions, by one accept test.
+The kernel checks 2K containment once per block of steps rather than
+after each step; the first violation it reports (step, lowest trial,
+accepted sum) is the one a per-step check would report.
 """
 
 from __future__ import annotations
@@ -113,22 +115,24 @@ def run_ensemble(density: Density, steps, seeds: Sequence[SeedLike]) -> Ensemble
     axis-major (d, m) state.  Narrow ones take ``_accept_runs``, which
     commits each trial's run of accepted steps a window at a time.  Both
     make the same floats and decisions, as ``log_density`` gives each point
-    one float whatever the layout.  This is ``_run_chunks`` with all n steps
+    one float whatever the layout.  This is ``_Walk`` run on all n steps
     as one chunk.
     """
     steps = _reals("steps", steps)
     if steps.ndim != 3 or steps.shape[2] != density.dimension:
         raise ValueError("steps must have shape (m, n, d)")
-    m, n, d = steps.shape
-    if m < 1:
+    if len(steps) < 1:
         raise ValueError("need at least one trial")
-    if len(seeds) != m:
+    if len(seeds) != len(steps):
         raise ValueError("need one seed per trial")
-    return _run_chunks(density, seeds, n, [steps])
+    walk = _Walk(density, seeds)
+    accepted = walk.run(steps)
+    return EnsembleResult(origins=walk.origins, finals=walk.state.T.copy(), accepted=accepted,
+                          max_abs_sums=walk.max_abs)
 
 
 def _chunk_length(width: int) -> int:
-    """Steps in each chunk ``_run_chunks`` takes from a stream ``width``
+    """Steps in each chunk a ``_Walk`` takes from a stream ``width``
     (trials * d) lanes wide: whole kernel blocks of ``_slab_items(width)``
     steps, at least ``_SLAB // 16`` steps, so that a trial's draw of a
     chunk's signs or coins is long enough for the call's own cost not to
@@ -140,43 +144,49 @@ def _chunk_length(width: int) -> int:
     return block * (max(1, -(-(bodies._SLAB // 16) // block)) | 1)
 
 
-def _run_chunks(density: Density, seeds, n: int, chunks) -> EnsembleResult:
-    """``run_ensemble`` of m trials with their n steps as (m, c, d) chunks, in order.
+class _Walk:
+    """m filtered walks, trial i's from ``seeds[i]``, advanced a chunk of steps at a time.
 
-    The origins, filter generators and walk state are set up once.  Each
-    float chunk is filtered as it comes, and each trial's c
-    coins are drawn when it is reached; numpy draws the same coins in
-    pieces as in one call.  A chunk of whole kernel blocks
-    (``_chunk_length``) runs the blocks one pass would; any chunking gives
-    the same floats and decisions, as each block resumes from the walk's
-    state.  Beyond a chunk, only the (m, n) accept flags grow with n.
+    Set up once: each trial's filter generator, its origin (one (1, d) row
+    of uniforms through ``density.quantile``, drawn for all trials in one
+    batched pass), the axis-major (d, m) state and its log densities, and
+    the running max of each |accepted sum|.  ``run`` filters the next
+    chunk; each trial's coins for it are drawn when it is reached, and
+    numpy draws the same coins in pieces as in one call.  A chunk of whole
+    kernel blocks (``_chunk_length``) runs the blocks one pass would; any
+    chunking gives the same floats and decisions, as each block resumes
+    from the walk's state.  Nothing the walk keeps grows with n.
     """
-    m, d = len(seeds), density.dimension
-    speculative = m * d <= _SPECULATIVE_WIDTH
-    gens = [np.random.default_rng(_seed("seeds", s)) for s in seeds]
-    origins = density.quantile(np.concatenate([g.uniform(size=(1, d)) for g in gens]))
-    hw = density.support.half_widths
-    with np.errstate(over="ignore"):  # inf for T near 9e307, where no finite |sum| exceeds it
-        limit = (2.0 * hw + _CONTAINMENT_TOL * hw)[:, None]
-    # axis-major (d, m), so the lockstep body's masked copies run along rows
-    first = origins.T.copy()
-    state = first.copy()
-    log_current = np.asarray(density.log_density(state.T), dtype=float)
-    accepted = np.zeros((m, n), dtype=bool)
-    max_abs = np.zeros(m)
-    proposal = np.empty((d, m))
-    prob = np.empty(m)
-    done = 0  # steps of every trial filtered so far
-    for steps in chunks:
-        c = steps.shape[1]
+
+    def __init__(self, density: Density, seeds):
+        m, d = len(seeds), density.dimension
+        self.density = density
+        self.gens = [np.random.default_rng(_seed("seeds", s)) for s in seeds]
+        self.origins = density.quantile(np.concatenate([g.uniform(size=(1, d)) for g in self.gens]))
+        hw = density.support.half_widths
+        with np.errstate(over="ignore"):  # inf for T near 9e307, where no finite |sum| exceeds it
+            self.limit = (2.0 * hw + _CONTAINMENT_TOL * hw)[:, None]
+        # axis-major (d, m), so the lockstep body's masked copies run along rows
+        self.first = self.origins.T.copy()
+        self.state = self.first.copy()
+        self.log_current = np.asarray(density.log_density(self.state.T), dtype=float)
+        self.max_abs = np.zeros(m)
+        self.done = 0  # steps of every trial filtered so far
+
+    def run(self, steps: np.ndarray) -> np.ndarray:
+        """Filter the next (m, c, d) chunk of float steps; its (m, c) accept flags."""
+        m, c, d = steps.shape
+        density, state, log_current = self.density, self.state, self.log_current
         # trial-major (m, c), filled in place: random(out=row) gives uniform(size=c)'s doubles
         coins = np.empty((m, c))
-        for i, g in enumerate(gens):
+        for i, g in enumerate(self.gens):
             g.random(out=coins[i])
+        accepted = np.empty((m, c), dtype=bool)
+        proposal, prob = np.empty((d, m)), np.empty(m)
         for block in _slabs(c, m * d):
             if not np.isfinite(steps[:, block]).all():
                 raise ValueError("steps have non-finite entries")
-            if speculative:
+            if m * d <= _SPECULATIVE_WIDTH:
                 acc, positions = _accept_runs(density, steps, coins, state.T, log_current, block)
             else:
                 positions = np.empty((block.stop - block.start, d, m))
@@ -191,13 +201,11 @@ def _run_chunks(density: Density, seeds, n: int, chunks) -> EnsembleResult:
                     np.copyto(log_current, log_new, where=acc[j])
                     positions[j] = state
                 acc = acc.T
-            accepted[:, done + block.start : done + block.stop] = acc
-            _check_containment(positions, first, limit, max_abs, done + block.start)
-        done += c
-        del steps, coins  # before the next chunk is drawn, so one chunk is alive
-    return EnsembleResult(
-        origins=origins, finals=state.T.copy(), accepted=accepted, max_abs_sums=max_abs
-    )
+            accepted[:, block] = acc
+            _check_containment(positions, self.first, self.limit, self.max_abs,
+                               self.done + block.start)
+        self.done += c
+        return accepted
 
 
 def _accept(coins, log_ratio, out=None) -> np.ndarray:

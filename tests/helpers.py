@@ -9,14 +9,14 @@ eigen-density's marginal CDF, direct Gauss-Legendre integration, a Monte Carlo
 Fisher matrix from explicit outer products, a plain Monte Carlo reflected walk,
 the reflected chain stepped one transition at a time (in floats, and in
 integer weights over 2^k for the exact expectation) and its rational kernel
-matrix, a 40-digit decimal quantile of the cube eigen-density, and a
-Monte Carlo one-step rejection rate.  Two are the library's own earlier
-forms, kept as written as bit-for-bit references: the serial loop over
-Monte Carlo Fisher chunks, and the cube quantile's Newton solve that
-computes both Kepler branches and picks one with ``np.where``.  One runs
-the library's own slab path in this process to show what a run keeps
-none of: ``run_experiment_ensemble``, every trial's accept flags, origin,
-final point and running max.
+matrix, a 40-digit decimal quantile of the cube eigen-density, a Monte
+Carlo one-step rejection rate, and the isotropic bound sqrt(lambda_1) * n.
+Two are the library's own earlier forms, kept as written as bit-for-bit
+references: the serial loop over Monte Carlo Fisher chunks, and the cube
+quantile's Newton solve that computes both Kepler branches and picks one
+with ``np.where``.  One runs the library's own slab path in this process
+to show what a run keeps none of: ``run_experiment_ensemble``, every
+trial's accept flags, origin, final point and running max.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from driftguard import bodies, harness
 from driftguard.bodies import (_KEPLER_SERIES, _KEPLER_SERIES_CUTOFF, _KEPLER_STEPS, FisherMatrix,
                                _integer, _scaled_scores, _slabs, _trial_seeds, _unscaled)
-from driftguard.metropolis import ContainmentError, EnsembleResult, _run_chunks
+from driftguard.metropolis import ContainmentError, EnsembleResult, _Walk
 from driftguard.oracle1d import _start_weights
 
 
@@ -105,14 +105,22 @@ def reference_steps(gen, n, seed):
     return out
 
 
+def isotropic_bound(box, n):
+    """sqrt(lambda_1(K)) * n, the discard bound for n isotropic steps of unit
+    covariance (``StepGenerator("isotropic_custom")``) in the box K, whose
+    first Dirichlet eigenvalue is lambda_1 = sum_i (pi / (2 T_i))**2."""
+    return math.sqrt(sum((math.pi / (2.0 * t)) ** 2 for t in box.half_widths)) * n
+
+
 def run_experiment_ensemble(config):
     """``harness.run_experiment(config)`` and the ensemble of its trials.
 
     Each slab of ceil(``harness._LOCKSTEP_WIDTH`` / d) trials, the width
     read at call time, is drawn by ``harness._slab_steps`` and filtered by
-    ``metropolis._run_chunks`` in this process, as a run's slabs are; the
-    slabs' results are joined field by field.  The run comes first, so its
-    error, not a slab's, is the one raised.
+    one ``metropolis._Walk`` in this process, as a run's slabs are, its
+    chunks' flags joined along the steps; the slabs' results are joined
+    field by field.  The run comes first, so its error, not a slab's, is
+    the one raised.
     """
     stats = harness.run_experiment(config)
     m, d = config.n_trials, config.body.dimension
@@ -123,8 +131,11 @@ def run_experiment_ensemble(config):
         slab = range(start, min(start + size, m))
         _, _, chunks = harness._slab_steps(config.body, config.generator, config.n_steps,
                                            _trial_seeds(config.seed, slab, 0))
-        parts.append(_run_chunks(density, _trial_seeds(config.seed, slab, 1), config.n_steps,
-                                 chunks))
+        walk = _Walk(density, _trial_seeds(config.seed, slab, 1))
+        # a sign-only slab of n = 0 has no chunk, so its joined flags start as (k, 0)
+        flags = [np.zeros((len(slab), 0), dtype=bool), *map(walk.run, chunks)]
+        parts.append(EnsembleResult(walk.origins, walk.state.T.copy(),
+                                    np.concatenate(flags, axis=1), walk.max_abs))
     return stats, EnsembleResult(*(np.concatenate([getattr(part, f.name) for part in parts])
                                    for f in dataclasses.fields(EnsembleResult)))
 

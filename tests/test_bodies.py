@@ -151,6 +151,18 @@ class TestCubeEigenDensity:
         assert den.log_density(np.array([-1.0])) == -math.inf
         assert den.log_density(np.array([1.5])) == -math.inf
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coordinate_is_minus_inf_without_a_warning(self, d, value):
+        # cos(inf) warns "invalid value", which the suite's -W error raises
+        den = cube_eigen_density(Box.cube(d, 1.0))
+        point = np.zeros(d)
+        point[-1] = value
+        assert den.log_density(point) == -math.inf
+        batch = np.stack([point, np.zeros(d), point[::-1]])
+        expected = [-math.inf, den.log_density(np.zeros(d)), -math.inf]
+        assert den.log_density(batch).tolist() == expected
+
     def test_normalization_d2(self):
         # independent tensor quadrature, not the module's grid helper
         den = cube_eigen_density(Box.cube(2, 1.0))

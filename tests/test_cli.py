@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
 import shlex
@@ -135,6 +136,53 @@ PINNED_LINES = [
 @pytest.mark.parametrize("line, digest", PINNED_LINES, ids=[line for line, _ in PINNED_LINES])
 def test_pinned_line_bytes(capsys, line, digest):
     code, out, err = run_cli(capsys, *shlex.split(line))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_REPORT_DIFF = Path(__file__).resolve().parent.parent / "tools" / "report_diff.py"
+_SPEC = importlib.util.spec_from_file_location("report_diff", _REPORT_DIFF)
+report_diff = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(report_diff)
+
+# sha256 of the stdout of tools/report_diff.py's FILE_LINES, on its STEP_FILE,
+# and of simulate lines of its LINES that run in under ~0.5 s: a pm1 walk
+# pre-fetching over 5 chunks, a pm1 csv report of three slabs, isotropic
+# steps, and n = 0 in unit slabs and in a pm1 slab with no chunk
+PINNED_RUN_LINES = [
+    ("simulate --dim 2 --half-width 3 --generator file:{path} --steps 20000 --trials 30"
+     " --format json --seed 1",
+     "d82a275fcb7ea20697557f0a1bd4d45bbbf186db65e31928de66708ea9df51eb"),
+    ("simulate --dim 2 --half-width 3 --generator file:{path} --steps 300 --trials 3000"
+     " --format json --seed 1",
+     "50d355fd240da3407be1453cbec8d1103e8ac36b0f43e5057cd61b59f1587534"),
+    ("bounds --dim 2 --half-width 3 --norms file:{path}",
+     "a834088f7bbef6857217e22dcef020dd83393f106658d247b41e7e72eba84be6"),
+    ("simulate --dim 4 --half-width 5 --generator pm1 --steps 30000 --trials 8"
+     " --format json --seed 2",
+     "0fbfe06dd0a6b24008edda592c9247360d6ce0b10b39c15dcbf6e71516fd7c30"),
+    ("simulate --dim 2 --half-width 3 --generator pm1 --steps 500 --trials 5000"
+     " --format csv --seed 1",
+     "ca9ed965eaae8664bd00a717569136bdc1c53e88bb22377cf74835040c986a2a"),
+    ("simulate --dim 3 --half-width 4 --generator isotropic --steps 500 --trials 50"
+     " --format json --seed 1",
+     "fa923f7c35d84088dd890c8e7d4b66340d178605be851741f085a902c2aa2081"),
+    ("simulate --dim 3 --half-width 16 --generator unit --steps 0 --trials 2000"
+     " --format json --seed 1",
+     "403a53d9181a607582a6e66653d29a6d30684268e999cd101b1a1304c64bcb7a"),
+    ("simulate --dim 1 --half-width 8 --generator pm1 --steps 0 --trials 16"
+     " --format json --seed 1",
+     "9656ae2a523637d2e7233fc73249e578a8824f3f05b2712b98f1cb2b6a0db676"),
+]
+
+
+@pytest.mark.parametrize("line, digest", PINNED_RUN_LINES,
+                         ids=[line for line, _ in PINNED_RUN_LINES])
+def test_pinned_run_line_bytes(capsys, tmp_path, line, digest):
+    assert line in report_diff.LINES + report_diff.FILE_LINES
+    path = tmp_path / "steps.txt"
+    path.write_text(report_diff.STEP_FILE)
+    code, out, err = run_cli(capsys, *shlex.split(line.format(path=path)))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -311,7 +359,7 @@ class TestSimulate:
         # wasted and no overflow warning precedes the error line
         runs = []
         monkeypatch.setattr(harness, "_cpus", lambda: 1)  # a child's calls are not seen here
-        monkeypatch.setattr(harness, "_run_chunks", lambda *args: runs.append(args))
+        monkeypatch.setattr(harness, "_Walk", lambda *args: runs.append(args))
         code, out, err = run_cli(
             capsys, "simulate", "--half-width", "1e308", "--steps", "3", "--trials", "2"
         )
@@ -673,6 +721,24 @@ class TestBounds:
         )
         assert (code, out, err) == (2, "", "error: --norms expects file:<path>\n")
 
+    # --steps was dropped in silence when --norms gave the steps, even --steps 0
+    @pytest.mark.parametrize("steps", ["0", "1000"])
+    def test_steps_with_norms_exits_2(self, capsys, tmp_path, steps):
+        path = tmp_path / "steps.txt"
+        path.write_text("3.0 4.0\n")
+        code, out, err = run_cli(capsys, "bounds", "--dim", "2", "--half-width", "2",
+                                 "--steps", steps, "--norms", f"file:{path}")
+        assert (code, out) == (2, "")
+        assert err == "error: --steps does not apply with --norms, whose file gives the steps\n"
+
+    def test_no_steps_is_zero_steps(self, capsys):
+        assert (run_cli(capsys, "bounds", "--dim", "1", "--half-width", "4")
+                == run_cli(capsys, "bounds", "--dim", "1", "--half-width", "4", "--steps", "0"))
+
+    def test_empty_norms_is_not_dropped(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--dim", "1", "--half-width", "4", "--norms=")
+        assert (code, out, err) == (2, "", "error: --norms expects file:<path>\n")
+
     # --steps N is N rows of e_1, which the command no longer builds
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("n", [0, 1, 7, 9, 10**6])
@@ -860,6 +926,15 @@ class TestOracle:
         code, out, err = run_cli(capsys, "oracle", "--mode", "exhaustive", "--T", "1", "--n", "-1")
         assert (code, out) == (2, "")
         assert "--n" in err
+
+    # --signs was dropped in silence outside single mode, even an empty one
+    @pytest.mark.parametrize("mode", ["chain", "exhaustive"])
+    @pytest.mark.parametrize("signs", ["++-", ""])
+    def test_signs_outside_single_mode_exits_2(self, capsys, mode, signs):
+        code, out, err = run_cli(capsys, "oracle", "--mode", mode, "--T", "2", "--n", "3",
+                                 f"--signs={signs}")
+        assert (code, out) == (2, "")
+        assert err == f"error: --signs does not apply with --mode {mode}, only with single\n"
 
     def test_signs_length_mismatch(self, capsys):
         code, _, err = run_cli(

@@ -9,7 +9,7 @@ import pytest
 
 from driftguard import bodies, bounds, harness, metropolis
 from driftguard.bodies import Box, _trial_seeds, cube_eigen_density
-from driftguard.bounds import isotropic_bound, lower_bound_1d, matching_bounds, upper_bound_cube
+from driftguard.bounds import lower_bound_1d, matching_bounds, upper_bound_cube
 from driftguard.harness import (
     ExperimentConfig,
     RunStats,
@@ -20,7 +20,8 @@ from driftguard.harness import (
     trial_streams,
 )
 from driftguard.metropolis import ContainmentError, EnsembleResult, filter_run, run_ensemble
-from helpers import filter_loop, reference_steps, run_experiment_ensemble, seed_fingerprint
+from helpers import (filter_loop, isotropic_bound, reference_steps, run_experiment_ensemble,
+                     seed_fingerprint)
 from test_metropolis import BODIES, liar_density
 
 
@@ -585,7 +586,7 @@ class TestBoundAttachment:
             n_trials=20,
         )
         stats = run_experiment(config)
-        assert stats.mean <= isotropic_bound(config.body, 2000).value + 3.0 * stats.std_error
+        assert stats.mean <= isotropic_bound(config.body, 2000) + 3.0 * stats.std_error
 
 
 class TestStepNorms:

@@ -25,7 +25,6 @@ from driftguard import (
     exact_chain_expectation_fraction,
     fisher_monte_carlo,
     fisher_quadrature,
-    isotropic_bound,
     lower_bound_1d,
     filter_run,
     reflected_walk,
@@ -52,7 +51,6 @@ ENTRY_POINTS = {
         "grid_points_per_axis", 16, 16, lambda k: fisher_quadrature(_DENSITY, k).entries
     ),
     "fisher_monte_carlo": ("samples", 1000, 1000, lambda k: fisher_monte_carlo(_DENSITY, k, 0)),
-    "isotropic_bound": ("n_steps", 3, 0, lambda k: isotropic_bound(_BOX, k)),
     "lower_bound_1d T": ("half_width", 3, 0, lambda k: lower_bound_1d(k, 10)),
     "lower_bound_1d n": ("n_steps", 3, 0, lambda k: lower_bound_1d(2, k)),
     "StepGenerator": ("dimension", 3, 1, lambda k: StepGenerator("random_unit_sphere", k)),

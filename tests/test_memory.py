@@ -241,24 +241,34 @@ class TestTrialSlabs:
 
 
 class TestStreamedMemory:
+    # A sign-only slab's one O(n) array is its bound row: the unsigned (n, 1)
+    # steps and their (1, n) norms, 16 bytes a step at d = 1, alive only
+    # in the bound pass.  The walk then counts each chunk's accept flags as
+    # they come, so beyond the row the peak is buffers of a few k * c =
+    # _SLAB values (~2.4 MB for the kernel's chunk of 16 trials).  A slab's
+    # (16, n) flags are 16 bytes a step more: the bounds leave them out.
+    # The density is a liar with a support too wide to leave: it accepts
+    # every step, so the kernel runs fewer windows under tracemalloc, and
+    # buffers do not depend on decisions.
+
     def test_long_pm1_run_holds_its_flags_and_a_few_chunks(self, monkeypatch):
-        # one slab of 16 trials: the bound pass takes one unsigned row, and
-        # the kernel a 4096-step chunk of steps and coins at a time, so the
-        # peak is the (m, n) accept flags, 1 byte a trial-step, plus buffers
-        # of a few k * c = _SLAB values; whole rows of steps and coins took
-        # ~17 bytes a trial-step.  The density is a liar with a support too
-        # wide to leave: it accepts every step, so the kernel runs fewer
-        # windows under tracemalloc, and buffers do not depend on decisions.
+        # one slab of 16 trials, its chunks of 4096 steps, coins and flags
+        # alive one at a time: 7.5 MB peak, the bound pass's; the slab's
+        # (m, n) flags beside the chunks peaked at 9.3 MB, and whole rows of
+        # steps and coins took ~17 bytes a trial-step
         m, n, d = 16, 400_000, 1
         monkeypatch.setattr(harness, "_cpus", lambda: 1)  # tracemalloc sees this process only
         monkeypatch.setattr(harness, "cube_eigen_density", lambda box: liar_density(1e6))
         config = ExperimentConfig(Box.cube(d, 8.0), StepGenerator("coordinate_basis_cycle", d),
                                   n, m, 1)
-        assert peak_bytes(lambda: run_experiment(config)) <= m * n + 16 * bodies._SLAB * 8
+        assert peak_bytes(lambda: run_experiment(config)) <= 16 * n + 4 * bodies._SLAB * 8
 
     def test_bound_row_is_dropped_before_the_kernel(self, monkeypatch):
-        # the unsigned (n, d) bound row is 3.2 MB here: kept alive beside the
-        # accept flags, it would exceed eight path buffers' worth of slack
+        # the unsigned (n, d) bound row is 3.2 MB here: kept alive beside
+        # the slab's (m, n) accept flags, it exceeded eight path buffers'
+        # worth of slack.  With no such flags the row alive beside a chunk
+        # stays under the bound pass's own peak, so the bound above, on the
+        # same run, is the tighter check
         m, n, d = 16, 400_000, 1
         monkeypatch.setattr(harness, "_cpus", lambda: 1)  # tracemalloc sees this process only
         monkeypatch.setattr(harness, "cube_eigen_density", lambda box: liar_density(1e6))
@@ -267,32 +277,33 @@ class TestStreamedMemory:
         assert peak_bytes(lambda: run_experiment(config)) <= m * n + 8 * bodies._SLAB * 8
 
     def test_slabs_accept_flags_are_not_joined(self, monkeypatch):
-        # four slabs of 16 trials: each slab's record is its (16,) discard
-        # counts, so one slab's (16, n) accept flags are alive at a time
-        # (4.5 MB peak); records that carried each slab's flags held all m * n
-        # (9.3 MB), and joining them into one (m, n) array held them twice
-        # (12.9 MB)
+        # four slabs of 16 trials, each record its (16,) discard counts:
+        # 2.7 MB peak; a slab's (16, n) flags alive until its record was made
+        # peaked at 4.5 MB, records that carried each slab's flags held all
+        # m * n (9.3 MB), and joining them into one (m, n) array held them
+        # twice (12.9 MB)
         m, n, d = 64, 100_000, 1
         monkeypatch.setattr(harness, "_LOCKSTEP_WIDTH", 16)
         monkeypatch.setattr(harness, "_cpus", lambda: 1)  # tracemalloc sees this process only
         monkeypatch.setattr(harness, "cube_eigen_density", lambda box: liar_density(1e6))
         config = ExperimentConfig(Box.cube(d, 8.0), StepGenerator("coordinate_basis_cycle", d),
                                   n, m, 1)
-        assert peak_bytes(lambda: run_experiment(config)) <= 16 * n + 8 * bodies._SLAB * 8
+        assert peak_bytes(lambda: run_experiment(config)) <= 16 * n + 4 * bodies._SLAB * 8
 
     def test_child_shards_record_is_unpickled_from_its_pipe(self, monkeypatch):
         # two slabs of 16 trials over two processes: the child's record is
-        # its slab's discard counts, unpickled straight from the pipe, so the
-        # parent holds its own slab's 6.4 MB of accept flags (9.3 MB peak);
-        # a record of the child's flags too peaked at 12.9 MB, and read into
-        # one bytes first it was held twice and the peak was 19.2 MB
+        # its slab's discard counts, unpickled straight from the pipe, and
+        # the parent's own slab builds no flags (7.5 MB peak); its slab's
+        # 6.4 MB of flags peaked at 9.3 MB, a record of the child's flags too
+        # at 12.9 MB, and read into one bytes first it was held twice and
+        # the peak was 19.2 MB
         m, n, d = 32, 400_000, 1
         monkeypatch.setattr(harness, "_LOCKSTEP_WIDTH", 16)
         monkeypatch.setattr(harness, "_cpus", lambda: 2)  # tracemalloc sees the parent only
         monkeypatch.setattr(harness, "cube_eigen_density", lambda box: liar_density(1e6))
         config = ExperimentConfig(Box.cube(d, 8.0), StepGenerator("coordinate_basis_cycle", d),
                                   n, m, 1)
-        assert peak_bytes(lambda: run_experiment(config)) <= 16 * n + 8 * bodies._SLAB * 8
+        assert peak_bytes(lambda: run_experiment(config)) <= 16 * n + 4 * bodies._SLAB * 8
 
     def test_wide_pm1_run_holds_one_chunk(self, monkeypatch):
         # 200 trials in lockstep over two chunks of 4251 steps, each 27 MB of

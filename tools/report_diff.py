@@ -118,12 +118,13 @@ PINNED = tuple(f"simulate {shape} --format json --seed 1" for shape in SHAPES) +
 # a step file (fixed_list, the other sign-only kind) of unequal row norms
 # with a zero row: main writes it once, and both sides read it by the same
 # path, in one slab over several chunks, and in three slabs of 1024 trials,
-# each given its unsigned row's sum, whose mean over all trials is reported
+# each given its unsigned row's sum, whose mean over all trials is reported;
+# and as the rows whose bounds `bounds --norms` prints
 STEP_FILE = "0.5 -0.25\n0 0\n1.5 0.75\n-0.125 1\n0.25 0.5\n"
 FILE_LINES = tuple(
     f"simulate --dim 2 --half-width 3 --generator file:{{path}} {shape} --format json --seed 1"
     for shape in ("--steps 20000 --trials 30", "--steps 300 --trials 3000")
-)
+) + ("bounds --dim 2 --half-width 3 --norms file:{path}",)
 
 
 def run_line(tree: Path, line: str, cpu=None) -> tuple[int, bytes, bytes]:
