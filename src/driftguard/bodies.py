@@ -353,16 +353,22 @@ class Density:
     depend on the array's layout or the other points.  ``log_gradient`` is only
     defined on interior points.  ``quantile`` maps uniforms of shape
     (..., d) to points of the same shape, each row alike alone or in a batch;
-    ``sample`` feeds it ``rng.uniform(size=(n, d))``.  The dimension d is
-    the support's.  The density must be a product of one factor per axis,
-    as ``cube_eigen_density``'s is: ``fisher_quadrature`` integrates each
-    axis alone and sets the off-diagonal entries to 0.
+    ``sample`` feeds it ``rng.uniform(size=(n, d))``.  ``draw(rng, n)``,
+    keyword-only and optional, gives n points (n, d) from the density by any
+    exact method, without the quantile's row-by-row contract;
+    ``fisher_monte_carlo`` draws through it, or through ``sample`` when it
+    is None.  The dimension d is the support's.  The density must be a
+    product of one factor per axis, as ``cube_eigen_density``'s is:
+    ``fisher_quadrature`` integrates each axis alone and sets the
+    off-diagonal entries to 0.
     """
 
     support: Box
     log_density: Callable[[ArrayLike], Union[float, np.ndarray]]
     log_gradient: Callable[[ArrayLike], np.ndarray]
     quantile: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    draw: Optional[Callable[[np.random.Generator, int], np.ndarray]] = field(
+        default=None, repr=False, kw_only=True)
 
     @property
     def dimension(self) -> int:
@@ -393,10 +399,15 @@ def cube_eigen_density(box: Box) -> Density:
     buffers made once per slab of rows.  Each element gets the same
     arithmetic wherever it sits, so a batch equals its rows mapped one at a
     time.  ``quantile`` clips samples (u = 0 included) strictly inside the
-    box.  Raises ValueError when pi / T_i or 2 T_i overflows (T_i above
-    ~9e307, where the density would be flat), ``quantile`` on a uniform
-    outside [0, 1] (NaN included), and all three on inputs that are not
-    ints or floats (``_reals``).
+    box.  ``draw`` samples by per-axis rejection instead: a proposal
+    y = 2 u - 1 from U(-1, 1) is kept when a second uniform is below
+    cos(pi y / 2)**2 = sin(pi u)**2, about two proposals a coordinate, and
+    the kept values fill the rows in order, axis i scaled by T_i and clipped
+    inside the box as the quantile's are.  Its proposal rounds hold at most
+    ``_SLAB`` uniforms.  Raises ValueError when pi / T_i or 2 T_i overflows
+    (T_i above ~9e307, where the density would be flat), ``quantile`` on a
+    uniform outside [0, 1] (NaN included), and all three on inputs that
+    are not ints or floats (``_reals``).
     """
     hw = box.half_widths
     d = box.dimension
@@ -468,7 +479,22 @@ def cube_eigen_density(box: Box) -> Density:
             x[rows] = hw * np.copysign(1.0 - phi / np.pi, v - 0.5)
         return np.clip(x, inner_lo, inner_hi, out=x).reshape(u.shape)
 
-    return Density(box, log_density, log_gradient, quantile)
+    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
+        kept = np.empty(_integer("n", n, 0) * d)
+        filled = 0
+        while filled < kept.size:
+            # a round of proposals sized to what is left: about half are kept
+            need = kept.size - filled
+            proposal, coin = rng.random((2, min(_SLAB // 2, 2 * need + 64)))
+            bar = np.sin(np.multiply(proposal, np.pi))
+            keep = np.compress(np.less(coin, np.square(bar, out=bar)), proposal)[:need]
+            kept[filled:filled + keep.size] = keep
+            filled += keep.size
+        x = kept.reshape(-1, d)
+        np.multiply(np.subtract(np.multiply(x, 2.0, out=x), 1.0, out=x), hw, out=x)
+        return np.clip(x, inner_lo, inner_hi, out=x)
+
+    return Density(box, log_density, log_gradient, quantile, draw=draw)
 
 
 def dirichlet_lambda1_box(box: Box) -> float:
@@ -620,37 +646,43 @@ def fisher_monte_carlo(density: Density, samples: int, rng_seed: int) -> FisherM
 
     Samples are drawn in chunks of ``_MC_CHUNK``, each from its own substream
     SeedSequence((rng_seed, chunk_index)), so the result does not depend on
-    how the chunks are scheduled.  The chunks split into k = min(``_cpus()``,
-    chunks) contiguous shards, each after the first in a forked child
-    (``_fork_map``), so a process holds one chunk's samples at a time and
-    one chunk forks nothing; each chunk gives its sums of score products
-    and of their squares, which are added in chunk order, the bits of one
+    how the chunks are scheduled.  A chunk draws (``Density.draw``, else
+    ``Density.sample``), scores and squares one ``_slabs`` slab of rows at a
+    time and adds the slab's sums to its own, so no array grows with the
+    chunk.  The chunks split into k = min(``_cpus()``, chunks) contiguous
+    shards, each after the first in a forked child (``_fork_map``), and one
+    chunk forks nothing; each chunk gives its sums of score products and of
+    their squares, which are added in chunk order, the bits of one
     process's loop.  Requires at least 1000 samples.
 
     ``std_error`` is the textbook sample standard error of each entry.  It
     is not a valid error bar on the diagonal: for the cube eigen-density the
     squared score has infinite variance, so the diagonal converges at rate
-    n**(-1/3) with a heavy upper tail.  Off-diagonal products have finite
-    variance and their standard error holds.  Raises ValueError when
-    scaling back to 1 / T_i**2 underflows a nonzero entry or standard error
-    to zero or a subnormal (T_i above ~1e153).
+    n**(-1/3) from below, with a heavy upper tail; ``fisher --method mc``
+    prints null there.  Off-diagonal products have finite variance and
+    their standard error holds.  Raises ValueError when scaling back to
+    1 / T_i**2 underflows a nonzero entry or standard error to zero or a
+    subnormal (T_i above ~1e153).
     """
     samples = _integer("samples", samples, 1000)
     seed = _integer("rng_seed", rng_seed, 0)
     d = density.dimension
     chunks = -(-samples // _MC_CHUNK)
     k = min(_cpus(), chunks)
+    draw = density.draw or density.sample
 
     def run_shard(indices: range) -> list:
         sums = []
         for chunk in indices:
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chunk))))
-            start = chunk * _MC_CHUNK
-            scores = _scaled_scores(density, density.sample(rng, min(_MC_CHUNK, samples - start)))
-            # no (chunk, d, d) outer products; einsum, not `@`, whose BLAS sums vary with threads
-            squares = scores * scores
-            sums.append((np.einsum("ki,kj->ij", scores, scores),
-                         np.einsum("ki,kj->ij", squares, squares)))
+            outer, outer_sq = np.zeros((d, d)), np.zeros((d, d))
+            for rows in _slabs(min(_MC_CHUNK, samples - chunk * _MC_CHUNK), d):
+                scores = _scaled_scores(density, draw(rng, rows.stop - rows.start))
+                # no (rows, d, d) outer products; einsum, not `@`, whose BLAS sums vary with threads
+                squares = np.square(scores)
+                outer += np.einsum("ki,kj->ij", scores, scores)
+                outer_sq += np.einsum("ki,kj->ij", squares, squares)
+            sums.append((outer, outer_sq))
         return sums
 
     total = np.zeros((d, d))

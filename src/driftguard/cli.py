@@ -216,6 +216,15 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0 if not failures else 2
 
 
+def _off_diagonal(std_error) -> list:
+    """The standard errors as nested lists with null on the diagonal, where
+    the squared score's infinite variance leaves no valid error bar."""
+    rows = std_error.tolist()
+    for i, row in enumerate(rows):
+        row[i] = None
+    return rows
+
+
 def _cmd_fisher(args: argparse.Namespace) -> int:
     box = Box.cube(args.dim, args.half_width)
     if args.method == "closed":
@@ -229,7 +238,7 @@ def _cmd_fisher(args: argparse.Namespace) -> int:
         "dim": args.dim,
         "half_width": args.half_width,
         "entries": fisher.entries.tolist(),
-        "std_error": None if fisher.std_error is None else fisher.std_error.tolist(),
+        "std_error": None if fisher.std_error is None else _off_diagonal(fisher.std_error),
         "operator_norm": fisher_operator_norm(fisher),
         "trace": fisher.trace,
         "four_lambda1": 4.0 * dirichlet_lambda1_box(box),

@@ -311,19 +311,45 @@ def rejection_rate_monte_carlo(density, step, n, seed):
     return freq, math.sqrt(freq * (1.0 - freq) / n)
 
 
+def fisher_diagonal_band(samples, rate):
+    """(low, high) multiples of the closed form between which a Monte Carlo
+    Fisher diagonal entry of the cube eigen-density must lie.
+
+    The squared score has no variance, so its standard error is no error
+    bar.  In units of the entry, a squared score is tan(theta)**2 with theta
+    of density (2 / pi) cos(theta)**2, whose tail is
+    P(tan(theta)**2 > y) ~ 4 / (3 pi) * y**(-3/2).  The mean then converges
+    like n**(-1/3) from below, with a light lower tail: ``low`` is the
+    benchmark's one-sided rule 1 - 7.5 n**(-1/3).  Its heavy upper tail
+    exceeds 1 + delta about as often as one of the n squares alone exceeds
+    n delta, n * 4 / (3 pi) * (n delta)**(-3/2): ``high`` is the 1 + delta at
+    which that is ``rate``.  Over 800 entries of 1e4 samples, 0.75% passed a
+    1% ``high`` and 3.6% a 5% one; none fell below ``low``.
+    """
+    delta = (4.0 / (3.0 * math.pi) / math.sqrt(samples) / rate) ** (2.0 / 3.0)
+    return 1.0 - 7.5 * samples ** (-1.0 / 3.0), 1.0 + delta
+
+
+def monte_carlo_draws(density, rng, rows):
+    """The ``rows`` points a Monte Carlo Fisher chunk draws from ``rng``:
+    ``density.draw`` called once per ``_slabs`` slab of rows, in order."""
+    return np.concatenate([density.draw(rng, s.stop - s.start)
+                           for s in _slabs(rows, density.dimension)])
+
+
 def fisher_outer_mean(density, samples, seed, chunk):
     """Monte Carlo Fisher (mean, std_error) from explicit score outer products.
 
     Draws chunk k of ``chunk`` points from SeedSequence((seed, k)), the
-    substreams fisher_monte_carlo uses, and sums the (chunk, d, d) outer
-    products and their squares.
+    substreams fisher_monte_carlo uses (``monte_carlo_draws``), and sums the
+    (chunk, d, d) outer products and their squares.
     """
     d = density.dimension
     total = np.zeros((d, d))
     total_sq = np.zeros((d, d))
     for k, start in enumerate(range(0, samples, chunk)):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, k))))
-        scores = density.log_gradient(density.sample(rng, min(chunk, samples - start)))
+        scores = density.log_gradient(monte_carlo_draws(density, rng, min(chunk, samples - start)))
         outer = scores[:, :, None] * scores[:, None, :]
         total += outer.sum(axis=0)
         total_sq += np.square(outer).sum(axis=0)
@@ -334,7 +360,9 @@ def fisher_outer_mean(density, samples, seed, chunk):
 
 def fisher_monte_carlo_serial(density, samples, rng_seed):
     """``bodies.fisher_monte_carlo`` as one process's loop over its chunks
-    of ``bodies._MC_CHUNK`` samples, adding each chunk's sums as it goes."""
+    of ``bodies._MC_CHUNK`` samples, each drawn, scored and summed a
+    ``_slabs`` slab of rows at a time into its own sums, which are added to
+    the totals as the chunk ends."""
     samples = _integer("samples", samples, 1000)
     seed = _integer("rng_seed", rng_seed, 0)
     d = density.dimension
@@ -345,12 +373,15 @@ def fisher_monte_carlo_serial(density, samples, rng_seed):
     while done < samples:
         m = min(bodies._MC_CHUNK, samples - done)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chunk_index))))
-        pts = density.sample(rng, m)
-        scores = _scaled_scores(density, pts)
-        # no (chunk, d, d) outer products; einsum, not `@`, whose BLAS sums vary with threads
-        total += np.einsum("ki,kj->ij", scores, scores)
-        squares = scores * scores
-        total_sq += np.einsum("ki,kj->ij", squares, squares)
+        outer, outer_sq = np.zeros((d, d)), np.zeros((d, d))
+        for rows in _slabs(m, d):
+            scores = _scaled_scores(density, density.draw(rng, rows.stop - rows.start))
+            # no (rows, d, d) outer products; einsum, not `@`, whose BLAS sums vary with threads
+            outer += np.einsum("ki,kj->ij", scores, scores)
+            squares = scores * scores
+            outer_sq += np.einsum("ki,kj->ij", squares, squares)
+        total += outer
+        total_sq += outer_sq
         done += m
         chunk_index += 1
     mean = total / samples

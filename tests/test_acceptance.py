@@ -39,6 +39,7 @@ from driftguard.oracle1d import exact_chain_expectation_fraction, reflected_walk
 from helpers import (
     cube_coordinate_cdf,
     exhaustive_longest_table,
+    fisher_diagonal_band,
     mc_reflected_discards,
     rejection_rate_monte_carlo,
     run_experiment_ensemble,
@@ -168,6 +169,8 @@ def test_criterion_04_fisher_estimators_agree():
         worst_quad = 0.0
         worst_z = 0.0
         worst_trace = 0.0
+        worst_ratio = 0.0
+        low, high = fisher_diagonal_band(1_000_000, 1e-3)
         combos = itertools.product((1.0, 2.0, 16.0), (1, 2))
         for idx, (t, d) in enumerate(combos):
             density = cube_eigen_density(Box.cube(d, t))
@@ -177,16 +180,24 @@ def test_criterion_04_fisher_estimators_agree():
             worst_quad = max(worst_quad, quad_err)
             assert quad_err <= 1e-6
             mc = fisher_monte_carlo(density, 1_000_000, rng_seed=9200 + idx)
-            z = float(np.max(np.abs(mc.entries - closed) / mc.std_error))
+            # the diagonal's standard error is no error bar (its squared score
+            # has no variance), so it is held to fisher_diagonal_band, whose
+            # high side fails ~0.1% of seeds an entry; the off-diagonal to 3 SE
+            ratio = np.diag(mc.entries) / np.diag(closed)
+            assert np.all((low <= ratio) & (ratio <= high))
+            worst_ratio = max(worst_ratio, float(np.max(np.abs(ratio - 1.0))))
+            off = ~np.eye(d, dtype=bool)
+            z = float(np.max(np.abs(mc.entries - closed)[off] / mc.std_error[off], initial=0.0))
             worst_z = max(worst_z, z)
-            assert np.all(np.abs(mc.entries - closed) <= 3.0 * mc.std_error)
+            assert z <= 3.0
             lam = dirichlet_lambda1_box(Box.cube(d, t))
             trace_gap = abs(float(np.trace(quad.entries)) - 4.0 * lam)
             worst_trace = max(worst_trace, trace_gap)
             assert trace_gap <= 1e-5
         detail["text"] = (
             f"6 (T, d) combos: quad err <= {worst_quad:.1e}, "
-            f"mc |z| <= {worst_z:.2f}, trace gap <= {worst_trace:.1e}"
+            f"mc diagonal within {worst_ratio:.3f} of it, off-diagonal |z| <= {worst_z:.2f}, "
+            f"trace gap <= {worst_trace:.1e}"
         )
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from driftguard import bodies, bounds, cli, harness, metropolis
 from driftguard.bodies import (Box, FisherMatrix, _slabs, _trial_seeds, cube_eigen_density,
-                              fisher_quadrature)
+                              fisher_monte_carlo, fisher_quadrature)
 from driftguard.bounds import matching_bounds, upper_bound_general
 from driftguard.harness import (
     ExperimentConfig,
@@ -116,6 +116,16 @@ class TestQuadratureMemory:
                 expected[i, j] = leggauss_integrate(integrand, half_widths, nodes)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(fisher.entries - expected)) <= 1e-13 * scale
+
+
+class TestMonteCarloMemory:
+    def test_d256_holds_a_slab_of_rows(self, monkeypatch):
+        # 2000 samples at d = 256, one chunk: 6.1 MiB peak, about half of it
+        # the (d, d) sums and the result's matrices, each _SLAB values here;
+        # the chunk's (2000, d) samples, scores and squares peaked at 12.8 MiB
+        monkeypatch.setattr(bodies, "_cpus", lambda: 1)  # tracemalloc sees this process only
+        density = cube_eigen_density(Box.cube(256, 3.0))
+        assert peak_bytes(lambda: fisher_monte_carlo(density, 2000, 1)) <= 16 * bodies._SLAB * 8
 
 
 class TestBoundPassMemory:
@@ -264,17 +274,31 @@ class TestStreamedMemory:
         assert peak_bytes(lambda: run_experiment(config)) <= 16 * n + 4 * bodies._SLAB * 8
 
     def test_bound_row_is_dropped_before_the_kernel(self, monkeypatch):
-        # the unsigned (n, d) bound row is 3.2 MB here: kept alive beside
-        # the slab's (m, n) accept flags, it exceeded eight path buffers'
-        # worth of slack.  With no such flags the row alive beside a chunk
-        # stays under the bound pass's own peak, so the bound above, on the
-        # same run, is the tighter check
+        # the unsigned (n, d) bound row is 3.2 MB here.  The walk's peak
+        # stays under the bound pass's own, so the row is checked where the
+        # walk starts: the bytes alive at the first _Walk.run, its first
+        # chunk of 16 x 4096 steps among them (~0.6 MB), are under the row's.
+        # A row kept alive by the chunk source read 3.8 MB there
         m, n, d = 16, 400_000, 1
         monkeypatch.setattr(harness, "_cpus", lambda: 1)  # tracemalloc sees this process only
         monkeypatch.setattr(harness, "cube_eigen_density", lambda box: liar_density(1e6))
         config = ExperimentConfig(Box.cube(d, 8.0), StepGenerator("coordinate_basis_cycle", d),
                                   n, m, 1)
-        assert peak_bytes(lambda: run_experiment(config)) <= m * n + 8 * bodies._SLAB * 8
+        run, alive = metropolis._Walk.run, []
+
+        def first_run(walk, steps):
+            if not alive:
+                alive.append(tracemalloc.get_traced_memory()[0])
+            return run(walk, steps)
+
+        monkeypatch.setattr(metropolis._Walk, "run", first_run)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run_experiment(config)
+        finally:
+            tracemalloc.stop()
+        assert alive[0] - before < 8 * n * d
 
     def test_slabs_accept_flags_are_not_joined(self, monkeypatch):
         # four slabs of 16 trials, each record its (16,) discard counts:
