@@ -49,6 +49,10 @@ __all__ = [
 _KEPLER_STEPS = 5
 _KEPLER_SERIES_CUTOFF = 1.0
 _KEPLER_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in reversed(range(9)))
+# the rejection draw's squeeze: Bhaskara's rational sine, squared, is within
+# 0.0021428 of sin(pi u)**2 on [0, 1] (its max on a 2e7-point grid), so a
+# coin farther than this from it is decided without np.sin
+_SQUEEZE_MARGIN = 0.0025
 # float64 values per slab of every pass over arrays that grow with the input:
 # the quantile, the quadrature's axes, the bound pass and the filter kernel's blocks
 _SLAB = 1 << 16
@@ -404,7 +408,12 @@ def cube_eigen_density(box: Box) -> Density:
     cos(pi y / 2)**2 = sin(pi u)**2, about two proposals a coordinate, and
     the kept values fill the rows in order, axis i scaled by T_i and clipped
     inside the box as the quantile's are.  Its proposal rounds hold at most
-    ``_SLAB`` uniforms.  Raises ValueError when pi / T_i or 2 T_i overflows
+    ``_SLAB`` uniforms.  A squeeze decides the test: Bhaskara's rational
+    sine B = 16 v / (5 - 4 v), v = u (1 - u), has B**2 within 0.0021428 of
+    sin(pi u)**2, so a coin more than ``_SQUEEZE_MARGIN`` (0.0025) from B**2
+    falls on the same side of both, and only the ~0.5% of proposals closer
+    to it take np.sin; every decision, and so every draw, is the exact
+    test's.  Raises ValueError when pi / T_i or 2 T_i overflows
     (T_i above ~9e307, where the density would be flat), ``quantile`` on a
     uniform outside [0, 1] (NaN included), and all three on inputs that
     are not ints or floats (``_reals``).
@@ -486,8 +495,21 @@ def cube_eigen_density(box: Box) -> Density:
             # a round of proposals sized to what is left: about half are kept
             need = kept.size - filled
             proposal, coin = rng.random((2, min(_SLAB // 2, 2 * need + 64)))
-            bar = np.sin(np.multiply(proposal, np.pi))
-            keep = np.compress(np.less(coin, np.square(bar, out=bar)), proposal)[:need]
+            # coin - B**2 with Bhaskara's B = 16 v / (5 - 4 v), v = u (1 - u),
+            # as 5 / (1 + s) - 4, s = (u - 1/2)**2: beyond the margin its sign
+            # is that of coin - sin(pi u)**2, so the exact test runs only in it
+            gap = np.subtract(proposal, 0.5)
+            np.square(gap, out=gap)
+            gap += 1.0
+            np.divide(5.0, gap, out=gap)
+            gap -= 4.0
+            np.subtract(coin, np.square(gap, out=gap), out=gap)
+            keep = np.less(gap, -_SQUEEZE_MARGIN)
+            near = np.flatnonzero(np.less_equal(gap, _SQUEEZE_MARGIN) ^ keep)
+            if near.size:
+                bar = np.sin(np.multiply(proposal.take(near), np.pi))
+                keep.put(near, np.less(coin.take(near), np.square(bar, out=bar)))
+            keep = np.compress(keep, proposal)[:need]
             kept[filled:filled + keep.size] = keep
             filled += keep.size
         x = kept.reshape(-1, d)
@@ -584,14 +606,17 @@ def _scaled_scores(density: Density, points: np.ndarray) -> np.ndarray:
 
 def _unscaled(density: Density, moments: np.ndarray) -> np.ndarray:
     """d x d ``moments`` (any leading axes) of ``_scaled_scores`` scaled back to
-    the density's.  Raises ValueError when a nonzero entry underflows to zero
-    or a subnormal (T_i from ~1e153 up); an overflow is left to FisherMatrix."""
+    the density's, in place, and returned.  Raises ValueError when a nonzero
+    entry underflows to zero or a subnormal (T_i from ~1e153 up); an
+    overflow is left to FisherMatrix."""
     exps = np.frexp(density.support.half_widths)[1]
+    tiny = np.finfo(float).tiny
+    nonzero = moments != 0.0
     with np.errstate(over="ignore"):
-        unscaled = np.ldexp(moments, -(exps[:, None] + exps[None, :]))
-    if ((np.abs(unscaled) < np.finfo(float).tiny) & (moments != 0.0)).any():
+        np.ldexp(moments, -(exps[:, None] + exps[None, :]), out=moments)
+    if (nonzero & np.less(moments, tiny) & np.greater(moments, -tiny)).any():
         raise ValueError("half_width too large: Fisher entries underflow")
-    return unscaled
+    return moments
 
 
 @functools.lru_cache(maxsize=8)
@@ -670,31 +695,45 @@ def fisher_monte_carlo(density: Density, samples: int, rng_seed: int) -> FisherM
     chunks = -(-samples // _MC_CHUNK)
     k = min(_cpus(), chunks)
     draw = density.draw or density.sample
+    # the sums of score products and of their squares, which the mean, the
+    # standard error and the unscaled result then overwrite in place
+    totals = np.zeros((2, d, d))
+    product = np.empty((d, d))
 
     def run_shard(indices: range) -> list:
+        """Each chunk's sums in order, or none in the first shard, which
+        ``_fork_map`` runs in this process: that one sums chunk 0 straight
+        into ``totals`` (0.0 + x is x, so the bits are the same, and no
+        third (2, d, d) array is live) and adds each later chunk's sums
+        into them as the chunk ends."""
         sums = []
         for chunk in indices:
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chunk))))
-            outer, outer_sq = np.zeros((d, d)), np.zeros((d, d))
+            outer = totals if chunk == 0 else np.zeros((2, d, d))
             for rows in _slabs(min(_MC_CHUNK, samples - chunk * _MC_CHUNK), d):
                 scores = _scaled_scores(density, draw(rng, rows.stop - rows.start))
                 # no (rows, d, d) outer products; einsum, not `@`, whose BLAS sums vary with threads
-                squares = np.square(scores)
-                outer += np.einsum("ki,kj->ij", scores, scores)
-                outer_sq += np.einsum("ki,kj->ij", squares, squares)
-            sums.append((outer, outer_sq))
+                outer[0] += np.einsum("ki,kj->ij", scores, scores, out=product)
+                squares = np.square(scores, out=scores)
+                outer[1] += np.einsum("ki,kj->ij", squares, squares, out=product)
+            if indices.start:
+                sums.append(outer)
+            elif chunk:
+                np.add(totals, outer, out=totals)
         return sums
 
-    total = np.zeros((d, d))
-    total_sq = np.zeros((d, d))
     shards = [range(chunks * i // k, chunks * (i + 1) // k) for i in range(k)]
     for shard in _fork_map(run_shard, shards, "Monte Carlo shard"):
-        for outer, outer_sq in shard:
-            total += outer
-            total_sq += outer_sq
-    mean = total / samples
-    var = np.maximum(total_sq - samples * np.square(mean), 0.0) / (samples - 1)
-    entries, se = _unscaled(density, np.stack([mean, np.sqrt(var / samples)]))
+        while shard:  # each chunk's sums, dropped once added
+            totals += shard.pop(0)
+    mean, var = totals
+    mean /= samples
+    var -= np.multiply(np.square(mean, out=product), samples, out=product)
+    del product
+    np.maximum(var, 0.0, out=var)
+    var /= samples - 1
+    np.sqrt(np.divide(var, samples, out=var), out=var)
+    entries, se = _unscaled(density, totals)
     return FisherMatrix(entries, "monte_carlo", std_error=se)
 
 

@@ -11,10 +11,11 @@ the reflected chain stepped one transition at a time (in floats, and in
 integer weights over 2^k for the exact expectation) and its rational kernel
 matrix, a 40-digit decimal quantile of the cube eigen-density, a Monte
 Carlo one-step rejection rate, and the isotropic bound sqrt(lambda_1) * n.
-Two are the library's own earlier forms, kept as written as bit-for-bit
-references: the serial loop over Monte Carlo Fisher chunks, and the cube
+Three are the library's own earlier forms, kept as written as bit-for-bit
+references: the serial loop over Monte Carlo Fisher chunks, the cube
 quantile's Newton solve that computes both Kepler branches and picks one
-with ``np.where``.  One runs the library's own slab path in this process
+with ``np.where``, and the cube eigen-density's rejection draw that takes
+``np.sin`` of every proposal.  One runs the library's own slab path in this process
 to show what a run keeps none of: ``run_experiment_ensemble``, every
 trial's accept flags, origin, final point and running max.
 """
@@ -415,6 +416,33 @@ def kepler_quantile_where(box, u):
             phi = np.clip(phi - step, 0.0, np.pi)
         x[rows] = hw * np.copysign(1.0 - phi / np.pi, v - 0.5)
     return np.clip(x, inner_lo, inner_hi, out=x).reshape(u.shape)
+
+
+def rejection_draw_exact(box, rng, n):
+    """``cube_eigen_density(box).draw(rng, n)`` with every proposal's accept
+    test taken exactly: a proposal u is kept when its coin is below
+    sin(pi u)**2, computed for the whole round."""
+    hw = box.half_widths
+    d = box.dimension
+    inner_lo, inner_hi = np.nextafter(-hw, 0.0), np.nextafter(hw, 0.0)
+    kept = np.empty(n * d)
+    filled = 0
+    while filled < kept.size:
+        need = kept.size - filled
+        proposal, coin = rng.random((2, min(bodies._SLAB // 2, 2 * need + 64)))
+        bar = np.sin(np.multiply(proposal, np.pi))
+        keep = np.compress(np.less(coin, np.square(bar, out=bar)), proposal)[:need]
+        kept[filled:filled + keep.size] = keep
+        filled += keep.size
+    x = kept.reshape(-1, d)
+    np.multiply(np.subtract(np.multiply(x, 2.0, out=x), 1.0, out=x), hw, out=x)
+    return np.clip(x, inner_lo, inner_hi, out=x)
+
+
+def bhaskara_sine_squared(u):
+    """Bhaskara's rational sine of pi u, 16 v / (5 - 4 v) with v = u (1 - u), squared."""
+    v = u * (1.0 - u)
+    return (16.0 * v / (5.0 - 4.0 * v)) ** 2
 
 
 def leggauss_integrate(fn, half_widths, nodes):

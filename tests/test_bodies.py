@@ -26,6 +26,7 @@ from driftguard.bodies import (
 from driftguard.bounds import matching_bounds
 from driftguard.metropolis import rejection_rate_exact_1d
 from helpers import (
+    bhaskara_sine_squared,
     contains_interior,
     contains_scaled,
     cube_coordinate_cdf,
@@ -37,6 +38,7 @@ from helpers import (
     kepler_quantile_where,
     leggauss_integrate,
     reference_quantile,
+    rejection_draw_exact,
     seed_fingerprint,
 )
 
@@ -601,15 +603,17 @@ class TestGaussLegendreRule:
 
 class _FixedProposals:
     """A generator stand-in whose ``random((2, m))`` proposes ``values`` in
-    turn, each with a coin of 0.0, and records every request's shape."""
+    turn, each with its coin from ``coins`` (0.0 by default), and records
+    every request's shape."""
 
-    def __init__(self, values):
-        self.values, self.shapes = values, []
+    def __init__(self, values, coins=0.0):
+        self.values, self.coins, self.shapes = values, coins, []
 
     def random(self, shape):
         self.shapes.append(shape)
-        rounds = np.zeros(shape)
+        rounds = np.empty(shape)
         rounds[0] = np.resize(self.values, shape[1])
+        rounds[1] = np.resize(self.coins, shape[1])
         return rounds
 
 
@@ -657,6 +661,49 @@ class TestRejectionDraw:
         assert x.shape == (n, d)
         assert all(rows == 2 and 2 * m <= bodies._SLAB for rows, m in rng.shapes)
         assert (len(rng.shapes) == 0) == (n == 0)
+
+    # a box of each kind: the HALF_WIDTHS, a non-cube box of three axes, d = 256
+    BOXES = [HALF_WIDTHS, [0.5, 3.0, 40.0], [1.0] * 256]
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 1000, 21_845])
+    @pytest.mark.parametrize("widths", BOXES, ids=["half_widths", "non_cube", "d256"])
+    def test_equals_the_exact_test_on_every_proposal(self, widths, n):
+        # the squeeze decides all but ~0.5% of proposals without np.sin and
+        # must keep every decision; 21 845 rows is a d = 3 slab, and at
+        # d = 256, where a slab is 256 rows, it takes 4 seeds (22M values)
+        box = Box(np.array(widths))
+        den = cube_eigen_density(box)
+        seeds = 4 if n * box.dimension > 10**6 else 200
+        for seed in range(seeds):
+            got = den.draw(np.random.default_rng(seed), n)
+            want = rejection_draw_exact(box, np.random.default_rng(seed), n)
+            assert got.shape == (n, box.dimension)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), seed
+
+    def test_squeeze_margin_exceeds_the_bound_error(self):
+        # max |sin(pi u)**2 - B**2| is 0.0021427, at 1e7 + 1 grid points (in
+        # slabs of 1e6) and at the edges and the centre
+        def worst(u):
+            return np.max(np.abs(np.sin(np.pi * u) ** 2 - bhaskara_sine_squared(u)))
+
+        grid = max(worst(np.arange(i, i + 10**6 + 1) / 1e7) for i in range(0, 10**7, 10**6))
+        edges = worst(np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]))
+        assert 0.00214 < grid < bodies._SQUEEZE_MARGIN and edges < bodies._SQUEEZE_MARGIN
+
+    def test_coins_within_the_margin_take_the_exact_test(self):
+        # coins half a margin below and above B**2, in turn, lie in the band
+        # only the exact test decides, and fall on both sides of sin(pi u)**2;
+        # the proposals are shuffled so that every round keeps some
+        u = np.random.default_rng(0).permutation(np.linspace(0.0, 1.0, 1001)[1:-1])
+        side = np.resize([-0.5, 0.5], u.size) * bodies._SQUEEZE_MARGIN
+        coins = np.clip(bhaskara_sine_squared(u) + side, 0.0, 1.0 - 2.0**-53)
+        assert np.all(np.abs(coins - bhaskara_sine_squared(u)) < bodies._SQUEEZE_MARGIN)
+        exact = coins < np.sin(np.pi * u) ** 2
+        assert exact[side > 0].any() and not exact[side > 0].all()
+        box = Box(np.array([2.0, 5.0]))
+        got = cube_eigen_density(box).draw(_FixedProposals(u, coins), 3000)
+        want = rejection_draw_exact(box, _FixedProposals(u, coins), 3000)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_density_without_a_draw_samples_by_its_quantile(self):
         den = cube_eigen_density(Box.cube(2, 1.0))

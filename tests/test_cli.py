@@ -140,6 +140,29 @@ def test_pinned_line_bytes(capsys, line, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of three `fisher --method mc` lines, made by the
+# rejection draw that took np.sin of every proposal: the squeeze keeps
+# every decision, so these bytes must hold.  The d = 3 line is the
+# benchmark's oracles shape (two chunks), and T = 1e-100 scales its scores.
+# Like every fisher line they hold for numpy 2.4.6 at one SIMD dispatch
+# level, as np.tan's AVX-512 path differs at the ulp (ROADMAP item 18)
+PINNED_MC_LINES = [
+    ("fisher --dim 2 --half-width 2 --method mc --samples 1000000 --seed 3",
+     "ee887e2f42dce9909e615ed25afbedc65d267218365e41892fa2f4fea902a52e"),
+    ("fisher --dim 3 --half-width 16 --method mc --samples 250000 --seed 7",
+     "66156e722c0701f60688acc80c139df86b63a0db00929354ed882f383e4cbade"),
+    ("fisher --dim 1 --half-width 1e-100 --method mc --samples 100000 --seed 2",
+     "d29d417ed20172dd16bf8b906d4801b5e548a852e4b7d0c73e4daaf6fe16893f"),
+]
+
+
+@pytest.mark.parametrize("line, digest", PINNED_MC_LINES, ids=[line for line, _ in PINNED_MC_LINES])
+def test_pinned_monte_carlo_bytes(capsys, line, digest):
+    code, out, err = run_cli(capsys, *shlex.split(line))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 _REPORT_DIFF = Path(__file__).resolve().parent.parent / "tools" / "report_diff.py"
 _SPEC = importlib.util.spec_from_file_location("report_diff", _REPORT_DIFF)
 report_diff = importlib.util.module_from_spec(_SPEC)

@@ -120,12 +120,15 @@ class TestQuadratureMemory:
 
 class TestMonteCarloMemory:
     def test_d256_holds_a_slab_of_rows(self, monkeypatch):
-        # 2000 samples at d = 256, one chunk: 6.1 MiB peak, about half of it
-        # the (d, d) sums and the result's matrices, each _SLAB values here;
-        # the chunk's (2000, d) samples, scores and squares peaked at 12.8 MiB
+        # 2000 samples at d = 256, one chunk: 3.9 MiB peak (7.8 of these
+        # bounds' units), the two (d, d) sums, written in place into the
+        # result, one einsum buffer, the result's copies and a slab of rows,
+        # each _SLAB values here.  Fresh einsum results, chunk sums and
+        # mean, variance and unscaling temporaries peaked at 6.1 MiB, and
+        # the chunk's (2000, d) samples, scores and squares at 12.8 MiB
         monkeypatch.setattr(bodies, "_cpus", lambda: 1)  # tracemalloc sees this process only
         density = cube_eigen_density(Box.cube(256, 3.0))
-        assert peak_bytes(lambda: fisher_monte_carlo(density, 2000, 1)) <= 16 * bodies._SLAB * 8
+        assert peak_bytes(lambda: fisher_monte_carlo(density, 2000, 1)) <= 8 * bodies._SLAB * 8
 
 
 class TestBoundPassMemory:

@@ -88,6 +88,10 @@ LINES = tuple(
     "fisher --dim 3 --half-width 16 --method quadrature --nodes 128",
     "fisher --dim 8 --half-width 3 --method quadrature --nodes 128",
     "fisher --dim 2 --half-width 2 --method mc --samples 1000000 --seed 3",
+    # the rejection draw's squeeze: the oracles shape, and d = 64, whose
+    # slabs of 1024 rows each draw 65 536 values in rounds of a half slab
+    "fisher --dim 3 --half-width 16 --method mc --samples 250000 --seed 7",
+    "fisher --dim 64 --half-width 3 --method mc --samples 20000 --seed 1",
     # the largest seed whose trial seeds are hashed a slab at a time, and two
     # past it, whose trials take SeedSequences
     *(f"simulate --dim 3 --half-width 16 --generator unit --steps 200 --trials 700"
